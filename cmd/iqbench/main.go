@@ -2,7 +2,7 @@
 // writes it as BENCH_<date>.json, so every PR leaves a comparable record
 // of the per-job hot path and the engine's scaling behaviour.
 //
-// Two layers are measured over a fixed matrix:
+// Three layers are measured over a fixed matrix:
 //
 //   - pipeline: the cycle-loop kernel per (scheme × benchmark) —
 //     nanoseconds, instructions/sec, and heap allocations per committed
@@ -17,9 +17,6 @@
 //     grid versus direct engine.Simulate calls, so the per-sweep overhead
 //     of the ordered stream is a recorded number; the warm case times the
 //     pure Client + cache-lookup path with no simulation at all.
-//   - sweep: a wider machine-variant grid with the lockstep batch kernel
-//     on and off, recording sweep throughput and trace passes per run
-//     (batched passes equal the benchmark count, not the point count).
 //
 // Usage:
 //
@@ -70,11 +67,7 @@ type Report struct {
 	// Client records the Client-layer cases (added in the distiqd Client
 	// API redesign; a compatible extension of distiq-iqbench-v1 — absent
 	// in older reports).
-	Client []EngineCase `json:"client,omitempty"`
-	// Sweep records the multi-point sweep cases with the lockstep batch
-	// kernel on and off (added with lockstep batch replay; a compatible
-	// extension of distiq-iqbench-v1 — absent in older reports).
-	Sweep      []SweepCase      `json:"sweep,omitempty"`
+	Client     []EngineCase     `json:"client,omitempty"`
 	TraceCache trace.CacheStats `json:"trace_cache"`
 }
 
@@ -103,24 +96,6 @@ type EngineCase struct {
 	Simulated   int64   `json:"simulated"`
 	MemoryHits  int64   `json:"memory_hits"`
 	Shared      int64   `json:"shared"`
-}
-
-// SweepCase is one multi-point sweep run: the benchmark × scheme ×
-// machine-variant grid resolved through a fresh engine, with the
-// lockstep batch kernel either on (co-batchable points share trace
-// passes) or off (one pass per point). Passes counts the trace passes
-// the run made — with batching it equals the benchmark count, without
-// it the point count — and PointsPerPass is the grid size over that.
-type SweepCase struct {
-	Name             string  `json:"name"`
-	Batched          bool    `json:"batched"`
-	Parallel         int     `json:"parallel"`
-	Points           int     `json:"points"`
-	Insts            uint64  `json:"insts"`
-	ElapsedNS        int64   `json:"elapsed_ns"`
-	SweepInstsPerSec float64 `json:"sweep_insts_per_sec"`
-	Passes           int64   `json:"passes"`
-	PointsPerPass    float64 `json:"points_per_pass"`
 }
 
 // The fixed measurement matrix: the paper's three headline organizations
@@ -217,11 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stderr, "iqbench: client layer (direct simulate, client cold, client warm)")
 	if err := measureClient(&rep, opt); err != nil {
-		fmt.Fprintln(stderr, "iqbench:", err)
-		return 1
-	}
-	fmt.Fprintln(stderr, "iqbench: sweep layer (lockstep batched vs unbatched)")
-	if err := measureSweep(&rep, opt, workers, stderr); err != nil {
 		fmt.Fprintln(stderr, "iqbench:", err)
 		return 1
 	}
@@ -435,62 +405,4 @@ func measureClient(rep *Report, opt engine.Options) error {
 		return err
 	}
 	return sweep("client-serial-warm", true)
-}
-
-// measureSweep times a wider grid — machine variants multiply the scheme
-// matrix, so each benchmark carries several co-batchable points — through
-// two fresh engines: the default one, whose lockstep kernel replays each
-// benchmark's trace once for all its points, and a NoBatch one making one
-// pass per point. Results are bit-identical (the equivalence suite and
-// golden gates pin that); these cases record the replay-cost difference.
-func measureSweep(rep *Report, opt engine.Options, workers int, progress io.Writer) error {
-	var jobs []engine.Job
-	for _, b := range benchmarks {
-		for _, cfg := range schemes() {
-			for _, rob := range []int{0, 128, 64} {
-				j := engine.Job{Bench: b, Config: cfg, Opt: opt}
-				if rob != 0 {
-					j.Machine = &engine.Machine{ROBSize: rob}
-				}
-				jobs = append(jobs, j)
-			}
-		}
-	}
-	for _, mode := range []struct {
-		name    string
-		batched bool
-	}{
-		{"sweep-batched", true},
-		{"sweep-unbatched", false},
-	} {
-		eng := engine.New(engine.Config{Workers: workers, NoBatch: !mode.batched})
-		start := time.Now()
-		results, err := eng.ResultAll(jobs)
-		elapsed := time.Since(start)
-		if err != nil {
-			return err
-		}
-		var insts uint64
-		for _, r := range results {
-			insts += r.Insts
-		}
-		st := eng.Stats()
-		// Trace passes made: every lockstep group is one pass, every job
-		// simulated outside a group its own.
-		passes := eng.BatchGroups() + (st.Simulated - st.Batched)
-		rep.Sweep = append(rep.Sweep, SweepCase{
-			Name:             mode.name,
-			Batched:          mode.batched,
-			Parallel:         workers,
-			Points:           len(jobs),
-			Insts:            insts,
-			ElapsedNS:        elapsed.Nanoseconds(),
-			SweepInstsPerSec: float64(insts) / elapsed.Seconds(),
-			Passes:           passes,
-			PointsPerPass:    float64(len(jobs)) / float64(passes),
-		})
-		fmt.Fprintf(progress, "  %-16s %9.0f insts/sec  %d points / %d trace passes\n",
-			mode.name, rep.Sweep[len(rep.Sweep)-1].SweepInstsPerSec, len(jobs), passes)
-	}
-	return nil
 }

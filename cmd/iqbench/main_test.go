@@ -87,34 +87,6 @@ func TestQuickRunWritesReport(t *testing.T) {
 	if !cwarm.Warm || cwarm.Simulated != 0 || cwarm.MemoryHits != int64(jobs) {
 		t.Errorf("client warm case should be all memory hits: %+v", cwarm)
 	}
-
-	// Sweep cases: the lockstep kernel turns a sweep's trace passes into
-	// one per benchmark; unbatched stays one per point.
-	if len(rep.Sweep) != 2 {
-		t.Fatalf("%d sweep cases, want 2: %+v", len(rep.Sweep), rep.Sweep)
-	}
-	batched, unbatched := rep.Sweep[0], rep.Sweep[1]
-	if !batched.Batched || unbatched.Batched {
-		t.Fatalf("sweep case order/batched flags wrong: %+v", rep.Sweep)
-	}
-	if batched.Points != unbatched.Points || batched.Points == 0 {
-		t.Errorf("sweep point counts disagree: %+v vs %+v", batched, unbatched)
-	}
-	if batched.Insts != unbatched.Insts {
-		t.Errorf("batched sweep committed %d insts, unbatched %d — runs must be equivalent",
-			batched.Insts, unbatched.Insts)
-	}
-	if batched.SweepInstsPerSec <= 0 || unbatched.SweepInstsPerSec <= 0 {
-		t.Errorf("non-positive sweep rates: %+v", rep.Sweep)
-	}
-	if batched.Passes != int64(len(benchmarks)) {
-		t.Errorf("batched sweep made %d trace passes, want %d (one per benchmark)",
-			batched.Passes, len(benchmarks))
-	}
-	if unbatched.Passes != int64(unbatched.Points) {
-		t.Errorf("unbatched sweep made %d trace passes, want %d (one per point)",
-			unbatched.Passes, unbatched.Points)
-	}
 }
 
 // TestBadFlagsExit2 pins the CLI contract: usage errors exit 2.

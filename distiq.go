@@ -95,9 +95,9 @@
 // engine: a declarative spec (JSON, or the builder below) names axes over
 // benchmarks/suites, schemes and queue shapes, ROB size, pipeline widths,
 // functional-unit counts, memory latencies and the perfect-disambiguation
-// ablation; Expand crosses them into engine jobs and Run shards them
-// across the worker pool with on-disk reuse. Results emit as CSV, JSON or
-// markdown, in deterministic grid order at any parallelism.
+// ablation; Expand crosses them into engine jobs and a Client's Sweep
+// shards them across the worker pool with on-disk reuse. Results emit as
+// CSV, JSON or markdown, in deterministic grid order at any parallelism.
 //
 //	spec := distiq.NewScenario("rob-ablation").
 //		WithSuites("fp").
@@ -107,7 +107,8 @@
 //		WithLengths(10_000, 60_000)
 //	grid, err := spec.Expand()
 //	if err != nil { ... }
-//	res, err := grid.Run(distiq.ScenarioRunConfig{CacheDir: "/tmp/distiq-cache"})
+//	cl := distiq.NewLocalClient(distiq.WithCacheDir("/tmp/distiq-cache"))
+//	res, err := cl.Sweep(ctx, grid).ResultSet()
 //	if err != nil { ... }
 //	fmt.Print(res.CSV())
 //
@@ -444,13 +445,6 @@ type (
 	// ScenarioResults pairs a grid with its results and emits CSV,
 	// JSON or markdown.
 	ScenarioResults = scenario.ResultSet
-	// ScenarioRunConfig configures grid execution (parallelism,
-	// persistent cache, progress).
-	//
-	// Deprecated: sweep grids through the Client layer
-	// (NewLocalClient(...).Sweep), which adds cancellation and
-	// per-point streaming over the same engine.
-	ScenarioRunConfig = scenario.RunConfig
 	// Machine overrides full-machine parameters on one engine job
 	// (nil = the paper's Table 1 machine).
 	Machine = engine.Machine

@@ -204,7 +204,7 @@ func (s *Stream) Manifest() *engine.Manifest { return s.manifest }
 // Local and Remote sweeps of the same grid emit byte-identical
 // documents. Its Stats field carries the batch-scoped resolution
 // counters observed by the stream (Simulated == 0 on a warm rerun),
-// matching the deprecated Grid.Run contract. It must be called instead
+// matching Grid.RunOn's contract. It must be called instead
 // of (not after) Next.
 func (s *Stream) ResultSet() (*scenario.ResultSet, error) {
 	if s.consumed > 0 {

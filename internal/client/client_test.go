@@ -82,24 +82,25 @@ func TestLocalSweepStreamsInGridOrder(t *testing.T) {
 	}
 }
 
-// TestLocalResultSetMatchesDeprecatedGridRun: the Client layer's
-// collected documents are byte-identical to the legacy Grid.Run path —
-// the old constructors are shims over the same engine, not a fork.
-func TestLocalResultSetMatchesDeprecatedGridRun(t *testing.T) {
+// TestLocalResultSetMatchesGridRunOn: the Client layer's collected
+// documents are byte-identical to running the grid directly on an engine
+// with Grid.RunOn — the Client is a layer over the same engine, not a
+// fork.
+func TestLocalResultSetMatchesGridRunOn(t *testing.T) {
 	grid := testGrid(t)
 	st := client.NewLocal(client.WithParallel(4)).Sweep(context.Background(), grid)
 	rs, err := st.ResultSet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := grid.Run(scenario.RunConfig{Parallel: 1})
+	direct, err := grid.RunOn(engine.New(engine.Config{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := emitAll(t, rs), emitAll(t, legacy)
+	got, want := emitAll(t, rs), emitAll(t, direct)
 	for format := range want {
 		if got[format] != want[format] {
-			t.Errorf("%s drifted between Client and Grid.Run:\n--- client ---\n%s--- legacy ---\n%s",
+			t.Errorf("%s drifted between Client and Grid.RunOn:\n--- client ---\n%s--- RunOn ---\n%s",
 				format, got[format], want[format])
 		}
 	}

@@ -310,3 +310,54 @@ func TestCancelWaiterAbandonsInflight(t *testing.T) {
 		t.Fatalf("stats = %+v, want Simulated=1 Canceled=1", st)
 	}
 }
+
+// TestCancelMidSweepRealSimulator: cancelling a sweep of the real
+// simulator mid-flight leaves the store consistent — jobs that claimed a
+// worker slot finish and persist, the rest cancel — and a warm rerun on
+// the same store completes exactly the remainder with zero duplicate
+// simulations.
+func TestCancelMidSweepRealSimulator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	opt := Options{Warmup: 300, Instructions: 1200}
+	var jobs []Job
+	for _, bench := range []string{"swim", "gcc", "mcf", "galgel"} {
+		for _, cfg := range []core.Config{core.Baseline64(), core.IFDistr(), core.MBDistr()} {
+			jobs = append(jobs, Job{Bench: bench, Config: cfg, Opt: opt})
+		}
+	}
+
+	e := New(Config{Workers: 1, CacheDir: dir})
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := e.ResultAllCtx(ctx, jobs, func(p Progress) {
+		// Cancel as soon as the first job lands: later jobs have not
+		// claimed the single worker slot yet.
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	st := e.Stats()
+	if st.Canceled == 0 {
+		t.Fatalf("nothing cancelled: %+v", st)
+	}
+	if sum := st.Simulated + st.MemoryHits + st.DiskHits + st.Shared + st.Canceled; sum != st.Requested {
+		t.Errorf("mid-cancel resolution identity broken: %+v", st)
+	}
+
+	// Warm rerun on a fresh engine over the same store: persisted jobs
+	// read back as disk hits, the remainder simulates once each.
+	rerun := New(Config{Workers: 1, CacheDir: dir})
+	if _, err := rerun.ResultAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	rst := rerun.Stats()
+	if rst.DiskHits != st.Simulated {
+		t.Errorf("rerun DiskHits = %d, want %d (everything the cancelled run persisted)", rst.DiskHits, st.Simulated)
+	}
+	if rst.Simulated+rst.DiskHits != int64(len(jobs)) {
+		t.Errorf("rerun did not complete exactly the remainder: %+v over %d jobs", rst, len(jobs))
+	}
+}

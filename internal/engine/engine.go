@@ -38,14 +38,10 @@ type Config struct {
 	// resolution counters mirroring Stats, queue depth, worker occupancy
 	// and a simulate-latency histogram.
 	Obs *obs.Registry
-	// NoBatch disables the lockstep batch kernel: co-batchable jobs
-	// inside one batch call (same benchmark, warmup and measured
-	// instruction count, distinct configurations) then resolve
-	// independently instead of stepping side by side off a single trace
-	// pass. Batching changes replay cost only — results, store bytes,
-	// fingerprints and manifests are bit-identical either way — and is
-	// also disabled implicitly when Simulate is overridden (a stub
-	// cannot lockstep).
+	// NoBatch is ignored: every job resolves on its own.
+	//
+	// Deprecated: NoBatch exists only because the benchmark harness
+	// still sets it; it goes away when the benchmark is next redefined.
 	NoBatch bool
 }
 
@@ -70,10 +66,10 @@ type Stats struct {
 	// Shared requests waited on an identical in-flight job instead of
 	// re-simulating (single-flight deduplication).
 	Shared int64
-	// Batched is the subset of Simulated that ran in a lockstep batch
-	// group (two or more machines stepped off a single trace pass). It
-	// is informational — batched jobs are counted under Simulated like
-	// any other — so the resolution identity above is unchanged.
+	// Batched is always zero.
+	//
+	// Deprecated: Batched exists only because the benchmark harness still
+	// reads it; it goes away when the benchmark is next redefined.
 	Batched int64
 	// Canceled requests were abandoned by context cancellation before a
 	// result was available (the job itself may still finish if another
@@ -108,10 +104,6 @@ type Engine struct {
 	progress func(Progress)
 	store    ResultStore
 	sem      chan struct{}
-	// batch enables the lockstep kernel for co-batchable jobs inside one
-	// batch call: set when the engine runs the real simulator and
-	// Config.NoBatch is unset.
-	batch bool
 
 	mu       sync.Mutex
 	memory   map[string]Result
@@ -127,14 +119,8 @@ type Engine struct {
 	// later needs no engine restart.
 	queued  atomic.Int64
 	running atomic.Int64
-	// simDur, when non-nil, records the wall time of each simulator run
-	// (a lockstep group counts as one run).
+	// simDur, when non-nil, records the wall time of each simulator run.
 	simDur *obs.Histogram
-	// batchGroups and batchWarmupSkips feed the batch metrics: lockstep
-	// groups run, and batches whose warmup trace prefix a recorded
-	// checkpoint pre-materialized.
-	batchGroups      atomic.Int64
-	batchWarmupSkips atomic.Int64
 
 	// statsMu guards stats so Stats() snapshots are consistent even while
 	// a cancellation is racing resolution (no half-counted request).
@@ -160,7 +146,6 @@ func New(cfg Config) *Engine {
 		sem:      make(chan struct{}, workers),
 		memory:   make(map[string]Result),
 		inflight: make(map[string]*call),
-		batch:    !cfg.NoBatch && cfg.Simulate == nil,
 	}
 	if cfg.Store != nil {
 		e.store = cfg.Store
@@ -206,7 +191,7 @@ func (e *Engine) Result(job Job) (Result, error) {
 // computation) returns ctx.Err() promptly; a job already simulating runs
 // to completion and its result is cached and persisted as usual.
 func (e *Engine) ResultCtx(ctx context.Context, job Job) (Result, error) {
-	r, err, _ := e.resolve(ctx, job)
+	r, err, _ := e.resolve(ctx, job, nil)
 	return r, err
 }
 
@@ -218,25 +203,38 @@ func (e *Engine) cancel(job Job, err error) (Result, error, Source) {
 }
 
 // resolve is ResultCtx plus the resolution source, so batch callers can
-// account per-batch how each of their jobs was satisfied.
-func (e *Engine) resolve(ctx context.Context, job Job) (Result, error, Source) {
+// account per-batch how each of their jobs was satisfied. queued, when
+// non-nil, is called once, as soon as the job's route is known (cached,
+// cancelled, waiting on an identical in-flight job, or about to queue for
+// a worker slot); ResultStream waits for it before submitting the next
+// job, so worker slots are claimed in input order.
+func (e *Engine) resolve(ctx context.Context, job Job, queued func()) (Result, error, Source) {
+	signal := func() {
+		if queued != nil {
+			queued()
+			queued = nil
+		}
+	}
 	e.bump(func(s *Stats) { s.Requested++ })
 	e.total.Add(1)
 	key := job.Key()
 
 retry:
 	if err := ctx.Err(); err != nil {
+		signal()
 		return e.cancel(job, err)
 	}
 	e.mu.Lock()
 	if r, ok := e.memory[key]; ok {
 		e.mu.Unlock()
+		signal()
 		e.bump(func(s *Stats) { s.MemoryHits++ })
 		e.finish(job, SourceMemory)
 		return r, nil, SourceMemory
 	}
 	if c, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
+		signal()
 		select {
 		case <-c.done:
 		case <-ctx.Done():
@@ -255,6 +253,7 @@ retry:
 	c := &call{done: make(chan struct{})}
 	e.inflight[key] = c
 	e.mu.Unlock()
+	signal()
 
 	// Claim a worker slot, abandoning the job if ctx is cancelled first
 	// (cancellation stops scheduling; the slot is never taken). A job
@@ -406,14 +405,10 @@ func (e *Engine) ResultAllCtx(ctx context.Context, jobs []Job, progress func(Pro
 // completion order, not input order; i is the job's input index. Emit
 // invocations are serialized, so callers may update shared state without
 // locking. ResultStream returns once every job has been emitted.
-//
-// Unless batching is disabled, co-batchable jobs of the call — same
-// benchmark, warmup and measured instruction count, distinct
-// configurations — are simulated by the lockstep batch kernel: K
-// machines stepped side by side off a single trace pass on one worker
-// slot. Results, store writes, fingerprints and manifests are
-// bit-identical to independent resolution; only Stats.Batched and the
-// batch metrics record the difference.
+// Jobs queue for worker slots in input order, so a consumer reassembling
+// input order receives its first result as early as the pool allows.
+// Duplicate jobs in the call resolve through single-flight
+// deduplication, exactly as concurrent identical submissions do.
 //
 // Cancellation semantics match ResultAllCtx: after ctx is cancelled,
 // unscheduled jobs emit promptly with ctx.Err() and SourceCanceled while
@@ -422,53 +417,25 @@ func (e *Engine) ResultAllCtx(ctx context.Context, jobs []Job, progress func(Pro
 func (e *Engine) ResultStream(ctx context.Context, jobs []Job, emit func(i int, r Result, err error, src Source)) {
 	var wg sync.WaitGroup
 	var emitMu sync.Mutex
-	semit := func(i int, r Result, err error, src Source) {
-		if emit != nil {
-			emitMu.Lock()
-			emit(i, r, err, src)
-			emitMu.Unlock()
-		}
-	}
-	single := func(i int) {
+	for i := range jobs {
 		wg.Add(1)
+		queued := make(chan struct{})
 		go func() {
 			defer wg.Done()
-			r, err, src := e.resolve(ctx, jobs[i])
-			semit(i, r, err, src)
+			r, err, src := e.resolve(ctx, jobs[i], func() { close(queued) })
+			if emit != nil {
+				emitMu.Lock()
+				emit(i, r, err, src)
+				emitMu.Unlock()
+			}
 		}()
-	}
-	if !e.batch {
-		for i := range jobs {
-			single(i)
-		}
-		wg.Wait()
-		return
-	}
-	groups, singles, dups := batchPlan(jobs)
-	for _, i := range singles {
-		single(i)
-	}
-	// Within-call duplicates resolve through the normal path: they find
-	// their twin in flight (or already cached) and account as Shared or
-	// a cache hit, exactly as concurrent identical submissions do today.
-	for i := range dups {
-		single(i)
-	}
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g []int) {
-			defer wg.Done()
-			e.resolveBatch(ctx, jobs, g, semit)
-		}(g)
+		<-queued
 	}
 	wg.Wait()
 }
 
-// BatchGroups returns how many lockstep batch groups the engine has run —
-// the number of shared trace passes that replaced per-job ones.
-func (e *Engine) BatchGroups() int64 { return e.batchGroups.Load() }
-
-// BatchWarmupSkips returns how many lockstep groups found a recorded
-// warmup checkpoint and bulk-materialized their warmup trace prefix
-// instead of re-reading it incrementally.
-func (e *Engine) BatchWarmupSkips() int64 { return e.batchWarmupSkips.Load() }
+// BatchGroups always returns 0.
+//
+// Deprecated: BatchGroups exists only because the benchmark harness still
+// reads it; it goes away when the benchmark is next redefined.
+func (e *Engine) BatchGroups() int64 { return 0 }

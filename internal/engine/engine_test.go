@@ -281,3 +281,112 @@ func TestResultAllProgressBatchScoped(t *testing.T) {
 		t.Fatalf("simulator ran %d times, want 2", n)
 	}
 }
+
+// TestConcurrentSweepsRace: concurrent sweeps of the real simulator
+// sharing one engine — single-flight dedup stays exact (each distinct
+// job simulates once across all sweeps), every sweep sees identical
+// results, and the resolution identity (enqueued == completed) holds
+// once idle. Run under -race in CI.
+func TestConcurrentSweepsRace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	opt := Options{Warmup: 300, Instructions: 1200}
+	var jobs []Job
+	for _, bench := range []string{"swim", "gcc"} {
+		for _, cfg := range []core.Config{core.Baseline64(), core.IFDistr(), core.MBDistr()} {
+			jobs = append(jobs, Job{Bench: bench, Config: cfg, Opt: opt})
+		}
+	}
+	e := New(Config{Workers: 4})
+
+	const sweeps = 6
+	results := make([][]Result, sweeps)
+	errs := make([]error, sweeps)
+	var wg sync.WaitGroup
+	for s := 0; s < sweeps; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			results[s], errs[s] = e.ResultAll(jobs)
+		}(s)
+	}
+	wg.Wait()
+	for s := 0; s < sweeps; s++ {
+		if errs[s] != nil {
+			t.Fatalf("sweep %d: %v", s, errs[s])
+		}
+		if !reflect.DeepEqual(results[s], results[0]) {
+			t.Errorf("sweep %d results differ", s)
+		}
+	}
+	st := e.Stats()
+	if st.Simulated != int64(len(jobs)) {
+		t.Errorf("Simulated = %d, want %d (single-flight dedup across sweeps)", st.Simulated, len(jobs))
+	}
+	if want := int64(sweeps * len(jobs)); st.Requested != want {
+		t.Errorf("Requested = %d, want %d", st.Requested, want)
+	}
+	if sum := st.Simulated + st.MemoryHits + st.DiskHits + st.Shared + st.Canceled; sum != st.Requested {
+		t.Errorf("resolution identity broken: %d resolved of %d requested (%+v)", sum, st.Requested, st)
+	}
+}
+
+// TestBatchProgressAccounting: real-simulator jobs of one batch call
+// report progress one event per job, Done reaches Total exactly, and
+// every job surfaces as SourceSimulated so downstream accounting
+// (streams, manifests, consoles) sees each point.
+func TestBatchProgressAccounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	jobs := []Job{
+		quickJob("swim", core.Baseline64()),
+		quickJob("swim", core.IFDistr()),
+		quickJob("gcc", core.Baseline64()),
+	}
+	e := New(Config{Workers: 2})
+	var events []Progress
+	if _, err := e.ResultAllProgress(jobs, func(p Progress) { events = append(events, p) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != len(jobs) {
+		t.Fatalf("%d progress events, want %d", len(events), len(jobs))
+	}
+	for i, p := range events {
+		if p.Done != i+1 || p.Total != len(jobs) {
+			t.Errorf("event %d: Done/Total = %d/%d", i, p.Done, p.Total)
+		}
+		if p.Source != SourceSimulated {
+			t.Errorf("event %d: source %s, want %s", i, p.Source, SourceSimulated)
+		}
+	}
+}
+
+// TestResultStreamClaimsSlotsInInputOrder: a batch call queues its jobs
+// for worker slots in input order, so an in-order consumer (a grid-order
+// sweep stream) gets its first point after one simulation, not after
+// whichever jobs the goroutine scheduler happened to start first.
+func TestResultStreamClaimsSlotsInInputOrder(t *testing.T) {
+	var mu sync.Mutex
+	var order []int
+	e := New(Config{Workers: 1, Simulate: func(j Job) (Result, error) {
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		order = append(order, int(j.Opt.Instructions))
+		mu.Unlock()
+		return Result{}, nil
+	}})
+	jobs := make([]Job, 16)
+	for i := range jobs {
+		jobs[i] = Job{Bench: "swim", Config: core.MBDistr(), Opt: Options{Instructions: uint64(i)}}
+	}
+	if _, err := e.ResultAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("simulation order %v, want input order", order)
+		}
+	}
+}

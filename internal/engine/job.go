@@ -58,9 +58,9 @@ type Job struct {
 	// Seed is the replication axis: a non-zero value perturbs the
 	// benchmark model's RNG seed so the job replays a statistically
 	// independent instruction stream of the same workload. Zero is the
-	// canonical stream, and leaves the job's identity — canonical string,
-	// fingerprint, batch group — exactly as it was before the axis
-	// existed, so warm distiq-v2 stores stay valid.
+	// canonical stream, and leaves the job's identity — canonical string
+	// and fingerprint — exactly as it was before the axis existed, so
+	// warm distiq-v2 stores stay valid.
 	Seed uint64
 }
 
@@ -71,10 +71,9 @@ type Job struct {
 const seedMix = 0x9e3779b97f4a7c15
 
 // model resolves the job's benchmark model with the replication seed
-// applied — the one derivation both the solo simulate path and the
-// lockstep batch kernel use. Seed zero returns the canonical model
-// unchanged; trace.ModelKey includes the model seed, so perturbed
-// models get distinct shared-trace streams and warmup marks for free.
+// applied. Seed zero returns the canonical model unchanged; the trace
+// cache keys streams on the full model, seed included, so perturbed
+// models get distinct shared-trace streams for free.
 func (j Job) model() (trace.Model, error) {
 	m, err := trace.ByName(j.Bench)
 	if err != nil {
@@ -139,25 +138,6 @@ func (j Job) Key() string {
 		j.machineCanon())
 	if j.Seed != 0 {
 		k += fmt.Sprintf("|seed:%d", j.Seed)
-	}
-	return k
-}
-
-// BatchKey identifies a job's lockstep co-batch group: jobs agree exactly
-// when they replay the same dynamic trace region — same benchmark, same
-// warmup and same measured instruction count. Configurations and machine
-// overrides deliberately do not enter the key: varying them is what a
-// batch is for, and each distinct Key() in a group gets its own machine.
-// Jobs with equal BatchKeys but different warmup or instruction counts
-// cannot exist (the counts are the key), so co-batched machines always
-// share phase boundaries. The replication seed enters the key — jobs
-// under different seeds replay different instruction streams and must
-// never share a trace pass — with the zero seed rendered as the historic
-// suffix-free form.
-func (j Job) BatchKey() string {
-	k := fmt.Sprintf("%s|w%d|n%d", j.Bench, j.Opt.Warmup, j.Opt.Instructions)
-	if j.Seed != 0 {
-		k += fmt.Sprintf("|s%d", j.Seed)
 	}
 	return k
 }
@@ -238,13 +218,7 @@ func simulate(j Job, cached bool) (Result, error) {
 	}
 	p.Warmup(j.Opt.Warmup)
 	p.Run(j.Opt.Instructions)
-	return assemble(j, p), nil
-}
 
-// assemble builds a job's Result from its finished pipeline — the single
-// path Simulate and the lockstep batch kernel share, so a batched job's
-// Result is constructed exactly as a solo one's.
-func assemble(j Job, p *pipeline.Pipeline) Result {
 	st := p.Stats()
 	res := Result{Stats: st}
 	res.Benchmark = j.Bench
@@ -260,5 +234,5 @@ func assemble(j Job, p *pipeline.Pipeline) Result {
 	res.Breakdown.Add(res.IntBreakdown)
 	res.Breakdown.Add(res.FPBreakdown)
 	res.IQEnergy = res.Breakdown.Total()
-	return res
+	return res, nil
 }

@@ -32,15 +32,6 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	reg.CounterFunc("distiq_engine_disk_errors_total",
 		"Failed best-effort persistent-store writes.",
 		stat(func(s Stats) int64 { return s.DiskErrors }))
-	reg.CounterFunc("distiq_engine_batch_jobs_total",
-		"Jobs simulated inside a lockstep batch group (subset of simulated jobs).",
-		stat(func(s Stats) int64 { return s.Batched }))
-	reg.CounterFunc("distiq_engine_batch_groups_total",
-		"Lockstep batch groups run — shared trace passes that replaced per-job ones.",
-		func() float64 { return float64(e.batchGroups.Load()) })
-	reg.CounterFunc("distiq_engine_batch_warmup_skips_total",
-		"Lockstep groups whose warmup trace prefix a recorded checkpoint pre-materialized.",
-		func() float64 { return float64(e.batchWarmupSkips.Load()) })
 	reg.GaugeFunc("distiq_engine_queue_depth",
 		"Jobs waiting for a worker slot.",
 		func() float64 { return float64(e.queued.Load()) })

@@ -30,13 +30,10 @@ func TestSeedZeroIdentityUnchanged(t *testing.T) {
 	if !strings.HasPrefix(c7, c0) {
 		t.Fatalf("seed segment must append, not rewrite: %q vs %q", c0, c7)
 	}
-	if j.BatchKey() == (Job{Bench: "swim", Opt: j.Opt}).BatchKey() {
-		t.Fatal("seeded BatchKey equals seed-zero BatchKey")
-	}
 }
 
 // TestSeedDistinctFingerprints verifies distinct replication seeds get
-// distinct fingerprints (distinct store entries) and never co-batch.
+// distinct fingerprints (distinct store entries).
 func TestSeedDistinctFingerprints(t *testing.T) {
 	opt := Options{Warmup: 100, Instructions: 1000}
 	seen := map[string]uint64{}
@@ -50,20 +47,6 @@ func TestSeedDistinctFingerprints(t *testing.T) {
 			t.Fatalf("seeds %d and %d share fingerprint %s", prev, seed, fp)
 		}
 		seen[fp] = seed
-	}
-
-	jobs := []Job{
-		{Bench: "swim", Config: core.Baseline64(), Opt: opt, Seed: 1},
-		{Bench: "swim", Config: core.MBDistr(), Opt: opt, Seed: 2},
-	}
-	groups, singles, _ := batchPlan(jobs)
-	if len(groups) != 0 || len(singles) != 2 {
-		t.Fatalf("different seeds co-batched: groups=%v singles=%v", groups, singles)
-	}
-	jobs[1].Seed = 1
-	groups, singles, _ = batchPlan(jobs)
-	if len(groups) != 1 || len(singles) != 0 {
-		t.Fatalf("same-seed distinct configs should co-batch: groups=%v singles=%v", groups, singles)
 	}
 }
 
@@ -92,29 +75,5 @@ func TestSeedPerturbsResults(t *testing.T) {
 	}
 	if again.Cycles != r3.Cycles || again.IQEnergy != r3.IQEnergy {
 		t.Fatal("same seed did not reproduce the same result")
-	}
-}
-
-// TestSeedBatchMatchesSolo pins the lockstep kernel's seeded path: a
-// co-batched group of seeded jobs produces bit-identical results to solo
-// Simulate calls of the same jobs.
-func TestSeedBatchMatchesSolo(t *testing.T) {
-	opt := Options{Warmup: 500, Instructions: 5_000}
-	jobs := []Job{
-		{Bench: "gzip", Config: core.Baseline64(), Opt: opt, Seed: 11},
-		{Bench: "gzip", Config: core.MBDistr(), Opt: opt, Seed: 11},
-	}
-	batched, err := SimulateBatch(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range jobs {
-		solo, err := Simulate(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batched[i].Cycles != solo.Cycles || batched[i].IQEnergy != solo.IQEnergy {
-			t.Fatalf("job %d: batched result differs from solo", i)
-		}
 	}
 }

@@ -221,3 +221,43 @@ func TestStoreSweepsStaleTemps(t *testing.T) {
 		t.Fatalf("real entry was swept: %v", err)
 	}
 }
+
+// TestEngineBatchRespectsStore: a job already persisted resolves as a
+// disk hit inside a batch call, the remaining jobs simulate, and fresh
+// results persist for the next process.
+func TestEngineBatchRespectsStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	jobs := []Job{
+		quickJob("gcc", core.Baseline64()),
+		quickJob("gcc", core.IFDistr()),
+		quickJob("gcc", core.MBDistr()),
+	}
+	seed := New(Config{Workers: 1, CacheDir: dir})
+	if _, err := seed.Result(jobs[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Config{Workers: 1, CacheDir: dir})
+	got, err := e.ResultAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.DiskHits != 1 || st.Simulated != 2 {
+		t.Errorf("stats = %+v, want DiskHits=1 Simulated=2", st)
+	}
+	// Everything is on disk now: a third engine resolves all three warm.
+	warm := New(Config{Workers: 1, CacheDir: dir})
+	again, err := warm.ResultAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wst := warm.Stats(); wst.DiskHits != 3 || wst.Simulated != 0 {
+		t.Errorf("warm engine stats = %+v, want DiskHits=3", wst)
+	}
+	if !reflect.DeepEqual(got, again) {
+		t.Error("store round-trip changed results")
+	}
+}

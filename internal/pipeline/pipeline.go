@@ -509,24 +509,10 @@ func (p *Pipeline) Run(n uint64) {
 // methodology.
 func (p *Pipeline) Warmup(n uint64) {
 	p.Run(n)
-	p.BeginMeasurement()
-}
-
-// BeginMeasurement clears the statistics and energy counters while
-// keeping all microarchitectural state warm — the reset Warmup performs
-// after its run. Callers that drive the pipeline cycle by cycle (the
-// lockstep batch kernel steps many machines side by side) invoke it at
-// each machine's own warmup boundary.
-func (p *Pipeline) BeginMeasurement() {
 	p.stats = Stats{}
 	p.schemes[isa.IntDomain].Events().Reset()
 	p.schemes[isa.FPDomain].Events().Reset()
 }
-
-// Committed returns the number of instructions committed since the last
-// measurement reset — the loop condition external steppers share with
-// Run.
-func (p *Pipeline) Committed() uint64 { return p.stats.Committed }
 
 // Stats returns a copy of the counters.
 func (p *Pipeline) Stats() Stats { return p.stats }

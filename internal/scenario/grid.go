@@ -264,38 +264,6 @@ func (g *Grid) Jobs() []engine.Job {
 // deduplication).
 func (g *Grid) Size() int { return len(g.Points) }
 
-// RunConfig configures grid execution; the zero value runs with a
-// GOMAXPROCS-wide worker pool, no persistent store and no progress.
-//
-// Deprecated: new code should run grids through the context-aware Client
-// layer (distiq.NewLocalClient / distiq.NewRemoteClient with functional
-// options), which adds cancellation and per-point streaming. RunConfig
-// remains as a thin shim over the same engine.
-type RunConfig struct {
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS, 1 = serial).
-	Parallel int
-	// CacheDir persists results to an on-disk store shared across runs.
-	CacheDir string
-	// Progress receives one callback per resolved job.
-	Progress func(engine.Progress)
-}
-
-// Run shards the grid across a fresh engine's worker pool and collects
-// the results. Identical points (and warm on-disk entries) simulate zero
-// times; rows come back in grid order regardless of parallelism.
-//
-// Deprecated: use the Client layer — distiq.NewLocalClient(...).Sweep —
-// which streams per-point results and honors context cancellation. Run
-// remains as a thin shim and behaves identically.
-func (g *Grid) Run(rc RunConfig) (*ResultSet, error) {
-	e := engine.New(engine.Config{
-		Workers:  rc.Parallel,
-		CacheDir: rc.CacheDir,
-		Progress: rc.Progress,
-	})
-	return g.RunOn(e)
-}
-
 // RunStream runs the grid's jobs on an existing engine, delivering each
 // point's result through emit as it resolves — in completion order, not
 // grid order; i is the point's index in g.Points. Emit invocations are

@@ -92,20 +92,16 @@ func TestMetricsAfterSweep(t *testing.T) {
 		t.Errorf(`distiq_engine_jobs_total{source="simulated"} = %v, /v1/stats simulated = %d`, v, stats.Simulated)
 	}
 
-	// The four co-batchable points (one benchmark, one run length) ran as
-	// a single lockstep group, which counts as one simulator run for the
-	// latency histogram and one shared trace pass for the batch counters.
-	if v := sampleValue(t, body, `distiq_engine_simulate_duration_seconds_count`); v != 1 {
-		t.Errorf("distiq_engine_simulate_duration_seconds_count = %v, want 1 (one lockstep group)", v)
+	// Every one of the four points ran the simulator once, and each run
+	// is one latency observation.
+	if v := sampleValue(t, body, `distiq_engine_simulate_duration_seconds_count`); v != 4 {
+		t.Errorf("distiq_engine_simulate_duration_seconds_count = %v, want 4 (one per job)", v)
 	}
 	if !regexp.MustCompile(`distiq_engine_simulate_duration_seconds_bucket\{le="\+Inf"\} [1-9]`).MatchString(body) {
 		t.Error("simulate duration histogram has no non-zero bucket")
 	}
-	if v := sampleValue(t, body, `distiq_engine_batch_jobs_total`); v != 4 {
-		t.Errorf("distiq_engine_batch_jobs_total = %v, want 4 (every point batched)", v)
-	}
-	if v := sampleValue(t, body, `distiq_engine_batch_groups_total`); v != 1 {
-		t.Errorf("distiq_engine_batch_groups_total = %v, want 1", v)
+	if strings.Contains(body, "distiq_engine_batch_") {
+		t.Error("exposition still carries distiq_engine_batch_* families")
 	}
 
 	// The submit and the status polls landed in the per-route request

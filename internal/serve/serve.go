@@ -775,7 +775,6 @@ type statsDoc struct {
 	MemoryHits int64 `json:"memory_hits"`
 	DiskHits   int64 `json:"disk_hits"`
 	Shared     int64 `json:"shared"`
-	Batched    int64 `json:"batched"`
 	Canceled   int64 `json:"canceled"`
 	DiskErrors int64 `json:"disk_errors"`
 }
@@ -789,7 +788,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MemoryHits: st.MemoryHits,
 		DiskHits:   st.DiskHits,
 		Shared:     st.Shared,
-		Batched:    st.Batched,
 		Canceled:   st.Canceled,
 		DiskErrors: st.DiskErrors,
 	})

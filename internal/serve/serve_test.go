@@ -173,7 +173,7 @@ func TestResultMatchesScenarioEmitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := grid.Run(scenario.RunConfig{Parallel: 2})
+	res, err := grid.RunOn(engine.New(engine.Config{Workers: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,6 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		MemoryHits int64 `json:"memory_hits"`
 		DiskHits   int64 `json:"disk_hits"`
 		Shared     int64 `json:"shared"`
-		Batched    int64 `json:"batched"`
 		DiskErrors int64 `json:"disk_errors"`
 	}
 	getJSON(t, ts, "/v1/stats", &stats)
@@ -280,7 +279,7 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	want := srv.Stats()
 	got := engine.Stats{Requested: stats.Requested, Simulated: stats.Simulated,
 		MemoryHits: stats.MemoryHits, DiskHits: stats.DiskHits,
-		Shared: stats.Shared, Batched: stats.Batched, DiskErrors: stats.DiskErrors}
+		Shared: stats.Shared, DiskErrors: stats.DiskErrors}
 	if got != want {
 		t.Fatalf("Stats() = %+v, /v1/stats = %+v", want, got)
 	}

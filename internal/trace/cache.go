@@ -155,11 +155,9 @@ func (s *Stream) extend(pos int) ([]record, *Generator) {
 }
 
 // EnsureRecorded extends the recorded prefix to at least n instructions
-// (clamped to the recording cap) in one pass under one lock acquisition.
-// Warmup checkpointing uses it: once a batch has learned how much trace a
-// (benchmark, warmup) group's warmup region consumes, later batches of
-// the group bulk-materialize that prefix up front instead of re-reading
-// it through incremental chunked extensions.
+// (clamped to the recording cap) in one pass under one lock acquisition,
+// so a caller can pay a stream's generation cost up front instead of
+// through its readers' incremental chunked extensions.
 func (s *Stream) EnsureRecorded(n int) {
 	if n > s.cap {
 		n = s.cap
@@ -262,13 +260,12 @@ func NewCache(maxInsts int) *Cache {
 	return &Cache{cap: maxInsts, entries: make(map[string]*cacheEntry)}
 }
 
-// ModelKey is the structural identity of a model: two models with equal
+// modelKey is the structural identity of a model: two models with equal
 // keys generate identical streams. Names alone would suffice for the
 // built-in benchmark registry, but user-constructed models may reuse a
-// name with different parameters, so stream caching — and anything else
-// that attaches state to "the stream of this model", like the engine's
-// warmup checkpoints — keys on the full structure.
-func ModelKey(m Model) string {
+// name with different parameters, so stream caching keys on the full
+// structure.
+func modelKey(m Model) string {
 	return fmt.Sprintf("%s|%d|%d|%v", m.Name, m.Suite, m.Seed, m.Loops)
 }
 
@@ -276,7 +273,7 @@ func ModelKey(m Model) string {
 // use and evicting least-recently-used other streams while the total
 // recorded size exceeds the capacity.
 func (c *Cache) Stream(m Model) *Stream {
-	key := ModelKey(m)
+	key := modelKey(m)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick++

@@ -190,3 +190,39 @@ func TestGeneratorClone(t *testing.T) {
 		}
 	}
 }
+
+// TestEnsureRecorded pins the bulk-materialization primitive: one call
+// records the requested prefix (clamped to the cap) and the records are
+// the generator's, bit for bit.
+func TestEnsureRecorded(t *testing.T) {
+	model, err := ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStream(model, 5000)
+	s.EnsureRecorded(3000)
+	if got := s.Len(); got != 3000 {
+		t.Fatalf("recorded %d insts, want 3000", got)
+	}
+	// Clamped to the recording cap, not beyond.
+	s.EnsureRecorded(9000)
+	if got := s.Len(); got != 5000 {
+		t.Fatalf("recorded %d insts, want cap 5000", got)
+	}
+	// Shorter requests are no-ops.
+	s.EnsureRecorded(100)
+	if got := s.Len(); got != 5000 {
+		t.Fatalf("recorded %d insts after shrink request, want 5000", got)
+	}
+
+	ref := NewGenerator(model)
+	r := s.NewReader()
+	var got, want isa.Inst
+	for i := 0; i < 5000; i++ {
+		r.Next(&got)
+		ref.Next(&want)
+		if got != want {
+			t.Fatalf("inst %d: got %+v, want %+v", i, got, want)
+		}
+	}
+}
