@@ -1,5 +1,6 @@
 // Golden per-scheme energy fixtures: for each issue-queue organization
-// the paper evaluates, simulate one benchmark under QuickOptions and pin
+// the paper evaluates, each extension comparator and each ablation
+// switch, simulate one benchmark under QuickOptions and pin
 // the raw event counts and the labeled energy breakdown of both domains
 // byte-for-byte. The existing power tests check *relationships* (wakeup
 // dominance, FIFO vs CAM ratios); these fixtures make the absolute
@@ -84,12 +85,31 @@ func TestGoldenSchemeEnergy(t *testing.T) {
 	}
 	opt := sim.QuickOptions()
 
+	// Variants get a name suffix, since the name picks the fixture file.
+	unbounded := core.MixBUFFCfg(8, 16, 8, 16, 0)
+	unbounded.Name += "_unbounded"
+	flatSelect := core.MBDistr()
+	flatSelect.Name += "_flat_select"
+	flatSelect.FP.FlatSelectPriority = true
+	keepIF, keepMB := core.IFDistr(), core.MBDistr()
+	for _, c := range []*core.Config{&keepIF, &keepMB} {
+		c.Name += "_keep_map"
+		c.Int.KeepMapOnMispredict = true
+		c.FP.KeepMapOnMispredict = true
+	}
+
 	for _, cfg := range []core.Config{
 		core.Unbounded(),
 		core.Baseline64(),
+		core.AdaptiveBaseline64(),
 		core.LatFIFOCfg(8, 8, 8, 16),
+		core.PreSchedCfg(16, 16, 112, 16),
 		core.IFDistr(),
 		core.MBDistr(),
+		unbounded,
+		flatSelect,
+		keepIF,
+		keepMB,
 	} {
 		t.Run(cfg.Name, func(t *testing.T) {
 			p, err := pipeline.New(pipeline.DefaultConfig(cfg), trace.NewGenerator(model))
