@@ -36,6 +36,10 @@ type adaptiveCAM struct {
 	// across the enabled portion of the queue).
 	limitSum, ticks uint64
 
+	// young is scratch for the youngest portion's entries during Issue,
+	// allocated once at the queue's capacity.
+	young []*isa.Inst
+
 	// Grows and Shrinks count resize decisions (for reports and tests).
 	Grows, Shrinks uint64
 }
@@ -46,6 +50,7 @@ func newAdaptiveCAM(cfg DomainConfig, opt Options) *adaptiveCAM {
 		portion:  8,
 		limit:    cfg.Total(),
 		interval: 512,
+		young:    make([]*isa.Inst, 0, cfg.Total()),
 	}
 	// Shrink when the youngest portion contributes fewer than ~2% of
 	// the interval's cycles worth of issues.
@@ -94,24 +99,16 @@ func (a *adaptiveCAM) Issue(env Env, budget int) int {
 	// entries at positions [limit-portion, limit). If occupancy never
 	// reaches into that range, the portion contributes nothing and the
 	// queue can shrink — the Folegnani-González criterion.
-	var young map[*isa.Inst]bool
+	a.young = a.young[:0]
 	if youngStart := a.limit - a.portion; youngStart < len(a.cam.entries) {
-		young = make(map[*isa.Inst]bool, a.portion)
-		for _, in := range a.cam.entries[youngStart:] {
-			young[in] = true
-		}
+		a.young = append(a.young, a.cam.entries[youngStart:]...)
 	}
 	n := a.cam.Issue(env, budget)
-	if young != nil {
-		// Count issued instructions that were in the youngest portion.
-		still := make(map[*isa.Inst]bool, len(a.cam.entries))
-		for _, in := range a.cam.entries {
-			still[in] = true
-		}
-		for in := range young {
-			if !still[in] {
-				a.youngIssued++
-			}
+	// TryIssue marks what it issues, so the copied entries that issued
+	// are the ones now flagged.
+	for _, in := range a.young {
+		if in.Issued {
+			a.youngIssued++
 		}
 	}
 	return n

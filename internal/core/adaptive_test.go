@@ -111,3 +111,72 @@ func TestAdaptiveConfigValidates(t *testing.T) {
 		t.Fatal("kind name")
 	}
 }
+
+func TestAdaptiveResizeDecisions(t *testing.T) {
+	// A 16-entry queue resizes in 8-entry portions every 512 cycles: it
+	// shrinks when fewer than 10 instructions issued from the youngest
+	// portion, and grows after dispatch stalled at the limit.
+	a := newTestAdaptive(16)
+	env := newFakeEnv()
+	seq := uint64(0)
+	dispatch := func(n int, src int16) (accepted int) {
+		for i := 0; i < n; i++ {
+			if a.Dispatch(env, mkInst(seq, isa.IntALU, src, isa.NoReg, isa.NoReg)) {
+				accepted++
+			}
+			seq++
+		}
+		return accepted
+	}
+	issueAt := func(cycle int64, want int) {
+		t.Helper()
+		env.cycle = cycle
+		if n := a.Issue(env, 8); n != want {
+			t.Fatalf("cycle %d: issued %d, want %d", cycle, n, want)
+		}
+	}
+	check := func(step string, limit int, grows, shrinks uint64) {
+		t.Helper()
+		if a.Limit() != limit || a.Grows != grows || a.Shrinks != shrinks {
+			t.Fatalf("%s: limit %d, grows %d, shrinks %d; want %d, %d, %d",
+				step, a.Limit(), a.Grows, a.Shrinks, limit, grows, shrinks)
+		}
+	}
+
+	// The first decision sees no issues from the youngest portion.
+	issueAt(0, 0)
+	check("first decision", 8, 0, 1)
+
+	// A backlog of unready instructions stalls dispatch at the limit.
+	env.block(false, 5)
+	if got := dispatch(9, 5); got != 8 {
+		t.Fatalf("dispatched %d below the limit, want 8", got)
+	}
+	issueAt(512, 0)
+	check("after a limit stall", 16, 1, 1)
+
+	// The unready backlog fills positions [0,8), so ready instructions
+	// land in the youngest portion. A vetoed one stays and issues a
+	// cycle later: ten issue from the portion in all, exactly the
+	// threshold, so the size holds.
+	vetoed := seq
+	dispatch(8, isa.NoReg)
+	env.veto[vetoed] = true
+	issueAt(513, 7)
+	delete(env.veto, vetoed)
+	dispatch(2, isa.NoReg)
+	issueAt(514, 3)
+	issueAt(1024, 0)
+	check("ten issues from the youngest portion", 16, 1, 1)
+
+	// Nine issue this time; the vetoed entry sits in the portion through
+	// both selections but never issues, so it does not count.
+	vetoed = seq
+	dispatch(8, isa.NoReg)
+	env.veto[vetoed] = true
+	issueAt(1025, 7)
+	dispatch(2, isa.NoReg)
+	issueAt(1026, 2)
+	issueAt(1536, 0)
+	check("nine issues from the youngest portion", 8, 1, 2)
+}

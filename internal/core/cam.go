@@ -16,13 +16,20 @@ type camQueue struct {
 	cfg     DomainConfig
 	entries []*isa.Inst
 	ev      power.Events
+
+	// unready counts the entries' unready operands per register file
+	// (indexed by domIdx) as of cycle unreadyAt; Dispatch and Issue
+	// mark it stale with -1.
+	unready   [2]uint64
+	unreadyAt int64
 }
 
 func newCAM(cfg DomainConfig, opt Options) *camQueue {
 	return &camQueue{
-		opt:     opt,
-		cfg:     cfg,
-		entries: make([]*isa.Inst, 0, cfg.Total()),
+		opt:       opt,
+		cfg:       cfg,
+		entries:   make([]*isa.Inst, 0, cfg.Total()),
+		unreadyAt: -1,
 	}
 }
 
@@ -53,6 +60,7 @@ func (q *camQueue) Dispatch(env Env, in *isa.Inst) bool {
 	}
 	in.QueueID = 0
 	q.entries = append(q.entries, in)
+	q.unreadyAt = -1
 	q.ev.IQWrites++
 	return true
 }
@@ -61,6 +69,7 @@ func (q *camQueue) Dispatch(env Env, in *isa.Inst) bool {
 // kept in dispatch order, so a single in-order scan implements the
 // oldest-first position-based selection policy of the baseline.
 func (q *camQueue) Issue(env Env, budget int) int {
+	q.unreadyAt = -1
 	if len(q.entries) == 0 {
 		return 0 // empty queue: selection logic gated off
 	}
@@ -91,19 +100,27 @@ func (q *camQueue) Issue(env Env, budget int) int {
 
 // OnComplete models a result-tag broadcast: the tag lines are driven and
 // every currently-unready operand of the matching register file compares.
+// The unready operands are counted once per cycle: within a cycle,
+// writeback changes neither the entries nor their operands' readiness,
+// so every broadcast of the cycle drives the same cells.
 func (q *camQueue) OnComplete(env Env, destFP bool) {
 	if len(q.entries) == 0 {
 		return
 	}
 	q.ev.WakeupBroadcasts++
-	for _, in := range q.entries {
-		if in.PSrc1 != isa.NoReg && in.Src1FP == destFP && !env.OperandReady(in.Src1FP, in.PSrc1) {
-			q.ev.WakeupCAMCells++
+	if now := env.Cycle(); q.unreadyAt != now {
+		q.unready = [2]uint64{}
+		for _, in := range q.entries {
+			if in.PSrc1 != isa.NoReg && !env.OperandReady(in.Src1FP, in.PSrc1) {
+				q.unready[domIdx(in.Src1FP)]++
+			}
+			if in.PSrc2 != isa.NoReg && !env.OperandReady(in.Src2FP, in.PSrc2) {
+				q.unready[domIdx(in.Src2FP)]++
+			}
 		}
-		if in.PSrc2 != isa.NoReg && in.Src2FP == destFP && !env.OperandReady(in.Src2FP, in.PSrc2) {
-			q.ev.WakeupCAMCells++
-		}
+		q.unreadyAt = now
 	}
+	q.ev.WakeupCAMCells += q.unready[domIdx(destFP)]
 }
 
 func (q *camQueue) OnMispredictResolved() {}

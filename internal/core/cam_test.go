@@ -91,7 +91,9 @@ func TestCAMWakeupCountsUnreadyMatchingDomain(t *testing.T) {
 	if q.ev.WakeupBroadcasts != 2 {
 		t.Fatalf("broadcasts = %d, want 2", q.ev.WakeupBroadcasts)
 	}
-	// Ready operands cost nothing (Folegnani-González).
+	// Ready operands cost nothing (Folegnani-González). Readiness
+	// changes between cycles, as in the pipeline.
+	env.cycle++
 	env.unblock(false, 3)
 	env.unblock(true, 4)
 	q.OnComplete(env, false)
@@ -152,5 +154,40 @@ func TestCAMTryIssueVetoKeepsEntry(t *testing.T) {
 	delete(env.veto, 0)
 	if n := q.Issue(env, 8); n != 1 {
 		t.Fatal("instruction lost after veto")
+	}
+}
+
+func TestCAMWakeupCountedOncePerCycle(t *testing.T) {
+	// Every broadcast of a cycle drives the same unready cells; a
+	// Dispatch or an Issue changes the entries and forces a recount.
+	q := newTestCAM(8)
+	env := newFakeEnv()
+	env.cycle = 1
+	env.block(false, 3)
+	q.Dispatch(env, mkInst(0, isa.IntALU, 3, 3, 5))
+	charge := func() uint64 {
+		before := q.ev.WakeupCAMCells
+		q.OnComplete(env, false)
+		return q.ev.WakeupCAMCells - before
+	}
+	if a, b := charge(), charge(); a != 2 || b != 2 {
+		t.Fatalf("two broadcasts in one cycle charged %d and %d cells, want 2 and 2", a, b)
+	}
+	// A store issues on its address alone, taking its unready data
+	// operand out of the queue.
+	q.Dispatch(env, mkInst(1, isa.Store, isa.NoReg, 3, isa.NoReg))
+	if got := charge(); got != 3 {
+		t.Fatalf("broadcast after a dispatch charged %d cells, want 3", got)
+	}
+	if n := q.Issue(env, 8); n != 1 {
+		t.Fatalf("issued %d, want the store alone", n)
+	}
+	if got := charge(); got != 2 {
+		t.Fatalf("broadcast after an issue charged %d cells, want 2", got)
+	}
+	env.cycle++
+	env.unblock(false, 3)
+	if got := charge(); got != 0 {
+		t.Fatalf("broadcast after readiness changed charged %d cells, want 0", got)
 	}
 }

@@ -5,10 +5,13 @@ import (
 	"distiq/internal/power"
 )
 
-// regKey indexes a queue-map table by (register, register file).
-type regKey struct {
-	reg int16
-	fp  bool
+// mapSlots is the size of a queue-map table: one slot per logical
+// register of each register file.
+const mapSlots = 2 * isa.NumLogicalRegs
+
+// mapSlot returns the queue-map table slot of a logical register.
+func mapSlot(reg int16, fp bool) int {
+	return domIdx(fp)*isa.NumLogicalRegs + int(reg)
 }
 
 // mapEntry records which queue's tail produces a register.
@@ -27,7 +30,7 @@ type issueFIFO struct {
 	opt    Options
 	cfg    DomainConfig
 	queues [][]*isa.Inst
-	table  map[regKey]mapEntry
+	table  [mapSlots]mapEntry
 	ev     power.Events
 	occ    int
 
@@ -39,7 +42,6 @@ func newIssueFIFO(cfg DomainConfig, opt Options) *issueFIFO {
 		opt:    opt,
 		cfg:    cfg,
 		queues: make([][]*isa.Inst, cfg.Queues),
-		table:  make(map[regKey]mapEntry),
 		heads:  make([]*isa.Inst, 0, cfg.Queues),
 	}
 	for i := range f.queues {
@@ -93,7 +95,7 @@ func (f *issueFIFO) Dispatch(env Env, in *isa.Inst) bool {
 
 	target := -1
 	if in.Src1 != isa.NoReg {
-		if m := f.table[regKey{in.Src1, in.Src1FP}]; f.tailProduces(m) {
+		if m := f.table[mapSlot(in.Src1, in.Src1FP)]; f.tailProduces(m) {
 			if len(f.queues[m.queue]) < f.cfg.Entries {
 				target = m.queue
 			} else if !chainSrc2 {
@@ -102,7 +104,7 @@ func (f *issueFIFO) Dispatch(env Env, in *isa.Inst) bool {
 		}
 	}
 	if target < 0 && chainSrc2 {
-		if m := f.table[regKey{in.Src2, in.Src2FP}]; f.tailProduces(m) {
+		if m := f.table[mapSlot(in.Src2, in.Src2FP)]; f.tailProduces(m) {
 			if len(f.queues[m.queue]) < f.cfg.Entries {
 				target = m.queue
 			} else {
@@ -132,7 +134,7 @@ func (f *issueFIFO) place(in *isa.Inst, qi int) {
 	f.occ++
 	f.ev.FIFOWrites++
 	if in.HasDest() {
-		f.table[regKey{in.Dest, in.DestFP}] = mapEntry{queue: qi, seq: in.Seq, valid: true}
+		f.table[mapSlot(in.Dest, in.DestFP)] = mapEntry{queue: qi, seq: in.Seq, valid: true}
 		f.ev.QRenameWrites++
 	}
 }
@@ -178,28 +180,7 @@ func (f *issueFIFO) OnComplete(Env, bool) {}
 // paper found to cost no measurable performance (the KeepMapOnMispredict
 // ablation retains it instead).
 func (f *issueFIFO) OnMispredictResolved() {
-	if f.cfg.KeepMapOnMispredict {
-		return
+	if !f.cfg.KeepMapOnMispredict {
+		clear(f.table[:])
 	}
-	for k := range f.table {
-		delete(f.table, k)
-	}
-}
-
-// DebugQueues returns, for each queue, the classes and wait states of its
-// entries (head first). For diagnostics and tests only.
-func (f *issueFIFO) DebugQueues(env Env) []string {
-	out := make([]string, len(f.queues))
-	for qi, q := range f.queues {
-		s := ""
-		for _, in := range q {
-			r := "R"
-			if !OperandsReady(env, in) {
-				r = "w"
-			}
-			s += in.Class.String() + ":" + r + " "
-		}
-		out[qi] = s
-	}
-	return out
 }

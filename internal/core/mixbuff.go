@@ -26,16 +26,15 @@ const (
 	codeNotReady  = 3 // paper's 11
 )
 
-// chainState is one chain of one queue: a saturating down-counter tracking
-// when the last issued instruction of the chain completes, plus allocation
-// bookkeeping.
+// chainState is one chain of one queue: its queued instructions in
+// dispatch order, a saturating down-counter tracking when the last issued
+// instruction of the chain completes, and allocation bookkeeping. A chain
+// is busy while it holds instructions.
 type chainState struct {
-	busy       bool
-	gen        uint32 // generation, invalidates stale map entries
-	lastSeq    uint64 // youngest instruction dispatched into the chain
-	pending    int    // instructions of this chain still in the queue
-	countdown  int    // cycles until the last issued instruction's result
-	readySince int64  // cycle the countdown reached zero
+	insts      []*isa.Inst // queued instructions, oldest first
+	gen        uint32      // generation, invalidates stale map entries
+	countdown  int         // cycles until the last issued instruction's result
+	readySince int64       // cycle the countdown reached zero
 }
 
 // mixChainMapEntry records, per register, the queue/chain whose last
@@ -51,14 +50,19 @@ type mixChainMapEntry struct {
 // buffer holding several dependence chains; a per-queue chain latency
 // table paces issue without wakeup, and the selection logic picks one
 // instruction per queue per cycle by minimum code‖age.
+//
+// Every instruction of a chain shares the chain's code, so minimum
+// code‖age always picks the oldest instruction of some chain: selection
+// only ever needs to compare chain heads, and the simulator keeps each
+// chain as a FIFO rather than the queue as a flat entry array.
 type mixBUFF struct {
 	opt    Options
 	cfg    DomainConfig
 	chainN int // chains per queue
 
-	queues [][]*isa.Inst
+	queued []int // instructions held per queue
 	chains [][]chainState
-	table  map[regKey]mixChainMapEntry
+	table  [mapSlots]mixChainMapEntry
 	ev     power.Events
 	occ    int
 
@@ -77,15 +81,19 @@ func newMixBUFF(cfg DomainConfig, opt Options) *mixBUFF {
 		opt:        opt,
 		cfg:        cfg,
 		chainN:     chainN,
-		queues:     make([][]*isa.Inst, cfg.Queues),
+		queued:     make([]int, cfg.Queues),
 		chains:     make([][]chainState, cfg.Queues),
-		table:      make(map[regKey]mixChainMapEntry),
 		lastTick:   -1,
 		candidates: make([]*isa.Inst, 0, cfg.Queues),
 	}
-	for i := range m.queues {
-		m.queues[i] = make([]*isa.Inst, 0, cfg.Entries)
-		m.chains[i] = make([]chainState, chainN)
+	// A chain never outgrows its queue, so one backing array gives every
+	// chain room for a full queue and dispatch never allocates.
+	slots := make([]*isa.Inst, cfg.Queues*chainN*cfg.Entries)
+	for q := range m.chains {
+		m.chains[q] = make([]chainState, chainN)
+		for c := range m.chains[q] {
+			m.chains[q][c].insts, slots = slots[:0:cfg.Entries], slots[cfg.Entries:]
+		}
 	}
 	return m
 }
@@ -117,11 +125,11 @@ func (m *mixBUFF) Dispatch(env Env, in *isa.Inst) bool {
 
 	q, c := -1, -1
 	if in.Src1 != isa.NoReg {
-		q, c = m.appendTarget(regKey{in.Src1, in.Src1FP})
+		q, c = m.appendTarget(m.table[mapSlot(in.Src1, in.Src1FP)])
 	}
 	// Stores chain by their address operand only (see issueFIFO.Dispatch).
 	if q < 0 && in.Src2 != isa.NoReg && in.Class != isa.Store {
-		q, c = m.appendTarget(regKey{in.Src2, in.Src2FP})
+		q, c = m.appendTarget(m.table[mapSlot(in.Src2, in.Src2FP)])
 	}
 	if q < 0 {
 		q, c = m.allocChain(env)
@@ -131,14 +139,13 @@ func (m *mixBUFF) Dispatch(env Env, in *isa.Inst) bool {
 	}
 
 	ch := &m.chains[q][c]
-	ch.lastSeq = in.Seq
-	ch.pending++
+	ch.insts = append(ch.insts, in)
 	in.QueueID, in.ChainID = q, c
-	m.queues[q] = append(m.queues[q], in)
+	m.queued[q]++
 	m.occ++
 	m.ev.BuffWrites++
 	if in.HasDest() {
-		m.table[regKey{in.Dest, in.DestFP}] = mixChainMapEntry{
+		m.table[mapSlot(in.Dest, in.DestFP)] = mixChainMapEntry{
 			queue: q, chain: c, seq: in.Seq, gen: ch.gen, valid: true,
 		}
 		m.ev.QRenameWrites++
@@ -146,19 +153,20 @@ func (m *mixBUFF) Dispatch(env Env, in *isa.Inst) bool {
 	return true
 }
 
-// appendTarget resolves a source register to an appendable (queue, chain):
-// the mapping must be current (generation matches), the producer must
-// still be the chain's last instruction, and the queue must have room.
-func (m *mixBUFF) appendTarget(k regKey) (int, int) {
-	e, ok := m.table[k]
-	if !ok || !e.valid {
+// appendTarget resolves a source register's map entry to an appendable
+// (queue, chain): the mapping must be current (generation matches), the
+// producer must still be the chain's last instruction, and the queue must
+// have room.
+func (m *mixBUFF) appendTarget(e mixChainMapEntry) (int, int) {
+	if !e.valid {
 		return -1, -1
 	}
 	ch := &m.chains[e.queue][e.chain]
-	if !ch.busy || ch.gen != e.gen || ch.lastSeq != e.seq {
+	n := len(ch.insts)
+	if n == 0 || ch.gen != e.gen || ch.insts[n-1].Seq != e.seq {
 		return -1, -1
 	}
-	if len(m.queues[e.queue]) >= m.cfg.Entries {
+	if m.queued[e.queue] >= m.cfg.Entries {
 		return -1, -1
 	}
 	return e.queue, e.chain
@@ -170,12 +178,10 @@ func (m *mixBUFF) appendTarget(k regKey) (int, int) {
 func (m *mixBUFF) allocChain(env Env) (int, int) {
 	for c := 0; c < m.chainN; c++ {
 		for q := 0; q < m.cfg.Queues; q++ {
-			if m.chains[q][c].busy || len(m.queues[q]) >= m.cfg.Entries {
+			ch := &m.chains[q][c]
+			if len(ch.insts) > 0 || m.queued[q] >= m.cfg.Entries {
 				continue
 			}
-			ch := &m.chains[q][c]
-			ch.busy = true
-			ch.pending = 0
 			ch.countdown = 0
 			// A fresh chain's first instruction is "considered for
 			// the first time" at the next selection opportunity.
@@ -186,40 +192,10 @@ func (m *mixBUFF) allocChain(env Env) (int, int) {
 	return -1, -1
 }
 
-// tick advances every chain latency table once per cycle: all counters
-// decrement saturating at zero (the counter of a chain that issued an
-// instruction is reloaded at issue time instead).
-func (m *mixBUFF) tick(env Env) {
-	now := env.Cycle()
-	if now == m.lastTick {
-		return
-	}
-	m.lastTick = now
-	for q := range m.chains {
-		if len(m.queues[q]) == 0 {
-			continue
-		}
-		// Whole-table read + write, as the paper describes.
-		m.ev.ChainReads++
-		m.ev.ChainWrites++
-		for c := range m.chains[q] {
-			ch := &m.chains[q][c]
-			if !ch.busy || ch.countdown == 0 {
-				continue
-			}
-			ch.countdown--
-			if ch.countdown == 0 {
-				ch.readySince = now
-			}
-		}
-	}
-}
-
 // code returns the 2-bit compressed latency code of a chain. With the
 // FlatSelectPriority ablation, every ready chain compresses to the same
 // class and selection degenerates to age order.
-func (m *mixBUFF) code(q, c int, now int64) int {
-	ch := &m.chains[q][c]
+func (m *mixBUFF) code(ch *chainState, now int64) int {
 	switch {
 	case ch.countdown > 0:
 		return codeNotReady
@@ -232,34 +208,53 @@ func (m *mixBUFF) code(q, c int, now int64) int {
 	}
 }
 
-// Issue selects at most one instruction per queue by minimum code‖age,
-// verifies the selected instruction's operands in the ready-bit table and
-// issues the survivors oldest-first up to the budget. A selected
-// instruction that cannot issue keeps its entry; its chain transitions to
-// the delayed code, implementing the paper's first-time priority.
+// Issue advances the chain latency tables, selects at most one
+// instruction per queue by minimum code‖age, verifies the selected
+// instruction's operands in the ready-bit table and issues the survivors
+// oldest-first up to the budget. A selected instruction that cannot issue
+// keeps its entry; its chain transitions to the delayed code,
+// implementing the paper's first-time priority.
 func (m *mixBUFF) Issue(env Env, budget int) int {
-	m.tick(env)
 	now := env.Cycle()
+	// The tables advance once per cycle, in the same pass as selection:
+	// every busy chain's counter decrements, saturating at zero (the
+	// counter of a chain that issues is reloaded at issue time instead).
+	tick := now != m.lastTick
+	m.lastTick = now
 
 	m.candidates = m.candidates[:0]
-	for q := range m.queues {
-		entries := m.queues[q]
-		if len(entries) == 0 {
+	for q, chains := range m.chains {
+		if m.queued[q] == 0 {
 			continue
 		}
+		if tick {
+			// Whole-table read + write, as the paper describes.
+			m.ev.ChainReads++
+			m.ev.ChainWrites++
+		}
 		m.ev.SelectOps++
-		m.ev.SelectEntries += uint64(len(entries))
+		m.ev.SelectEntries += uint64(m.queued[q])
 
 		var best *isa.Inst
 		bestCode := codeNotReady
-		for _, in := range entries {
-			code := m.code(q, in.ChainID, now)
+		for c := range chains {
+			ch := &chains[c]
+			if len(ch.insts) == 0 {
+				continue
+			}
+			if tick && ch.countdown > 0 {
+				ch.countdown--
+				if ch.countdown == 0 {
+					ch.readySince = now
+				}
+			}
+			code := m.code(ch, now)
 			if code == codeNotReady {
 				continue
 			}
-			if best == nil || code < bestCode ||
-				(code == bestCode && env.Older(in.AgeID, best.AgeID)) {
-				best, bestCode = in, code
+			if head := ch.insts[0]; best == nil || code < bestCode ||
+				(code == bestCode && env.Older(head.AgeID, best.AgeID)) {
+				best, bestCode = head, code
 			}
 		}
 		if best == nil {
@@ -291,30 +286,24 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 	return issued
 }
 
-// remove deletes an issued instruction from its queue and updates its
-// chain: the countdown is reloaded with the instruction's latency, and the
-// chain is freed (generation bumped) once no instructions remain.
+// remove pops an issued instruction, always its chain's head, and updates
+// the chain: the countdown is reloaded with the instruction's latency, and
+// the chain is freed (generation bumped) with its last instruction.
 func (m *mixBUFF) remove(in *isa.Inst) {
 	q := in.QueueID
-	entries := m.queues[q]
-	for i, e := range entries {
-		if e == in {
-			entries[i] = entries[len(entries)-1]
-			entries[len(entries)-1] = nil
-			m.queues[q] = entries[:len(entries)-1]
-			break
-		}
-	}
+	m.queued[q]--
 	m.occ--
 
 	ch := &m.chains[q][in.ChainID]
-	ch.pending--
+	n := len(ch.insts)
+	copy(ch.insts, ch.insts[1:])
+	ch.insts[n-1] = nil
+	ch.insts = ch.insts[:n-1]
 	ch.countdown = latencyOf(in, m.opt.Latencies, m.opt.MemHitLat)
 	if ch.countdown == 0 {
 		ch.readySince = 0 // immediately delayed-class; not expected with real latencies
 	}
-	if ch.pending == 0 && ch.lastSeq == in.Seq {
-		ch.busy = false
+	if n == 1 {
 		ch.gen++
 	}
 }
@@ -325,10 +314,7 @@ func (m *mixBUFF) OnComplete(Env, bool) {}
 // clears the equivalent table on mispredictions; KeepMapOnMispredict
 // retains it for the ablation study).
 func (m *mixBUFF) OnMispredictResolved() {
-	if m.cfg.KeepMapOnMispredict {
-		return
-	}
-	for k := range m.table {
-		delete(m.table, k)
+	if !m.cfg.KeepMapOnMispredict {
+		clear(m.table[:])
 	}
 }

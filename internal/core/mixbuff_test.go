@@ -131,9 +131,9 @@ func TestSelectPaperExample(t *testing.T) {
 		in := fpInst(seq, isa.NoReg, isa.NoReg, isa.NoReg)
 		in.AgeID = age
 		in.QueueID, in.ChainID = 0, chain
-		m.queues[0] = append(m.queues[0], in)
-		m.chains[0][chain].busy = true
-		m.chains[0][chain].pending++
+		ch := &m.chains[0][chain]
+		ch.insts = append(ch.insts, in)
+		m.queued[0]++
 		m.occ++
 		return in
 	}
@@ -172,9 +172,9 @@ func TestMixBUFFFirstTimeBeatsDelayed(t *testing.T) {
 	young := fpInst(1, isa.NoReg, isa.NoReg, isa.NoReg)
 	young.AgeID = 2
 	young.QueueID, young.ChainID = 0, 1
-	m.queues[0] = append(m.queues[0], old, young)
-	m.chains[0][0] = chainState{busy: true, pending: 1, countdown: 0, readySince: 10}
-	m.chains[0][1] = chainState{busy: true, pending: 1, countdown: 0, readySince: 50}
+	m.chains[0][0] = chainState{insts: append(m.chains[0][0].insts, old), countdown: 0, readySince: 10}
+	m.chains[0][1] = chainState{insts: append(m.chains[0][1].insts, young), countdown: 0, readySince: 50}
+	m.queued[0] = 2
 	m.occ = 2
 	m.lastTick = env.cycle
 
@@ -191,7 +191,7 @@ func TestMixBUFFChainFreedAndGenerationGuards(t *testing.T) {
 	m.Dispatch(env, prod)
 	env.cycle = 1
 	m.Issue(env, 8) // issues prod; chain 0 now empty and freed
-	if m.chains[0][0].busy {
+	if len(m.chains[0][0].insts) != 0 {
 		t.Fatal("chain not freed after last instruction issued")
 	}
 	// A new independent instruction reuses chain 0 (new generation).
@@ -345,5 +345,43 @@ func TestNewSchemeErrors(t *testing.T) {
 	if _, err := New(DomainConfig{Kind: KindCAM, Queues: 1, Entries: 0},
 		defaultOpts(isa.FPDomain)); err == nil {
 		t.Error("zero entries did not error")
+	}
+}
+
+func TestMixBUFFChainIssuesOldestFirstAndFreesWithLast(t *testing.T) {
+	// A three-instruction chain of FPAdds (latency 2) issues head first,
+	// one instruction per countdown, and frees with its last instruction.
+	m := newTestMixBUFF(1, 8, 2)
+	env := newFakeEnv()
+	a := fpInst(0, isa.NoReg, isa.NoReg, 1)
+	b := fpInst(1, 1, isa.NoReg, 2)
+	c := fpInst(2, 2, isa.NoReg, 3)
+	for _, in := range []*isa.Inst{a, b, c} {
+		if !m.Dispatch(env, in) || in.ChainID != 0 {
+			t.Fatalf("seq %d not placed on chain 0", in.Seq)
+		}
+	}
+	gen := m.chains[0][0].gen
+	for cycle := int64(1); cycle <= 6; cycle++ {
+		env.cycle = cycle
+		m.Issue(env, 8)
+		if cycle < 5 && (len(m.chains[0][0].insts) == 0 || m.chains[0][0].gen != gen) {
+			t.Fatalf("cycle %d: chain freed before its last instruction issued", cycle)
+		}
+	}
+	want := []*isa.Inst{a, b, c}
+	if len(env.issued) != len(want) {
+		t.Fatalf("issued %d instructions, want %d", len(env.issued), len(want))
+	}
+	for i, in := range want {
+		if env.issued[i] != in {
+			t.Fatalf("issue %d was seq %d, want %d", i, env.issued[i].Seq, in.Seq)
+		}
+	}
+	if ch := m.chains[0][0]; len(ch.insts) != 0 || ch.gen != gen+1 {
+		t.Fatalf("chain not freed with its last instruction (len %d, gen %d)", len(ch.insts), ch.gen)
+	}
+	if d := fpInst(3, isa.NoReg, isa.NoReg, 4); !m.Dispatch(env, d) || d.ChainID != 0 {
+		t.Fatal("freed chain 0 not reallocated first")
 	}
 }

@@ -25,14 +25,16 @@ type Env interface {
 	// Cycle returns the current simulation cycle.
 	Cycle() int64
 	// OperandReady reports whether a physical register's value is
-	// usable this cycle through the bypass network.
+	// usable this cycle through the bypass network. For registers named
+	// by queued instructions the answer changes only between cycles, so
+	// a scheme may reuse it within one.
 	OperandReady(fp bool, preg int16) bool
 	// TryIssue attempts to issue the instruction this cycle: it checks
 	// operand readiness, memory ordering (loads), issue width and
 	// functional-unit availability (honoring the distributed binding
-	// through in.QueueID) and, on success, schedules execution and
-	// returns true. The scheme must then remove the instruction from
-	// its structures.
+	// through in.QueueID) and, on success, schedules execution, sets
+	// in.Issued and returns true. The scheme must then remove the
+	// instruction from its structures.
 	TryIssue(in *isa.Inst) bool
 	// Older reports whether age identifier a is older than b.
 	Older(a, b uint32) bool

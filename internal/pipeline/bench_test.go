@@ -13,7 +13,9 @@ import (
 // (TestStepSteadyStateAllocFree enforces it; cmd/iqbench records it in
 // BENCH_*.json).
 func BenchmarkStepSteadyState(b *testing.B) {
-	for _, cfg := range []core.Config{core.Baseline64(), core.IFDistr(), core.MBDistr()} {
+	for _, cfg := range []core.Config{
+		core.Baseline64(), core.AdaptiveBaseline64(), core.IFDistr(), core.MBDistr(),
+	} {
 		b.Run(cfg.Name, func(b *testing.B) {
 			gen := trace.NewGenerator(trace.MustByName("swim"))
 			p, err := New(DefaultConfig(cfg), gen)
@@ -30,15 +32,17 @@ func BenchmarkStepSteadyState(b *testing.B) {
 
 // TestStepSteadyStateAllocFree pins the tentpole invariant: once warm, the
 // cycle loop performs zero heap allocations per committed instruction for
-// every organization of the evaluation (CAM baseline, distributed FIFOs,
-// distributed MixBUFF, and the LatFIFO estimator path).
+// every organization (CAM baseline, adaptive CAM, distributed FIFOs,
+// distributed and unbounded-chain MixBUFF, and the LatFIFO and PreSched
+// estimator paths).
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	for _, cfg := range []core.Config{
-		core.Baseline64(), core.IFDistr(), core.MBDistr(),
-		core.LatFIFOCfg(8, 8, 8, 16),
+		core.Baseline64(), core.AdaptiveBaseline64(), core.IFDistr(), core.MBDistr(),
+		core.LatFIFOCfg(8, 8, 8, 16), core.PreSchedCfg(16, 16, 112, 16),
+		core.MixBUFFCfg(8, 16, 8, 16, 0),
 	} {
 		for _, bench := range []string{"swim", "gcc"} {
 			gen := trace.NewGenerator(trace.MustByName(bench))
