@@ -56,14 +56,9 @@ type Inst struct {
 	// instruction (scheme-specific; -1 when unused).
 	QueueID, ChainID int
 
-	// EstIssue is the LatFIFO/MixBUFF estimated issue cycle computed at
-	// dispatch.
+	// EstIssue is the estimated issue cycle computed at dispatch, read
+	// by the LatFIFO and PreSched placement logic.
 	EstIssue int64
-
-	// Delayed marks an instruction that was selected (or became head)
-	// when it was first expected to be ready but could not issue; such
-	// instructions lose first-time priority in MixBUFF selection.
-	Delayed bool
 
 	// Timing: cycle numbers of each pipeline event. Zero means "not yet".
 	FetchCycle, DispatchCycle, IssueCycle, CompleteCycle, CommitCycle int64
@@ -113,7 +108,6 @@ func (in *Inst) ResetMicro() {
 	in.AgeID = 0
 	in.QueueID, in.ChainID = -1, -1
 	in.EstIssue = 0
-	in.Delayed = false
 	in.FetchCycle, in.DispatchCycle, in.IssueCycle = 0, 0, 0
 	in.CompleteCycle, in.CommitCycle = 0, 0
 	in.MemLatency = 0

@@ -110,13 +110,13 @@ func TestResetMicro(t *testing.T) {
 		Class: Load, Src1: 1, Dest: 2,
 		PSrc1: 5, PDest: 9, Mispredicted: true, Issued: true,
 		Completed: true, IssueCycle: 10, QueueID: 3, ChainID: 2,
-		Delayed: true, AgeID: 77,
+		AgeID: 77,
 	}
 	in.ResetMicro()
 	if in.PSrc1 != NoReg || in.PDest != NoReg || in.POld != NoReg {
 		t.Error("physical registers not reset")
 	}
-	if in.Mispredicted || in.Issued || in.Completed || in.Delayed {
+	if in.Mispredicted || in.Issued || in.Completed {
 		t.Error("status flags not reset")
 	}
 	if in.IssueCycle != 0 || in.QueueID != -1 || in.ChainID != -1 || in.AgeID != 0 {
