@@ -52,9 +52,9 @@ type mixChainMapEntry struct {
 // instruction per queue per cycle by minimum code‖age.
 //
 // Every instruction of a chain shares the chain's code, so minimum
-// code‖age always picks the oldest instruction of some chain: selection
-// only ever needs to compare chain heads, and the simulator keeps each
-// chain as a FIFO rather than the queue as a flat entry array.
+// code‖age always picks the oldest instruction of some chain. The
+// simulator therefore keeps each chain as a FIFO and compares only chain
+// heads, while the energy events still charge the whole buffer.
 type mixBUFF struct {
 	opt    Options
 	cfg    DomainConfig
