@@ -26,15 +26,54 @@ const (
 	codeNotReady  = 3 // paper's 11
 )
 
-// chainState is one chain of one queue: its queued instructions in
-// dispatch order, a saturating down-counter tracking when the last issued
-// instruction of the chain completes, and allocation bookkeeping. A chain
-// is busy while it holds instructions.
+// chainState is one chain of one queue: the queue entries holding its
+// oldest and youngest instruction, a saturating down-counter tracking when
+// the last issued instruction of the chain completes, and allocation
+// bookkeeping. A chain is busy while it holds instructions.
 type chainState struct {
-	insts      []*isa.Inst // queued instructions, oldest first
-	gen        uint32      // generation, invalidates stale map entries
-	countdown  int         // cycles until the last issued instruction's result
-	readySince int64       // cycle the countdown reached zero
+	head, tail int    // entries of the oldest and youngest instruction; -1 when empty
+	gen        uint32 // generation, invalidates stale map entries
+	countdown  int    // cycles until the last issued instruction's result
+	readySince int64  // cycle the countdown reached zero
+}
+
+// mixQueue is one buffer: its entries, each linked to the entry of the
+// next younger instruction of its chain, the free entries and the chain
+// latency table.
+type mixQueue struct {
+	entries []*isa.Inst
+	next    []int // entry of the next younger instruction of the same chain
+	free    []int // unoccupied entries
+	chains  []chainState
+}
+
+// held returns the number of instructions in the buffer.
+func (q *mixQueue) held() int { return len(q.entries) - len(q.free) }
+
+// push appends in to chain c in a free entry.
+func (q *mixQueue) push(c int, in *isa.Inst) {
+	e := q.free[len(q.free)-1]
+	q.free = q.free[:len(q.free)-1]
+	q.entries[e], q.next[e] = in, -1
+	ch := &q.chains[c]
+	if ch.head < 0 {
+		ch.head = e
+	} else {
+		q.next[ch.tail] = e
+	}
+	ch.tail = e
+}
+
+// pop frees the entry of chain c's oldest instruction.
+func (q *mixQueue) pop(c int) {
+	ch := &q.chains[c]
+	e := ch.head
+	ch.head = q.next[e]
+	if ch.head < 0 {
+		ch.tail = -1
+	}
+	q.entries[e] = nil
+	q.free = append(q.free, e)
 }
 
 // mixChainMapEntry records, per register, the queue/chain whose last
@@ -53,15 +92,15 @@ type mixChainMapEntry struct {
 //
 // Every instruction of a chain shares the chain's code, so minimum
 // code‖age always picks the oldest instruction of some chain. The
-// simulator therefore keeps each chain as a FIFO and compares only chain
-// heads, while the energy events still charge the whole buffer.
+// simulator therefore threads each chain through the buffer's entries in
+// dispatch order and compares only chain heads, while the energy events
+// still charge the whole buffer.
 type mixBUFF struct {
 	opt    Options
 	cfg    DomainConfig
 	chainN int // chains per queue
 
-	queued []int // instructions held per queue
-	chains [][]chainState
+	queues []mixQueue
 	table  [mapSlots]mixChainMapEntry
 	ev     power.Events
 	occ    int
@@ -81,18 +120,21 @@ func newMixBUFF(cfg DomainConfig, opt Options) *mixBUFF {
 		opt:        opt,
 		cfg:        cfg,
 		chainN:     chainN,
-		queued:     make([]int, cfg.Queues),
-		chains:     make([][]chainState, cfg.Queues),
+		queues:     make([]mixQueue, cfg.Queues),
 		lastTick:   -1,
 		candidates: make([]*isa.Inst, 0, cfg.Queues),
 	}
-	// A chain never outgrows its queue, so one backing array gives every
-	// chain room for a full queue and dispatch never allocates.
-	slots := make([]*isa.Inst, cfg.Queues*chainN*cfg.Entries)
-	for q := range m.chains {
-		m.chains[q] = make([]chainState, chainN)
-		for c := range m.chains[q] {
-			m.chains[q][c].insts, slots = slots[:0:cfg.Entries], slots[cfg.Entries:]
+	for i := range m.queues {
+		q := &m.queues[i]
+		q.entries = make([]*isa.Inst, cfg.Entries)
+		q.next = make([]int, cfg.Entries)
+		q.free = make([]int, cfg.Entries)
+		for e := range q.free {
+			q.free[e] = e
+		}
+		q.chains = make([]chainState, chainN)
+		for c := range q.chains {
+			q.chains[c].head, q.chains[c].tail = -1, -1
 		}
 	}
 	return m
@@ -138,15 +180,13 @@ func (m *mixBUFF) Dispatch(env Env, in *isa.Inst) bool {
 		}
 	}
 
-	ch := &m.chains[q][c]
-	ch.insts = append(ch.insts, in)
+	m.queues[q].push(c, in)
 	in.QueueID, in.ChainID = q, c
-	m.queued[q]++
 	m.occ++
 	m.ev.BuffWrites++
 	if in.HasDest() {
 		m.table[mapSlot(in.Dest, in.DestFP)] = mixChainMapEntry{
-			queue: q, chain: c, seq: in.Seq, gen: ch.gen, valid: true,
+			queue: q, chain: c, seq: in.Seq, gen: m.queues[q].chains[c].gen, valid: true,
 		}
 		m.ev.QRenameWrites++
 	}
@@ -161,12 +201,12 @@ func (m *mixBUFF) appendTarget(e mixChainMapEntry) (int, int) {
 	if !e.valid {
 		return -1, -1
 	}
-	ch := &m.chains[e.queue][e.chain]
-	n := len(ch.insts)
-	if n == 0 || ch.gen != e.gen || ch.insts[n-1].Seq != e.seq {
+	q := &m.queues[e.queue]
+	ch := &q.chains[e.chain]
+	if ch.tail < 0 || ch.gen != e.gen || q.entries[ch.tail].Seq != e.seq {
 		return -1, -1
 	}
-	if m.queued[e.queue] >= m.cfg.Entries {
+	if len(q.free) == 0 {
 		return -1, -1
 	}
 	return e.queue, e.chain
@@ -177,9 +217,9 @@ func (m *mixBUFF) appendTarget(e mixChainMapEntry) (int, int) {
 // the paper's busy-chain balancing rule.
 func (m *mixBUFF) allocChain(env Env) (int, int) {
 	for c := 0; c < m.chainN; c++ {
-		for q := 0; q < m.cfg.Queues; q++ {
-			ch := &m.chains[q][c]
-			if len(ch.insts) > 0 || m.queued[q] >= m.cfg.Entries {
+		for q := range m.queues {
+			ch := &m.queues[q].chains[c]
+			if ch.head >= 0 || len(m.queues[q].free) == 0 {
 				continue
 			}
 			ch.countdown = 0
@@ -223,8 +263,10 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 	m.lastTick = now
 
 	m.candidates = m.candidates[:0]
-	for q, chains := range m.chains {
-		if m.queued[q] == 0 {
+	for qi := range m.queues {
+		q := &m.queues[qi]
+		held := q.held()
+		if held == 0 {
 			continue
 		}
 		if tick {
@@ -233,13 +275,13 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 			m.ev.ChainWrites++
 		}
 		m.ev.SelectOps++
-		m.ev.SelectEntries += uint64(m.queued[q])
+		m.ev.SelectEntries += uint64(held)
 
 		var best *isa.Inst
 		bestCode := codeNotReady
-		for c := range chains {
-			ch := &chains[c]
-			if len(ch.insts) == 0 {
+		for c := range q.chains {
+			ch := &q.chains[c]
+			if ch.head < 0 {
 				continue
 			}
 			if tick && ch.countdown > 0 {
@@ -252,7 +294,7 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 			if code == codeNotReady {
 				continue
 			}
-			if head := ch.insts[0]; best == nil || code < bestCode ||
+			if head := q.entries[ch.head]; best == nil || code < bestCode ||
 				(code == bestCode && env.Older(head.AgeID, best.AgeID)) {
 				best, bestCode = head, code
 			}
@@ -290,20 +332,16 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 // the chain: the countdown is reloaded with the instruction's latency, and
 // the chain is freed (generation bumped) with its last instruction.
 func (m *mixBUFF) remove(in *isa.Inst) {
-	q := in.QueueID
-	m.queued[q]--
+	q := &m.queues[in.QueueID]
+	q.pop(in.ChainID)
 	m.occ--
 
-	ch := &m.chains[q][in.ChainID]
-	n := len(ch.insts)
-	copy(ch.insts, ch.insts[1:])
-	ch.insts[n-1] = nil
-	ch.insts = ch.insts[:n-1]
+	ch := &q.chains[in.ChainID]
 	ch.countdown = latencyOf(in, m.opt.Latencies, m.opt.MemHitLat)
 	if ch.countdown == 0 {
 		ch.readySince = 0 // immediately delayed-class; not expected with real latencies
 	}
-	if n == 1 {
+	if ch.head < 0 {
 		ch.gen++
 	}
 }

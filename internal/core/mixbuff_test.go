@@ -131,9 +131,7 @@ func TestSelectPaperExample(t *testing.T) {
 		in := fpInst(seq, isa.NoReg, isa.NoReg, isa.NoReg)
 		in.AgeID = age
 		in.QueueID, in.ChainID = 0, chain
-		ch := &m.chains[0][chain]
-		ch.insts = append(ch.insts, in)
-		m.queued[0]++
+		m.queues[0].push(chain, in)
 		m.occ++
 		return in
 	}
@@ -144,13 +142,14 @@ func TestSelectPaperExample(t *testing.T) {
 	mkEntry(4, 9, 2)       // i+4
 	mkEntry(5, 10, 3)      // i+5
 	m.lastTick = env.cycle // suppress tick; codes set manually below
-	m.chains[0][0].countdown = 0
-	m.chains[0][0].readySince = 90 // finished a while ago: delayed
-	m.chains[0][1].countdown = 0
-	m.chains[0][1].readySince = 100 // first time this cycle
-	m.chains[0][2].countdown = 0
-	m.chains[0][2].readySince = 100
-	m.chains[0][3].countdown = 4 // not ready
+	chains := m.queues[0].chains
+	chains[0].countdown = 0
+	chains[0].readySince = 90 // finished a while ago: delayed
+	chains[1].countdown = 0
+	chains[1].readySince = 100 // first time this cycle
+	chains[2].countdown = 0
+	chains[2].readySince = 100
+	chains[3].countdown = 4 // not ready
 
 	if n := m.Issue(env, 8); n != 1 {
 		t.Fatalf("issued %d, want 1", n)
@@ -172,9 +171,11 @@ func TestMixBUFFFirstTimeBeatsDelayed(t *testing.T) {
 	young := fpInst(1, isa.NoReg, isa.NoReg, isa.NoReg)
 	young.AgeID = 2
 	young.QueueID, young.ChainID = 0, 1
-	m.chains[0][0] = chainState{insts: append(m.chains[0][0].insts, old), countdown: 0, readySince: 10}
-	m.chains[0][1] = chainState{insts: append(m.chains[0][1].insts, young), countdown: 0, readySince: 50}
-	m.queued[0] = 2
+	q := &m.queues[0]
+	q.push(0, old)
+	q.push(1, young)
+	q.chains[0].countdown, q.chains[0].readySince = 0, 10
+	q.chains[1].countdown, q.chains[1].readySince = 0, 50
 	m.occ = 2
 	m.lastTick = env.cycle
 
@@ -191,7 +192,7 @@ func TestMixBUFFChainFreedAndGenerationGuards(t *testing.T) {
 	m.Dispatch(env, prod)
 	env.cycle = 1
 	m.Issue(env, 8) // issues prod; chain 0 now empty and freed
-	if len(m.chains[0][0].insts) != 0 {
+	if m.queues[0].chains[0].head >= 0 {
 		t.Fatal("chain not freed after last instruction issued")
 	}
 	// A new independent instruction reuses chain 0 (new generation).
@@ -361,11 +362,12 @@ func TestMixBUFFChainIssuesOldestFirstAndFreesWithLast(t *testing.T) {
 			t.Fatalf("seq %d not placed on chain 0", in.Seq)
 		}
 	}
-	gen := m.chains[0][0].gen
+	ch := &m.queues[0].chains[0]
+	gen := ch.gen
 	for cycle := int64(1); cycle <= 6; cycle++ {
 		env.cycle = cycle
 		m.Issue(env, 8)
-		if cycle < 5 && (len(m.chains[0][0].insts) == 0 || m.chains[0][0].gen != gen) {
+		if cycle < 5 && (ch.head < 0 || ch.gen != gen) {
 			t.Fatalf("cycle %d: chain freed before its last instruction issued", cycle)
 		}
 	}
@@ -378,8 +380,9 @@ func TestMixBUFFChainIssuesOldestFirstAndFreesWithLast(t *testing.T) {
 			t.Fatalf("issue %d was seq %d, want %d", i, env.issued[i].Seq, in.Seq)
 		}
 	}
-	if ch := m.chains[0][0]; len(ch.insts) != 0 || ch.gen != gen+1 {
-		t.Fatalf("chain not freed with its last instruction (len %d, gen %d)", len(ch.insts), ch.gen)
+	if ch.head >= 0 || ch.tail >= 0 || ch.gen != gen+1 {
+		t.Fatalf("chain not freed with its last instruction (head %d, tail %d, gen %d)",
+			ch.head, ch.tail, ch.gen)
 	}
 	if d := fpInst(3, isa.NoReg, isa.NoReg, 4); !m.Dispatch(env, d) || d.ChainID != 0 {
 		t.Fatal("freed chain 0 not reallocated first")
