@@ -38,12 +38,12 @@ func newRRFIFO(cfg distiq.DomainConfig, opt distiq.SchemeOptions) (distiq.Scheme
 	return f, nil
 }
 
-func (f *rrFIFO) Name() string                { return "RoundRobinFIFO" }
-func (f *rrFIFO) Occupancy() int              { return f.occ }
-func (f *rrFIFO) Capacity() int               { return len(f.queues) * f.entries }
-func (f *rrFIFO) Events() *power.Events       { return &f.ev }
-func (f *rrFIFO) OnComplete(distiq.Env, bool) {}
-func (f *rrFIFO) OnMispredictResolved()       {}
+func (f *rrFIFO) Name() string                       { return "RoundRobinFIFO" }
+func (f *rrFIFO) Occupancy() int                     { return f.occ }
+func (f *rrFIFO) Capacity() int                      { return len(f.queues) * f.entries }
+func (f *rrFIFO) Events() *power.Events              { return &f.ev }
+func (f *rrFIFO) OnComplete(distiq.Env, bool, int16) {}
+func (f *rrFIFO) OnMispredictResolved()              {}
 
 func (f *rrFIFO) Geometry() power.Geometry {
 	return power.Geometry{

@@ -101,7 +101,9 @@ func (a *adaptiveCAM) Issue(env Env, budget int) int {
 	// queue can shrink — the Folegnani-González criterion.
 	a.young = a.young[:0]
 	if youngStart := a.limit - a.portion; youngStart < len(a.cam.entries) {
-		a.young = append(a.young, a.cam.entries[youngStart:]...)
+		for _, e := range a.cam.entries[youngStart:] {
+			a.young = append(a.young, e.in)
+		}
 	}
 	n := a.cam.Issue(env, budget)
 	// TryIssue marks what it issues, so the copied entries that issued
@@ -133,5 +135,7 @@ func (a *adaptiveCAM) resize(env Env) {
 	a.limitStalls = 0
 }
 
-func (a *adaptiveCAM) OnComplete(env Env, destFP bool) { a.cam.OnComplete(env, destFP) }
-func (a *adaptiveCAM) OnMispredictResolved()           {}
+func (a *adaptiveCAM) OnComplete(env Env, destFP bool, pdest int16) {
+	a.cam.OnComplete(env, destFP, pdest)
+}
+func (a *adaptiveCAM) OnMispredictResolved() {}

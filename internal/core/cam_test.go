@@ -49,8 +49,10 @@ func TestCAMSkipsUnready(t *testing.T) {
 	if env.issued[0].Seq != 1 {
 		t.Fatal("issued the blocked instruction")
 	}
-	// Unblock: the older instruction issues next cycle.
-	env.unblock(false, 5)
+	// The producer's broadcast next cycle wakes the older instruction,
+	// which then issues.
+	env.cycle++
+	env.wake(q, false, 5)
 	env.issued = nil
 	if n := q.Issue(env, 8); n != 1 || env.issued[0].Seq != 0 {
 		t.Fatal("unblocked instruction did not issue")
@@ -80,24 +82,23 @@ func TestCAMWakeupCountsUnreadyMatchingDomain(t *testing.T) {
 	env.block(true, 4)
 	q.Dispatch(env, in)
 
-	q.OnComplete(env, false) // int result: matches src1 only
-	if q.ev.WakeupCAMCells != 1 {
-		t.Fatalf("int broadcast cells = %d, want 1", q.ev.WakeupCAMCells)
+	q.OnComplete(env, false, 9) // int result: compares src1 only
+	if got := q.Events().WakeupCAMCells; got != 1 {
+		t.Fatalf("int broadcast cells = %d, want 1", got)
 	}
-	q.OnComplete(env, true) // fp result: matches src2 only
-	if q.ev.WakeupCAMCells != 2 {
-		t.Fatalf("fp broadcast cells = %d, want 2", q.ev.WakeupCAMCells)
+	q.OnComplete(env, true, 9) // fp result: compares src2 only
+	if got := q.Events().WakeupCAMCells; got != 2 {
+		t.Fatalf("fp broadcast cells = %d, want 2", got)
 	}
-	if q.ev.WakeupBroadcasts != 2 {
-		t.Fatalf("broadcasts = %d, want 2", q.ev.WakeupBroadcasts)
+	if got := q.Events().WakeupBroadcasts; got != 2 {
+		t.Fatalf("broadcasts = %d, want 2", got)
 	}
-	// Ready operands cost nothing (Folegnani-González). Readiness
-	// changes between cycles, as in the pipeline.
+	// Ready operands cost nothing (Folegnani-González): the producers'
+	// broadcasts on a later cycle wake both operands.
 	env.cycle++
-	env.unblock(false, 3)
-	env.unblock(true, 4)
-	q.OnComplete(env, false)
-	if q.ev.WakeupCAMCells != 2 {
+	env.wake(q, false, 3)
+	env.wake(q, true, 4)
+	if q.Events().WakeupCAMCells != 2 {
 		t.Fatal("ready operands consumed wakeup energy")
 	}
 }
@@ -109,7 +110,7 @@ func TestCAMEmptyQueueSelectGated(t *testing.T) {
 	if q.ev.SelectOps != 0 {
 		t.Fatal("selection consumed energy on empty queue")
 	}
-	q.OnComplete(env, false)
+	q.OnComplete(env, false, 1)
 	if q.ev.WakeupBroadcasts != 0 {
 		t.Fatal("wakeup consumed energy on empty queue")
 	}
@@ -158,36 +159,49 @@ func TestCAMTryIssueVetoKeepsEntry(t *testing.T) {
 }
 
 func TestCAMWakeupCountedOncePerCycle(t *testing.T) {
-	// Every broadcast of a cycle drives the same unready cells; a
-	// Dispatch or an Issue changes the entries and forces a recount.
+	// Every broadcast of a cycle drives the unready cells left after all
+	// of the cycle's wakeups; a Dispatch or an Issue changes the entries
+	// and so the count.
 	q := newTestCAM(8)
 	env := newFakeEnv()
 	env.cycle = 1
 	env.block(false, 3)
 	q.Dispatch(env, mkInst(0, isa.IntALU, 3, 3, 5))
-	charge := func() uint64 {
-		before := q.ev.WakeupCAMCells
-		q.OnComplete(env, false)
-		return q.ev.WakeupCAMCells - before
+	charge := func(tags ...int16) uint64 {
+		before := q.Events().WakeupCAMCells
+		for _, tag := range tags {
+			q.OnComplete(env, false, tag)
+		}
+		return q.Events().WakeupCAMCells - before
 	}
-	if a, b := charge(), charge(); a != 2 || b != 2 {
+	if a, b := charge(9), charge(9); a != 2 || b != 2 {
 		t.Fatalf("two broadcasts in one cycle charged %d and %d cells, want 2 and 2", a, b)
 	}
 	// A store issues on its address alone, taking its unready data
 	// operand out of the queue.
 	q.Dispatch(env, mkInst(1, isa.Store, isa.NoReg, 3, isa.NoReg))
-	if got := charge(); got != 3 {
+	if got := charge(9); got != 3 {
 		t.Fatalf("broadcast after a dispatch charged %d cells, want 3", got)
 	}
 	if n := q.Issue(env, 8); n != 1 {
 		t.Fatalf("issued %d, want the store alone", n)
 	}
-	if got := charge(); got != 2 {
+	if got := charge(9); got != 2 {
 		t.Fatalf("broadcast after an issue charged %d cells, want 2", got)
 	}
 	env.cycle++
 	env.unblock(false, 3)
-	if got := charge(); got != 0 {
+	if got := charge(3); got != 0 {
 		t.Fatalf("broadcast after readiness changed charged %d cells, want 0", got)
+	}
+	// A broadcast ahead of a wakeup in the same cycle is charged what
+	// the wakeup leaves: one operand, still waiting for tag 7.
+	env.block(false, 4)
+	env.block(false, 7)
+	q.Dispatch(env, mkInst(2, isa.IntALU, 4, 7, 6))
+	env.cycle++
+	env.unblock(false, 4)
+	if got := charge(9, 4); got != 2 {
+		t.Fatalf("two broadcasts around a wakeup charged %d cells, want 1 each", got)
 	}
 }

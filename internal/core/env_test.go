@@ -36,6 +36,13 @@ func (e *fakeEnv) key(fp bool, preg int16) [2]int32 {
 func (e *fakeEnv) block(fp bool, preg int16)   { e.notReady[e.key(fp, preg)] = true }
 func (e *fakeEnv) unblock(fp bool, preg int16) { delete(e.notReady, e.key(fp, preg)) }
 
+// wake makes preg ready and broadcasts its tag to s, as writeback does
+// when the producer completes.
+func (e *fakeEnv) wake(s Scheme, fp bool, preg int16) {
+	e.unblock(fp, preg)
+	s.OnComplete(e, fp, preg)
+}
+
 func (e *fakeEnv) OperandReady(fp bool, preg int16) bool {
 	return !e.notReady[e.key(fp, preg)]
 }

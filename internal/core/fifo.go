@@ -174,7 +174,7 @@ func (f *issueFIFO) Issue(env Env, budget int) int {
 	return issued
 }
 
-func (f *issueFIFO) OnComplete(Env, bool) {}
+func (f *issueFIFO) OnComplete(Env, bool, int16) {}
 
 // OnMispredictResolved clears the queue-map table, the cheap recovery the
 // paper found to cost no measurable performance (the KeepMapOnMispredict

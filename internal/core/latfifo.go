@@ -120,6 +120,6 @@ func (l *latFIFO) Issue(env Env, budget int) int {
 	return issued
 }
 
-func (l *latFIFO) OnComplete(Env, bool) {}
+func (l *latFIFO) OnComplete(Env, bool, int16) {}
 
 func (l *latFIFO) OnMispredictResolved() {}

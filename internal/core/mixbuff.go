@@ -346,7 +346,7 @@ func (m *mixBUFF) remove(in *isa.Inst) {
 	}
 }
 
-func (m *mixBUFF) OnComplete(Env, bool) {}
+func (m *mixBUFF) OnComplete(Env, bool, int16) {}
 
 // OnMispredictResolved clears the register-to-chain map table (the paper
 // clears the equivalent table on mispredictions; KeepMapOnMispredict

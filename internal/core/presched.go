@@ -117,8 +117,8 @@ func (p *preSched) Issue(env Env, budget int) int {
 	return p.level1.Issue(env, budget)
 }
 
-func (p *preSched) OnComplete(env Env, destFP bool) {
-	p.level1.OnComplete(env, destFP)
+func (p *preSched) OnComplete(env Env, destFP bool, pdest int16) {
+	p.level1.OnComplete(env, destFP, pdest)
 }
 
 func (p *preSched) OnMispredictResolved() {}

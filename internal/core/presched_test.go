@@ -61,7 +61,7 @@ func TestPreSchedBufferOrdering(t *testing.T) {
 func TestPreSchedPromotionBoundedByL1(t *testing.T) {
 	p, est := newTestPreSched(32, 2)
 	env := newFakeEnv()
-	env.block(true, 9) // all blocked on a never-ready operand
+	env.block(true, 9) // all wait for one operand
 	for i := uint64(0); i < 6; i++ {
 		in := mkInst(i, isa.FPAdd, 9, isa.NoReg, int16(10+i))
 		est.OnDispatch(in, 0)
@@ -75,8 +75,10 @@ func TestPreSchedPromotionBoundedByL1(t *testing.T) {
 	if len(p.level2) != 4 {
 		t.Fatalf("L2 holds %d, want 4", len(p.level2))
 	}
-	// Unblock: the window drains two per cycle at most (L1 size).
-	env.unblock(true, 9)
+	// Its producer's broadcast wakes the first level; the window
+	// drains two per cycle at most (L1 size).
+	env.cycle = 2
+	env.wake(p, true, 9)
 	total := 0
 	for c := int64(2); c < 12 && total < 6; c++ {
 		env.cycle = c

@@ -25,9 +25,11 @@ type Env interface {
 	// Cycle returns the current simulation cycle.
 	Cycle() int64
 	// OperandReady reports whether a physical register's value is
-	// usable this cycle through the bypass network. For registers named
-	// by queued instructions the answer changes only between cycles, so
-	// a scheme may reuse it within one.
+	// usable this cycle through the bypass network. A register named by
+	// a queued instruction turns ready exactly in the cycle its
+	// producer's tag is broadcast (Scheme.OnComplete), before that
+	// cycle's Issue, and at no other time; a scheme may therefore read
+	// it once at Dispatch and track it from broadcasts.
 	OperandReady(fp bool, preg int16) bool
 	// TryIssue attempts to issue the instruction this cycle: it checks
 	// operand readiness, memory ordering (loads), issue width and
@@ -51,10 +53,12 @@ type Scheme interface {
 	// env.TryIssue in its selection order, stopping at the budget, and
 	// returns how many issued.
 	Issue(env Env, budget int) int
-	// OnComplete notifies the scheme that a result was produced
-	// (destFP gives the destination register file), for wakeup
-	// accounting in CAM organizations.
-	OnComplete(env Env, destFP bool)
+	// OnComplete broadcasts a result tag: physical register pdest of
+	// the register file destFP selects. It is called once per result,
+	// in the cycle the register turns ready and before that cycle's
+	// Issue. CAM organizations wake the operands waiting for the tag
+	// and count wakeup energy; the others ignore it.
+	OnComplete(env Env, destFP bool, pdest int16)
 	// OnMispredictResolved is called when a mispredicted branch
 	// resolves; map-table-based schemes clear their tables.
 	OnMispredictResolved()

@@ -7,33 +7,41 @@ import (
 	"distiq/internal/rng"
 )
 
-// stressEnv is an Env whose operand readiness resolves a fixed number of
-// cycles after the producer issues, emulating the pipeline's bypass
-// behaviour without the pipeline.
+// stressEnv is an Env that keeps the pipeline's wakeup contract without
+// the pipeline. Destinations are renamed onto physical tags, so producers
+// in flight hold distinct tags. A tag is unready from its producer's
+// dispatch until the producer completes, a fixed latency after it issues,
+// and writeback broadcasts it in that cycle, before Issue. Completed
+// instructions retire in order and free the previous mapping of their
+// destination, as commit does.
 type stressEnv struct {
-	cycle   int64
-	readyAt map[[2]int32]int64 // (dom,preg) -> cycle usable
-	issued  []*isa.Inst
-	budget  int
+	cycle    int64
+	readyAt  [2][isa.NumPhysicalRegs]int64 // cycle each tag turns usable
+	mapTable [2][isa.NumLogicalRegs]int16
+	free     [2][]int16
+	window   []*isa.Inst           // dispatched and not retired, in order
+	complete map[int64][]*isa.Inst // completion cycle -> issued instructions
+	issued   []*isa.Inst
+	budget   int
 }
 
 func newStressEnv() *stressEnv {
-	return &stressEnv{readyAt: map[[2]int32]int64{}, budget: 1 << 30}
-}
-
-func key(fp bool, preg int16) [2]int32 {
-	d := int32(0)
-	if fp {
-		d = 1
+	e := &stressEnv{complete: map[int64][]*isa.Inst{}, budget: 1 << 30}
+	for f := range e.mapTable {
+		for r := range e.mapTable[f] {
+			e.mapTable[f][r] = int16(r)
+		}
+		for p := isa.NumPhysicalRegs - 1; p >= isa.NumLogicalRegs; p-- {
+			e.free[f] = append(e.free[f], int16(p))
+		}
 	}
-	return [2]int32{d, int32(preg)}
+	return e
 }
 
 func (e *stressEnv) Cycle() int64 { return e.cycle }
 
 func (e *stressEnv) OperandReady(fp bool, preg int16) bool {
-	at, ok := e.readyAt[key(fp, preg)]
-	return !ok || at <= e.cycle // unknown registers are architecturally ready
+	return e.readyAt[domIdx(fp)][preg] <= e.cycle
 }
 
 func (e *stressEnv) TryIssue(in *isa.Inst) bool {
@@ -44,13 +52,11 @@ func (e *stressEnv) TryIssue(in *isa.Inst) bool {
 		return false
 	}
 	e.budget--
-	lat := int64(isa.DefaultLatencies()[in.Class])
-	if in.Class == isa.Load {
-		lat += 2
-	}
+	at := e.cycle + int64(latencyOf(in, isa.DefaultLatencies(), 2))
 	if in.PDest != isa.NoReg {
-		e.readyAt[key(in.DestFP, in.PDest)] = e.cycle + lat
+		e.readyAt[domIdx(in.DestFP)][in.PDest] = at
 	}
+	e.complete[at] = append(e.complete[at], in)
 	in.Issued = true
 	e.issued = append(e.issued, in)
 	return true
@@ -63,10 +69,145 @@ func (e *stressEnv) Older(a, b uint32) bool {
 	return (b-a)&511 < 256
 }
 
+// rename maps in's sources and gives its destination a free tag, which
+// stays unready until in completes. It reports false, changing nothing,
+// when the destination's register file has no free tag.
+func (e *stressEnv) rename(in *isa.Inst) bool {
+	if in.Dest != isa.NoReg && len(e.free[domIdx(in.DestFP)]) == 0 {
+		return false
+	}
+	if in.Src1 != isa.NoReg {
+		in.PSrc1 = e.mapTable[domIdx(in.Src1FP)][in.Src1]
+	}
+	if in.Src2 != isa.NoReg {
+		in.PSrc2 = e.mapTable[domIdx(in.Src2FP)][in.Src2]
+	}
+	if in.Dest != isa.NoReg {
+		f := domIdx(in.DestFP)
+		in.PDest = e.free[f][len(e.free[f])-1]
+		e.free[f] = e.free[f][:len(e.free[f])-1]
+		in.POld = e.mapTable[f][in.Dest]
+		e.mapTable[f][in.Dest] = in.PDest
+		e.readyAt[f][in.PDest] = 1 << 62
+	}
+	return true
+}
+
+// undo reverses rename after a dispatch stall.
+func (e *stressEnv) undo(in *isa.Inst) {
+	if in.Dest != isa.NoReg {
+		f := domIdx(in.DestFP)
+		e.mapTable[f][in.Dest] = in.POld
+		e.free[f] = append(e.free[f], in.PDest)
+		e.readyAt[f][in.PDest] = 0
+	}
+}
+
+// writeback completes this cycle's instructions, broadcasting the tags of
+// their results to s, and retires the completed ones at the head of the
+// window. It returns the number of broadcasts per register file.
+func (e *stressEnv) writeback(s Scheme) (broadcasts [2]uint64) {
+	for _, in := range e.complete[e.cycle] {
+		in.Completed = true
+		if in.PDest != isa.NoReg {
+			s.OnComplete(e, in.DestFP, in.PDest)
+			broadcasts[domIdx(in.DestFP)]++
+		}
+	}
+	delete(e.complete, e.cycle)
+	for len(e.window) > 0 && e.window[0].Completed {
+		if in := e.window[0]; in.POld != isa.NoReg {
+			f := domIdx(in.DestFP)
+			e.free[f] = append(e.free[f], in.POld)
+		}
+		e.window = e.window[1:]
+	}
+	return broadcasts
+}
+
+// stressInst draws an instruction: mostly FP arithmetic, plus loads and
+// stores, whose integer address and FP or integer data bring both
+// register files' tags into the scheme. Half the time the first source
+// is the previous destination, when their files match.
+func stressInst(r *rng.Source, seq uint64, last *isa.Inst) *isa.Inst {
+	reg := func() int16 { return int16(r.Intn(isa.NumLogicalRegs)) }
+	in := &isa.Inst{Seq: seq, Src1: reg(), Src2: isa.NoReg, Dest: isa.NoReg}
+	in.ResetMicro()
+	in.AgeID = uint32(seq) & 511
+	switch k := r.Intn(8); {
+	case k < 5:
+		in.Class = isa.FPAdd
+		if k == 4 {
+			in.Class = isa.FPMult
+		}
+		in.Src1FP, in.Src2FP, in.DestFP = true, true, true
+		if r.Bool(0.5) {
+			in.Src2 = reg()
+		}
+		in.Dest = reg()
+	case k < 7:
+		in.Class = isa.Load
+		in.DestFP = r.Bool(0.5)
+		in.Dest = reg()
+	default:
+		in.Class = isa.Store
+		in.Src2, in.Src2FP = reg(), r.Bool(0.5)
+	}
+	if last != nil && last.Dest != isa.NoReg && last.DestFP == in.Src1FP && r.Bool(0.5) {
+		in.Src1 = last.Dest
+	}
+	return in
+}
+
+// camOf returns the CAM queue that s tracks readiness in, or nil.
+func camOf(s Scheme) *camQueue {
+	switch s := s.(type) {
+	case *camQueue:
+		return s
+	case *adaptiveCAM:
+		return s.cam
+	case *preSched:
+		return s.level1
+	}
+	return nil
+}
+
+// checkCAM holds q's broadcast-tracked state against polling env: every
+// entry's cached readiness equals OperandsReady, and the per-file unready
+// counts and the ready count equal a recount. It returns the recount of
+// unready operands per register file.
+func checkCAM(t *testing.T, env Env, q *camQueue) (unready [2]uint64) {
+	t.Helper()
+	ready := 0
+	for _, e := range q.entries {
+		in := e.in
+		if cached := e.wait&e.mask == 0; cached != OperandsReady(env, in) {
+			t.Fatalf("cycle %d: seq %d cached readiness %v, OperandsReady %v",
+				env.Cycle(), in.Seq, cached, !cached)
+		}
+		if e.wait&e.mask == 0 {
+			ready++
+		}
+		if in.PSrc1 != isa.NoReg && !env.OperandReady(in.Src1FP, in.PSrc1) {
+			unready[domIdx(in.Src1FP)]++
+		}
+		if in.PSrc2 != isa.NoReg && !env.OperandReady(in.Src2FP, in.PSrc2) {
+			unready[domIdx(in.Src2FP)]++
+		}
+	}
+	if unready != q.unready || ready != q.ready {
+		t.Fatalf("cycle %d: tracked %d unready operands and %d ready entries, recount %d and %d",
+			env.Cycle(), q.unready, q.ready, unready, ready)
+	}
+	return unready
+}
+
 // TestSchemeStress drives every organization with randomized dependent
 // traffic and checks conservation and liveness: every dispatched
 // instruction eventually issues exactly once, occupancy bookkeeping stays
-// consistent, and the scheme never exceeds its capacity.
+// consistent, and the scheme never exceeds its capacity. For the CAM
+// organizations the polling recount is the oracle of the wakeup state
+// and of the wakeup energy.
 func TestSchemeStress(t *testing.T) {
 	mk := func(kind Kind, chains int) func() Scheme {
 		return func() Scheme {
@@ -143,18 +284,36 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 	t.Helper()
 	env := newStressEnv()
 	r := rng.New(uint64(len(s.Name())) * 977)
+	q := camOf(s)
 
 	const total = 6000
 	dispatched := 0
 	seq := uint64(0)
 	inFlight := map[uint64]bool{}
 	issuedSeqs := map[uint64]bool{}
-	var lastDest int16 = isa.NoReg
+	var last *isa.Inst
+	var cells uint64 // wakeup cells the recount charges
 
 	for env.cycle = 1; dispatched < total || len(inFlight) > 0; env.cycle++ {
 		if env.cycle > 20*total {
 			t.Fatalf("%s: livelock, %d in flight after %d cycles (occ %d)",
 				s.Name(), len(inFlight), env.cycle, s.Occupancy())
+		}
+		// Writeback phase: this cycle's results broadcast their tags
+		// before anything issues. Each broadcast into a non-empty CAM
+		// compares the operands of its file left unready after all of
+		// the cycle's wakeups.
+		camBusy := q != nil && q.Occupancy() > 0
+		broadcasts := env.writeback(s)
+		if q != nil {
+			unready := checkCAM(t, env, q)
+			if camBusy {
+				cells += broadcasts[0]*unready[0] + broadcasts[1]*unready[1]
+			}
+			if got := s.Events().WakeupCAMCells; got != cells {
+				t.Fatalf("%s: cycle %d: %d wakeup cells charged, recount gives %d",
+					s.Name(), env.cycle, got, cells)
+			}
 		}
 		// Issue phase.
 		before := len(env.issued)
@@ -169,28 +328,27 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 			}
 			delete(inFlight, in.Seq)
 		}
-		// Dispatch phase: up to 4 per cycle, random dependence on the
-		// previous destination half the time.
+		// Dispatch phase: up to 4 per cycle.
 		for k := 0; k < 4 && dispatched < total; k++ {
-			var src1 int16 = isa.NoReg
-			if lastDest != isa.NoReg && r.Bool(0.5) {
-				src1 = lastDest
+			in := stressInst(r, seq, last)
+			if !env.rename(in) {
+				break
 			}
-			dest := int16(r.Intn(32))
-			in := mkInst(seq, isa.FPAdd, src1, isa.NoReg, dest)
 			if est != nil {
 				est.OnDispatch(in, env.cycle)
 			}
 			if !s.Dispatch(env, in) {
+				env.undo(in)
 				if s.Occupancy() == 0 {
 					t.Fatalf("%s: dispatch stalled on empty scheme", s.Name())
 				}
 				break
 			}
+			env.window = append(env.window, in)
 			inFlight[in.Seq] = true
 			seq++
 			dispatched++
-			lastDest = dest
+			last = in
 			if s.Occupancy() > s.Capacity() {
 				t.Fatalf("%s: occupancy %d exceeds capacity %d",
 					s.Name(), s.Occupancy(), s.Capacity())
@@ -199,10 +357,6 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 		// Occasional mispredict-resolution clears.
 		if r.Bool(0.01) {
 			s.OnMispredictResolved()
-		}
-		// Occasional result broadcasts for CAM accounting.
-		if r.Bool(0.2) {
-			s.OnComplete(env, true)
 		}
 	}
 	if s.Occupancy() != 0 {

@@ -31,19 +31,13 @@ func BenchmarkStepSteadyState(b *testing.B) {
 }
 
 // TestStepSteadyStateAllocFree pins the tentpole invariant: once warm, the
-// cycle loop performs zero heap allocations per committed instruction for
-// every organization (CAM baseline, adaptive CAM, distributed FIFOs,
-// distributed and unbounded-chain MixBUFF, and the LatFIFO and PreSched
-// estimator paths).
+// cycle loop performs zero heap allocations per committed instruction on
+// every scheme code path (hotPathConfigs).
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, cfg := range []core.Config{
-		core.Baseline64(), core.AdaptiveBaseline64(), core.IFDistr(), core.MBDistr(),
-		core.LatFIFOCfg(8, 8, 8, 16), core.PreSchedCfg(16, 16, 112, 16),
-		core.MixBUFFCfg(8, 16, 8, 16, 0),
-	} {
+	for _, cfg := range hotPathConfigs() {
 		for _, bench := range []string{"swim", "gcc"} {
 			gen := trace.NewGenerator(trace.MustByName(bench))
 			p, err := New(DefaultConfig(cfg), gen)
@@ -61,5 +55,16 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 					cfg.Name, bench, avg, insts)
 			}
 		}
+	}
+}
+
+// hotPathConfigs lists one configuration per scheme code path: CAM
+// baseline, adaptive CAM, distributed FIFOs, distributed and
+// unbounded-chain MixBUFF, and the LatFIFO and PreSched estimator paths.
+func hotPathConfigs() []core.Config {
+	return []core.Config{
+		core.Baseline64(), core.AdaptiveBaseline64(), core.IFDistr(), core.MBDistr(),
+		core.LatFIFOCfg(8, 8, 8, 16), core.PreSchedCfg(16, 16, 112, 16),
+		core.MixBUFFCfg(8, 16, 8, 16, 0),
 	}
 }

@@ -94,6 +94,13 @@ func (c Config) Validate() error {
 	if c.DecodeDepth < 1 {
 		return fmt.Errorf("pipeline: decode depth must be at least 1")
 	}
+	// A result must become usable after its issue cycle, at its
+	// writeback, where its tag is broadcast to the issue queues.
+	for class, lat := range c.Latencies {
+		if lat < 1 {
+			return fmt.Errorf("pipeline: %v latency %d, must be at least 1", isa.Class(class), lat)
+		}
+	}
 	return c.IQ.Validate()
 }
 

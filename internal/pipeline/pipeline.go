@@ -41,8 +41,11 @@ type Pipeline struct {
 	schemes   [isa.NumDomains]core.Scheme
 	estimator *core.Estimator
 
-	// Fetch state.
+	// Fetch state. The fetch queue is a ring of cfg.FetchQueue slots
+	// holding fetchLen instructions from fetchHead on.
 	fetchQ         []*isa.Inst
+	fetchHead      int
+	fetchLen       int
 	fetchStall     int64     // fetch resumes at this cycle
 	pendingBranch  *isa.Inst // unresolved mispredicted branch gating fetch
 	pendingFetch   *isa.Inst // instruction waiting on an L1I miss
@@ -81,7 +84,7 @@ func New(cfg Config, gen Fetcher) (*Pipeline, error) {
 		rob:    rob.New(cfg.ROBSize),
 		ldst:   lsq.New(cfg.ROBSize),
 		fus:    fu.New(cfg.FUCounts, cfg.IQ.DistributedFU),
-		fetchQ: make([]*isa.Inst, 0, cfg.FetchQueue),
+		fetchQ: make([]*isa.Inst, cfg.FetchQueue),
 		// At most ROB + fetch queue + 1 (pending I-miss) instructions
 		// are ever in flight; sizing the recycling pool up front keeps
 		// the steady-state cycle loop allocation-free.
@@ -272,8 +275,8 @@ func (p *Pipeline) writeback() {
 			// Result-tag broadcast reaches both domains' queues
 			// (FP chains consume integer results through loads,
 			// and stores consume FP data).
-			p.schemes[isa.IntDomain].OnComplete(p, in.DestFP)
-			p.schemes[isa.FPDomain].OnComplete(p, in.DestFP)
+			p.schemes[isa.IntDomain].OnComplete(p, in.DestFP, in.PDest)
+			p.schemes[isa.FPDomain].OnComplete(p, in.DestFP, in.PDest)
 		}
 		if in.Mispredicted && in == p.pendingBranch {
 			p.pendingBranch = nil
@@ -322,10 +325,10 @@ func (p *Pipeline) issue() {
 // in order at the first structural hazard.
 func (p *Pipeline) dispatch() {
 	for n := 0; n < p.cfg.DispatchWidth; n++ {
-		if len(p.fetchQ) == 0 {
+		if p.fetchLen == 0 {
 			return
 		}
-		in := p.fetchQ[0]
+		in := p.fetchQ[p.fetchHead]
 		if in.FetchCycle+int64(p.cfg.DecodeDepth) > p.cycle {
 			return
 		}
@@ -372,9 +375,11 @@ func (p *Pipeline) dispatch() {
 		if p.tracer != nil {
 			p.tracer.OnDispatch(p.cycle, in)
 		}
-		copy(p.fetchQ, p.fetchQ[1:])
-		p.fetchQ[len(p.fetchQ)-1] = nil
-		p.fetchQ = p.fetchQ[:len(p.fetchQ)-1]
+		p.fetchQ[p.fetchHead] = nil
+		if p.fetchHead++; p.fetchHead == len(p.fetchQ) {
+			p.fetchHead = 0
+		}
+		p.fetchLen--
 	}
 }
 
@@ -389,7 +394,7 @@ func (p *Pipeline) fetch() {
 			p.stats.ICacheMissCycles++
 			return
 		}
-		if len(p.fetchQ) >= p.cfg.FetchQueue {
+		if p.fetchLen == len(p.fetchQ) {
 			return
 		}
 		in := p.pendingFetch
@@ -403,7 +408,7 @@ func (p *Pipeline) fetch() {
 		return
 	}
 
-	for n := 0; n < p.cfg.FetchWidth && len(p.fetchQ) < p.cfg.FetchQueue; n++ {
+	for n := 0; n < p.cfg.FetchWidth && p.fetchLen < len(p.fetchQ); n++ {
 		in := p.allocInst()
 		p.gen.Next(in)
 		in.FetchCycle = p.cycle
@@ -429,7 +434,12 @@ func (p *Pipeline) fetch() {
 // side effects. It returns false when fetch must stop this cycle (taken
 // branch, misfetch or misprediction).
 func (p *Pipeline) enqueueFetched(in *isa.Inst) bool {
-	p.fetchQ = append(p.fetchQ, in)
+	tail := p.fetchHead + p.fetchLen
+	if tail >= len(p.fetchQ) {
+		tail -= len(p.fetchQ)
+	}
+	p.fetchQ[tail] = in
+	p.fetchLen++
 	if p.tracer != nil {
 		p.tracer.OnFetch(p.cycle, in)
 	}

@@ -206,6 +206,21 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+func TestLatencyBelowOneRejected(t *testing.T) {
+	// A result must become usable after its issue cycle, at the
+	// writeback that broadcasts its tag.
+	for class := range isa.NumClasses {
+		cfg := DefaultConfig(core.Baseline64())
+		cfg.Latencies[class] = 0
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%v latency 0 accepted", class)
+		}
+	}
+	if err := DefaultConfig(core.Baseline64()).Validate(); err != nil {
+		t.Fatalf("default latencies rejected: %v", err)
+	}
+}
+
 func TestRealBenchmarksAllSchemesProgress(t *testing.T) {
 	// End-to-end smoke test: every scheme runs every suite exemplar
 	// without deadlock and with sane IPC.

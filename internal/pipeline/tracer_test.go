@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,6 +88,53 @@ func TestPipelineStageInvariants(t *testing.T) {
 		}
 		if t.Failed() {
 			t.Fatalf("invariant violations under %s", cfg.Name)
+		}
+	}
+}
+
+// wakeupTracer checks the wakeup contract the CAM queue relies on: at
+// the writeback of a result, which broadcasts its tag, the destination
+// register turns ready, neither earlier nor later.
+type wakeupTracer struct {
+	p          *Pipeline
+	broadcasts int
+	bad        string // first violation
+}
+
+func (w *wakeupTracer) OnFetch(int64, *isa.Inst)    {}
+func (w *wakeupTracer) OnDispatch(int64, *isa.Inst) {}
+func (w *wakeupTracer) OnIssue(int64, *isa.Inst)    {}
+func (w *wakeupTracer) OnCommit(int64, *isa.Inst)   {}
+
+func (w *wakeupTracer) OnWriteback(c int64, in *isa.Inst) {
+	if !in.HasDest() {
+		return
+	}
+	w.broadcasts++
+	if at := w.p.regs[regDomain(in.DestFP)].ReadyAt(in.PDest); at != c && w.bad == "" {
+		w.bad = fmt.Sprintf("seq %d (%v) written back at cycle %d, destination ready at %d",
+			in.Seq, in.Class, c, at)
+	}
+}
+
+func TestResultReadyAtItsWriteback(t *testing.T) {
+	for _, perfect := range []bool{false, true} {
+		for _, iq := range hotPathConfigs() {
+			for _, bench := range []string{"swim", "gcc"} {
+				cfg := DefaultConfig(iq)
+				cfg.PerfectDisambiguation = perfect
+				p, err := New(cfg, trace.NewGenerator(trace.MustByName(bench)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := &wakeupTracer{p: p}
+				p.SetTracer(w)
+				p.Run(20_000)
+				if w.bad != "" || w.broadcasts < 10_000 {
+					t.Errorf("%s/%s perfect=%v: %d broadcasts; %s",
+						iq.Name, bench, perfect, w.broadcasts, w.bad)
+				}
+			}
 		}
 	}
 }
