@@ -83,7 +83,7 @@ func (a *adaptiveCAM) Geometry() power.Geometry {
 func (a *adaptiveCAM) Limit() int { return a.limit }
 
 func (a *adaptiveCAM) Dispatch(env Env, in *isa.Inst) bool {
-	if len(a.cam.entries) >= a.limit {
+	if a.cam.Occupancy() >= a.limit {
 		a.limitStalls++
 		return false
 	}
@@ -94,15 +94,15 @@ func (a *adaptiveCAM) Issue(env Env, budget int) int {
 	a.resize(env)
 	a.limitSum += uint64(a.limit)
 	a.ticks++
-	// Youngest-portion accounting: entries are kept in dispatch order,
-	// so the youngest portion of the *effective window* is the set of
-	// entries at positions [limit-portion, limit). If occupancy never
-	// reaches into that range, the portion contributes nothing and the
-	// queue can shrink — the Folegnani-González criterion.
+	// Youngest-portion accounting: the index array keeps dispatch
+	// order, so the youngest portion of the *effective window* is the
+	// set of entries at positions [limit-portion, limit). If occupancy
+	// never reaches into that range, the portion contributes nothing
+	// and the queue can shrink — the Folegnani-González criterion.
 	a.young = a.young[:0]
-	if youngStart := a.limit - a.portion; youngStart < len(a.cam.entries) {
-		for _, e := range a.cam.entries[youngStart:] {
-			a.young = append(a.young, e.in)
+	if youngStart := a.limit - a.portion; youngStart < len(a.cam.order) {
+		for _, s := range a.cam.order[youngStart:] {
+			a.young = append(a.young, a.cam.slots[s].in)
 		}
 	}
 	n := a.cam.Issue(env, budget)

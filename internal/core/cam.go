@@ -15,16 +15,20 @@ import (
 // Readiness is tracked as the hardware tracks it: Dispatch reads which
 // source operands are still unready, and OnComplete clears them when
 // their producer's tag is broadcast. Under Env's wakeup contract this
-// agrees with OperandsReady at every Issue.
+// agrees with OperandsReady at every Issue. Entries sit in stable slots,
+// each unready operand on its tag's waiter list, and a dispatch-order
+// index array of slot numbers gives the selection order.
 type camQueue struct {
-	opt     Options
-	cfg     DomainConfig
-	entries []camEntry // dispatch order, oldest first
-	ev      power.Events
+	opt   Options
+	cfg   DomainConfig
+	slots []camEntry
+	order []int32 // occupied slots in dispatch order, oldest first
+	free  []int32 // unoccupied slots
+	lists waitLists
+	ev    power.Events
 
-	ready   int                             // entries with no blocking operand
-	unready [2]uint64                       // unready operands per register file (domIdx)
-	waiters [2 * isa.NumPhysicalRegs]uint16 // unready operands per camTag
+	ready   int       // entries with no blocking operand
+	unready [2]uint64 // unready operands per register file (domIdx)
 
 	// pending counts this cycle's broadcasts per register file, whose
 	// WakeupCAMCells charge waits for the cycle's last wakeup. Issue,
@@ -37,26 +41,29 @@ type camQueue struct {
 // sources and which of them still wait.
 type camEntry struct {
 	in   *isa.Inst
-	tag  [2]uint16 // camTag of source k, valid while wait bit k is set
+	tag  [2]uint16 // regTag of source k, valid while wait bit k is set
 	wait uint8     // bit k set: source k (Src1, Src2) unready
 	mask uint8     // wait bits that block issue (a store's data does not)
 }
 
-// camTag numbers a physical register across both register files.
-func camTag(fp bool, preg int16) uint16 {
-	return uint16(domIdx(fp)*isa.NumPhysicalRegs) + uint16(preg)
-}
-
 func newCAM(cfg DomainConfig, opt Options) *camQueue {
-	return &camQueue{
-		opt:     opt,
-		cfg:     cfg,
-		entries: make([]camEntry, 0, cfg.Total()),
+	n := cfg.Total()
+	q := &camQueue{
+		opt:   opt,
+		cfg:   cfg,
+		slots: make([]camEntry, n),
+		order: make([]int32, 0, n),
+		free:  make([]int32, n),
+		lists: newWaitLists(n),
 	}
+	for s := range q.free {
+		q.free[s] = int32(s)
+	}
+	return q
 }
 
 func (q *camQueue) Name() string   { return "CAM" }
-func (q *camQueue) Occupancy() int { return len(q.entries) }
+func (q *camQueue) Occupancy() int { return len(q.order) }
 func (q *camQueue) Capacity() int  { return q.cfg.Total() }
 
 func (q *camQueue) Events() *power.Events {
@@ -81,83 +88,89 @@ func (q *camQueue) Geometry() power.Geometry {
 }
 
 func (q *camQueue) Dispatch(env Env, in *isa.Inst) bool {
-	if len(q.entries) >= cap(q.entries) {
+	if len(q.free) == 0 {
 		return false
 	}
 	q.settle()
 	in.QueueID = 0
-	e := camEntry{in: in, mask: 3}
+	s := q.free[len(q.free)-1]
+	q.free = q.free[:len(q.free)-1]
+	e := &q.slots[s]
+	*e = camEntry{in: in, mask: 3}
 	if in.Class == isa.Store {
 		e.mask = 1 // the address computation issues on Src1 alone
 	}
-	q.await(env, &e, 0, in.Src1FP, in.PSrc1)
-	q.await(env, &e, 1, in.Src2FP, in.PSrc2)
+	q.await(env, s, 0, in.Src1FP, in.PSrc1)
+	q.await(env, s, 1, in.Src2FP, in.PSrc2)
 	if e.wait&e.mask == 0 {
 		q.ready++
 	}
-	q.entries = append(q.entries, e)
+	q.order = append(q.order, s)
 	q.ev.IQWrites++
 	return true
 }
 
-// await records source k of e as waiting for its tag if it is unready.
-func (q *camQueue) await(env Env, e *camEntry, k uint, fp bool, preg int16) {
+// await puts source k of slot s on its tag's waiter list if it is
+// unready.
+func (q *camQueue) await(env Env, s int32, k uint, fp bool, preg int16) {
 	if preg == isa.NoReg || env.OperandReady(fp, preg) {
 		return
 	}
-	t := camTag(fp, preg)
+	e := &q.slots[s]
+	t := regTag(fp, preg)
 	e.tag[k] = t
 	e.wait |= 1 << k
-	q.waiters[t]++
+	q.lists.push(t, 2*s+int32(k))
 	q.unready[domIdx(fp)]++
 }
 
-// Issue selects up to budget ready instructions, oldest first. Entries are
-// kept in dispatch order, so a single in-order scan implements the
+// Issue selects up to budget ready instructions, oldest first. The index
+// array keeps dispatch order, so a single in-order scan implements the
 // oldest-first position-based selection policy of the baseline; it stops
 // once every ready entry has been offered.
 func (q *camQueue) Issue(env Env, budget int) int {
 	q.settle()
-	if len(q.entries) == 0 {
+	if len(q.order) == 0 {
 		return 0 // empty queue: selection logic gated off
 	}
 	q.ev.SelectOps++
-	q.ev.SelectEntries += uint64(len(q.entries))
+	q.ev.SelectEntries += uint64(len(q.order))
 
 	issued, offered, kept, i := 0, 0, 0, 0
-	for ; i < len(q.entries) && offered < q.ready && issued < budget; i++ {
-		e := q.entries[i]
-		if e.wait&e.mask == 0 {
+	for ; i < len(q.order) && offered < q.ready && issued < budget; i++ {
+		s := q.order[i]
+		if e := &q.slots[s]; e.wait&e.mask == 0 {
 			offered++
 			if env.TryIssue(e.in) {
-				q.release(e)
+				q.release(s)
 				q.ev.IQReads++
 				issued++
 				continue
 			}
 		}
-		q.entries[kept] = e
+		q.order[kept] = s
 		kept++
 	}
 	if kept < i {
-		kept += copy(q.entries[kept:], q.entries[i:])
-		// Clear the tail so removed instructions are not retained.
-		clear(q.entries[kept:])
-		q.entries = q.entries[:kept]
+		kept += copy(q.order[kept:], q.order[i:])
+		q.order = q.order[:kept]
 	}
 	q.ready -= issued
 	return issued
 }
 
-// release drops an issued entry's operands that still wait: a store
-// issues with its data operand pending.
-func (q *camQueue) release(e camEntry) {
+// release frees an issued entry's slot, unlinking its operands that
+// still wait: a store issues with its data operand pending.
+func (q *camQueue) release(s int32) {
+	e := &q.slots[s]
 	for k := uint(0); k < 2; k++ {
 		if e.wait&(1<<k) != 0 {
-			q.waiters[e.tag[k]]--
+			q.lists.unlink(e.tag[k], 2*s+int32(k))
 			q.unready[e.tag[k]/isa.NumPhysicalRegs]--
 		}
 	}
+	*e = camEntry{}
+	q.free = append(q.free, s)
 }
 
 // OnComplete models a result-tag broadcast: the tag lines are driven,
@@ -166,39 +179,20 @@ func (q *camQueue) release(e camEntry) {
 // the operands of the file still unready after all of the cycle's
 // wakeups, so it is settled once the cycle's broadcasts are over.
 func (q *camQueue) OnComplete(env Env, destFP bool, pdest int16) {
-	if len(q.entries) == 0 {
+	if len(q.order) == 0 {
 		return
 	}
 	q.ev.WakeupBroadcasts++
-	q.pending[domIdx(destFP)]++
-	t := camTag(destFP, pdest)
-	n := q.waiters[t]
-	if n == 0 {
-		return
-	}
-	q.waiters[t] = 0
-	q.unready[domIdx(destFP)] -= uint64(n)
-	for i := range q.entries {
-		e := &q.entries[i]
-		w := e.wait
-		if w&1 != 0 && e.tag[0] == t {
-			w &^= 1
-			n--
-		}
-		if w&2 != 0 && e.tag[1] == t {
-			w &^= 2
-			n--
-		}
-		if w == e.wait {
-			continue
-		}
-		if e.wait&e.mask != 0 && w&e.mask == 0 {
+	d := domIdx(destFP)
+	q.pending[d]++
+	for n := q.lists.take(regTag(destFP, pdest)); n >= 0; n = q.lists.next[n] {
+		e := &q.slots[n>>1]
+		blocked := e.wait&e.mask != 0
+		e.wait &^= 1 << (n & 1)
+		if blocked && e.wait&e.mask == 0 {
 			q.ready++
 		}
-		e.wait = w
-		if n == 0 {
-			return
-		}
+		q.unready[d]--
 	}
 }
 

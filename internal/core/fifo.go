@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"distiq/internal/isa"
 	"distiq/internal/power"
 )
@@ -27,33 +29,18 @@ type mapEntry struct {
 // FIFO holds a dependence chain and only queue heads are considered for
 // issue, eliminating the wakeup CAM.
 type issueFIFO struct {
-	opt    Options
-	cfg    DomainConfig
-	queues [][]*isa.Inst
-	table  [mapSlots]mapEntry
-	ev     power.Events
-	occ    int
-
-	heads []*isa.Inst // scratch for age-ordering heads
+	fifoQueues
+	opt   Options
+	cfg   DomainConfig
+	table [mapSlots]mapEntry
 }
 
 func newIssueFIFO(cfg DomainConfig, opt Options) *issueFIFO {
-	f := &issueFIFO{
-		opt:    opt,
-		cfg:    cfg,
-		queues: make([][]*isa.Inst, cfg.Queues),
-		heads:  make([]*isa.Inst, 0, cfg.Queues),
-	}
-	for i := range f.queues {
-		f.queues[i] = make([]*isa.Inst, 0, cfg.Entries)
-	}
-	return f
+	return &issueFIFO{fifoQueues: newFIFOQueues(cfg.Queues, cfg.Entries), opt: opt, cfg: cfg}
 }
 
-func (f *issueFIFO) Name() string          { return "IssueFIFO" }
-func (f *issueFIFO) Occupancy() int        { return f.occ }
-func (f *issueFIFO) Capacity() int         { return f.cfg.Total() }
-func (f *issueFIFO) Events() *power.Events { return &f.ev }
+func (f *issueFIFO) Name() string  { return "IssueFIFO" }
+func (f *issueFIFO) Capacity() int { return f.cfg.Total() }
 
 func (f *issueFIFO) Geometry() power.Geometry {
 	return power.Geometry{
@@ -73,8 +60,8 @@ func (f *issueFIFO) tailProduces(m mapEntry) bool {
 	if !m.valid {
 		return false
 	}
-	q := f.queues[m.queue]
-	return len(q) > 0 && q[len(q)-1].Seq == m.seq
+	r := &f.rings[m.queue]
+	return r.n > 0 && r.at(r.n-1).Seq == m.seq
 }
 
 // Dispatch implements the paper's reading of Palacharla's heuristics:
@@ -96,7 +83,7 @@ func (f *issueFIFO) Dispatch(env Env, in *isa.Inst) bool {
 	target := -1
 	if in.Src1 != isa.NoReg {
 		if m := f.table[mapSlot(in.Src1, in.Src1FP)]; f.tailProduces(m) {
-			if len(f.queues[m.queue]) < f.cfg.Entries {
+			if f.rings[m.queue].n < f.cfg.Entries {
 				target = m.queue
 			} else if !chainSrc2 {
 				return false // full, single-operand: stall
@@ -105,7 +92,7 @@ func (f *issueFIFO) Dispatch(env Env, in *isa.Inst) bool {
 	}
 	if target < 0 && chainSrc2 {
 		if m := f.table[mapSlot(in.Src2, in.Src2FP)]; f.tailProduces(m) {
-			if len(f.queues[m.queue]) < f.cfg.Entries {
+			if f.rings[m.queue].n < f.cfg.Entries {
 				target = m.queue
 			} else {
 				return false // full second-operand queue: stall
@@ -113,8 +100,8 @@ func (f *issueFIFO) Dispatch(env Env, in *isa.Inst) bool {
 		}
 	}
 	if target < 0 {
-		for qi := range f.queues {
-			if len(f.queues[qi]) == 0 {
+		for qi := range f.rings {
+			if f.rings[qi].n == 0 {
 				target = qi
 				break
 			}
@@ -124,57 +111,16 @@ func (f *issueFIFO) Dispatch(env Env, in *isa.Inst) bool {
 		}
 	}
 
-	f.place(in, target)
+	f.push(env, target, in)
+	if in.HasDest() {
+		f.table[mapSlot(in.Dest, in.DestFP)] = mapEntry{queue: target, seq: in.Seq, valid: true}
+		f.ev.QRenameWrites++
+	}
 	return true
 }
 
-func (f *issueFIFO) place(in *isa.Inst, qi int) {
-	in.QueueID = qi
-	f.queues[qi] = append(f.queues[qi], in)
-	f.occ++
-	f.ev.FIFOWrites++
-	if in.HasDest() {
-		f.table[mapSlot(in.Dest, in.DestFP)] = mapEntry{queue: qi, seq: in.Seq, valid: true}
-		f.ev.QRenameWrites++
-	}
-}
-
-// Issue checks every queue head against the ready-bit table and issues
-// ready heads oldest-first up to the budget.
-func (f *issueFIFO) Issue(env Env, budget int) int {
-	f.heads = f.heads[:0]
-	for qi := range f.queues {
-		if len(f.queues[qi]) == 0 {
-			continue
-		}
-		head := f.queues[qi][0]
-		f.ev.RegsReadyReads += uint64(head.NumSources())
-		if OperandsReady(env, head) {
-			f.heads = append(f.heads, head)
-		}
-	}
-	ageSorted(env, f.heads)
-
-	issued := 0
-	for _, in := range f.heads {
-		if issued >= budget {
-			break
-		}
-		if !env.TryIssue(in) {
-			continue
-		}
-		qi := in.QueueID
-		copy(f.queues[qi], f.queues[qi][1:])
-		f.queues[qi][len(f.queues[qi])-1] = nil
-		f.queues[qi] = f.queues[qi][:len(f.queues[qi])-1]
-		f.occ--
-		f.ev.FIFOReads++
-		issued++
-	}
-	return issued
-}
-
-func (f *issueFIFO) OnComplete(Env, bool, int16) {}
+// Issue issues ready heads oldest-first up to the budget.
+func (f *issueFIFO) Issue(env Env, budget int) int { return f.issue(env, budget) }
 
 // OnMispredictResolved clears the queue-map table, the cheap recovery the
 // paper found to cost no measurable performance (the KeepMapOnMispredict
@@ -182,5 +128,121 @@ func (f *issueFIFO) OnComplete(Env, bool, int16) {}
 func (f *issueFIFO) OnMispredictResolved() {
 	if !f.cfg.KeepMapOnMispredict {
 		clear(f.table[:])
+	}
+}
+
+// fifoQueues holds the queues of the FIFO organizations, IssueFIFO and
+// LatFIFO, and issues their heads. Each queue is a ring, and each head's
+// readiness is tracked from broadcasts, so Issue offers env.TryIssue only
+// the heads that are ready, oldest first.
+type fifoQueues struct {
+	rings []fifoRing
+	heads headWatch // slot q: queue q's head
+	srcs  uint64    // register sources of all heads
+	occ   int
+	ev    power.Events
+
+	ready []*isa.Inst // scratch for age-ordering ready heads
+}
+
+// fifoRing is one queue: n instructions from buf[first], wrapping.
+type fifoRing struct {
+	buf      []*isa.Inst
+	first, n int
+}
+
+// at returns the queue's i-th oldest instruction.
+func (r *fifoRing) at(i int) *isa.Inst {
+	if i += r.first; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return r.buf[i]
+}
+
+func newFIFOQueues(queues, entries int) fifoQueues {
+	f := fifoQueues{
+		rings: make([]fifoRing, queues),
+		heads: newHeadWatch(queues),
+		ready: make([]*isa.Inst, 0, queues),
+	}
+	buf := make([]*isa.Inst, queues*entries)
+	for q := range f.rings {
+		f.rings[q].buf = buf[q*entries : (q+1)*entries : (q+1)*entries]
+	}
+	return f
+}
+
+func (f *fifoQueues) Occupancy() int        { return f.occ }
+func (f *fifoQueues) Events() *power.Events { return &f.ev }
+
+// OnComplete wakes the heads waiting for the broadcast tag.
+func (f *fifoQueues) OnComplete(_ Env, destFP bool, pdest int16) { f.heads.wake(destFP, pdest) }
+
+// push appends in to queue q, which has room.
+func (f *fifoQueues) push(env Env, q int, in *isa.Inst) {
+	r := &f.rings[q]
+	in.QueueID = q
+	i := r.first + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = in
+	r.n++
+	f.occ++
+	f.ev.FIFOWrites++
+	if r.n == 1 {
+		f.setHead(env, q, in)
+	}
+}
+
+// setHead watches in as queue q's head.
+func (f *fifoQueues) setHead(env Env, q int, in *isa.Inst) {
+	f.heads.watch(env, q, in)
+	f.srcs += uint64(in.NumSources())
+}
+
+// issue reads every head's sources in the ready-bit table and issues
+// ready heads oldest-first up to the budget. A head exposed by an issue
+// is watched at once and offered from the next cycle.
+func (f *fifoQueues) issue(env Env, budget int) int {
+	f.ev.RegsReadyReads += f.srcs
+	f.ready = f.ready[:0]
+	for wi, w := range f.heads.ready {
+		for ; w != 0; w &= w - 1 {
+			r := &f.rings[wi<<6+bits.TrailingZeros64(w)]
+			f.ready = append(f.ready, r.buf[r.first])
+		}
+	}
+	ageSorted(env, f.ready)
+
+	issued := 0
+	for _, in := range f.ready {
+		if issued >= budget {
+			break
+		}
+		if !env.TryIssue(in) {
+			continue
+		}
+		f.pop(env, in.QueueID)
+		issued++
+	}
+	return issued
+}
+
+// pop removes the head of queue q.
+func (f *fifoQueues) pop(env Env, q int) {
+	r := &f.rings[q]
+	f.srcs -= uint64(r.buf[r.first].NumSources())
+	r.buf[r.first] = nil
+	if r.first++; r.first == len(r.buf) {
+		r.first = 0
+	}
+	r.n--
+	f.occ--
+	f.ev.FIFOReads++
+	if r.n > 0 {
+		f.setHead(env, q, r.buf[r.first])
+	} else {
+		f.heads.ready.clear(q)
 	}
 }

@@ -25,7 +25,7 @@ func TestFIFODependentFollowsProducer(t *testing.T) {
 	if prod.QueueID != cons.QueueID {
 		t.Fatalf("consumer queue %d != producer queue %d", cons.QueueID, prod.QueueID)
 	}
-	if len(f.queues[prod.QueueID]) != 2 {
+	if f.rings[prod.QueueID].n != 2 {
 		t.Fatal("chain not in one queue")
 	}
 }
@@ -112,7 +112,8 @@ func TestFIFOHeadsOnlyIssue(t *testing.T) {
 	if env.issued[0] != prod {
 		t.Fatal("non-head issued first")
 	}
-	env.unblock(false, 7)
+	env.cycle++
+	env.wake(f, false, 7)
 	if n := f.Issue(env, 8); n != 1 || env.issued[1] != cons {
 		t.Fatal("consumer did not issue after becoming head")
 	}

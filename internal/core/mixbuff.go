@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/bits"
+
 	"distiq/internal/isa"
 	"distiq/internal/power"
 )
@@ -27,24 +30,30 @@ const (
 )
 
 // chainState is one chain of one queue: the queue entries holding its
-// oldest and youngest instruction, a saturating down-counter tracking when
-// the last issued instruction of the chain completes, and allocation
-// bookkeeping. A chain is busy while it holds instructions.
+// oldest and youngest instruction, the cycles that give its latency code
+// and allocation bookkeeping. A chain is busy while it holds instructions.
 type chainState struct {
 	head, tail int    // entries of the oldest and youngest instruction; -1 when empty
 	gen        uint32 // generation, invalidates stale map entries
-	countdown  int    // cycles until the last issued instruction's result
-	readySince int64  // cycle the countdown reached zero
+	readyAt    int64  // cycle the last issued instruction's result is usable
+	readySince int64  // last cycle of the chain's first-time window
 }
 
 // mixQueue is one buffer: its entries, each linked to the entry of the
-// next younger instruction of its chain, the free entries and the chain
-// latency table.
+// next younger instruction of its chain, the free entries, the chain
+// latency table and the cached selection.
 type mixQueue struct {
 	entries []*isa.Inst
 	next    []int // entry of the next younger instruction of the same chain
 	free    []int // unoccupied entries
 	chains  []chainState
+	busy    bitset // chains holding instructions
+
+	// sel is the chain whose head the selection logic picks, -1 for
+	// none. It holds until selUntil, the first cycle a busy chain's code
+	// changes; a new chain or an issue resets selUntil to 0.
+	sel      int
+	selUntil int64
 }
 
 // held returns the number of instructions in the buffer.
@@ -94,18 +103,21 @@ type mixChainMapEntry struct {
 // code‖age always picks the oldest instruction of some chain. The
 // simulator therefore threads each chain through the buffer's entries in
 // dispatch order and compares only chain heads, while the energy events
-// still charge the whole buffer.
+// still charge the whole buffer. A chain's code changes only at cycles
+// known in advance, so each queue keeps its selection until a chain head
+// or a code changes, and the chain heads' readiness is tracked from
+// broadcasts.
 type mixBUFF struct {
 	opt    Options
 	cfg    DomainConfig
 	chainN int // chains per queue
 
 	queues []mixQueue
+	heads  headWatch // slot q*chainN+c: the head of chain c of queue q
 	table  [mapSlots]mixChainMapEntry
 	ev     power.Events
 	occ    int
 
-	lastTick   int64 // guards the once-per-cycle countdown update
 	candidates []*isa.Inst
 }
 
@@ -121,7 +133,7 @@ func newMixBUFF(cfg DomainConfig, opt Options) *mixBUFF {
 		cfg:        cfg,
 		chainN:     chainN,
 		queues:     make([]mixQueue, cfg.Queues),
-		lastTick:   -1,
+		heads:      newHeadWatch(cfg.Queues * chainN),
 		candidates: make([]*isa.Inst, 0, cfg.Queues),
 	}
 	for i := range m.queues {
@@ -136,6 +148,7 @@ func newMixBUFF(cfg DomainConfig, opt Options) *mixBUFF {
 		for c := range q.chains {
 			q.chains[c].head, q.chains[c].tail = -1, -1
 		}
+		q.busy = newBitset(chainN)
 	}
 	return m
 }
@@ -180,7 +193,7 @@ func (m *mixBUFF) Dispatch(env Env, in *isa.Inst) bool {
 		}
 	}
 
-	m.queues[q].push(c, in)
+	m.place(env, q, c, in)
 	in.QueueID, in.ChainID = q, c
 	m.occ++
 	m.ev.BuffWrites++
@@ -222,9 +235,9 @@ func (m *mixBUFF) allocChain(env Env) (int, int) {
 			if ch.head >= 0 || len(m.queues[q].free) == 0 {
 				continue
 			}
-			ch.countdown = 0
 			// A fresh chain's first instruction is "considered for
 			// the first time" at the next selection opportunity.
+			ch.readyAt = env.Cycle()
 			ch.readySince = env.Cycle() + 1
 			return q, c
 		}
@@ -232,36 +245,70 @@ func (m *mixBUFF) allocChain(env Env) (int, int) {
 	return -1, -1
 }
 
+// place appends in to chain c of queue qi. An instruction starting a
+// chain becomes its head, so the queue selects again.
+func (m *mixBUFF) place(env Env, qi, c int, in *isa.Inst) {
+	q := &m.queues[qi]
+	fresh := q.chains[c].head < 0
+	q.push(c, in)
+	if fresh {
+		q.busy.set(c)
+		q.selUntil = 0
+		m.heads.watch(env, qi*m.chainN+c, in)
+	}
+}
+
 // code returns the 2-bit compressed latency code of a chain. With the
 // FlatSelectPriority ablation, every ready chain compresses to the same
 // class and selection degenerates to age order.
 func (m *mixBUFF) code(ch *chainState, now int64) int {
 	switch {
-	case ch.countdown > 0:
+	case now < ch.readyAt:
 		return codeNotReady
 	case m.cfg.FlatSelectPriority:
 		return codeDelayed
-	case ch.readySince >= now:
+	case now <= ch.readySince:
 		return codeFirstTime
 	default:
 		return codeDelayed
 	}
 }
 
-// Issue advances the chain latency tables, selects at most one
-// instruction per queue by minimum code‖age, verifies the selected
-// instruction's operands in the ready-bit table and issues the survivors
-// oldest-first up to the budget. A selected instruction that cannot issue
-// keeps its entry; its chain transitions to the delayed code,
-// implementing the paper's first-time priority.
+// selectHead recomputes q's selection at cycle now: the head of minimum
+// code‖age among the busy chains, kept until the first cycle a code
+// changes. A not-ready chain changes at readyAt and a first-time chain
+// at readySince+1; a delayed chain does not change.
+func (m *mixBUFF) selectHead(env Env, q *mixQueue, now int64) {
+	q.sel, q.selUntil = -1, math.MaxInt64
+	var best *isa.Inst
+	bestCode := codeNotReady
+	for wi, w := range q.busy {
+		for ; w != 0; w &= w - 1 {
+			c := wi<<6 + bits.TrailingZeros64(w)
+			ch := &q.chains[c]
+			code := m.code(ch, now)
+			switch code {
+			case codeNotReady:
+				q.selUntil = min(q.selUntil, ch.readyAt)
+				continue
+			case codeFirstTime:
+				q.selUntil = min(q.selUntil, ch.readySince+1)
+			}
+			if head := q.entries[ch.head]; best == nil || code < bestCode ||
+				(code == bestCode && env.Older(head.AgeID, best.AgeID)) {
+				best, bestCode, q.sel = head, code, c
+			}
+		}
+	}
+}
+
+// Issue selects at most one instruction per queue by minimum code‖age,
+// verifies the selected instruction's operands in the ready-bit table and
+// issues the survivors oldest-first up to the budget. A selected
+// instruction that cannot issue keeps its entry; its chain transitions to
+// the delayed code, implementing the paper's first-time priority.
 func (m *mixBUFF) Issue(env Env, budget int) int {
 	now := env.Cycle()
-	// The tables advance once per cycle, in the same pass as selection:
-	// every busy chain's counter decrements, saturating at zero (the
-	// counter of a chain that issues is reloaded at issue time instead).
-	tick := now != m.lastTick
-	m.lastTick = now
-
 	m.candidates = m.candidates[:0]
 	for qi := range m.queues {
 		q := &m.queues[qi]
@@ -269,45 +316,26 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 		if held == 0 {
 			continue
 		}
-		if tick {
-			// Whole-table read + write, as the paper describes.
-			m.ev.ChainReads++
-			m.ev.ChainWrites++
-		}
+		// The chain latency table is read and written whole every
+		// cycle, as the paper describes.
+		m.ev.ChainReads++
+		m.ev.ChainWrites++
 		m.ev.SelectOps++
 		m.ev.SelectEntries += uint64(held)
 
-		var best *isa.Inst
-		bestCode := codeNotReady
-		for c := range q.chains {
-			ch := &q.chains[c]
-			if ch.head < 0 {
-				continue
-			}
-			if tick && ch.countdown > 0 {
-				ch.countdown--
-				if ch.countdown == 0 {
-					ch.readySince = now
-				}
-			}
-			code := m.code(ch, now)
-			if code == codeNotReady {
-				continue
-			}
-			if head := q.entries[ch.head]; best == nil || code < bestCode ||
-				(code == bestCode && env.Older(head.AgeID, best.AgeID)) {
-				best, bestCode = head, code
-			}
+		if now >= q.selUntil {
+			m.selectHead(env, q, now)
 		}
-		if best == nil {
+		if q.sel < 0 {
 			continue
 		}
+		best := q.entries[q.chains[q.sel].head]
 		m.ev.SelRegWrites++
 		// The single selected instruction consults the ready-bit
 		// table (the estimation may be wrong for cross-queue or
 		// cache-miss dependences).
 		m.ev.RegsReadyReads += uint64(best.NumSources())
-		if OperandsReady(env, best) {
+		if m.heads.ready.has(qi*m.chainN + q.sel) {
 			m.candidates = append(m.candidates, best)
 		}
 	}
@@ -321,7 +349,7 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 		if !env.TryIssue(in) {
 			continue
 		}
-		m.remove(in)
+		m.remove(env, in)
 		m.ev.BuffReads++
 		issued++
 	}
@@ -329,24 +357,31 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 }
 
 // remove pops an issued instruction, always its chain's head, and updates
-// the chain: the countdown is reloaded with the instruction's latency, and
-// the chain is freed (generation bumped) with its last instruction.
-func (m *mixBUFF) remove(in *isa.Inst) {
+// the chain: its result is usable the instruction's latency later, which
+// opens the chain's first-time window, and the chain is freed
+// (generation bumped) with its last instruction. Otherwise the next
+// instruction becomes the head.
+func (m *mixBUFF) remove(env Env, in *isa.Inst) {
 	q := &m.queues[in.QueueID]
 	q.pop(in.ChainID)
+	q.selUntil = 0
 	m.occ--
 
 	ch := &q.chains[in.ChainID]
-	ch.countdown = latencyOf(in, m.opt.Latencies, m.opt.MemHitLat)
-	if ch.countdown == 0 {
-		ch.readySince = 0 // immediately delayed-class; not expected with real latencies
-	}
+	ch.readyAt = env.Cycle() + int64(latencyOf(in, m.opt.Latencies, m.opt.MemHitLat))
+	ch.readySince = ch.readyAt
+	slot := in.QueueID*m.chainN + in.ChainID
 	if ch.head < 0 {
 		ch.gen++
+		q.busy.clear(in.ChainID)
+		m.heads.ready.clear(slot)
+	} else {
+		m.heads.watch(env, slot, q.entries[ch.head])
 	}
 }
 
-func (m *mixBUFF) OnComplete(Env, bool, int16) {}
+// OnComplete wakes the chain heads waiting for the broadcast tag.
+func (m *mixBUFF) OnComplete(_ Env, destFP bool, pdest int16) { m.heads.wake(destFP, pdest) }
 
 // OnMispredictResolved clears the register-to-chain map table (the paper
 // clears the equivalent table on mispredictions; KeepMapOnMispredict

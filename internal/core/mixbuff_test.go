@@ -92,6 +92,7 @@ func TestMixBUFFChainPacingByLatency(t *testing.T) {
 	env := newFakeEnv()
 	prod := fpInst(0, isa.NoReg, isa.NoReg, 7)
 	cons := fpInst(1, 7, isa.NoReg, 8)
+	env.block(true, 7) // the producer's result, until its broadcast
 	m.Dispatch(env, prod)
 	m.Dispatch(env, cons)
 	env.block(true, 8) // nothing beyond these two
@@ -101,14 +102,13 @@ func TestMixBUFFChainPacingByLatency(t *testing.T) {
 		t.Fatal("producer did not issue first")
 	}
 	// Result usable at cycle 3 (issue 1 + latency 2). The consumer's
-	// operand becomes ready then; unblock the env model accordingly.
-	env.block(true, 7)
+	// operand becomes ready then, by the producer's broadcast.
 	env.cycle = 2
 	if n := m.Issue(env, 8); n != 0 {
-		t.Fatal("consumer issued before chain countdown expired")
+		t.Fatal("consumer issued before its chain's result was usable")
 	}
-	env.unblock(true, 7)
 	env.cycle = 3
+	env.wake(m, true, 7)
 	if n := m.Issue(env, 8); n != 1 || env.issued[1] != cons {
 		t.Fatal("consumer did not issue when chain became ready")
 	}
@@ -131,7 +131,7 @@ func TestSelectPaperExample(t *testing.T) {
 		in := fpInst(seq, isa.NoReg, isa.NoReg, isa.NoReg)
 		in.AgeID = age
 		in.QueueID, in.ChainID = 0, chain
-		m.queues[0].push(chain, in)
+		m.place(env, 0, chain, in)
 		m.occ++
 		return in
 	}
@@ -141,15 +141,11 @@ func TestSelectPaperExample(t *testing.T) {
 	mkEntry(3, 8, 2)       // i+3
 	mkEntry(4, 9, 2)       // i+4
 	mkEntry(5, 10, 3)      // i+5
-	m.lastTick = env.cycle // suppress tick; codes set manually below
 	chains := m.queues[0].chains
-	chains[0].countdown = 0
-	chains[0].readySince = 90 // finished a while ago: delayed
-	chains[1].countdown = 0
-	chains[1].readySince = 100 // first time this cycle
-	chains[2].countdown = 0
-	chains[2].readySince = 100
-	chains[3].countdown = 4 // not ready
+	chains[0].readyAt, chains[0].readySince = 90, 90   // finished a while ago: delayed
+	chains[1].readyAt, chains[1].readySince = 100, 100 // first time this cycle
+	chains[2].readyAt, chains[2].readySince = 100, 100
+	chains[3].readyAt, chains[3].readySince = 104, 104 // not ready
 
 	if n := m.Issue(env, 8); n != 1 {
 		t.Fatalf("issued %d, want 1", n)
@@ -171,13 +167,12 @@ func TestMixBUFFFirstTimeBeatsDelayed(t *testing.T) {
 	young := fpInst(1, isa.NoReg, isa.NoReg, isa.NoReg)
 	young.AgeID = 2
 	young.QueueID, young.ChainID = 0, 1
+	m.place(env, 0, 0, old)
+	m.place(env, 0, 1, young)
 	q := &m.queues[0]
-	q.push(0, old)
-	q.push(1, young)
-	q.chains[0].countdown, q.chains[0].readySince = 0, 10
-	q.chains[1].countdown, q.chains[1].readySince = 0, 50
+	q.chains[0].readyAt, q.chains[0].readySince = 10, 10
+	q.chains[1].readyAt, q.chains[1].readySince = 50, 50
 	m.occ = 2
-	m.lastTick = env.cycle
 
 	m.Issue(env, 8)
 	if len(env.issued) != 1 || env.issued[0] != young {
@@ -256,8 +251,8 @@ func TestMixBUFFRejectedSelectionKeepsEntry(t *testing.T) {
 	m := newTestMixBUFF(1, 8, 4)
 	env := newFakeEnv()
 	in := fpInst(0, 7, isa.NoReg, 8)
+	env.block(true, 7) // operand not ready until its broadcast
 	m.Dispatch(env, in)
-	env.block(true, 7) // operand never ready
 	env.cycle = 1
 	if n := m.Issue(env, 8); n != 0 {
 		t.Fatal("issued with unready operand")
@@ -265,8 +260,8 @@ func TestMixBUFFRejectedSelectionKeepsEntry(t *testing.T) {
 	if m.Occupancy() != 1 {
 		t.Fatal("rejected instruction lost")
 	}
-	env.unblock(true, 7)
 	env.cycle = 2
+	env.wake(m, true, 7)
 	if n := m.Issue(env, 8); n != 1 {
 		t.Fatal("instruction did not issue once ready")
 	}

@@ -29,7 +29,8 @@ type Env interface {
 	// a queued instruction turns ready exactly in the cycle its
 	// producer's tag is broadcast (Scheme.OnComplete), before that
 	// cycle's Issue, and at no other time; a scheme may therefore read
-	// it once at Dispatch and track it from broadcasts.
+	// it once, when an instruction is dispatched or becomes a head, and
+	// track it from broadcasts, as every built-in scheme does.
 	OperandReady(fp bool, preg int16) bool
 	// TryIssue attempts to issue the instruction this cycle: it checks
 	// operand readiness, memory ordering (loads), issue width and
@@ -56,8 +57,11 @@ type Scheme interface {
 	// OnComplete broadcasts a result tag: physical register pdest of
 	// the register file destFP selects. It is called once per result,
 	// in the cycle the register turns ready and before that cycle's
-	// Issue. CAM organizations wake the operands waiting for the tag
-	// and count wakeup energy; the others ignore it.
+	// Issue. Every built-in scheme tracks readiness from it: CAM
+	// organizations wake the operands waiting for the tag and count
+	// wakeup energy, the FIFO organizations and MixBUFF wake the queue
+	// and chain heads waiting for it. A custom scheme may ignore the
+	// tag, because TryIssue checks OperandsReady.
 	OnComplete(env Env, destFP bool, pdest int16)
 	// OnMispredictResolved is called when a mispredicted branch
 	// resolves; map-table-based schemes clear their tables.

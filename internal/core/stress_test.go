@@ -179,7 +179,8 @@ func camOf(s Scheme) *camQueue {
 func checkCAM(t *testing.T, env Env, q *camQueue) (unready [2]uint64) {
 	t.Helper()
 	ready := 0
-	for _, e := range q.entries {
+	for _, s := range q.order {
+		e := &q.slots[s]
 		in := e.in
 		if cached := e.wait&e.mask == 0; cached != OperandsReady(env, in) {
 			t.Fatalf("cycle %d: seq %d cached readiness %v, OperandsReady %v",
@@ -202,85 +203,122 @@ func checkCAM(t *testing.T, env Env, q *camQueue) (unready [2]uint64) {
 	return unready
 }
 
+// checkHeads holds the broadcast-tracked state of the FIFO organizations
+// and MixBUFF against polling env: every watched head's cached readiness
+// equals OperandsReady, the FIFO heads' source count equals a recount,
+// and each non-empty MixBUFF queue's cached selection, while Issue would
+// use it, equals a fresh code‖age scan of every chain.
+func checkHeads(t *testing.T, env Env, s Scheme) {
+	t.Helper()
+	check := func(h *headWatch, slot int, head *isa.Inst) {
+		if cached, ready := h.ready.has(slot), head != nil && OperandsReady(env, head); cached != ready {
+			t.Fatalf("cycle %d: slot %d cached readiness %v, OperandsReady %v (empty slot: %v)",
+				env.Cycle(), slot, cached, ready, head == nil)
+		}
+	}
+	var f *fifoQueues
+	switch s := s.(type) {
+	case *issueFIFO:
+		f = &s.fifoQueues
+	case *latFIFO:
+		f = &s.fifoQueues
+	case *mixBUFF:
+		checkMixBUFF(t, env, s, check)
+		return
+	default:
+		return
+	}
+	var srcs uint64
+	for q := range f.rings {
+		var head *isa.Inst
+		if r := &f.rings[q]; r.n > 0 {
+			head = r.buf[r.first]
+			srcs += uint64(head.NumSources())
+		}
+		check(&f.heads, q, head)
+	}
+	if srcs != f.srcs {
+		t.Fatalf("cycle %d: tracked %d head sources, recount %d", env.Cycle(), f.srcs, srcs)
+	}
+}
+
+// checkMixBUFF is checkHeads for MixBUFF: every chain head's readiness,
+// the busy-chain bits and the cached selections.
+func checkMixBUFF(t *testing.T, env Env, m *mixBUFF, check func(*headWatch, int, *isa.Inst)) {
+	t.Helper()
+	now := env.Cycle()
+	for qi := range m.queues {
+		q := &m.queues[qi]
+		sel, bestCode := -1, codeNotReady
+		for c := range q.chains {
+			ch := &q.chains[c]
+			var head *isa.Inst
+			if ch.head >= 0 {
+				head = q.entries[ch.head]
+			}
+			if q.busy.has(c) != (head != nil) {
+				t.Fatalf("cycle %d: queue %d chain %d busy bit wrong", now, qi, c)
+			}
+			check(&m.heads, qi*m.chainN+c, head)
+			if head == nil {
+				continue
+			}
+			code := m.code(ch, now)
+			if code == codeNotReady {
+				continue
+			}
+			if sel < 0 || code < bestCode ||
+				(code == bestCode && env.Older(head.AgeID, q.entries[q.chains[sel].head].AgeID)) {
+				sel, bestCode = c, code
+			}
+		}
+		if q.held() > 0 && now < q.selUntil && sel != q.sel {
+			t.Fatalf("cycle %d: queue %d cached selection chain %d (until %d), scan selects %d",
+				now, qi, q.sel, q.selUntil, sel)
+		}
+	}
+}
+
 // TestSchemeStress drives every organization with randomized dependent
 // traffic and checks conservation and liveness: every dispatched
 // instruction eventually issues exactly once, occupancy bookkeeping stays
-// consistent, and the scheme never exceeds its capacity. For the CAM
-// organizations the polling recount is the oracle of the wakeup state
-// and of the wakeup energy.
+// consistent, and the scheme never exceeds its capacity. Polling is the
+// oracle of every scheme's broadcast-tracked state, and for the CAM
+// organizations of the wakeup energy. The 70-queue IssueFIFO and the
+// 80-chain MixBUFF need more than one bitset word; the FIFO issues one
+// instruction per cycle so that its queues past the first word fill.
 func TestSchemeStress(t *testing.T) {
-	mk := func(kind Kind, chains int) func() Scheme {
-		return func() Scheme {
-			s, err := New(DomainConfig{Kind: kind, Queues: 4, Entries: 8, Chains: chains},
-				defaultOpts(isa.FPDomain))
+	cases := map[string]struct {
+		cfg   DomainConfig
+		width int // issue budget per cycle
+	}{
+		"CAM":            {DomainConfig{Kind: KindCAM, Queues: 1, Entries: 32}, 4},
+		"AdaptiveCAM":    {DomainConfig{Kind: KindAdaptiveCAM, Queues: 1, Entries: 32}, 4},
+		"PreSched":       {DomainConfig{Kind: KindPreSched, Queues: 1, Entries: 32, Chains: 8}, 4},
+		"IssueFIFO":      {DomainConfig{Kind: KindIssueFIFO, Queues: 4, Entries: 8}, 4},
+		"IssueFIFO-70x2": {DomainConfig{Kind: KindIssueFIFO, Queues: 70, Entries: 2}, 1},
+		"LatFIFO":        {DomainConfig{Kind: KindLatFIFO, Queues: 4, Entries: 8}, 4},
+		"MixBUFF":        {DomainConfig{Kind: KindMixBUFF, Queues: 4, Entries: 8, Chains: 4}, 4},
+		"MixBUFF-unb":    {DomainConfig{Kind: KindMixBUFF, Queues: 4, Entries: 8}, 4},
+		"MixBUFF-2x80":   {DomainConfig{Kind: KindMixBUFF, Queues: 2, Entries: 80}, 4},
+		"MixBUFF-flat": {DomainConfig{Kind: KindMixBUFF, Queues: 4, Entries: 8, Chains: 4,
+			FlatSelectPriority: true}, 4},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			// LatFIFO and PreSched place by the estimator.
+			opt := defaultOpts(isa.FPDomain)
+			opt.Estimator = NewEstimator(opt.Latencies, opt.MemHitLat)
+			s, err := New(c.cfg, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s
-		}
-	}
-	camMk := func() Scheme {
-		s, err := New(DomainConfig{Kind: KindCAM, Queues: 1, Entries: 32},
-			defaultOpts(isa.FPDomain))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	adaptiveMk := func() Scheme {
-		s, err := New(DomainConfig{Kind: KindAdaptiveCAM, Queues: 1, Entries: 32},
-			defaultOpts(isa.FPDomain))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	cases := map[string]func() Scheme{
-		"CAM":         camMk,
-		"AdaptiveCAM": adaptiveMk,
-		"IssueFIFO":   mk(KindIssueFIFO, 0),
-		"MixBUFF":     mk(KindMixBUFF, 4),
-		"MixBUFF-unb": mk(KindMixBUFF, 0),
-	}
-	for name, build := range cases {
-		name, build := name, build
-		t.Run(name, func(t *testing.T) {
-			stressOne(t, build())
+			stress(t, s, opt.Estimator, c.width)
 		})
 	}
-
-	// PreSched needs the estimator wired.
-	t.Run("PreSched", func(t *testing.T) {
-		opt := defaultOpts(isa.FPDomain)
-		opt.Estimator = NewEstimator(opt.Latencies, opt.MemHitLat)
-		s, err := New(DomainConfig{Kind: KindPreSched, Queues: 1, Entries: 32, Chains: 8}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stressLat(t, s, opt.Estimator)
-	})
-
-	// LatFIFO needs the estimator wired.
-	t.Run("LatFIFO", func(t *testing.T) {
-		opt := defaultOpts(isa.FPDomain)
-		opt.Estimator = NewEstimator(opt.Latencies, opt.MemHitLat)
-		s, err := New(DomainConfig{Kind: KindLatFIFO, Queues: 4, Entries: 8}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stressLat(t, s, opt.Estimator)
-	})
 }
 
-func stressOne(t *testing.T, s Scheme) {
-	stress(t, s, nil)
-}
-
-func stressLat(t *testing.T, s Scheme, est *Estimator) {
-	stress(t, s, est)
-}
-
-func stress(t *testing.T, s Scheme, est *Estimator) {
+func stress(t *testing.T, s Scheme, est *Estimator, width int) {
 	t.Helper()
 	env := newStressEnv()
 	r := rng.New(uint64(len(s.Name())) * 977)
@@ -305,6 +343,7 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 		// the cycle's wakeups.
 		camBusy := q != nil && q.Occupancy() > 0
 		broadcasts := env.writeback(s)
+		checkHeads(t, env, s)
 		if q != nil {
 			unready := checkCAM(t, env, q)
 			if camBusy {
@@ -317,7 +356,7 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 		}
 		// Issue phase.
 		before := len(env.issued)
-		s.Issue(env, 4)
+		s.Issue(env, width)
 		for _, in := range env.issued[before:] {
 			if issuedSeqs[in.Seq] {
 				t.Fatalf("%s: seq %d issued twice", s.Name(), in.Seq)
@@ -334,9 +373,7 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 			if !env.rename(in) {
 				break
 			}
-			if est != nil {
-				est.OnDispatch(in, env.cycle)
-			}
+			est.OnDispatch(in, env.cycle)
 			if !s.Dispatch(env, in) {
 				env.undo(in)
 				if s.Occupancy() == 0 {

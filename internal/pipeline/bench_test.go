@@ -14,7 +14,8 @@ import (
 // BENCH_*.json).
 func BenchmarkStepSteadyState(b *testing.B) {
 	for _, cfg := range []core.Config{
-		core.Baseline64(), core.AdaptiveBaseline64(), core.IFDistr(), core.MBDistr(),
+		core.Baseline64(), core.AdaptiveBaseline64(), core.IFDistr(),
+		core.LatFIFOCfg(8, 8, 8, 16), core.MBDistr(),
 	} {
 		b.Run(cfg.Name, func(b *testing.B) {
 			gen := trace.NewGenerator(trace.MustByName("swim"))

@@ -122,7 +122,8 @@ func (b Breakdown) Scale(f float64) Breakdown {
 	return b
 }
 
-// String renders the breakdown sorted by decreasing energy.
+// String renders the breakdown sorted by decreasing energy, components
+// of equal energy by name.
 func (b Breakdown) String() string {
 	type kv struct {
 		k string
@@ -132,7 +133,12 @@ func (b Breakdown) String() string {
 	for k, v := range b {
 		items = append(items, kv{k, v})
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].v > items[j].v })
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].v != items[j].v {
+			return items[i].v > items[j].v
+		}
+		return items[i].k < items[j].k
+	})
 	total := b.Total()
 	var sb strings.Builder
 	for _, it := range items {

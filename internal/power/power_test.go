@@ -157,6 +157,27 @@ func TestBreakdownHelpers(t *testing.T) {
 	}
 }
 
+// TestBreakdownStringOrdersTiesByName renders a breakdown whose
+// components tie in energy, as an idle domain's zero-energy components
+// do: every rendering is identical and lists the ties in name order.
+func TestBreakdownStringOrdersTiesByName(t *testing.T) {
+	b := Breakdown{"wakeup": 5, "select": 0, "fifo": 0, "alloc": 0, "regs": 5, "mux": 0, "chain": 7}
+	want := b.String()
+	for i := 0; i < 50; i++ {
+		if got := b.String(); got != want {
+			t.Fatalf("rendering %d differs:\n%s\nfirst:\n%s", i, got, want)
+		}
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(want), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	order := "chain regs wakeup alloc fifo mux select total"
+	if got := strings.Join(names, " "); got != order {
+		t.Fatalf("components listed as %q, want %q", got, order)
+	}
+}
+
 func TestBankingReducesWakeupDrive(t *testing.T) {
 	ev := &Events{WakeupBroadcasts: 1000}
 	unbanked := camGeom()
