@@ -99,7 +99,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "distiqd: %v\n", err)
 		os.Exit(1)
 	}
-	// Drained: close the adopted store, flushing any write-behind batch.
+	// Drained: close the adopted store.
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "distiqd: %v\n", err)
 		os.Exit(1)
@@ -144,7 +144,7 @@ func setup(argv []string, stderr io.Writer) (*serve.Server, *slog.Logger, string
 		addr      = fs.String("addr", ":8090", "listen address")
 		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 		cacheDir  = fs.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR), shared with the iq* CLIs")
-		storeSpec = fs.String("store", "", "result-store backend: fs:DIR, mem, http(s)://URL, tier:SPEC,..., batch:SPEC")
+		storeSpec = fs.String("store", "", "result-store backend: fs:DIR or mem")
 		maxQueued = fs.Int("max-queued", serve.DefaultMaxQueued, "maximum admitted-but-unfinished sweeps before 429")
 		logFormat = fs.String("log-format", "text", "structured log format: text or json")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -177,7 +177,7 @@ func setup(argv []string, stderr io.Writer) (*serve.Server, *slog.Logger, string
 	}
 	if effStore != "" {
 		// The service adopts the store: Server.Close (called after Drain)
-		// closes it, which for a batch: spec flushes the final group.
+		// closes it.
 		store, err := engine.OpenStore(effStore)
 		if err != nil {
 			return nil, nil, "", cliutil.BadInput(err)

@@ -49,7 +49,7 @@ func main() {
 		warmup    = flag.Uint64("warmup", 20_000, "warmup instructions per run")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 		cacheDir  = flag.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR), reused across runs")
-		storeSpec = flag.String("store", "", "result-store backend: fs:DIR, mem, http(s)://URL, tier:SPEC,..., batch:SPEC")
+		storeSpec = flag.String("store", "", "result-store backend: fs:DIR or mem")
 		quiet     = flag.Bool("quiet", false, "suppress the progress reporter on stderr")
 	)
 	flag.Parse()
@@ -79,9 +79,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "iqfig:", err)
 			os.Exit(2)
 		}
-		// Close flushes any write-behind batches on the normal exit path;
-		// a failed flush (lost results) is reported but does not fail the
-		// run — the figures already printed.
+		// A failed Close is reported but does not fail the run — the
+		// figures already printed.
 		defer func() {
 			if cerr := store.Close(); cerr != nil {
 				fmt.Fprintln(os.Stderr, "iqfig:", cerr)

@@ -38,7 +38,7 @@ func main() {
 		showcfg   = flag.Bool("table1", false, "print the processor configuration and exit")
 		parallel  = flag.Int("parallel", 1, "engine worker-pool size (one job needs no more)")
 		cacheDir  = flag.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR); a rerun with the same job is served from the store (ignored with -trace)")
-		storeSpec = flag.String("store", "", "result-store backend: fs:DIR, mem, http(s)://URL, tier:SPEC,..., batch:SPEC")
+		storeSpec = flag.String("store", "", "result-store backend: fs:DIR or mem")
 	)
 	flag.Parse()
 

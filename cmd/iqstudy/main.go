@@ -18,15 +18,14 @@
 // Every variant and candidate resolves through the content-addressed
 // engine, so a warm rerun performs zero simulations and emits identical
 // bytes, and a frontier re-proposing a visited point answers from cache.
-// With -server the study drives one or more remote distiqd workers via
-// their sweep endpoints; the table is byte-identical either way.
+// With -server the study drives a remote distiqd via its sweep
+// endpoint; the table is byte-identical either way.
 //
 // Usage:
 //
 //	iqstudy -spec study.json -cache-dir /tmp/distiq-cache
 //	iqstudy -spec study.json -format md -o study.md
 //	iqstudy -spec study.json -server http://localhost:8090
-//	iqstudy -spec study.json -server http://w1:8090,http://w2:8090
 //
 // An ablation spec:
 //
@@ -101,8 +100,8 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 
 		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
 		cacheDir  = fs.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR; local runs)")
-		storeSpec = fs.String("store", "", "result-store backend: fs:DIR, mem, http(s)://URL, tier:SPEC,..., batch:SPEC (local runs)")
-		server    = fs.String("server", "", "run the study's points on distiqd workers instead of in-process: one base URL, or a comma-separated list sharded by job fingerprint")
+		storeSpec = fs.String("store", "", "result-store backend: fs:DIR or mem (local runs)")
+		server    = fs.String("server", "", "run the study's points on the distiqd at this base URL instead of in-process")
 		quiet     = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -119,15 +118,15 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	if err != nil {
 		return distiq.EngineStats{}, err
 	}
+	if strings.Contains(*server, ",") {
+		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-server %q: takes one base URL", *server))
+	}
 	if *specPath == "" {
 		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-spec is required"))
 	}
 	spec, err := distiq.LoadStudySpec(*specPath)
 	if err != nil {
 		return distiq.EngineStats{}, cliutil.BadInput(err)
-	}
-	if *server != "" && len(serverList(*server)) == 0 {
-		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-server %q: no base URLs", *server))
 	}
 
 	// The study runs through the Client layer, local or remote by flag;
@@ -140,11 +139,7 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	var local *distiq.LocalClient
 	var store distiq.ResultStore
 	if *server != "" {
-		if bases := serverList(*server); len(bases) > 1 {
-			cl = distiq.NewFleetClient(bases)
-		} else {
-			cl = distiq.NewRemoteClient(bases[0])
-		}
+		cl = distiq.NewRemoteClient(*server)
 	} else {
 		opts := []distiq.ClientOption{distiq.WithParallel(*parallel)}
 		if effStore != "" {
@@ -190,18 +185,6 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	}
 	_, err = stdout.Write(buf.Bytes())
 	return stats, err
-}
-
-// serverList splits a -server value on commas, dropping empty items (a
-// trailing comma is tolerated).
-func serverList(s string) []string {
-	var bases []string
-	for _, b := range strings.Split(s, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			bases = append(bases, b)
-		}
-	}
-	return bases
 }
 
 // runStats reports how the study's points were resolved: the engine's

@@ -62,8 +62,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 	} else if cliutil.ExitCode(err) != 2 {
 		t.Fatalf("unknown format exit code %d, want 2 (%v)", cliutil.ExitCode(err), err)
 	}
-	if _, err := run([]string{"-spec", good, "-server", ", ,"}, &out, &errw); err == nil {
-		t.Fatal("empty -server list accepted")
+	if _, err := run([]string{"-spec", good, "-server", "http://127.0.0.1:1,http://127.0.0.1:2"}, &out, &errw); err == nil ||
+		!strings.Contains(err.Error(), "takes one base URL") {
+		t.Fatalf("-server list accepted: %v", err)
+	} else if cliutil.ExitCode(err) != 2 {
+		t.Fatalf("-server list exit code %d, want 2 (%v)", cliutil.ExitCode(err), err)
 	}
 }
 

@@ -9,31 +9,24 @@
 // The grid runs through the Client layer: locally on the in-process
 // engine (simulations shard across -parallel workers, -store selects a
 // result-store backend reused across invocations) or, with -server, on
-// one or more remote distiqd workers via their streaming endpoints — a
-// comma-separated -server list shards the grid across the workers by
-// job fingerprint and survives worker loss as long as one worker lives.
-// Same grid, byte-identical output every way. Output rows stay in deterministic
-// grid order; a warm rerun performs zero simulations and emits
-// identical bytes. Ctrl-C cancels cleanly (exit 130): scheduling stops,
-// in-flight simulations finish and persist, and a rerun completes only
-// the remainder.
+// a remote distiqd via its streaming endpoint. Same grid, byte-identical
+// output either way. Output rows stay in deterministic grid order; a
+// warm rerun performs zero simulations and emits identical bytes.
+// Ctrl-C cancels cleanly (exit 130): scheduling stops, in-flight
+// simulations finish and persist, and a rerun completes only the
+// remainder.
 //
 // Result-store backends (-store SPEC; -cache-dir DIR remains as the
 // alias for -store fs:DIR):
 //
-//	fs:DIR                 on-disk distiq-v2 store
-//	mem                    in-memory (one process)
-//	http://host/           remote HTTP blob store (see internal/blobstore)
-//	tier:mem,fs:DIR        read-through tiers, fastest first
-//	batch:SPEC             write-behind group commit over SPEC
+//	fs:DIR   on-disk distiq-v2 store
+//	mem      in-memory (one process)
 //
 // Usage:
 //
 //	iqsweep -spec grid.json -cache-dir /tmp/distiq-cache
-//	iqsweep -spec grid.json -store tier:mem,fs:/tmp/distiq-cache
-//	iqsweep -spec grid.json -store batch:http://blobs.internal/
+//	iqsweep -spec grid.json -store fs:/tmp/distiq-cache
 //	iqsweep -spec grid.json -server http://localhost:8090
-//	iqsweep -spec grid.json -server http://worker1:8090,http://worker2:8090
 //	iqsweep -spec grid.json -format md -o results.md
 //	iqsweep -scheme MixBUFF -queues 4,8,12,16 -entries 8,16,32 -suite fp
 //	iqsweep -scheme IssueFIFO -queues 8,16 -entries 8 -bench swim,gzip -distr
@@ -41,13 +34,12 @@
 //
 // Integrity: -manifest writes the sweep's tamper-evident Merkle
 // manifest (leaves are the content-addressed hashes of the stored
-// result entries, in grid order), and -verify-manifest re-hashes a
-// store offline against such a manifest, exiting non-zero if any byte
-// of any covered entry changed — against any backend:
+// result entries, in grid order), and -verify-manifest re-hashes an
+// on-disk store offline against such a manifest, exiting non-zero if
+// any byte of any covered entry changed:
 //
 //	iqsweep -spec grid.json -cache-dir /tmp/c -manifest sweep.json
 //	iqsweep -verify-manifest sweep.json -cache-dir /tmp/c
-//	iqsweep -verify-manifest sweep.json -store http://blobs.internal/
 //
 // A spec sweeping scheme × ROB × perfect disambiguation:
 //
@@ -125,12 +117,12 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 
 		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
 		cacheDir  = fs.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR; local runs)")
-		storeSpec = fs.String("store", "", "result-store backend: fs:DIR, mem, http(s)://URL, tier:SPEC,..., batch:SPEC (local runs)")
-		server    = fs.String("server", "", "run the sweep on distiqd workers instead of in-process: one base URL, or a comma-separated list sharded by job fingerprint")
+		storeSpec = fs.String("store", "", "result-store backend: fs:DIR or mem (local runs)")
+		server    = fs.String("server", "", "run the sweep on the distiqd at this base URL instead of in-process")
 		quiet     = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
 
 		manifestOut = fs.String("manifest", "", "write the sweep's tamper-evident Merkle manifest to this JSON file")
-		verifyPath  = fs.String("verify-manifest", "", "verify a manifest file against the -store/-cache-dir store and exit (no sweep runs)")
+		verifyPath  = fs.String("verify-manifest", "", "verify a manifest file against the -cache-dir or -store fs:DIR store and exit (no sweep runs)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -145,6 +137,9 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	effStore, err := cliutil.ResolveStoreFlags(*storeSpec, *cacheDir)
 	if err != nil {
 		return distiq.EngineStats{}, err
+	}
+	if strings.Contains(*server, ",") {
+		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-server %q: takes one base URL", *server))
 	}
 
 	if *verifyPath != "" {
@@ -176,10 +171,6 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		return distiq.EngineStats{}, cliutil.BadInput(err)
 	}
 
-	if *server != "" && len(serverList(*server)) == 0 {
-		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-server %q: no base URLs", *server))
-	}
-
 	// The sweep runs through the Client layer, local or remote by flag;
 	// Ctrl-C cancels the context, which stops scheduling new points
 	// (in-flight ones finish and persist) and exits 130.
@@ -190,20 +181,12 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	var local *distiq.LocalClient
 	var store distiq.ResultStore
 	if *server != "" {
-		if bases := serverList(*server); len(bases) > 1 {
-			// A comma-separated -server list is a fleet: points shard
-			// across the workers by job fingerprint, and a dead worker's
-			// points requeue onto the survivors.
-			cl = distiq.NewFleetClient(bases)
-		} else {
-			cl = distiq.NewRemoteClient(bases[0])
-		}
+		cl = distiq.NewRemoteClient(*server)
 	} else {
 		opts := []distiq.ClientOption{distiq.WithParallel(*parallel)}
 		if effStore != "" {
 			// The effective -store/-cache-dir spec opens here and closes
-			// after the sweep — for a batch: spec that final Close is what
-			// group-commits the last queued results.
+			// after the sweep.
 			store, err = distiq.OpenStore(effStore)
 			if err != nil {
 				return distiq.EngineStats{}, cliutil.BadInput(err)
@@ -255,18 +238,6 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	return stats, err
 }
 
-// serverList splits a -server value on commas, dropping empty items (a
-// trailing comma is tolerated).
-func serverList(s string) []string {
-	var bases []string
-	for _, b := range strings.Split(s, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			bases = append(bases, b)
-		}
-	}
-	return bases
-}
-
 // writeManifest stores a completed sweep's Merkle manifest as JSON. The
 // stream must have been fully consumed; a sweep over a grid that is not
 // content-addressable (never the case for spec-expanded grids) has no
@@ -284,13 +255,14 @@ func writeManifest(path string, stream *distiq.SweepStream) error {
 }
 
 // verifyManifest re-derives a manifest's Merkle root from the bytes the
-// selected store backend holds right now: every leaf's entry is
-// re-fetched and re-hashed, so any post-sweep tampering — or a truncated
-// or edited manifest — fails loudly (exit 1). storeSpec is the resolved
-// -store/-cache-dir spec, so verification works against any backend.
+// on-disk store holds right now: every leaf's entry is re-fetched and
+// re-hashed, so any post-sweep tampering — or a truncated or edited
+// manifest — fails loudly (exit 1). storeSpec is the resolved
+// -store/-cache-dir spec; it must name an fs: store, because a freshly
+// opened mem store can never hold an entry.
 func verifyManifest(path, storeSpec string, stderr io.Writer) error {
-	if storeSpec == "" {
-		return cliutil.BadInput(fmt.Errorf("-verify-manifest requires -store or -cache-dir (the store to verify against)"))
+	if storeSpec == "" || storeSpec == "mem" {
+		return cliutil.BadInput(fmt.Errorf("-verify-manifest needs the store to verify against: -cache-dir DIR or -store fs:DIR"))
 	}
 	m, err := distiq.LoadManifest(path)
 	if err != nil {

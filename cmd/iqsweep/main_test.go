@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"distiq"
-	"distiq/internal/blobstore"
 	"distiq/internal/cliutil"
 )
 
@@ -276,13 +274,29 @@ func TestRunOtherFormats(t *testing.T) {
 // TestRunErrorsAreBadInput: spec and flag mistakes classify as user
 // input (exit 2 via cliutil.ExitCode), matching the service's 400s.
 func TestRunErrorsAreBadInput(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "grid.json")
+	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A real manifest, so -verify-manifest fails on the store and not on
+	// a missing file.
+	manifestPath := filepath.Join(dir, "sweep-manifest.json")
 	var out, errw bytes.Buffer
+	if _, err := run([]string{"-spec", specPath, "-store", "mem", "-quiet",
+		"-manifest", manifestPath}, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
 	for name, argv := range map[string][]string{
 		"bad parallel":   {"-parallel", "-1"},
 		"bad queues":     {"-queues", "8,x"},
 		"unknown scheme": {"-scheme", "nope"},
 		"bad format": {"-bench", "swim", "-queues", "8", "-entries", "8",
 			"-warmup", "100", "-n", "200", "-quiet", "-format", "yaml"},
+		"removed store backend": {"-spec", specPath, "-store", "http://127.0.0.1:1/"},
+		"server list":           {"-spec", specPath, "-server", "http://127.0.0.1:1,http://127.0.0.1:2"},
+		// A freshly opened mem store can never hold the manifest's entries.
+		"verify against mem": {"-verify-manifest", manifestPath, "-store", "mem"},
 	} {
 		_, err := run(argv, &out, &errw)
 		if err == nil {
@@ -295,25 +309,21 @@ func TestRunErrorsAreBadInput(t *testing.T) {
 	}
 }
 
-// TestRunStoreBackendsEndToEnd sweeps cold then warm through the
-// non-filesystem -store backends: the HTTP blob service holds the
-// results between invocations (zero simulations warm, identical bytes),
-// batch: wrapping changes nothing observable, and -verify-manifest
-// works against the remote store.
+// TestRunStoreBackendsEndToEnd sweeps cold through -store fs:DIR and
+// warm through the -cache-dir alias for the same directory (zero
+// simulations warm, identical bytes), and -verify-manifest works
+// against the -store spelling.
 func TestRunStoreBackendsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "grid.json")
 	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(blobstore.NewServer())
-	defer ts.Close()
+	cacheDir := filepath.Join(dir, "cache")
 	manifestPath := filepath.Join(dir, "sweep-manifest.json")
 
-	// Cold pass writes through a batched tier ending in the blob server.
-	coldSpec := "batch:tier:mem," + ts.URL
 	var cold, errw bytes.Buffer
-	coldStats, err := run([]string{"-spec", specPath, "-store", coldSpec, "-quiet",
+	coldStats, err := run([]string{"-spec", specPath, "-store", "fs:" + cacheDir, "-quiet",
 		"-parallel", "2", "-manifest", manifestPath}, &cold, &errw)
 	if err != nil {
 		t.Fatal(err)
@@ -322,16 +332,14 @@ func TestRunStoreBackendsEndToEnd(t *testing.T) {
 		t.Fatalf("cold run simulated %d jobs, want 4", coldStats.Simulated)
 	}
 
-	// Warm pass reads from the blob server alone: everything the cold
-	// pass queued must have been flushed there by store Close.
 	var warm bytes.Buffer
-	warmStats, err := run([]string{"-spec", specPath, "-store", ts.URL, "-quiet",
+	warmStats, err := run([]string{"-spec", specPath, "-cache-dir", cacheDir, "-quiet",
 		"-parallel", "2"}, &warm, &errw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warmStats.Simulated != 0 {
-		t.Fatalf("warm rerun over the blob store simulated %d jobs, want 0", warmStats.Simulated)
+		t.Fatalf("warm rerun through -cache-dir simulated %d jobs, want 0", warmStats.Simulated)
 	}
 	if warmStats.DiskHits != 4 {
 		t.Fatalf("warm rerun store hits = %d, want 4", warmStats.DiskHits)
@@ -340,12 +348,10 @@ func TestRunStoreBackendsEndToEnd(t *testing.T) {
 		t.Fatalf("warm CSV differs from cold CSV:\ncold:\n%s\nwarm:\n%s", cold.String(), warm.String())
 	}
 
-	// The manifest written during the cold pass verifies against the
-	// remote store's bytes.
 	errw.Reset()
-	if _, err := run([]string{"-verify-manifest", manifestPath, "-store", ts.URL},
+	if _, err := run([]string{"-verify-manifest", manifestPath, "-store", "fs:" + cacheDir},
 		&warm, &errw); err != nil {
-		t.Fatalf("verify against the blob store: %v", err)
+		t.Fatalf("verify against -store fs:DIR: %v", err)
 	}
 	if !strings.Contains(errw.String(), "verified") {
 		t.Fatalf("no verification report: %q", errw.String())

@@ -162,12 +162,6 @@ type (
 	// RemoteClient runs jobs on a distiqd service over its streaming
 	// NDJSON endpoint.
 	RemoteClient = client.Remote
-	// FleetClient shards sweeps across N distiqd workers by job
-	// fingerprint, requeueing a dead worker's points onto survivors.
-	FleetClient = client.Fleet
-	// FleetStats is a snapshot of a FleetClient's delivery, requeue and
-	// worker-loss counters.
-	FleetStats = client.FleetStats
 	// Job identifies one unit of experiment work (benchmark,
 	// configuration, sizing, optional machine override).
 	Job = client.Job
@@ -189,16 +183,6 @@ var (
 	// NewRemoteClient returns the Client for the distiqd at a base URL.
 	// Options: WithHTTPClient.
 	NewRemoteClient = client.NewRemote
-	// NewFleetClient returns the Client over a list of distiqd worker
-	// base URLs. Options: WithHTTPClient, WithFleetRetry,
-	// WithFleetStreams.
-	NewFleetClient = client.NewFleet
-	// WithFleetRetry tunes a fleet client's per-point attempt budget and
-	// retry backoff.
-	WithFleetRetry = client.WithFleetRetry
-	// WithFleetStreams bounds a fleet client's in-flight sub-sweeps per
-	// worker.
-	WithFleetStreams = client.WithFleetStreams
 	// WithParallel bounds a local client's concurrent simulations.
 	WithParallel = client.WithParallel
 	// WithCacheDir persists a local client's results to the shared
@@ -215,13 +199,10 @@ var (
 )
 
 // Result-store backends: the persistent layer under the engine is an
-// interface, with four interchangeable stdlib-only implementations —
-// the on-disk distiq-v2 store, an in-memory store, an HTTP blob store
-// (speaking a minimal S3-like GET/PUT/HEAD protocol, server included in
-// internal/blobstore), and a read-through tier over other stores — plus
-// a write-behind Batcher that group-commits puts over any of them.
-// Every backend stores the same canonical entry bytes, so manifests
-// verify byte-identically whichever backend holds the results.
+// interface with two interchangeable implementations — the on-disk
+// distiq-v2 store and an in-memory store. Both store the same canonical
+// entry bytes, so manifests verify byte-identically whichever backend
+// holds the results.
 type (
 	// ResultStore is the persistent result-store interface consulted by
 	// the engine on miss and written through on completed simulations.
@@ -230,38 +211,20 @@ type (
 	FSStore = engine.Store
 	// MemStore is the in-memory ResultStore.
 	MemStore = engine.MemStore
-	// HTTPStore is the ResultStore over a remote HTTP blob server.
-	HTTPStore = engine.HTTPStore
-	// TieredStore reads through an ordered list of stores (fastest
-	// first) and writes through to all of them.
-	TieredStore = engine.Tiered
-	// StoreBatcher is the write-behind group-commit wrapper; Close
-	// flushes the final group.
-	StoreBatcher = engine.Batcher
-	// StoreBatcherConfig bounds a StoreBatcher's queue and flush
-	// thresholds.
-	StoreBatcherConfig = engine.BatcherConfig
 )
 
 // Result-store entry points.
 var (
-	// OpenStore builds a ResultStore from a -store spec string: fs:DIR,
-	// mem, http(s)://URL, tier:SPEC,SPEC,... or batch:SPEC.
+	// OpenStore builds a ResultStore from a -store spec string: fs:DIR
+	// or mem.
 	OpenStore = engine.OpenStore
 	// ParseStoreSpec validates a -store spec's syntax and returns the
-	// fs: directories it names.
+	// fs: directory it names.
 	ParseStoreSpec = engine.ParseStoreSpec
 	// NewFSStore returns the on-disk store rooted at a directory.
 	NewFSStore = engine.NewStore
 	// NewMemStore returns an empty in-memory store.
 	NewMemStore = engine.NewMemStore
-	// NewHTTPStore returns a store speaking to an HTTP blob server.
-	NewHTTPStore = engine.NewHTTPStore
-	// NewTieredStore layers stores fastest-first into one read-through,
-	// write-through ResultStore.
-	NewTieredStore = engine.NewTiered
-	// NewStoreBatcher wraps a store with write-behind group commit.
-	NewStoreBatcher = engine.NewBatcher
 )
 
 // Sweep integrity: every successfully completed sweep carries a
@@ -463,7 +426,7 @@ var (
 
 // Study types: comparative experiment orchestration on top of the
 // Client layer. A study — built with NewStudy or parsed from strict
-// JSON — runs unchanged on any Client (Local, Remote, Fleet) in one of
+// JSON — runs unchanged on any Client (Local or Remote) in one of
 // three modes: ablation (baseline + named feature-toggle variants,
 // emitted as a deterministic variant × metric delta table), replication
 // (variants fanned across RNG seeds with mean/stddev/95% CI columns)

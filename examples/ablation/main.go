@@ -5,8 +5,8 @@
 // each variant into a single-configuration scenario, resolves every
 // point through the content-addressed engine, and emits a deterministic
 // variant x metric table with IPC and energy deltas against the
-// baseline — byte-identical across reruns and across Local, Remote and
-// Fleet clients.
+// baseline — byte-identical across reruns and across Local and Remote
+// clients.
 package main
 
 import (

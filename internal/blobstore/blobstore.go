@@ -1,198 +1,25 @@
-// Package blobstore is a minimal S3-like blob protocol over HTTP: a blob
-// is a byte string addressed by an opaque key, and the whole protocol is
+// Package blobstore holds one forward to client.NewHTTPClient, kept
+// only because the benchmark harness still imports it.
 //
-//	PUT  /{key}  store the request body under key (201)
-//	GET  /{key}  fetch the blob (200, or 404 if absent)
-//	HEAD /{key}  existence probe (200/404, no body)
-//
-// The package carries both halves: Client, the engine's HTTP result-store
-// transport, and Server, an in-process implementation of the protocol so
-// the HTTP backend is fully exercisable under httptest with zero external
-// dependencies. Any real object store exposing per-key GET/PUT/HEAD —
-// S3, MinIO, a bucket behind a path prefix — satisfies the same client.
+// Deprecated: use distiq/internal/client.NewHTTPClient.
 package blobstore
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
+
+	"distiq/internal/client"
 )
 
-// maxBlobBytes bounds one blob accepted by the Server; canonical result
-// entries are a few kilobytes, so a megabyte is generous.
-const maxBlobBytes = 1 << 20
-
-// Server is a goroutine-safe in-memory blob service implementing
-// http.Handler. It exists so CI and tests can run the full HTTP store
-// path in-process: httptest.NewServer(blobstore.NewServer()).
-type Server struct {
-	mu    sync.RWMutex
-	blobs map[string][]byte
-}
-
-// NewServer returns an empty blob server.
-func NewServer() *Server {
-	return &Server{blobs: make(map[string][]byte)}
-}
-
-// Len reports the number of stored blobs.
-func (s *Server) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.blobs)
-}
-
-// ServeHTTP implements the GET/PUT/HEAD protocol.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	key := strings.TrimPrefix(r.URL.Path, "/")
-	if key == "" || strings.Contains(key, "/") {
-		http.Error(w, "bad key", http.StatusBadRequest)
-		return
-	}
-	switch r.Method {
-	case http.MethodPut:
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
-		if err != nil {
-			http.Error(w, "blob too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		s.mu.Lock()
-		s.blobs[key] = data
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusCreated)
-	case http.MethodGet, http.MethodHead:
-		s.mu.RLock()
-		data, ok := s.blobs[key]
-		s.mu.RUnlock()
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		if r.Method == http.MethodGet {
-			w.Write(data) //nolint:errcheck // client disconnects are its problem
-		}
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-// DefaultTimeout bounds one blob exchange end to end when NewClient is
-// given no http.Client. Canonical entries are a few kilobytes, so half a
-// minute is generous for any healthy service; without this bound a hung
-// blob server would stall a sweep forever (http.DefaultClient has no
-// timeout at all).
-const DefaultTimeout = 30 * time.Second
-
-// NewHTTPClient returns an http.Client with bounded connection setup
-// (dial, TLS handshake, response headers) on a keep-alive transport —
-// one connection is reused across a group of Puts, the property the
-// write-behind batcher's flushes amortize. timeout > 0 additionally
-// bounds each whole exchange; timeout <= 0 leaves the total exchange
-// unbounded, the right shape for long-lived streaming responses (the
-// distiqd NDJSON stream sends headers immediately but bodies for as
-// long as the sweep runs).
+// NewHTTPClient returns client.NewHTTPClient, with each whole exchange
+// bounded by timeout when it is positive.
+//
+// Deprecated: NewHTTPClient exists only because the benchmark harness
+// still calls it; it goes away when the benchmark is next redefined.
 func NewHTTPClient(timeout time.Duration) *http.Client {
-	if timeout < 0 {
-		timeout = 0
+	hc := client.NewHTTPClient()
+	if timeout > 0 {
+		hc.Timeout = timeout
 	}
-	return &http.Client{
-		Timeout: timeout,
-		Transport: &http.Transport{
-			Proxy: http.ProxyFromEnvironment,
-			DialContext: (&net.Dialer{
-				Timeout:   10 * time.Second,
-				KeepAlive: 30 * time.Second,
-			}).DialContext,
-			TLSHandshakeTimeout:   10 * time.Second,
-			ResponseHeaderTimeout: 30 * time.Second,
-			IdleConnTimeout:       90 * time.Second,
-			MaxIdleConnsPerHost:   16,
-		},
-	}
-}
-
-// Client speaks the blob protocol against a base URL. The zero http
-// client is never used: nil hc selects NewHTTPClient(DefaultTimeout),
-// so a hung or unreachable blob server turns into a bounded transport
-// error (a store miss / disk error) instead of a stalled sweep.
-type Client struct {
-	base string
-	hc   *http.Client
-}
-
-// NewClient returns a client for the blob service at base (scheme://host
-// or scheme://host/prefix; a trailing slash is tolerated).
-func NewClient(base string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = NewHTTPClient(DefaultTimeout)
-	}
-	return &Client{base: strings.TrimSuffix(base, "/"), hc: hc}
-}
-
-// Base returns the client's base URL.
-func (c *Client) Base() string { return c.base }
-
-func (c *Client) url(key string) string { return c.base + "/" + key }
-
-// Get fetches the blob under key; ok is false when the key is absent.
-func (c *Client) Get(key string) (data []byte, ok bool, err error) {
-	resp, err := c.hc.Get(c.url(key))
-	if err != nil {
-		return nil, false, fmt.Errorf("blobstore: GET %s: %w", key, err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, false, fmt.Errorf("blobstore: GET %s: %w", key, err)
-		}
-		return data, true, nil
-	case http.StatusNotFound:
-		return nil, false, nil
-	}
-	return nil, false, fmt.Errorf("blobstore: GET %s: status %d", key, resp.StatusCode)
-}
-
-// Put stores data under key.
-func (c *Client) Put(key string, data []byte) error {
-	req, err := http.NewRequest(http.MethodPut, c.url(key), bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("blobstore: PUT %s: %w", key, err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("blobstore: PUT %s: %w", key, err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("blobstore: PUT %s: status %d", key, resp.StatusCode)
-	}
-	return nil
-}
-
-// Head reports whether a blob exists under key.
-func (c *Client) Head(key string) (bool, error) {
-	resp, err := c.hc.Head(c.url(key))
-	if err != nil {
-		return false, fmt.Errorf("blobstore: HEAD %s: %w", key, err)
-	}
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	}
-	return false, fmt.Errorf("blobstore: HEAD %s: status %d", key, resp.StatusCode)
+	return hc
 }

@@ -1,9 +1,8 @@
 // Package client is the unified, context-aware entry point to the
-// experiment system: one Client interface over every execution substrate
-// — the in-process concurrent engine (Local), a remote distiqd service
-// (Remote), and a sharded fleet of distiqd workers (Fleet) — so
-// harnesses, CLIs and library users pick a substrate by constructor,
-// not by API shape.
+// experiment system: one Client interface over both execution
+// substrates — the in-process concurrent engine (Local) and a remote
+// distiqd service (Remote) — so harnesses, CLIs and library users pick
+// a substrate by constructor, not by API shape.
 //
 // A Client resolves single jobs (Run) and whole scenario grids (Sweep).
 // Sweep returns a Stream delivering per-point results in deterministic
@@ -34,9 +33,8 @@ import (
 type Job = engine.Job
 
 // Client is the one experiment interface over every execution substrate.
-// Implementations: Local (in-process engine), Remote (distiqd over
-// HTTP) and Fleet (N distiqd workers behind a client-side shard map).
-// All are safe for concurrent use.
+// Implementations: Local (in-process engine) and Remote (distiqd over
+// HTTP). Both are safe for concurrent use.
 type Client interface {
 	// Run resolves one job, blocking until its result is available or
 	// ctx is cancelled.

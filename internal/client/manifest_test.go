@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"distiq/internal/blobstore"
 	"distiq/internal/client"
 	"distiq/internal/engine"
 	"distiq/internal/serve"
@@ -110,8 +109,8 @@ func TestGoldenManifestAllBackends(t *testing.T) {
 	}
 
 	// Each backend yields a cold store over fresh backing state and a
-	// warm handle over the SAME backing state (flushing buffered writes
-	// first), mirroring the engine conformance factories.
+	// warm handle over the SAME backing state, mirroring the engine
+	// conformance factories.
 	backends := map[string]func(t *testing.T) (cold engine.ResultStore, warm func() engine.ResultStore){
 		"fs": func(t *testing.T) (engine.ResultStore, func() engine.ResultStore) {
 			dir := t.TempDir()
@@ -120,28 +119,6 @@ func TestGoldenManifestAllBackends(t *testing.T) {
 		"mem": func(t *testing.T) (engine.ResultStore, func() engine.ResultStore) {
 			s := engine.NewMemStore()
 			return s, func() engine.ResultStore { return s }
-		},
-		"http": func(t *testing.T) (engine.ResultStore, func() engine.ResultStore) {
-			ts := httptest.NewServer(blobstore.NewServer())
-			t.Cleanup(ts.Close)
-			return engine.NewHTTPStore(ts.URL, ts.Client()),
-				func() engine.ResultStore { return engine.NewHTTPStore(ts.URL, ts.Client()) }
-		},
-		"tiered": func(t *testing.T) (engine.ResultStore, func() engine.ResultStore) {
-			dir := t.TempDir()
-			ts := httptest.NewServer(blobstore.NewServer())
-			t.Cleanup(ts.Close)
-			mk := func() engine.ResultStore {
-				return engine.NewTiered(engine.NewMemStore(), engine.NewStore(dir),
-					engine.NewHTTPStore(ts.URL, ts.Client()))
-			}
-			return mk(), mk
-		},
-		"batched": func(t *testing.T) (engine.ResultStore, func() engine.ResultStore) {
-			dir := t.TempDir()
-			b := engine.NewBatcher(engine.NewStore(dir), engine.BatcherConfig{})
-			t.Cleanup(func() { b.Close() }) //nolint:errcheck // teardown
-			return b, func() engine.ResultStore { b.Flush(); return engine.NewStore(dir) }
 		},
 	}
 
@@ -167,7 +144,7 @@ func TestGoldenManifestAllBackends(t *testing.T) {
 				t.Fatalf("manifest through %s backend drifted from golden:\n--- got ---\n%s", name, got)
 			}
 			// The manifest must verify against the bytes this backend
-			// actually holds (for the batcher, its read-your-writes view).
+			// actually holds.
 			if err := m.VerifyIn(cold); err != nil {
 				t.Fatalf("manifest does not verify in the %s store: %v", name, err)
 			}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"net/http"
-	"time"
 
 	"distiq/internal/engine"
 )
@@ -14,14 +13,11 @@ type Option func(*config)
 
 // config collects every constructor knob.
 type config struct {
-	parallel      int
-	cacheDir      string
-	store         engine.ResultStore
-	progress      func(engine.Progress)
-	httpClient    *http.Client
-	fleetAttempts int
-	fleetBackoff  time.Duration
-	fleetStreams  int
+	parallel   int
+	cacheDir   string
+	store      engine.ResultStore
+	progress   func(engine.Progress)
+	httpClient *http.Client
 }
 
 // WithParallel bounds concurrent simulations of a Local client
@@ -38,11 +34,10 @@ func WithCacheDir(dir string) Option {
 }
 
 // WithStore backs a Local client's engine with an explicit result-store
-// backend — any engine.ResultStore: filesystem, in-memory, HTTP blob, a
-// read-through tier, or a write-behind Batcher over any of them
-// (engine.OpenStore builds one from a -store spec string). It takes
-// precedence over WithCacheDir. The store is borrowed: the caller closes
-// it when done — for a Batcher that is what flushes the final group.
+// backend — any engine.ResultStore, such as the filesystem or in-memory
+// store (engine.OpenStore builds one from a -store spec string). It
+// takes precedence over WithCacheDir. The store is borrowed: the caller
+// closes it when done.
 func WithStore(st engine.ResultStore) Option {
 	return func(c *config) { c.store = st }
 }
@@ -53,30 +48,10 @@ func WithProgress(fn func(engine.Progress)) Option {
 	return func(c *config) { c.progress = fn }
 }
 
-// WithHTTPClient overrides the http.Client a Remote or Fleet client
-// speaks through. The default bounds connection setup but leaves the
-// whole exchange unbounded (sweep streams outlive any fixed timeout);
-// use this for transports, TLS configs or test doubles.
+// WithHTTPClient overrides the http.Client a Remote client speaks
+// through. The default (NewHTTPClient) bounds connection setup but
+// leaves the whole exchange unbounded (sweep streams outlive any fixed
+// timeout); use this for transports, TLS configs or test doubles.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *config) { c.httpClient = hc }
-}
-
-// WithFleetRetry tunes a Fleet client's per-point failure policy:
-// attempts bounds how many times one grid point is tried before the
-// sweep fails (counting the first try; minimum 1), and backoff is the
-// base delay before a retry against a still-healthy worker, doubling
-// per attempt. Zero values keep the defaults (3 attempts, 250ms).
-func WithFleetRetry(attempts int, backoff time.Duration) Option {
-	return func(c *config) {
-		c.fleetAttempts = attempts
-		c.fleetBackoff = backoff
-	}
-}
-
-// WithFleetStreams bounds how many point sub-sweeps a Fleet client keeps
-// in flight per worker (default 4). Each stream occupies one of the
-// worker's admission slots, so keep this well under the service's
-// -max-queued.
-func WithFleetStreams(n int) Option {
-	return func(c *config) { c.fleetStreams = n }
 }

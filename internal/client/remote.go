@@ -8,11 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"time"
 
-	"distiq/internal/blobstore"
 	"distiq/internal/cliutil"
 	"distiq/internal/core"
 	"distiq/internal/engine"
@@ -48,9 +48,31 @@ func NewRemote(baseURL string, opts ...Option) *Remote {
 	}
 	hc := cfg.httpClient
 	if hc == nil {
-		hc = blobstore.NewHTTPClient(0)
+		hc = NewHTTPClient()
 	}
 	return &Remote{base: strings.TrimRight(baseURL, "/"), hc: hc}
+}
+
+// NewHTTPClient returns the http.Client a Remote speaks through by
+// default: bounded connection setup (dial, TLS handshake, response
+// headers) on a keep-alive transport, with the whole exchange left
+// unbounded — the right shape for long-lived streaming responses (the
+// distiqd NDJSON stream sends headers immediately but bodies for as
+// long as the sweep runs).
+func NewHTTPClient() *http.Client {
+	return &http.Client{
+		Transport: &http.Transport{
+			Proxy: http.ProxyFromEnvironment,
+			DialContext: (&net.Dialer{
+				Timeout:   10 * time.Second,
+				KeepAlive: 30 * time.Second,
+			}).DialContext,
+			TLSHandshakeTimeout:   10 * time.Second,
+			ResponseHeaderTimeout: 30 * time.Second,
+			IdleConnTimeout:       90 * time.Second,
+			MaxIdleConnsPerHost:   16,
+		},
+	}
 }
 
 // Base returns the service base URL.
@@ -58,9 +80,8 @@ func (c *Remote) Base() string { return c.base }
 
 // Healthy probes the service's /healthz readiness endpoint, bounding
 // the probe to two seconds. Anything but a prompt 200 — refused
-// connection, timeout, a draining 503 — reads as unhealthy; the fleet
-// client uses this to distinguish a dead worker (requeue its points
-// elsewhere) from a transient stream failure (retry in place).
+// connection, timeout, a draining 503 — reads as unhealthy, so a caller
+// can wait for a freshly started service before submitting work.
 func (c *Remote) Healthy(ctx context.Context) bool {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()

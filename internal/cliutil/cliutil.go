@@ -133,9 +133,8 @@ func ValidateEngineFlags(parallel int, cacheDir string) error {
 // effective store spec: -cache-dir DIR is the legacy alias for the
 // filesystem backend (fs:DIR), so passing both flags is ambiguous and
 // rejected. The spec's syntax is validated (engine.ParseStoreSpec) and
-// every fs: directory it names runs through the same parent-directory
-// checks -cache-dir always had. An empty result means "no persistent
-// store".
+// an fs: directory runs through the same parent-directory checks
+// -cache-dir always had. An empty result means "no persistent store".
 func ResolveStoreFlags(storeSpec, cacheDir string) (string, error) {
 	if storeSpec != "" && cacheDir != "" {
 		return "", BadInput(fmt.Errorf("-store and -cache-dir are mutually exclusive (-cache-dir %s is shorthand for -store fs:%s)", cacheDir, cacheDir))
@@ -149,14 +148,12 @@ func ResolveStoreFlags(storeSpec, cacheDir string) (string, error) {
 		}
 		return "fs:" + cacheDir, nil
 	}
-	dirs, err := engine.ParseStoreSpec(storeSpec)
+	dir, err := engine.ParseStoreSpec(storeSpec)
 	if err != nil {
 		return "", BadInput(err)
 	}
-	for _, dir := range dirs {
-		if err := ValidateCacheDir(dir); err != nil {
-			return "", err
-		}
+	if err := ValidateCacheDir(dir); err != nil {
+		return "", err
 	}
 	return storeSpec, nil
 }

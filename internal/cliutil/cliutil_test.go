@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -176,15 +177,7 @@ func TestResolveStoreFlags(t *testing.T) {
 		}
 	})
 	t.Run("valid specs pass through", func(t *testing.T) {
-		for _, spec := range []string{
-			"mem",
-			"fs:" + dir,
-			"http://cache.internal:9000/distiq",
-			"https://cache.internal/bucket",
-			"tier:mem,fs:" + dir,
-			"batch:fs:" + dir,
-			"batch:tier:mem,fs:" + dir + ",http://cache.internal/",
-		} {
+		for _, spec := range []string{"mem", "fs:" + dir} {
 			got, err := ResolveStoreFlags(spec, "")
 			if err != nil || got != spec {
 				t.Errorf("spec %q = %q, %v", spec, got, err)
@@ -193,12 +186,13 @@ func TestResolveStoreFlags(t *testing.T) {
 	})
 	t.Run("bad syntax is bad input", func(t *testing.T) {
 		for _, spec := range []string{
-			"s3://bucket",        // unknown scheme
-			"fs:",                // missing directory
-			"batch:",             // nothing to wrap
-			"tier:mem,tier:mem",  // tiers do not nest
-			"tier:mem,batch:mem", // batch only outermost
-			"http://",            // no host
+			"s3://bucket", // unknown scheme
+			"fs:",         // missing directory
+			// Removed backends: the error names the two that remain.
+			"http://cache.internal:9000/distiq",
+			"https://cache.internal/bucket",
+			"tier:mem,fs:" + dir,
+			"batch:fs:" + dir,
 		} {
 			_, err := ResolveStoreFlags(spec, "")
 			if err == nil {
@@ -208,13 +202,15 @@ func TestResolveStoreFlags(t *testing.T) {
 			if !IsBadInput(err) {
 				t.Errorf("spec %q error not bad input: %v", spec, err)
 			}
+			if spec != "fs:" && !strings.Contains(err.Error(), "fs:DIR or mem") {
+				t.Errorf("spec %q error does not name fs:DIR and mem: %v", spec, err)
+			}
 		}
 	})
 	t.Run("fs dirs validated like cache-dir", func(t *testing.T) {
-		bad := "tier:mem,fs:/no/such/parent/cache"
-		_, err := ResolveStoreFlags(bad, "")
+		_, err := ResolveStoreFlags("fs:/no/such/parent/cache", "")
 		if err == nil || !IsBadInput(err) {
-			t.Fatalf("uncreatable fs dir inside a tier accepted (err=%v)", err)
+			t.Fatalf("uncreatable fs: dir accepted (err=%v)", err)
 		}
 		_, err = ResolveStoreFlags("", "/no/such/parent/cache")
 		if err == nil || !IsBadInput(err) {

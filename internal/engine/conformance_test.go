@@ -4,25 +4,23 @@ package engine
 // must satisfy the same observable contract (documented on the
 // interface), so the engine's warm-rerun, single-flight and manifest
 // semantics hold whichever backend is selected. Each invariant runs
-// against every backend — filesystem, in-memory, HTTP blob, the tier
-// combinator and the write-behind batcher — over fresh backing state.
+// against every backend — filesystem and in-memory — over fresh backing
+// state.
 
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
 
-	"distiq/internal/blobstore"
 	"distiq/internal/core"
 )
 
 // confFactory builds a fresh store over fresh backing state plus a
 // reopen function returning a second handle over the SAME backing state
-// — the cross-process view. reopen flushes buffered writes first, so
-// everything Put before it must be visible through the new handle.
+// — the cross-process view: everything Put before reopen must be visible
+// through the new handle.
 type confFactory func(t *testing.T) (store ResultStore, reopen func() ResultStore)
 
 // confFactories enumerates every backend under conformance. Keep this in
@@ -40,30 +38,6 @@ func confFactories() map[string]confFactory {
 			// handle do.
 			s := NewMemStore()
 			return s, func() ResultStore { return s }
-		},
-		"http": func(t *testing.T) (ResultStore, func() ResultStore) {
-			srv := httptest.NewServer(blobstore.NewServer())
-			t.Cleanup(srv.Close)
-			return NewHTTPStore(srv.URL, srv.Client()),
-				func() ResultStore { return NewHTTPStore(srv.URL, srv.Client()) }
-		},
-		"tiered": func(t *testing.T) (ResultStore, func() ResultStore) {
-			// The canonical memory → disk → remote stack; reopen rebuilds
-			// the tier with a cold memory level over the same disk and
-			// remote state.
-			dir := t.TempDir()
-			srv := httptest.NewServer(blobstore.NewServer())
-			t.Cleanup(srv.Close)
-			mk := func() ResultStore {
-				return NewTiered(NewMemStore(), NewStore(dir), NewHTTPStore(srv.URL, srv.Client()))
-			}
-			return mk(), mk
-		},
-		"batched": func(t *testing.T) (ResultStore, func() ResultStore) {
-			dir := t.TempDir()
-			b := NewBatcher(NewStore(dir), BatcherConfig{})
-			t.Cleanup(func() { b.Close() }) //nolint:errcheck // test teardown
-			return b, func() ResultStore { b.Flush(); return NewStore(dir) }
 		},
 	}
 }

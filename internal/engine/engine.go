@@ -22,11 +22,9 @@ type Config struct {
 	// Store for the common filesystem backend.
 	CacheDir string
 	// Store, when non-nil, is the persistent result backend — any
-	// ResultStore (filesystem, memory, HTTP blob, a read-through tier, a
-	// write-behind Batcher over any of them). It takes precedence over
+	// ResultStore (filesystem or memory). It takes precedence over
 	// CacheDir. The store is borrowed, not owned: the caller closes it
-	// once the engine is done (for a Batcher that flushes the final
-	// group).
+	// once the engine is done.
 	Store ResultStore
 	// Simulate overrides the simulation function (tests inject stubs);
 	// nil selects Simulate.

@@ -188,8 +188,8 @@ func (m *Manifest) VerifyStore(dir string) error {
 // VerifyIn is VerifyStore generalized over any result-store backend: the
 // enumeration hook (ResultStore.Raw) returns each leaf's exact stored
 // entry bytes, which must hash back to the recorded leaf hash. A
-// manifest therefore verifies identically against a cache directory, an
-// in-memory store, a remote blob service or any tier of them.
+// manifest therefore verifies identically against a cache directory or
+// an in-memory store.
 func (m *Manifest) VerifyIn(store ResultStore) error {
 	if err := m.Check(); err != nil {
 		return err

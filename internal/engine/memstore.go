@@ -6,12 +6,12 @@ import (
 )
 
 // MemStore is the in-memory ResultStore: a goroutine-safe map from
-// fingerprint to canonical entry bytes. It exists as the fastest tier of
-// a tiered store, as a hermetic backend for tests, and as the reference
-// implementation of the ResultStore contract (it stores the same
-// canonical bytes the FS store writes, so manifests verify against it
-// byte-for-byte). A MemStore is process-local: "cross-process" reuse
-// means sharing one MemStore value between engines.
+// fingerprint to canonical entry bytes. It exists as a hermetic backend
+// for tests and as the reference implementation of the ResultStore
+// contract (it stores the same canonical bytes the FS store writes, so
+// manifests verify against it byte-for-byte). A MemStore is
+// process-local: "cross-process" reuse means sharing one MemStore value
+// between engines.
 type MemStore struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte

@@ -44,14 +44,4 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	e.simDur = reg.Histogram("distiq_engine_simulate_duration_seconds",
 		"Wall time of one simulator run.",
 		obs.ExpBuckets(0.001, 4, 10))
-	if in, ok := e.store.(storeInstrumenter); ok {
-		in.Instrument(reg)
-	}
-}
-
-// storeInstrumenter is implemented by store wrappers that carry their
-// own metrics (Batcher, Tiered); the engine registers them alongside its
-// own instruments so /metrics reflects the whole store stack.
-type storeInstrumenter interface {
-	Instrument(*obs.Registry)
 }

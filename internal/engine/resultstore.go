@@ -7,8 +7,8 @@ import "encoding/json"
 // to the canonical JSON entry for its result. The engine consults it before
 // simulating and persists fresh results through it, so any backend that
 // honors the contract below is interchangeable — the same warm-rerun,
-// single-flight and manifest semantics hold over a local directory, an
-// in-process map, a remote blob service or any tier of them.
+// single-flight and manifest semantics hold over a local directory
+// (Store) and an in-process map (MemStore).
 //
 // Contract (pinned for every implementation by the shared conformance
 // suite in conformance_test.go):
@@ -38,8 +38,7 @@ type ResultStore interface {
 }
 
 // RawPutter is optionally implemented by backends that can store
-// pre-encoded canonical entry bytes directly. Tier backfill uses it to
-// copy entries byte-exactly between levels, and the conformance suite
+// pre-encoded canonical entry bytes directly. The conformance suite
 // uses it to plant stale-version and torn entries.
 type RawPutter interface {
 	PutRaw(fp string, data []byte) error

@@ -155,40 +155,8 @@ func (s *Store) PutRaw(fp string, data []byte) error {
 	return nil
 }
 
-// PutBatch group-commits a set of entries: every entry is written and
-// atomically renamed into place, then the directory is synced once, so a
-// flush of N results costs one directory fsync instead of N. Entries are
-// committed independently — a failure on one does not roll back the
-// others — and the error reports how many landed.
-func (s *Store) PutBatch(entries []BatchEntry) error {
-	var firstErr error
-	committed := 0
-	for _, be := range entries {
-		if err := s.PutRaw(be.Fingerprint, be.Data); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		committed++
-	}
-	// One directory sync amortized over the whole group makes the batch's
-	// renames durable together (best-effort: not every platform supports
-	// directory fsync).
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync() //nolint:errcheck // advisory durability, not correctness
-		d.Close()
-	}
-	if firstErr != nil {
-		return fmt.Errorf("engine: store batch: %d/%d entries committed: %w",
-			committed, len(entries), firstErr)
-	}
-	return nil
-}
-
 // compile-time interface checks.
 var (
 	_ ResultStore = (*Store)(nil)
 	_ RawPutter   = (*Store)(nil)
-	_ BatchWriter = (*Store)(nil)
 )

@@ -3,140 +3,46 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"time"
-
-	"distiq/internal/blobstore"
 )
 
 // Store specs are the one-line backend selection syntax shared by every
 // front end's -store flag and by distiqd:
 //
-//	fs:DIR                 filesystem store rooted at DIR
-//	mem                    in-memory store (process-local)
-//	http://HOST[/PREFIX]   HTTP blob store (minimal S3-like GET/PUT/HEAD)
-//	https://HOST[/PREFIX]  same, over TLS
-//	tier:SPEC,SPEC,...     read-through tiers, fastest first
-//	batch:SPEC             write-behind group-commit batching over SPEC
+//	fs:DIR   filesystem store rooted at DIR
+//	mem      in-memory store (process-local)
 //
-// An http(s) backend accepts one optional query parameter,
-// ?timeout=DURATION, bounding each blob exchange end to end (default
-// blobstore.DefaultTimeout; 0 disables the bound). batch: may only be
-// the outermost wrapper and tier: does not nest; the legacy -cache-dir
-// DIR flag is an alias for fs:DIR.
+// The legacy -cache-dir DIR flag is an alias for fs:DIR.
 
 // ParseStoreSpec validates a store spec's syntax and returns the fs
-// directories it names (so front ends can run their directory checks
-// before anything opens). An empty spec is valid and names no store.
-func ParseStoreSpec(spec string) (fsDirs []string, err error) {
-	if spec == "" {
-		return nil, nil
-	}
-	rest := strings.TrimPrefix(spec, "batch:")
-	if rest == "" {
-		return nil, fmt.Errorf("store spec %q: batch: needs a backend to wrap", spec)
-	}
-	for _, part := range splitTiers(rest) {
-		dirs, err := parseLeaf(part)
-		if err != nil {
-			return nil, err
-		}
-		fsDirs = append(fsDirs, dirs...)
-	}
-	return fsDirs, nil
-}
-
-// splitTiers returns a tier: spec's comma-separated levels, or the spec
-// itself when it is a single backend.
-func splitTiers(spec string) []string {
-	levels, ok := strings.CutPrefix(spec, "tier:")
-	if !ok {
-		return []string{spec}
-	}
-	return strings.Split(levels, ",")
-}
-
-// parseLeaf validates one non-composite backend spec.
-func parseLeaf(spec string) (fsDirs []string, err error) {
+// directory it names, or "" for mem (so front ends can run their
+// directory checks before anything opens). An empty spec is valid and
+// names no store.
+func ParseStoreSpec(spec string) (fsDir string, err error) {
 	switch {
-	case spec == "mem":
-		return nil, nil
+	case spec == "", spec == "mem":
+		return "", nil
 	case strings.HasPrefix(spec, "fs:"):
 		dir := strings.TrimPrefix(spec, "fs:")
 		if dir == "" {
-			return nil, fmt.Errorf("store spec %q: fs: needs a directory", spec)
+			return "", fmt.Errorf("store spec %q: fs: needs a directory", spec)
 		}
-		return []string{dir}, nil
-	case strings.HasPrefix(spec, "http://"), strings.HasPrefix(spec, "https://"):
-		base, _, err := splitHTTPSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		if strings.TrimSuffix(base[strings.Index(base, "://")+3:], "/") == "" {
-			return nil, fmt.Errorf("store spec %q: URL needs a host", spec)
-		}
-		return nil, nil
-	case strings.HasPrefix(spec, "tier:"):
-		return nil, fmt.Errorf("store spec %q: tier: does not nest", spec)
-	case strings.HasPrefix(spec, "batch:"):
-		return nil, fmt.Errorf("store spec %q: batch: must be the outermost wrapper", spec)
+		return dir, nil
 	}
-	return nil, fmt.Errorf("unknown store spec %q (want fs:DIR, mem, http(s)://URL, tier:..., batch:...)", spec)
+	return "", fmt.Errorf("unknown store spec %q (want fs:DIR or mem)", spec)
 }
 
 // OpenStore builds the ResultStore a spec names. An empty spec returns
 // nil (no persistent store). The caller owns the returned store and must
-// Close it — for a batch: spec that is what flushes the final group.
+// Close it.
 func OpenStore(spec string) (ResultStore, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	if _, err := ParseStoreSpec(spec); err != nil {
-		return nil, err
-	}
-	rest, batched := strings.CutPrefix(spec, "batch:")
-	parts := splitTiers(rest)
-	levels := make([]ResultStore, len(parts))
-	for i, part := range parts {
-		levels[i] = openLeaf(part)
-	}
-	store := levels[0]
-	if len(levels) > 1 {
-		store = NewTiered(levels...)
-	}
-	if batched {
-		store = NewBatcher(store, BatcherConfig{})
-	}
-	return store, nil
-}
-
-// openLeaf builds one already-validated non-composite backend.
-func openLeaf(spec string) ResultStore {
+	dir, err := ParseStoreSpec(spec)
 	switch {
+	case err != nil:
+		return nil, err
+	case dir != "":
+		return NewStore(dir), nil
 	case spec == "mem":
-		return NewMemStore()
-	case strings.HasPrefix(spec, "fs:"):
-		return NewStore(strings.TrimPrefix(spec, "fs:"))
+		return NewMemStore(), nil
 	}
-	base, timeout, _ := splitHTTPSpec(spec) // validated by ParseStoreSpec
-	return NewHTTPStore(base, blobstore.NewHTTPClient(timeout))
-}
-
-// splitHTTPSpec splits an http(s) backend spec into its base URL and
-// per-request timeout. The only recognized query parameter is
-// ?timeout=DURATION (Go duration syntax; 0 disables the bound); absent,
-// the timeout is blobstore.DefaultTimeout.
-func splitHTTPSpec(spec string) (base string, timeout time.Duration, err error) {
-	base, query, found := strings.Cut(spec, "?")
-	if !found {
-		return base, blobstore.DefaultTimeout, nil
-	}
-	val, ok := strings.CutPrefix(query, "timeout=")
-	if !ok || val == "" || strings.ContainsAny(val, "&=") {
-		return "", 0, fmt.Errorf("store spec %q: the only URL parameter is ?timeout=DURATION", spec)
-	}
-	d, perr := time.ParseDuration(val)
-	if perr != nil || d < 0 {
-		return "", 0, fmt.Errorf("store spec %q: bad timeout %q (want a non-negative Go duration, e.g. 30s)", spec, val)
-	}
-	return base, d, nil
+	return nil, nil
 }

@@ -165,18 +165,9 @@ func TestMetricsNamesMatchDocs(t *testing.T) {
 		t.Fatalf("only %d metric names found in docs/ARCHITECTURE.md — is the table gone?", len(docNames))
 	}
 
-	// A batched tier over memory and disk registers the store metric
-	// families too, so the scrape covers the whole documented inventory.
-	store := engine.NewBatcher(
-		engine.NewTiered(engine.NewMemStore(), engine.NewStore(t.TempDir())),
-		engine.BatcherConfig{})
-	srv := New(Config{Parallel: 1, Store: store})
+	srv := New(Config{Parallel: 1, Store: engine.NewStore(t.TempDir())})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	// A fleet client instrumented on the server registry covers the
-	// distiq_fleet_* families the same way cmd/distiqd operators would
-	// see them when fronting a fleet.
-	clientpkg.NewFleet([]string{ts.URL}).Instrument(srv.Metrics())
 	st := submit(t, ts, testSpec)
 	waitDone(t, ts, st.ID)
 	body := scrape(t, ts)

@@ -79,9 +79,8 @@ type Config struct {
 	CacheDir string
 	// Store, when non-nil, is the engine's persistent result backend —
 	// any engine.ResultStore (engine.OpenStore builds one from a -store
-	// spec: filesystem, memory, HTTP blob, read-through tiers, write-
-	// behind batching). It takes precedence over CacheDir. The Server
-	// adopts the store: Close flushes and closes it.
+	// spec: filesystem or memory). It takes precedence over CacheDir.
+	// The Server adopts the store: Close closes it.
 	Store engine.ResultStore
 	// MaxQueued bounds sweeps admitted but not yet finished; further
 	// submissions answer 429. Zero selects DefaultMaxQueued.
@@ -837,9 +836,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close flushes and closes the result store adopted through
-// Config.Store (for a write-behind Batcher this commits the final
-// group, so warm reruns of other processes see every result). Call it
+// Close closes the result store adopted through Config.Store. Call it
 // after Drain, once no sweep can write anymore.
 func (s *Server) Close() error {
 	if s.store == nil {

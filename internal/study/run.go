@@ -36,8 +36,8 @@ type Options struct {
 	OnPoint func(PointUpdate)
 }
 
-// Run executes the study against any Client — the in-process engine, a
-// remote distiqd, or a fleet — and returns its deterministic table.
+// Run executes the study against any Client — the in-process engine or
+// a remote distiqd — and returns its deterministic table.
 func Run(ctx context.Context, cl client.Client, spec *Spec) (*Result, error) {
 	return RunOpts(ctx, cl, spec, Options{})
 }

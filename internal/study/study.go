@@ -1,6 +1,6 @@
 // Package study orchestrates comparative experiment studies on top of
 // the Client layer, so the same study runs unchanged against the
-// in-process engine, a remote distiqd service, or a sharded fleet.
+// in-process engine or a remote distiqd service.
 //
 // A strict-JSON Spec (or the New builder) describes one of three modes:
 //
