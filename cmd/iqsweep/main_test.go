@@ -309,6 +309,28 @@ func TestRunErrorsAreBadInput(t *testing.T) {
 	}
 }
 
+// TestFleetServerFlagRejectsEmptyList: a -server value that is a list
+// with no usable URLs (the old fleet spelling) is user input error
+// (exit taxonomy 2) naming the one-URL rule, not a crash.
+func TestFleetServerFlagRejectsEmptyList(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "grid.json")
+	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	_, err := run([]string{"-spec", specPath, "-server", " , "}, &out, &errw)
+	if err == nil {
+		t.Fatal("run with an empty -server list succeeded")
+	}
+	if cliutil.ExitCode(err) != 2 {
+		t.Fatalf("exit code %d, want 2 (%v)", cliutil.ExitCode(err), err)
+	}
+	if !strings.Contains(err.Error(), "takes one base URL") {
+		t.Fatalf("error %q does not name the one-URL rule", err)
+	}
+}
+
 // TestRunStoreBackendsEndToEnd sweeps cold through -store fs:DIR and
 // warm through the -cache-dir alias for the same directory (zero
 // simulations warm, identical bytes), and -verify-manifest works
