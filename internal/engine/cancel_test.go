@@ -212,8 +212,8 @@ func TestWaiterSurvivesOwnersCancellation(t *testing.T) {
 		return r, nil
 	}})
 
-	// Occupy the only worker slot so the owner below queues on the
-	// semaphore, where cancellation abandons (not computes) its call.
+	// Occupy the only worker slot so the owner below queues for it,
+	// where cancellation abandons (not computes) its call.
 	blockerDone := make(chan struct{})
 	go func() {
 		defer close(blockerDone)
@@ -232,7 +232,7 @@ func TestWaiterSurvivesOwnersCancellation(t *testing.T) {
 		_, err := e.ResultCtx(ownerCtx, job)
 		ownerDone <- err
 	}()
-	// Let the owner register in-flight and block on the semaphore, then
+	// Let the owner register in-flight and queue for the slot, then
 	// attach a waiter with a live context.
 	time.Sleep(5 * time.Millisecond)
 	waiterDone := make(chan error, 1)
@@ -359,5 +359,117 @@ func TestCancelMidSweepRealSimulator(t *testing.T) {
 	}
 	if rst.Simulated+rst.DiskHits != int64(len(jobs)) {
 		t.Errorf("rerun did not complete exactly the remainder: %+v over %d jobs", rst, len(jobs))
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestCancelRacingReleaseKeepsEverySlot: jobs cancelled while queued for a
+// worker slot, at the moment the running jobs release theirs, must neither
+// leak a slot nor strand one. A slot granted to a job in the instant the
+// job is cancelled is passed on, so after many such races Workers() jobs
+// still run at once, and never more. Run under -race in CI (the
+// cancellation gate).
+func TestCancelRacingReleaseKeepsEverySlot(t *testing.T) {
+	const workers, rounds, queuedPerRound = 2, 200, 4
+	var gate atomic.Pointer[chan struct{}] // closed to end the round's holders
+	var holding, running, overruns atomic.Int64
+	var barrier sync.WaitGroup
+	e := New(Config{Workers: workers, Simulate: func(j Job) (Result, error) {
+		if running.Add(1) > workers {
+			overruns.Add(1)
+		}
+		defer running.Add(-1)
+		switch j.Bench {
+		case "hold":
+			g := *gate.Load()
+			holding.Add(1)
+			<-g
+		case "barrier":
+			barrier.Done()
+			barrier.Wait()
+		}
+		return Result{}, nil
+	}})
+	seq := uint64(0)
+	job := func(bench string) Job {
+		seq++
+		return Job{Bench: bench, Config: core.Baseline64(), Opt: Options{Instructions: seq}}
+	}
+
+	for round := 0; round < rounds; round++ {
+		g := make(chan struct{})
+		gate.Store(&g)
+		holding.Store(0)
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(j Job) {
+				defer wg.Done()
+				if _, err := e.Result(j); err != nil {
+					t.Errorf("holder: %v", err)
+				}
+			}(job("hold"))
+		}
+		waitUntil(t, "every slot held", func() bool { return holding.Load() == int64(workers) })
+
+		cancels := make([]context.CancelFunc, queuedPerRound)
+		for i := range cancels {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancels[i] = cancel
+			wg.Add(1)
+			go func(j Job) {
+				defer wg.Done()
+				if _, err := e.ResultCtx(ctx, j); err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("queued job: %v", err)
+				}
+			}(job("queued"))
+		}
+		waitUntil(t, "jobs queued", func() bool { return e.queued.Load() == queuedPerRound })
+
+		// Release the held slots to the queue and cancel the queue at
+		// once, so grants race cancellations.
+		close(g)
+		for _, cancel := range cancels {
+			cancel()
+		}
+		wg.Wait()
+	}
+
+	// Every slot is still there: Workers() jobs meet at a barrier that
+	// only opens once all of them run.
+	if e.Workers() != workers {
+		t.Fatalf("Workers() = %d, want %d", e.Workers(), workers)
+	}
+	barrier.Add(workers)
+	jobs := make([]Job, workers)
+	for i := range jobs {
+		jobs[i] = job("barrier")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.ResultAll(jobs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%d jobs could not run at once on %d worker slots: a slot was lost", workers, workers)
+	}
+	if n := overruns.Load(); n > 0 {
+		t.Fatalf("%d jobs started with all %d worker slots taken", n, workers)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"runtime"
@@ -101,7 +102,8 @@ type Engine struct {
 	sim      func(Job) (Result, error)
 	progress func(Progress)
 	store    ResultStore
-	sem      chan struct{}
+	workers  int
+	slots    slotQueue
 
 	mu       sync.Mutex
 	memory   map[string]Result
@@ -141,7 +143,8 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		sim:      sim,
 		progress: cfg.Progress,
-		sem:      make(chan struct{}, workers),
+		workers:  workers,
+		slots:    slotQueue{free: workers},
 		memory:   make(map[string]Result),
 		inflight: make(map[string]*call),
 	}
@@ -157,7 +160,64 @@ func New(cfg Config) *Engine {
 }
 
 // Workers returns the worker-pool bound.
-func (e *Engine) Workers() int { return cap(e.sem) }
+func (e *Engine) Workers() int { return e.workers }
+
+// slotQueue hands out the worker slots first come, first served: a job
+// that finds none free joins a FIFO queue, and a released slot goes to
+// the queue's oldest job.
+type slotQueue struct {
+	mu      sync.Mutex
+	free    int       // free slots; nonzero only while no job waits
+	waiters list.List // of *slotWaiter, oldest first
+}
+
+// slotWaiter is one job's claim on a worker slot.
+type slotWaiter struct {
+	granted chan struct{} // closed once the job holds a slot
+	elem    *list.Element // queue position; nil once granted
+}
+
+// join claims a slot for one job: a free one at once, or else a place
+// at the back of the queue. The job holds a slot once granted is closed.
+func (q *slotQueue) join() *slotWaiter {
+	w := &slotWaiter{granted: make(chan struct{})}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.free > 0 {
+		q.free--
+		close(w.granted)
+	} else {
+		w.elem = q.waiters.PushBack(w)
+	}
+	return w
+}
+
+// release frees a held slot, granting it to the oldest waiting job.
+func (q *slotQueue) release() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if f := q.waiters.Front(); f != nil {
+		w := q.waiters.Remove(f).(*slotWaiter)
+		w.elem = nil
+		close(w.granted)
+		return
+	}
+	q.free++
+}
+
+// leave withdraws a cancelled job's claim: a job still waiting leaves
+// the queue, and one granted a slot in the meantime passes it on.
+func (q *slotQueue) leave(w *slotWaiter) {
+	q.mu.Lock()
+	if w.elem != nil {
+		q.waiters.Remove(w.elem)
+		w.elem = nil
+		q.mu.Unlock()
+		return
+	}
+	q.mu.Unlock()
+	q.release()
+}
 
 // Stats returns a consistent snapshot of the engine's resolution
 // counters: all fields are read under one lock, so the identity
@@ -203,9 +263,10 @@ func (e *Engine) cancel(job Job, err error) (Result, error, Source) {
 // resolve is ResultCtx plus the resolution source, so batch callers can
 // account per-batch how each of their jobs was satisfied. queued, when
 // non-nil, is called once, as soon as the job's route is known (cached,
-// cancelled, waiting on an identical in-flight job, or about to queue for
-// a worker slot); ResultStream waits for it before submitting the next
-// job, so worker slots are claimed in input order.
+// cancelled, waiting on an identical in-flight job, or holding or queued
+// for a worker slot); ResultStream waits for it before submitting the
+// next job, and slots are granted in queue order, so a call's jobs claim
+// worker slots in input order.
 func (e *Engine) resolve(ctx context.Context, job Job, queued func()) (Result, error, Source) {
 	signal := func() {
 		if queued != nil {
@@ -251,30 +312,30 @@ retry:
 	c := &call{done: make(chan struct{})}
 	e.inflight[key] = c
 	e.mu.Unlock()
-	signal()
 
 	// Claim a worker slot, abandoning the job if ctx is cancelled first
 	// (cancellation stops scheduling; the slot is never taken). A job
 	// whose slot is already claimed runs to completion below, so the
 	// persistent store stays consistent under cancellation.
 	e.queued.Add(1)
+	w := e.slots.join()
+	signal()
 	select {
-	case e.sem <- struct{}{}:
+	case <-w.granted:
 	case <-ctx.Done():
-		e.queued.Add(-1)
-		return e.abandon(job, key, c, ctx.Err())
 	}
 	e.queued.Add(-1)
 	if ctx.Err() != nil {
-		// The slot and the cancellation raced; prefer the cancellation
-		// so a cancelled sweep never starts new simulations.
-		<-e.sem
+		// Cancelled while queued, or the grant and the cancellation
+		// raced; prefer the cancellation so a cancelled sweep never
+		// starts new simulations.
+		e.slots.leave(w)
 		return e.abandon(job, key, c, ctx.Err())
 	}
 	e.running.Add(1)
 	res, err, src := e.compute(job)
 	e.running.Add(-1)
-	<-e.sem
+	e.slots.release()
 
 	if err != nil {
 		err = fmt.Errorf("engine: %s under %s: %w", job.Bench, job.Config.Name, err)

@@ -23,59 +23,17 @@ import (
 // simulation results — and therefore figure bytes and distiq-v2 job
 // fingerprints — are unchanged by caching.
 
-// record is the compact encoding of one dynamic instruction: just the
-// architectural fields the generator produces (the dynamic sequence number
-// is the record's index). 32 bytes versus ~180 for a full isa.Inst.
-type record struct {
-	pc, addr, target uint64
-	src1, src2, dest int16
-	class            isa.Class
-	flags            uint8
-}
-
-const (
-	recSrc1FP = 1 << iota
-	recSrc2FP
-	recDestFP
-	recTaken
-)
-
-// encode captures the architectural fields of a freshly generated inst.
-func encode(in *isa.Inst) record {
-	var f uint8
-	if in.Src1FP {
-		f |= recSrc1FP
-	}
-	if in.Src2FP {
-		f |= recSrc2FP
-	}
-	if in.DestFP {
-		f |= recDestFP
-	}
-	if in.Taken {
-		f |= recTaken
-	}
-	return record{
-		pc: in.PC, addr: in.Addr, target: in.Target,
-		src1: in.Src1, src2: in.Src2, dest: in.Dest,
-		class: in.Class, flags: f,
-	}
-}
-
-// decode fills in with the record's architectural fields (seq is the
-// record's stream position) and resets the microarchitectural fields,
-// exactly as Generator.Next does.
-func (r *record) decode(seq uint64, in *isa.Inst) {
-	in.Seq = seq
-	in.PC = r.pc
-	in.Class = r.class
-	in.Src1, in.Src1FP = r.src1, r.flags&recSrc1FP != 0
-	in.Src2, in.Src2FP = r.src2, r.flags&recSrc2FP != 0
-	in.Dest, in.DestFP = r.dest, r.flags&recDestFP != 0
-	in.Addr = r.addr
-	in.Taken = r.flags&recTaken != 0
-	in.Target = r.target
-	in.ResetMicro()
+// trail is the compact encoding of a recorded prefix. The stream is a
+// walk of the model's immutable static program, so only the walk is
+// dynamic: each instruction's static index and branch direction, one op
+// word per instruction (index<<1 | taken), and the effective address of
+// each memory reference, in stream order. Every other field is read
+// back from the program on replay (program.inst). A trail is immutable
+// once published: extensions build a new one over the same (appended)
+// arrays, so a reader's snapshot always pairs every op with its address.
+type trail struct {
+	ops   []uint32
+	addrs []uint64
 }
 
 // growChunk is how many instructions a stream records per extension; it
@@ -83,18 +41,18 @@ func (r *record) decode(seq uint64, in *isa.Inst) {
 const growChunk = 8192
 
 // Stream is one model's materialized dynamic instruction stream: an
-// immutable, lazily grown prefix of records plus the generator positioned
-// at its end. Any number of Readers may replay it concurrently; the first
-// reader to run off the recorded end extends it (bounded by the recording
-// cap), and readers past the cap fork a private generator clone.
+// immutable, lazily grown trail plus the generator positioned at its end.
+// Any number of Readers may replay it concurrently; the first reader to
+// run off the recorded end extends it (bounded by the recording cap), and
+// readers past the cap fork a private generator clone.
 type Stream struct {
 	model Model
 	cap   int
 
-	// recs holds the committed prefix. Extensions append under mu and
+	// trail holds the committed prefix. Extensions append under mu and
 	// publish atomically; readers load a snapshot and never touch the
-	// slice beyond its length, so replay is lock-free.
-	recs atomic.Pointer[[]record]
+	// arrays beyond its lengths, so replay is lock-free.
+	trail atomic.Pointer[trail]
 
 	mu  sync.Mutex
 	gen *Generator // positioned after the committed prefix
@@ -105,8 +63,7 @@ type Stream struct {
 // newStream builds an empty stream for m with the given recording cap.
 func newStream(m Model, cap int) *Stream {
 	s := &Stream{model: m, cap: cap, gen: NewGenerator(m)}
-	empty := []record{}
-	s.recs.Store(&empty)
+	s.trail.Store(&trail{})
 	return s
 }
 
@@ -114,7 +71,7 @@ func newStream(m Model, cap int) *Stream {
 func (s *Stream) Model() Model { return s.model }
 
 // Len returns the number of instructions recorded so far.
-func (s *Stream) Len() int { return len(*s.recs.Load()) }
+func (s *Stream) Len() int { return len(s.trail.Load().ops) }
 
 // Forks returns how many readers have outrun the recording cap and
 // switched to a private generator.
@@ -122,36 +79,48 @@ func (s *Stream) Forks() int64 { return s.forks.Load() }
 
 // NewReader returns a reader positioned at the start of the stream.
 func (s *Stream) NewReader() *StreamReader {
-	return &StreamReader{s: s, recs: *s.recs.Load()}
+	return &StreamReader{prog: s.gen.prog, s: s, tr: *s.trail.Load()}
 }
 
-// extend makes the record at index pos available: it returns a snapshot
-// containing it, or, when the stream's recording cap has been reached, a
-// private generator clone positioned at pos for the caller to continue
-// on (pos == recorded length in that case, since readers consume
+// recordLocked runs the generator on for n instructions, appending their
+// walk to the committed trail, and publishes the result. s.mu is held.
+func (s *Stream) recordLocked(n int) trail {
+	t := *s.trail.Load()
+	g := s.gen
+	insts := g.prog.insts
+	for i := 0; i < n; i++ {
+		idx := g.idx
+		addr, taken := g.step()
+		op := uint32(idx) << 1
+		if taken {
+			op |= 1
+		}
+		t.ops = append(t.ops, op)
+		if insts[idx].memSite >= 0 {
+			t.addrs = append(t.addrs, addr)
+		}
+	}
+	s.trail.Store(&t)
+	return t
+}
+
+// extend makes the instruction at index pos available: it returns a
+// snapshot containing it, or, when the stream's recording cap has been
+// reached, a private generator clone positioned at pos for the caller to
+// continue on (pos == recorded length in that case, since readers consume
 // sequentially from zero).
-func (s *Stream) extend(pos int) ([]record, *Generator) {
+func (s *Stream) extend(pos int) (trail, *Generator) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := *s.recs.Load()
-	if pos < len(recs) {
-		return recs, nil // another reader already extended past pos
+	t := *s.trail.Load()
+	if pos < len(t.ops) {
+		return t, nil // another reader already extended past pos
 	}
-	if len(recs) >= s.cap {
+	if len(t.ops) >= s.cap {
 		s.forks.Add(1)
-		return recs, s.gen.Clone()
+		return t, s.gen.Clone()
 	}
-	n := growChunk
-	if rem := s.cap - len(recs); n > rem {
-		n = rem
-	}
-	var in isa.Inst
-	for i := 0; i < n; i++ {
-		s.gen.Next(&in)
-		recs = append(recs, encode(&in))
-	}
-	s.recs.Store(&recs)
-	return recs, nil
+	return s.recordLocked(min(growChunk, s.cap-len(t.ops))), nil
 }
 
 // EnsureRecorded extends the recorded prefix to at least n instructions
@@ -159,21 +128,11 @@ func (s *Stream) extend(pos int) ([]record, *Generator) {
 // so a caller can pay a stream's generation cost up front instead of
 // through its readers' incremental chunked extensions.
 func (s *Stream) EnsureRecorded(n int) {
-	if n > s.cap {
-		n = s.cap
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := *s.recs.Load()
-	if len(recs) >= n {
-		return
+	if have := s.Len(); have < min(n, s.cap) {
+		s.recordLocked(min(n, s.cap) - have)
 	}
-	var in isa.Inst
-	for len(recs) < n {
-		s.gen.Next(&in)
-		recs = append(recs, encode(&in))
-	}
-	s.recs.Store(&recs)
 }
 
 // Reader replays a stream from the beginning. It implements the
@@ -181,9 +140,11 @@ func (s *Stream) EnsureRecorded(n int) {
 // one Reader per pipeline); distinct Readers of one Stream are safe
 // concurrently.
 type StreamReader struct {
+	prog *program
 	s    *Stream
-	recs []record   // committed snapshot
+	tr   trail      // committed snapshot
 	pos  int        // next stream index to deliver
+	apos int        // index in tr.addrs of the next memory reference
 	gen  *Generator // non-nil once the reader has outrun the cap
 }
 
@@ -194,21 +155,28 @@ func (r *StreamReader) Next(in *isa.Inst) {
 		r.gen.Next(in)
 		return
 	}
-	if r.pos >= len(r.recs) {
-		r.recs, r.gen = r.s.extend(r.pos)
+	if r.pos >= len(r.tr.ops) {
+		r.tr, r.gen = r.s.extend(r.pos)
 		if r.gen != nil {
 			r.gen.Next(in)
 			return
 		}
 	}
-	r.recs[r.pos].decode(uint64(r.pos), in)
+	op := r.tr.ops[r.pos]
+	idx := int(op >> 1)
+	var addr uint64
+	if r.prog.insts[idx].memSite >= 0 {
+		addr = r.tr.addrs[r.apos]
+		r.apos++
+	}
+	r.prog.inst(in, uint64(r.pos), idx, addr, op&1 != 0)
 	r.pos++
 }
 
 // DefaultCacheCap is the default total recording capacity of a Cache, in
-// instructions — about 128 MiB of records at 32 bytes each, enough to
-// hold every benchmark of the paper's evaluation at the default
-// experiment lengths simultaneously. The bound is soft: it is enforced
+// instructions — 18–28 MiB of trail at the registered benchmarks' 4.6–7.0
+// bytes per instruction, enough to hold every benchmark of the paper's
+// evaluation at the default experiment lengths simultaneously. The bound is soft: it is enforced
 // at Stream() lookups, each stream admitted under it may individually
 // grow to the full capacity before the next lookup trims the total, and
 // evicted streams stay resident while active readers replay them.

@@ -10,25 +10,80 @@ import (
 // instEqual compares every field of two instructions.
 func instEqual(a, b *isa.Inst) bool { return *a == *b }
 
+// bigModel is a user-built model beyond every registered benchmark: its
+// static program passes 1<<16 instructions and its working set 4 GiB,
+// neither of which Model.Validate bounds, so the trail can assume
+// neither 16-bit static indexes nor 32-bit address offsets.
+func bigModel() Model {
+	return Model{Name: "big", Suite: SuiteFP, Seed: 7, Loops: []LoopSpec{
+		{IntChains: 1, FPChains: 3, IntChainLen: 6, FPChainLen: 30_000,
+			LoadHead: 1, StoreTail: 1, CrossDep: 0.3, FPMulFrac: 0.3, FPDivFrac: 0.05,
+			Interleave: 0.8, CondBranches: 1, BranchEntropy: 0.2, TripCount: 2,
+			WorkingSetKB: 8 << 20, StreamFrac: 0.5, StrideBytes: 64},
+	}}
+}
+
 // TestReaderMatchesGenerator pins the tentpole invariant: a StreamReader
 // produces isa.Inst values identical, field for field, to a fresh
-// Generator's — across chunk boundaries and for both suites.
+// Generator's — across chunk boundaries, for every registered benchmark,
+// a user-built model larger than any of them and a seed-perturbed model
+// such as a replication job replays.
 func TestReaderMatchesGenerator(t *testing.T) {
-	for _, name := range []string{"gcc", "swim", "mcf", "galgel"} {
+	var models []Model
+	largest := 0
+	for _, name := range AllBenchmarks() {
 		m := MustByName(name)
+		models = append(models, m)
+		largest = max(largest, NewGenerator(m).StaticSize())
+	}
+	big := bigModel()
+	if size := NewGenerator(big).StaticSize(); size <= max(largest, 1<<16) {
+		t.Fatalf("big model has %d static insts, want more than %d and 1<<16", size, largest)
+	}
+	perturbed := MustByName("gcc")
+	perturbed.Seed ^= 0x5eed << 30
+	models = append(models, big, perturbed)
+
+	for _, m := range models {
 		s := newStream(m, DefaultCacheCap)
 		r := s.NewReader()
 		g := NewGenerator(m)
+		// At least three extensions, and past the end of the static
+		// program so the walk wraps.
+		n := max(growChunk*3+1234, 2*g.StaticSize())
 		var got, want isa.Inst
-		n := growChunk*2 + 1234 // force at least two extensions
 		for i := 0; i < n; i++ {
 			r.Next(&got)
 			g.Next(&want)
 			if !instEqual(&got, &want) {
-				t.Fatalf("%s inst %d: replay %+v != generated %+v", name, i, got, want)
+				t.Fatalf("%s (seed %#x) inst %d: replay %+v != generated %+v", m.Name, m.Seed, i, got, want)
 			}
 		}
 	}
+}
+
+// TestRecordedFootprint bounds the trail: at the scenario default length
+// (10k warmup + 60k measured instructions) every registered benchmark
+// records at most 8 bytes per instruction, 4 per op word and 8 per
+// memory reference's address, where a full per-instruction record took
+// 32.
+func TestRecordedFootprint(t *testing.T) {
+	const n = 10_000 + 60_000
+	lo, hi := 8.0, 0.0
+	for _, name := range AllBenchmarks() {
+		s := newStream(MustByName(name), DefaultCacheCap)
+		s.EnsureRecorded(n)
+		tr := s.trail.Load()
+		if len(tr.ops) != n {
+			t.Fatalf("%s: recorded %d insts, want %d", name, len(tr.ops), n)
+		}
+		perInst := float64(4*len(tr.ops)+8*len(tr.addrs)) / n
+		if perInst > 8 {
+			t.Errorf("%s: %.2f recorded bytes per instruction, want at most 8", name, perInst)
+		}
+		lo, hi = min(lo, perInst), max(hi, perInst)
+	}
+	t.Logf("recorded bytes per instruction: %.2f–%.2f", lo, hi)
 }
 
 // TestStreamConcurrentReaders drives many concurrent readers over one

@@ -98,38 +98,57 @@ func (g *Generator) StaticSize() int { return len(g.prog.insts) }
 // Next fills in the architectural fields of in with the next dynamic
 // instruction and resets its microarchitectural fields.
 func (g *Generator) Next(in *isa.Inst) {
+	idx, seq := g.idx, g.seq
+	addr, taken := g.step()
+	g.prog.inst(in, seq, idx, addr, taken)
+}
+
+// step advances the walk by one instruction: it returns the current
+// static instruction's effective address (memory references) and
+// direction (branches), and moves to its successor.
+func (g *Generator) step() (addr uint64, taken bool) {
 	si := &g.prog.insts[g.idx]
-
-	in.Seq = g.seq
-	g.seq++
-	in.PC = codeBase + uint64(g.idx)*4
-	in.Class = si.class
-	in.Src1, in.Src1FP = si.src1, si.src1FP
-	in.Src2, in.Src2FP = si.src2, si.src2FP
-	in.Dest, in.DestFP = si.dest, si.destFP
-	in.Addr, in.Taken, in.Target = 0, false, 0
-	in.ResetMicro()
-
 	next := g.idx + 1
-
 	if si.memSite >= 0 {
-		in.Addr = g.address(si.memSite)
+		addr = g.address(si.memSite)
 	}
 	if si.brSite >= 0 {
-		taken := g.outcome(si)
-		in.Taken = taken
+		taken = g.outcome(si)
 		if taken {
-			in.Target = codeBase + uint64(si.takenTarget)*4
 			next = si.takenTarget
-		} else {
-			in.Target = codeBase + uint64(g.idx+1)*4
 		}
 	}
-
 	if next >= len(g.prog.insts) {
 		next = 0
 	}
 	g.idx = next
+	g.seq++
+	return addr, taken
+}
+
+// inst fills in with the dynamic instance, at stream position seq, of
+// static instruction idx, given its effective address (0 unless idx is a
+// memory reference) and direction (false unless idx is a branch), and
+// resets in's microarchitectural fields. Every other architectural field
+// is static. Generator.Next and StreamReader.Next both build their
+// instructions here, so replay cannot drift from generation.
+func (p *program) inst(in *isa.Inst, seq uint64, idx int, addr uint64, taken bool) {
+	si := &p.insts[idx]
+	in.Seq = seq
+	in.PC = codeBase + uint64(idx)*4
+	in.Class = si.class
+	in.Src1, in.Src1FP = si.src1, si.src1FP
+	in.Src2, in.Src2FP = si.src2, si.src2FP
+	in.Dest, in.DestFP = si.dest, si.destFP
+	in.Addr, in.Taken, in.Target = addr, taken, 0
+	if si.brSite >= 0 {
+		next := idx + 1
+		if taken {
+			next = si.takenTarget
+		}
+		in.Target = codeBase + uint64(next)*4
+	}
+	in.ResetMicro()
 }
 
 // address produces the next effective address for a memory site.
