@@ -13,7 +13,7 @@ import (
 // stall fetch, they never fetch down a wrong path), so every job that
 // simulates the same benchmark consumes the same stream, whatever its
 // machine configuration. A Cache materializes each stream once, on
-// demand, as a compact immutable prefix that concurrent jobs replay
+// demand, as a compact immutable trail that concurrent jobs replay
 // instead of re-running the generator, and evicts whole streams
 // least-recently-used when the total recorded instruction count exceeds
 // its capacity.
@@ -128,10 +128,11 @@ func (s *Stream) extend(pos int) (trail, *Generator) {
 // so a caller can pay a stream's generation cost up front instead of
 // through its readers' incremental chunked extensions.
 func (s *Stream) EnsureRecorded(n int) {
+	n = min(n, s.cap)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if have := s.Len(); have < min(n, s.cap) {
-		s.recordLocked(min(n, s.cap) - have)
+	if have := s.Len(); have < n {
+		s.recordLocked(n - have)
 	}
 }
 
@@ -176,10 +177,11 @@ func (r *StreamReader) Next(in *isa.Inst) {
 // DefaultCacheCap is the default total recording capacity of a Cache, in
 // instructions — 18–28 MiB of trail at the registered benchmarks' 4.6–7.0
 // bytes per instruction, enough to hold every benchmark of the paper's
-// evaluation at the default experiment lengths simultaneously. The bound is soft: it is enforced
-// at Stream() lookups, each stream admitted under it may individually
-// grow to the full capacity before the next lookup trims the total, and
-// evicted streams stay resident while active readers replay them.
+// evaluation at the default experiment lengths simultaneously. The bound
+// is soft: it is enforced at Stream() lookups, each stream admitted under
+// it may individually grow to the full capacity before the next lookup
+// trims the total, and evicted streams stay resident while active readers
+// replay them.
 const DefaultCacheCap = 4 << 20
 
 // CacheStats is a snapshot of a Cache's behaviour counters. The JSON
