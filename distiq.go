@@ -73,9 +73,10 @@
 // Clients (and the Session figure harness on top of them) delegate every
 // benchmark × configuration job to the concurrent experiment engine
 // (internal/engine). The engine shards independent jobs across a bounded
-// worker pool (GOMAXPROCS-wide by default), deduplicates identical
-// in-flight jobs single-flight style, and memoizes results in a
-// goroutine-safe in-memory cache. Simulations are deterministic per job —
+// worker pool (GOMAXPROCS-wide by default), runs each distinct simulation
+// once single-flight style (jobs that differ only in their configuration
+// name, or in an FP side their benchmark never reaches, share one run),
+// and memoizes results in a goroutine-safe in-memory cache. Simulations are deterministic per job —
 // the workload generators use per-instance seeded PRNGs and the pipeline
 // holds no global state — so tables assembled from parallel runs are
 // byte-identical to serial ones.

@@ -315,7 +315,8 @@ func TestCancelWaiterAbandonsInflight(t *testing.T) {
 // simulator mid-flight leaves the store consistent — jobs that claimed a
 // worker slot finish and persist, the rest cancel — and a warm rerun on
 // the same store completes exactly the remainder with zero duplicate
-// simulations.
+// simulations. gcc and mcf have no FP operation, so their MB_distr jobs
+// take IF_distr's runs: the 12 jobs hold 10 distinct simulations.
 func TestCancelMidSweepRealSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -348,7 +349,9 @@ func TestCancelMidSweepRealSimulator(t *testing.T) {
 	}
 
 	// Warm rerun on a fresh engine over the same store: persisted jobs
-	// read back as disk hits, the remainder simulates once each.
+	// read back as disk hits, the remainder simulates once each, and the
+	// MB_distr jobs of gcc and mcf take their IF_distr twins' runs.
+	const distinct, twins = 10, 2
 	rerun := New(Config{Workers: 1, CacheDir: dir})
 	if _, err := rerun.ResultAll(jobs); err != nil {
 		t.Fatal(err)
@@ -357,8 +360,8 @@ func TestCancelMidSweepRealSimulator(t *testing.T) {
 	if rst.DiskHits != st.Simulated {
 		t.Errorf("rerun DiskHits = %d, want %d (everything the cancelled run persisted)", rst.DiskHits, st.Simulated)
 	}
-	if rst.Simulated+rst.DiskHits != int64(len(jobs)) {
-		t.Errorf("rerun did not complete exactly the remainder: %+v over %d jobs", rst, len(jobs))
+	if rst.Simulated+rst.DiskHits != distinct || rst.MemoryHits+rst.Shared != twins {
+		t.Errorf("rerun did not complete exactly the remainder: %+v over %d jobs, %d distinct simulations", rst, len(jobs), distinct)
 	}
 }
 

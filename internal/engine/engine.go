@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sync"
@@ -28,7 +29,9 @@ type Config struct {
 	// once the engine is done.
 	Store ResultStore
 	// Simulate overrides the simulation function (tests inject stubs);
-	// nil selects Simulate.
+	// nil selects Simulate. Only the job key is known to determine what
+	// an injected function returns, so an engine given one shares a run
+	// between identical jobs only.
 	Simulate func(Job) (Result, error)
 	// Progress, when non-nil, is invoked once per resolved job.
 	// Invocations are serialized by the engine.
@@ -56,14 +59,21 @@ type Config struct {
 type Stats struct {
 	// Requested is the number of Result calls (batch entries included).
 	Requested int64
-	// Simulated jobs ran the simulator.
+	// Simulated jobs ran the simulator. Each distinct simulation runs
+	// once: jobs that differ only in their configuration name, or in an
+	// FP side their benchmark never reaches, count here once between
+	// them.
 	Simulated int64
-	// MemoryHits were served from the in-memory cache.
+	// MemoryHits were served from the in-memory cache: the job's own
+	// result, or that of a job with the same simulation identity adapted
+	// to this one (its configuration name and idle FP breakdown).
 	MemoryHits int64
 	// DiskHits were loaded from the persistent store.
 	DiskHits int64
-	// Shared requests waited on an identical in-flight job instead of
-	// re-simulating (single-flight deduplication).
+	// Shared requests waited on an in-flight job with the same simulation
+	// identity instead of re-simulating (single-flight deduplication):
+	// an identical job, or one differing only in its configuration name
+	// or in an FP side its benchmark never reaches.
 	Shared int64
 	// Batched is always zero.
 	//
@@ -78,7 +88,9 @@ type Stats struct {
 	DiskErrors int64
 }
 
-// call is one in-flight computation shared by all requesters of a key.
+// call is one in-flight computation shared by all requesters of a
+// simulation identity. err is the computation's own error; each requester
+// reports it under its own benchmark and configuration.
 type call struct {
 	done chan struct{}
 	res  Result
@@ -99,7 +111,10 @@ type call struct {
 // and persist to the store, so a cancelled sweep leaves the on-disk state
 // consistent and a warm rerun completes only the remainder.
 type Engine struct {
-	sim      func(Job) (Result, error)
+	sim func(Job) (Result, error)
+	// injected marks an engine given Config.Simulate: every job's
+	// identity is its key.
+	injected bool
 	progress func(Progress)
 	store    ResultStore
 	workers  int
@@ -108,6 +123,11 @@ type Engine struct {
 	mu       sync.Mutex
 	memory   map[string]Result
 	inflight map[string]*call
+	// sims maps a hashed simulation identity to the key of the job whose
+	// run holds it, in flight or in memory, so jobs the simulator cannot
+	// tell apart share that run. It holds keys only, and an entry lives
+	// exactly as long as the memory or in-flight entry it names.
+	sims map[[sha256.Size]byte]string
 
 	progMu   sync.Mutex
 	resolved atomic.Int64
@@ -142,11 +162,13 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		sim:      sim,
+		injected: cfg.Simulate != nil,
 		progress: cfg.Progress,
 		workers:  workers,
 		slots:    slotQueue{free: workers},
 		memory:   make(map[string]Result),
 		inflight: make(map[string]*call),
+		sims:     make(map[[sha256.Size]byte]string),
 	}
 	if cfg.Store != nil {
 		e.store = cfg.Store
@@ -236,10 +258,10 @@ func (e *Engine) bump(f func(*Stats)) {
 }
 
 // Result resolves one job, blocking until it is available: from the
-// in-memory cache, from an identical in-flight computation, from the
-// persistent store, or by simulating on a worker slot. Errors are shared
-// with concurrent requesters of the same job but never cached, so a later
-// request retries.
+// in-memory cache, from an in-flight computation with the same simulation
+// identity, from the persistent store, or by simulating on a worker slot.
+// Errors are shared with concurrent requesters of the same simulation but
+// never cached, so a later request retries.
 func (e *Engine) Result(job Job) (Result, error) {
 	return e.ResultCtx(context.Background(), job)
 }
@@ -263,10 +285,14 @@ func (e *Engine) cancel(job Job, err error) (Result, error, Source) {
 // resolve is ResultCtx plus the resolution source, so batch callers can
 // account per-batch how each of their jobs was satisfied. queued, when
 // non-nil, is called once, as soon as the job's route is known (cached,
-// cancelled, waiting on an identical in-flight job, or holding or queued
-// for a worker slot); ResultStream waits for it before submitting the
-// next job, and slots are granted in queue order, so a call's jobs claim
-// worker slots in input order.
+// cancelled, waiting on an in-flight run, or holding or queued for a
+// worker slot); ResultStream waits for it before submitting the next job,
+// and slots are granted in queue order, so a call's jobs claim worker
+// slots in input order.
+//
+// The job's own key is looked up first. Only when it misses does the job
+// pay for its simulation identity, and then it reuses or waits on the run
+// of any job with that identity, adapting the result to itself.
 func (e *Engine) resolve(ctx context.Context, job Job, queued func()) (Result, error, Source) {
 	signal := func() {
 		if queued != nil {
@@ -277,6 +303,10 @@ func (e *Engine) resolve(ctx context.Context, job Job, queued func()) (Result, e
 	e.bump(func(s *Stats) { s.Requested++ })
 	e.total.Add(1)
 	key := job.Key()
+	var (
+		id             [sha256.Size]byte
+		fpIdle, haveID bool
+	)
 
 retry:
 	if err := ctx.Err(); err != nil {
@@ -284,42 +314,122 @@ retry:
 		return e.cancel(job, err)
 	}
 	e.mu.Lock()
-	if r, ok := e.memory[key]; ok {
+	from := key
+	r, c, found := e.lookup(key)
+	if !found && haveID {
+		if from, found = e.sims[id]; found {
+			r, c, _ = e.lookup(from)
+		}
+	}
+	if !found && !haveID {
+		e.mu.Unlock()
+		id, fpIdle = e.identity(job, key)
+		haveID = true
+		goto retry
+	}
+	if found {
 		e.mu.Unlock()
 		signal()
-		e.bump(func(s *Stats) { s.MemoryHits++ })
-		e.finish(job, SourceMemory)
-		return r, nil, SourceMemory
-	}
-	if c, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		signal()
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			return e.cancel(job, ctx.Err())
+		src, err := SourceMemory, error(nil)
+		if c != nil {
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				return e.cancel(job, ctx.Err())
+			}
+			if c.abandoned {
+				// The owner was cancelled before computing; its
+				// context error is not this requester's. Retry
+				// resolution (errors are never cached, so the
+				// simulation is simply unowned again).
+				goto retry
+			}
+			r, err, src = c.res, c.err, SourceShared
 		}
-		if c.abandoned {
-			// The owner was cancelled before computing; its context
-			// error is not this requester's. Retry resolution (errors
-			// are never cached, so the job is simply unowned again).
-			goto retry
+		if err == nil && from != key {
+			if r, err = job.adapt(r, fpIdle); err == nil {
+				e.persist(ctx, job, r)
+			}
 		}
-		e.bump(func(s *Stats) { s.Shared++ })
-		e.finish(job, SourceShared)
-		return c.res, c.err, SourceShared
+		e.bump(func(s *Stats) {
+			if src == SourceShared {
+				s.Shared++
+			} else {
+				s.MemoryHits++
+			}
+		})
+		e.finish(job, src)
+		return r, wrap(job, err), src
 	}
-	c := &call{done: make(chan struct{})}
+	c = &call{done: make(chan struct{})}
 	e.inflight[key] = c
+	e.sims[id] = key
 	e.mu.Unlock()
 
 	// Claim a worker slot, abandoning the job if ctx is cancelled first
 	// (cancellation stops scheduling; the slot is never taken). A job
 	// whose slot is already claimed runs to completion below, so the
 	// persistent store stays consistent under cancellation.
+	if !e.acquire(ctx, signal) {
+		return e.abandon(job, key, id, c, ctx.Err())
+	}
+	res, err, src := e.compute(job)
+	e.release()
+
+	c.res, c.err = res, err
+	e.mu.Lock()
+	if err == nil {
+		e.memory[key] = res
+	} else {
+		delete(e.sims, id)
+	}
+	delete(e.inflight, key)
+	e.mu.Unlock()
+	close(c.done)
+	e.finish(job, src)
+	return res, wrap(job, err), src
+}
+
+// lookup finds key's result in memory or its computation in flight. The
+// caller holds e.mu.
+func (e *Engine) lookup(key string) (Result, *call, bool) {
+	if r, ok := e.memory[key]; ok {
+		return r, nil, true
+	}
+	c, ok := e.inflight[key]
+	return Result{}, c, ok
+}
+
+// identity hashes the job's simulation identity, or its key when that is
+// all that identifies it (see Job.simIdentity and Config.Simulate).
+func (e *Engine) identity(job Job, key string) (id [sha256.Size]byte, fpIdle bool) {
+	s, ok := "", false
+	if !e.injected {
+		s, fpIdle, ok = job.simIdentity()
+	}
+	if !ok {
+		s = key
+	}
+	return sha256.Sum256([]byte(s)), fpIdle
+}
+
+// wrap reports a computation's error under the requesting job.
+func wrap(job Job, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("engine: %s under %s: %w", job.Bench, job.Config.Name, err)
+}
+
+// acquire claims a worker slot in queue order, calling queued (when
+// non-nil) once the claim is queued or granted. It reports false, holding
+// no slot, when ctx is cancelled before the slot is granted.
+func (e *Engine) acquire(ctx context.Context, queued func()) bool {
 	e.queued.Add(1)
 	w := e.slots.join()
-	signal()
+	if queued != nil {
+		queued()
+	}
 	select {
 	case <-w.granted:
 	case <-ctx.Done():
@@ -328,42 +438,51 @@ retry:
 	if ctx.Err() != nil {
 		// Cancelled while queued, or the grant and the cancellation
 		// raced; prefer the cancellation so a cancelled sweep never
-		// starts new simulations.
+		// starts new work.
 		e.slots.leave(w)
-		return e.abandon(job, key, c, ctx.Err())
+		return false
 	}
 	e.running.Add(1)
-	res, err, src := e.compute(job)
+	return true
+}
+
+// release frees a slot claimed by acquire.
+func (e *Engine) release() {
 	e.running.Add(-1)
 	e.slots.release()
-
-	if err != nil {
-		err = fmt.Errorf("engine: %s under %s: %w", job.Bench, job.Config.Name, err)
-	}
-	c.res, c.err = res, err
-	e.mu.Lock()
-	if err == nil {
-		e.memory[key] = res
-	}
-	delete(e.inflight, key)
-	e.mu.Unlock()
-	close(c.done)
-	e.finish(job, src)
-	return res, err, src
 }
 
 // abandon unwinds an owned in-flight registration whose owner was
 // cancelled before computing. The call is marked abandoned, so waiters
 // sharing it retry resolution under their own contexts instead of
 // inheriting the owner's cancellation.
-func (e *Engine) abandon(job Job, key string, c *call, err error) (Result, error, Source) {
+func (e *Engine) abandon(job Job, key string, id [sha256.Size]byte, c *call, err error) (Result, error, Source) {
 	c.err = err
 	c.abandoned = true
 	e.mu.Lock()
 	delete(e.inflight, key)
+	delete(e.sims, id)
 	e.mu.Unlock()
 	close(c.done)
 	return e.cancel(job, err)
+}
+
+// persist writes a result the job took from another job's run under the
+// job's own fingerprint, unless the store already has an entry there.
+// The write takes a worker slot, as a simulated result's write does; a
+// job cancelled before its slot is granted skips it.
+func (e *Engine) persist(ctx context.Context, job Job, r Result) {
+	if e.store == nil {
+		return
+	}
+	fp, ok := job.Fingerprint()
+	if !ok || e.store.Has(fp) || !e.acquire(ctx, nil) {
+		return
+	}
+	if err := e.store.Put(fp, job, r); err != nil {
+		e.bump(func(s *Stats) { s.DiskErrors++ })
+	}
+	e.release()
 }
 
 // compute resolves a job the expensive way: persistent store, then the

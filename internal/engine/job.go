@@ -1,7 +1,9 @@
 // Package engine executes simulation experiments concurrently: it shards
 // independent (benchmark × configuration × options) jobs across a bounded
-// worker pool, deduplicates identical in-flight jobs single-flight style,
-// memoizes results in a goroutine-safe in-memory cache and, optionally,
+// worker pool, runs each distinct simulation once single-flight style
+// (jobs that differ only in their configuration name, or in an FP side
+// their benchmark never reaches, share one run), memoizes results in a
+// goroutine-safe in-memory cache and, optionally,
 // persists them to an on-disk store content-addressed by a hash of the
 // job, so results are reused across processes.
 //
@@ -107,10 +109,16 @@ func (j Job) canonical() (string, bool) {
 	if j.Config.Int.Custom != nil || j.Config.FP.Custom != nil {
 		return "", false
 	}
+	return j.canon(j.Config.Name, domCanon(j.Config.FP)), true
+}
+
+// canon renders the canonical layout with the given configuration name
+// and FP-domain segment.
+func (j Job) canon(name, fp string) string {
 	c := fmt.Sprintf("distiq-v%d|%s|%s|w%d|n%d|int:%s|fp:%s|distr:%t|mach:%s",
-		storeVersion, j.Bench, j.Config.Name,
+		storeVersion, j.Bench, name,
 		j.Opt.Warmup, j.Opt.Instructions,
-		domCanon(j.Config.Int), domCanon(j.Config.FP),
+		domCanon(j.Config.Int), fp,
 		j.Config.DistributedFU, j.machineCanon())
 	// The seed segment appears only when set: every pre-existing
 	// (seed-zero) fingerprint — and with it every warm store entry and
@@ -118,7 +126,32 @@ func (j Job) canonical() (string, bool) {
 	if j.Seed != 0 {
 		c += fmt.Sprintf("|seed:%d", j.Seed)
 	}
-	return c, true
+	return c
+}
+
+// simIdentity returns what the simulator sees of the job: its canonical
+// string without the configuration name, which changes no simulated
+// number, and, when the benchmark's static program holds no FP-domain
+// instruction, without the FP issue-queue organization too, which such a
+// program never reaches (fpIdle). The paper's organizations differ only
+// on the FP side, so on integer codes IF_distr and MB_distr are one
+// machine. ok is false for a job whose key is its only identity: a
+// Custom scheme, an unknown benchmark or an invalid configuration, whose
+// error names the configuration.
+func (j Job) simIdentity() (id string, fpIdle, ok bool) {
+	if j.Config.Int.Custom != nil || j.Config.FP.Custom != nil {
+		return "", false, false
+	}
+	m, err := j.model()
+	if err != nil || j.PipelineConfig().Validate() != nil {
+		return "", false, false
+	}
+	fp := domCanon(j.Config.FP)
+	if !m.HasFPOps() {
+		fp, fpIdle = "idle", true
+	}
+	// The prefix keeps identities apart from job keys.
+	return "sim|" + j.canon("", fp), fpIdle, true
 }
 
 // machineCanon renders the job's full-machine identity segment.
@@ -225,14 +258,49 @@ func simulate(j Job, cached bool) (Result, error) {
 	res.Config = j.Config.Name
 	res.Insts = st.Committed
 	res.Cycles = st.Cycles
-
-	intScheme := p.Scheme(isa.IntDomain)
-	fpScheme := p.Scheme(isa.FPDomain)
-	res.IntBreakdown = power.NewCalc(intScheme.Geometry()).Energy(intScheme.Events())
-	res.FPBreakdown = power.NewCalc(fpScheme.Geometry()).Energy(fpScheme.Events())
-	res.Breakdown = power.Breakdown{}
-	res.Breakdown.Add(res.IntBreakdown)
-	res.Breakdown.Add(res.FPBreakdown)
-	res.IQEnergy = res.Breakdown.Total()
+	res.setEnergy(energy(p.Scheme(isa.IntDomain)), energy(p.Scheme(isa.FPDomain)))
 	return res, nil
+}
+
+// energy is the issue-logic energy breakdown of one domain's scheme.
+func energy(s core.Scheme) power.Breakdown {
+	return power.NewCalc(s.Geometry()).Energy(s.Events())
+}
+
+// setEnergy stores the per-domain breakdowns and derives their sum and
+// the issue-logic energy total from them.
+func (r *Result) setEnergy(intBD, fpBD power.Breakdown) {
+	r.IntBreakdown, r.FPBreakdown = intBD, fpBD
+	r.Breakdown = power.Breakdown{}
+	r.Breakdown.Add(intBD)
+	r.Breakdown.Add(fpBD)
+	r.IQEnergy = r.Breakdown.Total()
+}
+
+// adapt turns the result of a run with the job's simulation identity
+// into the job's own, byte for byte: it takes the job's configuration
+// name and, when the run ignored the FP side (fpIdle), the breakdown the
+// job's own FP organization yields with zero events. r's maps are shared
+// with other requesters and are not modified.
+func (j Job) adapt(r Result, fpIdle bool) (Result, error) {
+	r.Config = j.Config.Name
+	if !fpIdle {
+		return r, nil
+	}
+	// These are the options pipeline.New gives the FP scheme; only
+	// LatFIFO and PreSched read the estimator, and they require one.
+	c := j.PipelineConfig()
+	fp, err := core.New(c.IQ.FP, core.Options{
+		Domain:      isa.FPDomain,
+		Latencies:   c.Latencies,
+		MemHitLat:   c.Hier.L1D.Latency,
+		Distributed: c.IQ.DistributedFU,
+		FUCounts:    [isa.NumFUKinds]int(c.FUCounts),
+		Estimator:   core.NewEstimator(c.Latencies, c.Hier.L1D.Latency),
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	r.setEnergy(r.IntBreakdown, energy(fp))
+	return r, nil
 }

@@ -12,11 +12,13 @@ type Source string
 const (
 	// SourceSimulated jobs ran the simulator.
 	SourceSimulated Source = "simulated"
-	// SourceMemory jobs hit the in-memory cache.
+	// SourceMemory jobs hit the in-memory cache, with their own result
+	// or that of a job with the same simulation identity.
 	SourceMemory Source = "memory"
 	// SourceDisk jobs were loaded from the persistent store.
 	SourceDisk Source = "disk"
-	// SourceShared jobs waited on an identical in-flight job.
+	// SourceShared jobs waited on an in-flight job with the same
+	// simulation identity.
 	SourceShared Source = "shared"
 	// SourceCanceled requests were abandoned by context cancellation
 	// before a result was available.

@@ -154,7 +154,7 @@ type Status struct {
 	Done   int `json:"done"`
 	// Resolution counts, per-sweep: Simulated ran the simulator;
 	// MemoryHits, DiskHits and Shared were served from the shared
-	// engine's caches or an identical in-flight job.
+	// engine's caches or an in-flight run of the same simulation.
 	Simulated  int64  `json:"simulated"`
 	MemoryHits int64  `json:"memory_hits"`
 	DiskHits   int64  `json:"disk_hits"`

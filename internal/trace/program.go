@@ -143,6 +143,21 @@ func (m Model) Validate() error {
 	return nil
 }
 
+// HasFPOps reports whether the model's static program holds an FP-domain
+// instruction (FPAdd, FPMult or FPDiv). A program without one never
+// dispatches to the FP issue queues. It reads the loop specs instead of
+// building the program: only FP chains emit FP-domain operations, and
+// every FP chain emits at least one, since jitterLen never returns less
+// than one.
+func (m Model) HasFPOps() bool {
+	for _, l := range m.Loops {
+		if l.FPChains > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Reserved integer registers within the 32-register file.
 const (
 	regInduction = 30 // loop induction variable

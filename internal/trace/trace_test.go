@@ -171,6 +171,41 @@ func TestMixesPlausible(t *testing.T) {
 	}
 }
 
+// TestHasFPOpsMatchesProgram: the predicate, which reads only the loop
+// specs, agrees with a scan of the built static program for every
+// registered model, at its own seed and at the two perturbed seeds that
+// replication seeds 1 and 2 select in the engine. Exactly
+// eleven SPECINT models are FP-free: eon has FP chains.
+func TestHasFPOpsMatchesProgram(t *testing.T) {
+	free := 0
+	for _, name := range AllBenchmarks() {
+		m := MustByName(name)
+		for _, perturb := range []uint64{0, 0x9e3779b97f4a7c15, 0x3c6ef372fe94f82a} {
+			pm := m
+			pm.Seed ^= perturb
+			scan := false
+			for _, si := range buildProgram(pm).insts {
+				if si.class.Domain() == isa.FPDomain {
+					scan = true
+					break
+				}
+			}
+			if got := pm.HasFPOps(); got != scan {
+				t.Errorf("%s (seed %#x): HasFPOps = %t, static program scan = %t", name, pm.Seed, got, scan)
+			}
+		}
+		if !m.HasFPOps() {
+			free++
+			if m.Suite != SuiteInt || name == "eon" {
+				t.Errorf("%s (%v) reads as FP-free", name, m.Suite)
+			}
+		}
+	}
+	if free != 11 {
+		t.Errorf("%d FP-free models, want the 11 SPECINT models other than eon", free)
+	}
+}
+
 func TestBackEdgeTripCounts(t *testing.T) {
 	// A single-loop model with TripCount k must take its back edge k-1
 	// times out of every k executions.
