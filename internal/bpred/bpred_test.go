@@ -207,3 +207,35 @@ func BenchmarkHybridPredictAndTrain(b *testing.B) {
 		h.PredictAndTrain(pcs[i%64], outs[i%64])
 	}
 }
+
+// TestReleasedBTBIsFresh pins Release's contract: a BTB built on entry
+// arrays another BTB released, here of twice the associativity, starts
+// with every tag and target cleared, the LRU ranks of a fresh BTB and
+// zero counters. sync.Pool may drop a released object (it does so at
+// random under -race), so the test releases until one is reused.
+func TestReleasedBTBIsFresh(t *testing.T) {
+	reused := false
+	for try := 0; try < 100 && !reused; try++ {
+		old := NewBTB(2048, 4)
+		for pc := uint64(4); pc < 1<<16; pc += 4 {
+			old.Insert(pc, pc+64)
+			old.Lookup(pc)
+		}
+		tags := &old.tags[0]
+		old.Release()
+		b := NewBTB(2048, 2)
+		reused = &b.tags[0] == tags
+		for i := range b.tags {
+			if b.tags[i] != 0 || b.targs[i] != 0 || b.lru[i] != uint8(i%2) {
+				t.Fatalf("entry %d: tag %#x target %#x lru %d, want 0 0 %d", i, b.tags[i], b.targs[i], b.lru[i], i%2)
+			}
+		}
+		if b.Hits != 0 || b.Misses != 0 {
+			t.Fatalf("counters %d/%d, want zero", b.Hits, b.Misses)
+		}
+		b.Release()
+	}
+	if !reused {
+		t.Fatal("no BTB reused released entry arrays in 100 tries")
+	}
+}

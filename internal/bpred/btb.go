@@ -1,17 +1,53 @@
 package bpred
 
+import "sync"
+
 // BTB is a set-associative branch target buffer with true-LRU replacement.
 // Table 1 specifies 2048 entries, 4-way. A BTB miss on a taken branch is a
 // misfetch: the target is unknown at fetch, so the front end redirects
 // after decode, modeled as a misprediction by the fetch stage.
 type BTB struct {
-	sets   int
-	assoc  int
-	tags   []uint64 // sets*assoc, 0 = invalid (PCs are never 0)
-	targs  []uint64
-	lru    []uint8 // per-way LRU rank within the set, 0 = MRU
+	sets  int
+	assoc int
+	btbEntries
 	Hits   uint64
 	Misses uint64
+}
+
+// btbEntries are a BTB's per-entry arrays, sets*assoc long.
+type btbEntries struct {
+	tags  []uint64 // 0 = invalid (PCs are never 0)
+	targs []uint64
+	lru   []uint8 // per-way LRU rank within the set, 0 = MRU
+}
+
+// btbPool recycles released BTBs' entry arrays.
+var btbPool sync.Pool
+
+// newBTBEntries returns entry arrays for n entries of assoc ways in their
+// fresh state: every tag invalid, every target cleared and the LRU ranks
+// of each set 0..assoc-1. It reuses released arrays large enough.
+func newBTBEntries(n, assoc int) btbEntries {
+	var e btbEntries
+	if r, ok := btbPool.Get().(*btbEntries); ok && cap(r.tags) >= n {
+		e = btbEntries{tags: r.tags[:n], targs: r.targs[:n], lru: r.lru[:n]}
+		clear(e.tags)
+		clear(e.targs)
+	} else {
+		e = btbEntries{tags: make([]uint64, n), targs: make([]uint64, n), lru: make([]uint8, n)}
+	}
+	for i := range e.lru {
+		e.lru[i] = uint8(i % assoc)
+	}
+	return e
+}
+
+// Release hands the BTB's entry arrays to the next BTB built, which
+// resets them. The BTB must not be used afterwards.
+func (b *BTB) Release() {
+	e := b.btbEntries
+	b.btbEntries = btbEntries{}
+	btbPool.Put(&e)
 }
 
 // NewBTB returns a BTB with the given total entries and associativity;
@@ -24,17 +60,7 @@ func NewBTB(entries, assoc int) *BTB {
 	if sets&(sets-1) != 0 {
 		panic("bpred: BTB set count must be a power of two")
 	}
-	b := &BTB{
-		sets:  sets,
-		assoc: assoc,
-		tags:  make([]uint64, entries),
-		targs: make([]uint64, entries),
-		lru:   make([]uint8, entries),
-	}
-	for i := range b.lru {
-		b.lru[i] = uint8(i % assoc)
-	}
-	return b
+	return &BTB{sets: sets, assoc: assoc, btbEntries: newBTBEntries(entries, assoc)}
 }
 
 // NewDefaultBTB returns the paper's 2048-entry 4-way BTB.

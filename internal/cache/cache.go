@@ -12,7 +12,11 @@
 // baseline.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // Cache is one level of set-associative cache.
 type Cache struct {
@@ -22,12 +26,50 @@ type Cache struct {
 	lineBits uint
 	latency  int
 
-	tags  []uint64 // sets*assoc; 0 = invalid (tag stored with +1 bias)
-	lru   []uint8
-	dirty []bool
+	lines
 
 	// Accesses, Misses and Writebacks are statistics counters.
 	Accesses, Misses, Writebacks uint64
+}
+
+// lines are a cache's per-line arrays, sets*assoc long.
+type lines struct {
+	tags  []uint64 // 0 = invalid (tag stored with +1 bias)
+	lru   []uint8  // per-way LRU rank within the set, 0 = MRU
+	dirty []bool
+}
+
+// linePools recycle released caches' line arrays, one pool per size class
+// (the bit length of the line count), so the levels of a hierarchy do not
+// trade arrays with each other.
+var linePools [bits.UintSize + 1]sync.Pool
+
+// newLines returns line arrays for n lines of assoc ways in their fresh
+// state: every tag invalid, every line clean and the LRU ranks of each
+// set 0..assoc-1. It reuses released arrays when their size class holds
+// ones large enough.
+func newLines(n, assoc int) lines {
+	var l lines
+	if r, ok := linePools[bits.Len(uint(n))].Get().(*lines); ok && cap(r.tags) >= n {
+		l = lines{tags: r.tags[:n], lru: r.lru[:n], dirty: r.dirty[:n]}
+		clear(l.tags)
+		clear(l.dirty)
+	} else {
+		l = lines{tags: make([]uint64, n), lru: make([]uint8, n), dirty: make([]bool, n)}
+	}
+	for i := range l.lru {
+		l.lru[i] = uint8(i % assoc)
+	}
+	return l
+}
+
+// Release hands the cache's line arrays to the next cache built with a
+// line count of the same size class, which resets them. The cache must
+// not be used afterwards.
+func (c *Cache) Release() {
+	l := c.lines
+	c.lines = lines{}
+	linePools[bits.Len(uint(len(l.tags)))].Put(&l)
 }
 
 // Config describes one cache level.
@@ -48,11 +90,11 @@ func New(cfg Config) *Cache {
 	if cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic("cache: line size must be a power of two")
 	}
-	lines := cfg.SizeKB * 1024 / cfg.LineSize
-	if lines%cfg.Assoc != 0 {
+	n := cfg.SizeKB * 1024 / cfg.LineSize
+	if n%cfg.Assoc != 0 {
 		panic("cache: lines not divisible by associativity")
 	}
-	sets := lines / cfg.Assoc
+	sets := n / cfg.Assoc
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: %d sets is not a power of two", cfg.Name, sets))
 	}
@@ -60,20 +102,14 @@ func New(cfg Config) *Cache {
 	for 1<<lineBits < cfg.LineSize {
 		lineBits++
 	}
-	c := &Cache{
+	return &Cache{
 		name:     cfg.Name,
 		sets:     sets,
 		assoc:    cfg.Assoc,
 		lineBits: lineBits,
 		latency:  cfg.Latency,
-		tags:     make([]uint64, lines),
-		lru:      make([]uint8, lines),
-		dirty:    make([]bool, lines),
+		lines:    newLines(n, cfg.Assoc),
 	}
-	for i := range c.lru {
-		c.lru[i] = uint8(i % cfg.Assoc)
-	}
-	return c
 }
 
 // Name returns the configured name of the cache.

@@ -216,3 +216,38 @@ func BenchmarkAccess(b *testing.B) {
 		c.Access(addrs[i%len(addrs)], i%4 == 0)
 	}
 }
+
+// TestReleasedLinesAreFresh pins Release's contract: a cache built on
+// line arrays another cache released, here of twice the associativity,
+// starts with every tag invalid, every line clean, the LRU ranks of a
+// fresh cache and zero counters. sync.Pool may drop a released object
+// (it does so at random under -race), so the test releases until one is
+// reused.
+func TestReleasedLinesAreFresh(t *testing.T) {
+	reused := false
+	for try := 0; try < 100 && !reused; try++ {
+		old := New(Config{Name: "old", SizeKB: 32, Assoc: 4, LineSize: 32, Latency: 2})
+		for a := uint64(0); a < 64<<10; a += 32 {
+			old.Access(a, a%64 == 0)
+		}
+		tags := &old.tags[0]
+		old.Release()
+		c := New(Config{Name: "new", SizeKB: 32, Assoc: 2, LineSize: 32, Latency: 2})
+		reused = &c.tags[0] == tags
+		if len(c.tags) != 1024 || len(c.lru) != 1024 || len(c.dirty) != 1024 {
+			t.Fatalf("line arrays of %d/%d/%d, want 1024", len(c.tags), len(c.lru), len(c.dirty))
+		}
+		for i := range c.tags {
+			if c.tags[i] != 0 || c.dirty[i] || c.lru[i] != uint8(i%2) {
+				t.Fatalf("line %d: tag %#x dirty %v lru %d, want 0 false %d", i, c.tags[i], c.dirty[i], c.lru[i], i%2)
+			}
+		}
+		if c.Accesses != 0 || c.Misses != 0 || c.Writebacks != 0 {
+			t.Fatalf("counters %d/%d/%d, want zero", c.Accesses, c.Misses, c.Writebacks)
+		}
+		c.Release()
+	}
+	if !reused {
+		t.Fatal("no cache reused released line arrays in 100 tries")
+	}
+}

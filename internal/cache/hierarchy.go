@@ -65,6 +65,14 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 }
 
+// Release hands the three caches' line arrays to the next hierarchy
+// built. The hierarchy must not be used afterwards.
+func (h *Hierarchy) Release() {
+	h.L1I.Release()
+	h.L1D.Release()
+	h.L2.Release()
+}
+
 // InstFetch returns the latency of fetching the instruction block at addr.
 func (h *Hierarchy) InstFetch(addr uint64) int {
 	hit, _ := h.L1I.Access(addr, false)

@@ -159,8 +159,9 @@ func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) er
 		return c.errorFrom("stream sweep "+id, resp)
 	}
 
+	// The scanner's buffer starts at 4 KiB and grows to the longest line.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
+	sc.Buffer(nil, maxStreamLine)
 	next := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

@@ -292,7 +292,8 @@ func (e *Engine) cancel(job Job, err error) (Result, error, Source) {
 //
 // The job's own key is looked up first. Only when it misses does the job
 // pay for its simulation identity, and then it reuses or waits on the run
-// of any job with that identity, adapting the result to itself.
+// of any job with that identity, adapting the result to itself and
+// keeping the adapted result under its own key once it is persisted.
 func (e *Engine) resolve(ctx context.Context, job Job, queued func()) (Result, error, Source) {
 	signal := func() {
 		if queued != nil {
@@ -347,8 +348,13 @@ retry:
 			r, err, src = c.res, c.err, SourceShared
 		}
 		if err == nil && from != key {
-			if r, err = job.adapt(r, fpIdle); err == nil {
-				e.persist(ctx, job, r)
+			if r, err = job.adapt(r, fpIdle); err == nil && e.persist(ctx, job, r) {
+				// Repeats of the job are plain memory hits from now
+				// on. A requester that skipped the write leaves it,
+				// and the memo, to a later call.
+				e.mu.Lock()
+				e.memory[key] = r
+				e.mu.Unlock()
 			}
 		}
 		e.bump(func(s *Stats) {
@@ -470,19 +476,23 @@ func (e *Engine) abandon(job Job, key string, id [sha256.Size]byte, c *call, err
 // persist writes a result the job took from another job's run under the
 // job's own fingerprint, unless the store already has an entry there.
 // The write takes a worker slot, as a simulated result's write does; a
-// job cancelled before its slot is granted skips it.
-func (e *Engine) persist(ctx context.Context, job Job, r Result) {
+// job cancelled before its slot is granted skips it and reports false.
+func (e *Engine) persist(ctx context.Context, job Job, r Result) bool {
 	if e.store == nil {
-		return
+		return true
 	}
 	fp, ok := job.Fingerprint()
-	if !ok || e.store.Has(fp) || !e.acquire(ctx, nil) {
-		return
+	if !ok || e.store.Has(fp) {
+		return true
+	}
+	if !e.acquire(ctx, nil) {
+		return false
 	}
 	if err := e.store.Put(fp, job, r); err != nil {
 		e.bump(func(s *Stats) { s.DiskErrors++ })
 	}
 	e.release()
+	return true
 }
 
 // compute resolves a job the expensive way: persistent store, then the

@@ -326,3 +326,103 @@ func TestEquivalentJobsRace(t *testing.T) {
 		}
 	}
 }
+
+// countingStore counts a store's Has and Put calls.
+type countingStore struct {
+	ResultStore
+	has, put atomic.Int64
+}
+
+func (s *countingStore) Has(fp string) bool {
+	s.has.Add(1)
+	return s.ResultStore.Has(fp)
+}
+
+func (s *countingStore) Put(fp string, job Job, r Result) error {
+	s.put.Add(1)
+	return s.ResultStore.Put(fp, job, r)
+}
+
+// countingFS opens a counting fs: store in a temporary directory.
+func countingFS(t *testing.T) *countingStore {
+	t.Helper()
+	store, err := OpenStore("fs:" + t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return &countingStore{ResultStore: store}
+}
+
+// TestAdaptedResultMemoized: a job that took an equivalent job's run
+// keeps the adapted result under its own key, so resolving it again is
+// one memory hit that neither re-adapts nor touches the store.
+func TestAdaptedResultMemoized(t *testing.T) {
+	store := countingFS(t)
+	e := New(Config{Workers: 1, Store: store})
+	if _, err := e.Result(quickJob("gcc", core.IFDistr())); err != nil {
+		t.Fatal(err)
+	}
+	twin := quickJob("gcc", core.MBDistr())
+	first, err := e.Result(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, has, put := e.Stats(), store.has.Load(), store.put.Load()
+	second, err := e.Result(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := e.Stats()
+	if store.has.Load() != has || store.put.Load() != put {
+		t.Errorf("repeat resolution made %d Has and %d Put calls, want none",
+			store.has.Load()-has, store.put.Load()-put)
+	}
+	if after.MemoryHits-before.MemoryHits != 1 || after.Simulated != before.Simulated {
+		t.Errorf("stats %+v after %+v, want exactly one more memory hit", after, before)
+	}
+	a, _ := entryBytes(twin, first)
+	b, _ := entryBytes(twin, second)
+	if !bytes.Equal(a, b) {
+		t.Error("the memoized result differs from the adapted one")
+	}
+}
+
+// TestAdaptedResultCancelledNotMemoized: a requester cancelled while
+// waiting for the slot its write needs keeps no memo, so the next
+// resolution of the job still writes the job's entry.
+func TestAdaptedResultCancelledNotMemoized(t *testing.T) {
+	store := countingFS(t)
+	e := New(Config{Workers: 1, Store: store})
+	if _, err := e.Result(quickJob("gcc", core.IFDistr())); err != nil {
+		t.Fatal(err)
+	}
+	twin := quickJob("gcc", core.MBDistr())
+	fp, _ := twin.Fingerprint()
+
+	e.acquire(context.Background(), nil) // hold the only worker slot
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error)
+	go func() {
+		_, err := e.ResultCtx(ctx, twin)
+		done <- err
+	}()
+	for e.queued.Load() == 0 { // the twin's write waits for the slot
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("cancelled requester of an adapted result: %v", err)
+	}
+	e.release()
+	if store.Has(fp) {
+		t.Fatal("a requester cancelled before its slot wrote the entry")
+	}
+	put := store.put.Load()
+	if _, err := e.Result(twin); err != nil {
+		t.Fatal(err)
+	}
+	if store.put.Load() != put+1 || !store.ResultStore.Has(fp) {
+		t.Errorf("the next resolution made %d Put calls and left the entry absent", store.put.Load()-put)
+	}
+}

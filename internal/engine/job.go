@@ -221,7 +221,9 @@ func WarmTraces(benches []string, n uint64) error {
 // Simulate runs one job to completion on the calling goroutine: it drives
 // the pipeline over the benchmark's synthetic model under the job's
 // configuration and assembles the performance and energy result. The
-// benchmark's dynamic trace is replayed from the shared trace cache.
+// benchmark's dynamic trace is replayed from the shared trace cache, and
+// the pipeline's cache, BTB and instruction arrays go on to the next
+// simulation (Pipeline.Release).
 func Simulate(j Job) (Result, error) {
 	return simulate(j, true)
 }
@@ -259,6 +261,7 @@ func simulate(j Job, cached bool) (Result, error) {
 	res.Insts = st.Committed
 	res.Cycles = st.Cycles
 	res.setEnergy(energy(p.Scheme(isa.IntDomain)), energy(p.Scheme(isa.FPDomain)))
+	p.Release()
 	return res, nil
 }
 

@@ -45,9 +45,6 @@ type Inst struct {
 	// with the architectural outcome.
 	Mispredicted bool
 
-	// ROBIdx is the reorder-buffer slot, used to derive the age
-	// identifier of the selection logic.
-	ROBIdx int
 	// AgeID is the wrap-bit-extended ROB position used for ordering by
 	// the selection logic (smaller = older).
 	AgeID uint32
@@ -60,19 +57,13 @@ type Inst struct {
 	// by the LatFIFO and PreSched placement logic.
 	EstIssue int64
 
-	// Timing: cycle numbers of each pipeline event. Zero means "not yet".
-	FetchCycle, DispatchCycle, IssueCycle, CompleteCycle, CommitCycle int64
-
-	// MemLatency is the data-cache access latency observed by a load
-	// (filled at execute).
-	MemLatency int
+	// FetchCycle is the cycle the instruction entered the fetch queue;
+	// dispatch waits DecodeDepth cycles past it. Tracers receive the
+	// cycle of every other pipeline event as an argument.
+	FetchCycle int64
 
 	// Issued and Completed track execution status inside the window.
 	Issued, Completed bool
-
-	// StoreAddrReadyCycle is the cycle a store's address becomes known
-	// (issue + AddressLatency), consulted by younger loads.
-	StoreAddrReadyCycle int64
 
 	// NextEvent links instructions completing in the same cycle into the
 	// pipeline's intrusive completion-event list (an instruction is in at
@@ -104,14 +95,10 @@ func (in *Inst) Domain() Domain { return in.Class.Domain() }
 func (in *Inst) ResetMicro() {
 	in.PSrc1, in.PSrc2, in.PDest, in.POld = NoReg, NoReg, NoReg, NoReg
 	in.Mispredicted = false
-	in.ROBIdx = 0
 	in.AgeID = 0
 	in.QueueID, in.ChainID = -1, -1
 	in.EstIssue = 0
-	in.FetchCycle, in.DispatchCycle, in.IssueCycle = 0, 0, 0
-	in.CompleteCycle, in.CommitCycle = 0, 0
-	in.MemLatency = 0
+	in.FetchCycle = 0
 	in.Issued, in.Completed = false, false
-	in.StoreAddrReadyCycle = 0
 	in.NextEvent = nil
 }

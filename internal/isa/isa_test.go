@@ -109,7 +109,7 @@ func TestResetMicro(t *testing.T) {
 	in := &Inst{
 		Class: Load, Src1: 1, Dest: 2,
 		PSrc1: 5, PDest: 9, Mispredicted: true, Issued: true,
-		Completed: true, IssueCycle: 10, QueueID: 3, ChainID: 2,
+		Completed: true, FetchCycle: 10, QueueID: 3, ChainID: 2,
 		AgeID: 77,
 	}
 	in.ResetMicro()
@@ -119,7 +119,7 @@ func TestResetMicro(t *testing.T) {
 	if in.Mispredicted || in.Issued || in.Completed {
 		t.Error("status flags not reset")
 	}
-	if in.IssueCycle != 0 || in.QueueID != -1 || in.ChainID != -1 || in.AgeID != 0 {
+	if in.FetchCycle != 0 || in.QueueID != -1 || in.ChainID != -1 || in.AgeID != 0 {
 		t.Error("timing/placement not reset")
 	}
 	// Architectural fields must survive.

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 
 	"distiq/internal/bpred"
 	"distiq/internal/cache"
@@ -62,7 +63,8 @@ type Pipeline struct {
 	dPortsUsed int
 	widthUsed  [isa.NumDomains]int
 
-	// Instruction recycling pool.
+	// Instruction storage: the slab and its free list.
+	insts     []isa.Inst
 	freeInsts []*isa.Inst
 
 	tracer Tracer
@@ -85,11 +87,11 @@ func New(cfg Config, gen Fetcher) (*Pipeline, error) {
 		ldst:   lsq.New(cfg.ROBSize),
 		fus:    fu.New(cfg.FUCounts, cfg.IQ.DistributedFU),
 		fetchQ: make([]*isa.Inst, cfg.FetchQueue),
-		// At most ROB + fetch queue + 1 (pending I-miss) instructions
-		// are ever in flight; sizing the recycling pool up front keeps
-		// the steady-state cycle loop allocation-free.
-		freeInsts: make([]*isa.Inst, 0, cfg.ROBSize+cfg.FetchQueue+1),
 	}
+	// At most ROB + fetch queue + 1 (pending I-miss) instructions are
+	// ever in flight; one slab of that many keeps the steady-state cycle
+	// loop allocation-free.
+	p.insts, p.freeInsts = newSlab(cfg.ROBSize + cfg.FetchQueue + 1)
 	p.regs[isa.IntDomain] = rename.NewDefault(isa.IntDomain)
 	p.regs[isa.FPDomain] = rename.NewDefault(isa.FPDomain)
 
@@ -175,19 +177,16 @@ func (p *Pipeline) TryIssue(in *isa.Inst) bool {
 			// Store-to-load forwarding: value arrives at hit
 			// latency, but never before the store's data.
 			p.stats.LoadForwards++
-			in.MemLatency = p.hier.L1D.Latency()
-			completeAt += int64(in.MemLatency)
+			completeAt += int64(p.hier.L1D.Latency())
 			if dr := p.regs[regDomain(fwdStore.Src2FP)].ReadyAt(fwdStore.PSrc2); dr > completeAt {
 				completeAt = dr
 			}
 		} else {
-			in.MemLatency = p.hier.DataAccess(in.Addr, false)
-			completeAt += int64(in.MemLatency)
+			completeAt += int64(p.hier.DataAccess(in.Addr, false))
 		}
 	}
 
 	in.Issued = true
-	in.IssueCycle = p.cycle
 	if p.tracer != nil {
 		p.tracer.OnIssue(p.cycle, in)
 	}
@@ -195,9 +194,7 @@ func (p *Pipeline) TryIssue(in *isa.Inst) bool {
 		p.regs[regDomain(in.DestFP)].SetReadyAt(in.PDest, completeAt)
 	}
 	if in.Class == isa.Store {
-		addrReady := p.cycle + isa.AddressLatency
-		in.StoreAddrReadyCycle = addrReady
-		p.ldst.StoreIssued(in, addrReady)
+		p.ldst.StoreIssued(in, p.cycle+isa.AddressLatency)
 	}
 	p.schedule(in, completeAt)
 	p.widthUsed[d]++
@@ -241,7 +238,6 @@ func (p *Pipeline) schedule(in *isa.Inst, at int64) {
 		panic(fmt.Sprintf("pipeline: completion distance %d exceeds event ring", at-p.cycle))
 	}
 	p.events[at%eventRing].push(in)
-	in.CompleteCycle = at
 }
 
 // Step advances the simulation one cycle. Stages run in reverse pipeline
@@ -298,7 +294,6 @@ func (p *Pipeline) commit() {
 			return
 		}
 		p.rob.Pop()
-		head.CommitCycle = p.cycle
 		if p.tracer != nil {
 			p.tracer.OnCommit(p.cycle, head)
 		}
@@ -371,7 +366,6 @@ func (p *Pipeline) dispatch() {
 		if in.Class == isa.Store {
 			p.ldst.AddStore(in)
 		}
-		in.DispatchCycle = p.cycle
 		if p.tracer != nil {
 			p.tracer.OnDispatch(p.cycle, in)
 		}
@@ -486,6 +480,44 @@ func (p *Pipeline) allocInst() *isa.Inst {
 
 func (p *Pipeline) recycle(in *isa.Inst) {
 	p.freeInsts = append(p.freeInsts, in)
+}
+
+// instSlab is a released pipeline's instruction storage.
+type instSlab struct {
+	insts []isa.Inst
+	free  []*isa.Inst
+}
+
+// slabPool recycles released pipelines' instruction slabs.
+var slabPool sync.Pool
+
+// newSlab returns n zeroed instructions and a free list holding each,
+// reusing a released slab large enough.
+func newSlab(n int) ([]isa.Inst, []*isa.Inst) {
+	s, ok := slabPool.Get().(*instSlab)
+	if ok && cap(s.insts) >= n {
+		s.insts = s.insts[:n]
+		clear(s.insts)
+	} else {
+		s = &instSlab{insts: make([]isa.Inst, n), free: make([]*isa.Inst, 0, n)}
+	}
+	free := s.free[:0]
+	for i := range s.insts {
+		free = append(free, &s.insts[i])
+	}
+	return s.insts, free
+}
+
+// Release hands the pipeline's cache, BTB and instruction arrays to the
+// next pipeline built, which resets them to their fresh state. The
+// pipeline must not be used afterwards. A pipeline that is never
+// released leaves its arrays to the garbage collector; it behaves the
+// same.
+func (p *Pipeline) Release() {
+	p.hier.Release()
+	p.btb.Release()
+	slabPool.Put(&instSlab{insts: p.insts, free: p.freeInsts})
+	p.insts, p.freeInsts = nil, nil
 }
 
 // Run advances the pipeline until n more instructions have committed. It

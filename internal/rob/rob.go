@@ -46,15 +46,14 @@ func (r *ROB) Full() bool { return r.count == len(r.entries) }
 // Empty reports whether the buffer is empty.
 func (r *ROB) Empty() bool { return r.count == 0 }
 
-// Alloc appends in at the tail, filling in.ROBIdx and in.AgeID, and
-// reports success (false when full).
+// Alloc appends in at the tail, filling in in.AgeID, and reports success
+// (false when full).
 func (r *ROB) Alloc(in *isa.Inst) bool {
 	if r.Full() {
 		return false
 	}
 	idx := (r.head + r.count) % len(r.entries)
 	r.entries[idx] = in
-	in.ROBIdx = idx
 	in.AgeID = r.alloc & r.ageMask
 	r.alloc++
 	r.count++

@@ -449,6 +449,16 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 		manifest, err = engine.BuildManifest(sw.name, grid.Jobs(), sw.results)
 	}
 
+	// Count the sweep before publishing its final state: a status poller
+	// the broadcast wakes may scrape the metrics next.
+	ips := float64(insts) / elapsed.Seconds()
+	if err != nil {
+		s.sweepsFailed.Inc()
+	} else {
+		s.instsPerSec.Set(ips)
+		s.sweepsDone.Inc()
+	}
+
 	sw.mu.Lock()
 	if err != nil {
 		sw.state, sw.err = stateFailed, err
@@ -466,14 +476,10 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 	s.mu.Unlock()
 
 	if st := sw.status(); err != nil {
-		s.sweepsFailed.Inc()
 		s.log.Error("sweep failed",
 			"sweep", sw.id, "error", err.Error(),
 			"duration_s", elapsed.Seconds(), "request_id", sw.reqID)
 	} else {
-		ips := float64(insts) / elapsed.Seconds()
-		s.instsPerSec.Set(ips)
-		s.sweepsDone.Inc()
 		s.log.Info("sweep done",
 			"sweep", sw.id,
 			"simulated", st.Simulated, "memory", st.MemoryHits,

@@ -198,6 +198,15 @@ func (s *Server) runStudy(st *studyRec) {
 		manifest, err = res.Manifest()
 	}
 
+	// Count the study before publishing its final state: a status poller
+	// the broadcast wakes may scrape the metrics next.
+	if err != nil {
+		s.studiesFailed.Inc()
+	} else {
+		s.studyFrontierRounds.Add(float64(len(res.Trajectory)))
+		s.studiesDone.Inc()
+	}
+
 	st.mu.Lock()
 	if err != nil {
 		st.state, st.err = stateFailed, err
@@ -216,14 +225,11 @@ func (s *Server) runStudy(st *studyRec) {
 
 	elapsed := time.Since(started)
 	if err != nil {
-		s.studiesFailed.Inc()
 		s.log.Error("study failed",
 			"study", st.id, "error", err.Error(),
 			"duration_s", elapsed.Seconds(), "request_id", st.reqID)
 		return
 	}
-	s.studyFrontierRounds.Add(float64(len(res.Trajectory)))
-	s.studiesDone.Inc()
 	s.log.Info("study done",
 		"study", st.id, "mode", res.Mode,
 		"points", len(res.Results), "rows", len(res.Rows),

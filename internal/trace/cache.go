@@ -13,7 +13,7 @@ import (
 // stall fetch, they never fetch down a wrong path), so every job that
 // simulates the same benchmark consumes the same stream, whatever its
 // machine configuration. A Cache materializes each stream once, on
-// demand, as a compact immutable trail that concurrent jobs replay
+// demand, as a compact immutable tape that concurrent jobs replay
 // instead of re-running the generator, and evicts whole streams
 // least-recently-used when the total recorded instruction count exceeds
 // its capacity.
@@ -23,17 +23,41 @@ import (
 // simulation results — and therefore figure bytes and distiq-v2 job
 // fingerprints — are unchanged by caching.
 
-// trail is the compact encoding of a recorded prefix. The stream is a
-// walk of the model's immutable static program, so only the walk is
-// dynamic: each instruction's static index and branch direction, one op
-// word per instruction (index<<1 | taken), and the effective address of
-// each memory reference, in stream order. Every other field is read
-// back from the program on replay (program.inst). A trail is immutable
-// once published: extensions build a new one over the same (appended)
-// arrays, so a reader's snapshot always pairs every op with its address.
-type trail struct {
-	ops   []uint32
-	addrs []uint64
+// tape is the compact encoding of a recorded prefix. The stream is a walk
+// of the model's immutable static program whose only inputs are its
+// random draws, so a tape keeps just those, in stream order: one byte per
+// random branch draw (1 when it fell below its bound) and one word per
+// random address (its 8-byte-aligned offset shifted right by 3, which
+// Model.Validate keeps within 32 bits). A reader redoes the walk itself
+// (walk.step) and takes each draw from the tape. A tape is immutable once
+// published: extensions build a new one over the same (appended) arrays,
+// so a reader's snapshot always holds every draw of its n instructions.
+type tape struct {
+	n    int      // instructions recorded
+	br   []byte   // random branch draws
+	offs []uint32 // random address offsets >> 3
+}
+
+// recorder draws from a generator and appends every draw to a tape.
+type recorder struct {
+	g *Generator
+	t *tape
+}
+
+func (r *recorder) below(p float64) bool {
+	b := r.g.below(p)
+	var v byte
+	if b {
+		v = 1
+	}
+	r.t.br = append(r.t.br, v)
+	return b
+}
+
+func (r *recorder) offset(hotMask, wsMask uint64) uint64 {
+	off := r.g.offset(hotMask, wsMask)
+	r.t.offs = append(r.t.offs, uint32(off>>3))
+	return off
 }
 
 // growChunk is how many instructions a stream records per extension; it
@@ -41,7 +65,7 @@ type trail struct {
 const growChunk = 8192
 
 // Stream is one model's materialized dynamic instruction stream: an
-// immutable, lazily grown trail plus the generator positioned at its end.
+// immutable, lazily grown tape plus the generator positioned at its end.
 // Any number of Readers may replay it concurrently; the first reader to
 // run off the recorded end extends it (bounded by the recording cap), and
 // readers past the cap fork a private generator clone.
@@ -49,10 +73,10 @@ type Stream struct {
 	model Model
 	cap   int
 
-	// trail holds the committed prefix. Extensions append under mu and
+	// tape holds the committed prefix. Extensions append under mu and
 	// publish atomically; readers load a snapshot and never touch the
 	// arrays beyond its lengths, so replay is lock-free.
-	trail atomic.Pointer[trail]
+	tape atomic.Pointer[tape]
 
 	mu  sync.Mutex
 	gen *Generator // positioned after the committed prefix
@@ -63,7 +87,7 @@ type Stream struct {
 // newStream builds an empty stream for m with the given recording cap.
 func newStream(m Model, cap int) *Stream {
 	s := &Stream{model: m, cap: cap, gen: NewGenerator(m)}
-	s.trail.Store(&trail{})
+	s.tape.Store(&tape{})
 	return s
 }
 
@@ -71,7 +95,7 @@ func newStream(m Model, cap int) *Stream {
 func (s *Stream) Model() Model { return s.model }
 
 // Len returns the number of instructions recorded so far.
-func (s *Stream) Len() int { return len(s.trail.Load().ops) }
+func (s *Stream) Len() int { return s.tape.Load().n }
 
 // Forks returns how many readers have outrun the recording cap and
 // switched to a private generator.
@@ -79,28 +103,19 @@ func (s *Stream) Forks() int64 { return s.forks.Load() }
 
 // NewReader returns a reader positioned at the start of the stream.
 func (s *Stream) NewReader() *StreamReader {
-	return &StreamReader{prog: s.gen.prog, s: s, tr: *s.trail.Load()}
+	return &StreamReader{walk: newWalk(s.gen.prog), s: s, tp: *s.tape.Load()}
 }
 
 // recordLocked runs the generator on for n instructions, appending their
-// walk to the committed trail, and publishes the result. s.mu is held.
-func (s *Stream) recordLocked(n int) trail {
-	t := *s.trail.Load()
-	g := s.gen
-	insts := g.prog.insts
+// draws to the committed tape, and publishes the result. s.mu is held.
+func (s *Stream) recordLocked(n int) tape {
+	t := *s.tape.Load()
+	rec := &recorder{g: s.gen, t: &t}
 	for i := 0; i < n; i++ {
-		idx := g.idx
-		addr, taken := g.step()
-		op := uint32(idx) << 1
-		if taken {
-			op |= 1
-		}
-		t.ops = append(t.ops, op)
-		if insts[idx].memSite >= 0 {
-			t.addrs = append(t.addrs, addr)
-		}
+		s.gen.step(rec)
 	}
-	s.trail.Store(&t)
+	t.n += n
+	s.tape.Store(&t)
 	return t
 }
 
@@ -109,18 +124,18 @@ func (s *Stream) recordLocked(n int) trail {
 // reached, a private generator clone positioned at pos for the caller to
 // continue on (pos == recorded length in that case, since readers consume
 // sequentially from zero).
-func (s *Stream) extend(pos int) (trail, *Generator) {
+func (s *Stream) extend(pos int) (tape, *Generator) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := *s.trail.Load()
-	if pos < len(t.ops) {
+	t := *s.tape.Load()
+	if pos < t.n {
 		return t, nil // another reader already extended past pos
 	}
-	if len(t.ops) >= s.cap {
+	if t.n >= s.cap {
 		s.forks.Add(1)
 		return t, s.gen.Clone()
 	}
-	return s.recordLocked(min(growChunk, s.cap-len(t.ops))), nil
+	return s.recordLocked(min(growChunk, s.cap-t.n)), nil
 }
 
 // EnsureRecorded extends the recorded prefix to at least n instructions
@@ -141,43 +156,46 @@ func (s *Stream) EnsureRecorded(n int) {
 // one Reader per pipeline); distinct Readers of one Stream are safe
 // concurrently.
 type StreamReader struct {
-	prog *program
-	s    *Stream
-	tr   trail      // committed snapshot
-	pos  int        // next stream index to deliver
-	apos int        // index in tr.addrs of the next memory reference
-	gen  *Generator // non-nil once the reader has outrun the cap
+	walk
+	s   *Stream
+	tp  tape       // committed snapshot
+	br  int        // index in tp.br of the next branch draw
+	off int        // index in tp.offs of the next address draw
+	gen *Generator // non-nil once the reader has outrun the cap
 }
 
 // Next fills in with the next dynamic instruction, exactly as the
 // model's Generator would.
 func (r *StreamReader) Next(in *isa.Inst) {
+	if r.gen == nil && int(r.seq) >= r.tp.n {
+		r.tp, r.gen = r.s.extend(int(r.seq))
+	}
 	if r.gen != nil {
 		r.gen.Next(in)
 		return
 	}
-	if r.pos >= len(r.tr.ops) {
-		r.tr, r.gen = r.s.extend(r.pos)
-		if r.gen != nil {
-			r.gen.Next(in)
-			return
-		}
-	}
-	op := r.tr.ops[r.pos]
-	idx := int(op >> 1)
-	var addr uint64
-	if r.prog.insts[idx].memSite >= 0 {
-		addr = r.tr.addrs[r.apos]
-		r.apos++
-	}
-	r.prog.inst(in, uint64(r.pos), idx, addr, op&1 != 0)
-	r.pos++
+	r.next(in, r)
+}
+
+// below implements draws from the tape.
+func (r *StreamReader) below(float64) bool {
+	b := r.tp.br[r.br] != 0
+	r.br++
+	return b
+}
+
+// offset implements draws from the tape.
+func (r *StreamReader) offset(_, _ uint64) uint64 {
+	off := uint64(r.tp.offs[r.off]) << 3
+	r.off++
+	return off
 }
 
 // DefaultCacheCap is the default total recording capacity of a Cache, in
-// instructions — 18–28 MiB of trail at the registered benchmarks' 4.6–7.0
-// bytes per instruction, enough to hold every benchmark of the paper's
-// evaluation at the default experiment lengths simultaneously. The bound
+// instructions — at most 4.2 MiB of tape at the registered benchmarks'
+// 0.00–1.05 bytes per instruction, enough to hold every benchmark of the
+// paper's evaluation at the default experiment lengths simultaneously.
+// The bound
 // is soft: it is enforced at Stream() lookups, each stream admitted under
 // it may individually grow to the full capacity before the next lookup
 // trims the total, and evicted streams stay resident while active readers

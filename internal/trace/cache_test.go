@@ -11,9 +11,9 @@ import (
 func instEqual(a, b *isa.Inst) bool { return *a == *b }
 
 // bigModel is a user-built model beyond every registered benchmark: its
-// static program passes 1<<16 instructions and its working set 4 GiB,
-// neither of which Model.Validate bounds, so the trail can assume
-// neither 16-bit static indexes nor 32-bit address offsets.
+// static program passes 1<<16 instructions and its 8 GiB working set
+// yields address offsets past 32 bits, which the tape stores shifted
+// right by 3 in a uint32.
 func bigModel() Model {
 	return Model{Name: "big", Suite: SuiteFP, Seed: 7, Loops: []LoopSpec{
 		{IntChains: 1, FPChains: 3, IntChainLen: 6, FPChainLen: 30_000,
@@ -62,24 +62,24 @@ func TestReaderMatchesGenerator(t *testing.T) {
 	}
 }
 
-// TestRecordedFootprint bounds the trail: at the scenario default length
+// TestRecordedFootprint bounds the tape: at the scenario default length
 // (10k warmup + 60k measured instructions) every registered benchmark
-// records at most 8 bytes per instruction, 4 per op word and 8 per
-// memory reference's address, where a full per-instruction record took
+// records at most 1.5 bytes per instruction, one per random branch draw
+// and four per random address, where a full per-instruction record took
 // 32.
 func TestRecordedFootprint(t *testing.T) {
 	const n = 10_000 + 60_000
-	lo, hi := 8.0, 0.0
+	lo, hi := 1.5, 0.0
 	for _, name := range AllBenchmarks() {
 		s := newStream(MustByName(name), DefaultCacheCap)
 		s.EnsureRecorded(n)
-		tr := s.trail.Load()
-		if len(tr.ops) != n {
-			t.Fatalf("%s: recorded %d insts, want %d", name, len(tr.ops), n)
+		tp := s.tape.Load()
+		if tp.n != n {
+			t.Fatalf("%s: recorded %d insts, want %d", name, tp.n, n)
 		}
-		perInst := float64(4*len(tr.ops)+8*len(tr.addrs)) / n
-		if perInst > 8 {
-			t.Errorf("%s: %.2f recorded bytes per instruction, want at most 8", name, perInst)
+		perInst := float64(len(tp.br)+4*len(tp.offs)) / n
+		if perInst > 1.5 {
+			t.Errorf("%s: %.2f recorded bytes per instruction, want at most 1.5", name, perInst)
 		}
 		lo, hi = min(lo, perInst), max(hi, perInst)
 	}

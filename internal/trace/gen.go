@@ -13,23 +13,47 @@ const codeBase = 0x0040_0000
 // generators built from the same model produce identical streams, so every
 // scheme is evaluated on exactly the same trace.
 type Generator struct {
+	walk
 	model Model
-	prog  *program
 	r     *rng.Source
+}
+
+// walk is a position in a model's dynamic stream: the static instruction
+// it has reached and the per-site counters that decide back edges (trip
+// counts), periodic branches and streaming addresses. Everything else a
+// step decides comes from its draws, so two walks of one program fed the
+// same draws produce the same stream: a Generator draws from the model's
+// random source, and a StreamReader reads back the draws a Generator
+// recorded.
+type walk struct {
+	prog *program
 
 	idx int    // current static instruction index
 	seq uint64 // dynamic sequence number
 
-	// Per back-edge-site iteration counters (trip-count bookkeeping).
-	iters []int
-	// Per memory-site stream positions.
-	memCount []uint64
-	// Per branch-site dynamic execution counts (drives periodic sites).
-	brCount []uint64
-	// Per branch-site period (0 = biased-random site). Derived once
-	// from the site's entropy/bias at generator construction.
-	period     []uint16
-	periodHigh []uint16
+	iters    []int    // per back-edge site: iterations of the current trip
+	memCount []uint64 // per memory site: references so far
+	brCount  []uint64 // per branch site: executions so far (periodic sites)
+}
+
+// draws supplies a walk's random outcomes, in stream order.
+type draws interface {
+	// below reports whether a uniform draw from [0, 1) falls below p.
+	below(p float64) bool
+	// offset returns the 8-byte-aligned offset of a non-streaming
+	// reference: inside the site's hot region (hotMask) for most
+	// references, anywhere in its working set (wsMask) for the rest.
+	offset(hotMask, wsMask uint64) uint64
+}
+
+// newWalk returns a walk positioned at the first instruction of p.
+func newWalk(p *program) walk {
+	return walk{
+		prog:     p,
+		iters:    make([]int, len(p.brSites)),
+		memCount: make([]uint64, len(p.memSites)),
+		brCount:  make([]uint64, len(p.brSites)),
+	}
 }
 
 // NewGenerator builds the static program for m and returns a generator
@@ -39,33 +63,7 @@ func NewGenerator(m Model) *Generator {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
-	p := buildProgram(m)
-	g := &Generator{
-		model:      m,
-		prog:       p,
-		r:          rng.New(m.Seed ^ 0x9e37),
-		iters:      make([]int, len(p.brSites)),
-		memCount:   make([]uint64, len(p.memSites)),
-		brCount:    make([]uint64, len(p.brSites)),
-		period:     make([]uint16, len(p.brSites)),
-		periodHigh: make([]uint16, len(p.brSites)),
-	}
-	// A minority of conditional sites follow a long, strongly biased
-	// periodic pattern (e.g. the last element of a small inner
-	// structure). Because outcomes at other sites are independent, a
-	// global-history predictor cannot learn short balanced patterns, so
-	// only patterns that are also learnable as a bias are used.
-	pr := rng.New(m.Seed ^ 0x51be)
-	for i, s := range p.brSites {
-		if s.bias >= 1.0 { // back edge: driven by trip counts
-			continue
-		}
-		if pr.Float64() < 0.2*(1-s.entropy) {
-			g.period[i] = uint16(6 + pr.Intn(3))
-			g.periodHigh[i] = g.period[i] - 1
-		}
-	}
-	return g
+	return &Generator{walk: newWalk(buildProgram(m)), model: m, r: rng.New(m.Seed ^ 0x9e37)}
 }
 
 // Model returns the benchmark model the generator was built from.
@@ -77,19 +75,11 @@ func (g *Generator) Model() Model { return g.model }
 // copied. Stream readers fork this way when they run past a stream's
 // recording cap.
 func (g *Generator) Clone() *Generator {
-	c := &Generator{
-		model:      g.model,
-		prog:       g.prog, // immutable after construction
-		r:          g.r.Clone(),
-		idx:        g.idx,
-		seq:        g.seq,
-		iters:      append([]int(nil), g.iters...),
-		memCount:   append([]uint64(nil), g.memCount...),
-		brCount:    append([]uint64(nil), g.brCount...),
-		period:     g.period,     // immutable after construction
-		periodHigh: g.periodHigh, // immutable after construction
-	}
-	return c
+	w := g.walk
+	w.iters = append([]int(nil), g.iters...)
+	w.memCount = append([]uint64(nil), g.memCount...)
+	w.brCount = append([]uint64(nil), g.brCount...)
+	return &Generator{walk: w, model: g.model, r: g.r.Clone()}
 }
 
 // StaticSize returns the number of static instructions in the program.
@@ -97,32 +87,51 @@ func (g *Generator) StaticSize() int { return len(g.prog.insts) }
 
 // Next fills in the architectural fields of in with the next dynamic
 // instruction and resets its microarchitectural fields.
-func (g *Generator) Next(in *isa.Inst) {
-	idx, seq := g.idx, g.seq
-	addr, taken := g.step()
-	g.prog.inst(in, seq, idx, addr, taken)
+func (g *Generator) Next(in *isa.Inst) { g.next(in, g) }
+
+// below implements draws from the model's random source.
+func (g *Generator) below(p float64) bool { return g.r.Float64() < p }
+
+// offset implements draws from the model's random source. Non-streaming
+// references mostly fall in the site's hot region (real pointer/table
+// code hits L1 for the vast majority of accesses), the rest anywhere in
+// the working set.
+func (g *Generator) offset(hotMask, wsMask uint64) uint64 {
+	if g.r.Float64() < 0.92 {
+		return (g.r.Uint64() & hotMask) &^ 7
+	}
+	return (g.r.Uint64() & wsMask) &^ 7
+}
+
+// next fills in with the walk's next instruction, taking its random
+// outcomes from d. Generator.Next and StreamReader.Next both build their
+// instructions here, so replay cannot drift from generation.
+func (w *walk) next(in *isa.Inst, d draws) {
+	idx, seq := w.idx, w.seq
+	addr, taken := w.step(d)
+	w.prog.inst(in, seq, idx, addr, taken)
 }
 
 // step advances the walk by one instruction: it returns the current
 // static instruction's effective address (memory references) and
 // direction (branches), and moves to its successor.
-func (g *Generator) step() (addr uint64, taken bool) {
-	si := &g.prog.insts[g.idx]
-	next := g.idx + 1
+func (w *walk) step(d draws) (addr uint64, taken bool) {
+	si := &w.prog.insts[w.idx]
+	next := w.idx + 1
 	if si.memSite >= 0 {
-		addr = g.address(si.memSite)
+		addr = w.address(si.memSite, d)
 	}
 	if si.brSite >= 0 {
-		taken = g.outcome(si)
+		taken = w.outcome(si, d)
 		if taken {
 			next = si.takenTarget
 		}
 	}
-	if next >= len(g.prog.insts) {
+	if next >= len(w.prog.insts) {
 		next = 0
 	}
-	g.idx = next
-	g.seq++
+	w.idx = next
+	w.seq++
 	return addr, taken
 }
 
@@ -130,8 +139,7 @@ func (g *Generator) step() (addr uint64, taken bool) {
 // static instruction idx, given its effective address (0 unless idx is a
 // memory reference) and direction (false unless idx is a branch), and
 // resets in's microarchitectural fields. Every other architectural field
-// is static. Generator.Next and StreamReader.Next both build their
-// instructions here, so replay cannot drift from generation.
+// is static.
 func (p *program) inst(in *isa.Inst, seq uint64, idx int, addr uint64, taken bool) {
 	si := &p.insts[idx]
 	in.Seq = seq
@@ -152,40 +160,33 @@ func (p *program) inst(in *isa.Inst, seq uint64, idx int, addr uint64, taken boo
 }
 
 // address produces the next effective address for a memory site.
-func (g *Generator) address(site int) uint64 {
-	ms := &g.prog.memSites[site]
-	n := g.memCount[site]
-	g.memCount[site]++
+func (w *walk) address(site int, d draws) uint64 {
+	ms := &w.prog.memSites[site]
+	n := w.memCount[site]
+	w.memCount[site]++
 	if ms.stream {
 		return ms.base + (n*ms.stride)&ms.wsMask
 	}
-	// Non-streaming references: most fall in the site's hot region
-	// (real pointer/table code hits L1 for the vast majority of
-	// accesses), the rest anywhere in the working set.
-	if g.r.Float64() < 0.92 {
-		return ms.base + (g.r.Uint64()&ms.hotMask)&^7
-	}
-	return ms.base + (g.r.Uint64()&ms.wsMask)&^7
+	return ms.base + d.offset(ms.hotMask, ms.wsMask)
 }
 
 // outcome decides a branch's architectural direction.
-func (g *Generator) outcome(si *staticInst) bool {
-	s := &g.prog.brSites[si.brSite]
-	n := g.brCount[si.brSite]
-	g.brCount[si.brSite]++
+func (w *walk) outcome(si *staticInst, d draws) bool {
+	s := &w.prog.brSites[si.brSite]
+	n := w.brCount[si.brSite]
+	w.brCount[si.brSite]++
 	if si.backEdge {
-		trip := g.model.Loops[s.loop].TripCount
-		g.iters[si.brSite]++
-		if g.iters[si.brSite] >= trip {
-			g.iters[si.brSite] = 0
+		w.iters[si.brSite]++
+		if w.iters[si.brSite] >= s.trip {
+			w.iters[si.brSite] = 0
 			return false // exit the loop
 		}
 		return true
 	}
-	if p := g.period[si.brSite]; p > 0 {
-		base := n%uint64(p) < uint64(g.periodHigh[si.brSite])
+	if p := uint64(s.period); p > 0 {
+		base := n%p < p-1
 		// Entropy occasionally flips even periodic sites.
-		if s.entropy > 0 && g.r.Float64() < s.entropy/2 {
+		if s.entropy > 0 && d.below(s.entropy/2) {
 			return !base
 		}
 		return base
@@ -194,5 +195,5 @@ func (g *Generator) outcome(si *staticInst) bool {
 	// so the best achievable prediction accuracy at the site is
 	// bias*(1-entropy) + (1-bias)*entropy.
 	pTaken := s.bias*(1-s.entropy) + (1-s.bias)*s.entropy
-	return g.r.Float64() < pTaken
+	return d.below(pTaken)
 }

@@ -93,7 +93,7 @@ type LoopSpec struct {
 	// Memory behaviour: each static memory site walks its own array
 	// with the given stride (StreamFrac of sites) or references a
 	// uniformly random location in a working set of WorkingSetKB
-	// (the rest of the sites).
+	// (the rest of the sites), at most 32 GiB.
 	WorkingSetKB int
 	StreamFrac   float64
 	StrideBytes  int
@@ -111,6 +111,11 @@ type Model struct {
 	Seed  uint64
 	Loops []LoopSpec
 }
+
+// maxWorkingSetKB bounds LoopSpec.WorkingSetKB at 32 GiB: a trace cache
+// records a random address as its 8-byte-aligned offset in the working
+// set, shifted right by 3, in a uint32.
+const maxWorkingSetKB = 32 << 20
 
 // Validate checks model parameters for consistency.
 func (m Model) Validate() error {
@@ -138,6 +143,9 @@ func (m Model) Validate() error {
 		}
 		if l.WorkingSetKB <= 0 && (l.LoadHead > 0 || l.StoreTail > 0) {
 			return fmt.Errorf("trace: %s loop %d has memory ops but no working set", m.Name, i)
+		}
+		if l.WorkingSetKB > maxWorkingSetKB {
+			return fmt.Errorf("trace: %s loop %d working set of %d KB exceeds %d KB", m.Name, i, l.WorkingSetKB, maxWorkingSetKB)
 		}
 	}
 	return nil
@@ -185,7 +193,8 @@ type staticInst struct {
 type brSite struct {
 	bias    float64 // probability of "taken" before entropy mixing
 	entropy float64
-	loop    int // owning loop, for trip-count bookkeeping (back edges)
+	trip    int    // owning loop's trip count (back edges)
+	period  uint16 // taken for period-1 of every period executions; 0 = biased-random site
 }
 
 // memSite is the static description of a memory reference site.
@@ -218,6 +227,21 @@ func buildProgram(m Model) *program {
 		}
 		for c := 0; c < copies; c++ {
 			buildLoopBody(p, li, loop, r)
+		}
+	}
+	// A minority of conditional sites follow a long, strongly biased
+	// periodic pattern (e.g. the last element of a small inner
+	// structure). Because outcomes at other sites are independent, a
+	// global-history predictor cannot learn short balanced patterns, so
+	// only patterns that are also learnable as a bias are used.
+	pr := rng.New(m.Seed ^ 0x51be)
+	for i := range p.brSites {
+		s := &p.brSites[i]
+		if s.bias >= 1.0 { // back edge: driven by trip counts
+			continue
+		}
+		if pr.Float64() < 0.2*(1-s.entropy) {
+			s.period = uint16(6 + pr.Intn(3))
 		}
 	}
 	return p
@@ -280,7 +304,7 @@ func buildLoopBody(p *program, loopIdx int, l LoopSpec, r *rng.Source) {
 		return len(p.memSites) - 1
 	}
 	newBrSite := func(bias, entropy float64) int {
-		p.brSites = append(p.brSites, brSite{bias: bias, entropy: entropy, loop: loopIdx})
+		p.brSites = append(p.brSites, brSite{bias: bias, entropy: entropy, trip: l.TripCount})
 		return len(p.brSites) - 1
 	}
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"distiq/internal/isa"
@@ -47,6 +48,28 @@ func TestValidateRejectsBadModels(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("bad model %d validated", i)
 		}
+	}
+}
+
+// TestValidateBoundsWorkingSet pins the working-set bound to the tape's
+// address word: the largest valid working set yields offsets that still
+// fit in 32 bits once shifted right by 3, and one KB more is rejected.
+func TestValidateBoundsWorkingSet(t *testing.T) {
+	m := Model{Name: "ws", Suite: SuiteInt, Seed: 1, Loops: []LoopSpec{{
+		IntChains: 1, IntChainLen: 1, LoadHead: 1, TripCount: 1,
+		WorkingSetKB: maxWorkingSetKB,
+	}}}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("%d KB working set rejected: %v", maxWorkingSetKB, err)
+	}
+	for _, ms := range buildProgram(m).memSites {
+		if ms.wsMask>>3 > math.MaxUint32 {
+			t.Fatalf("largest offset %#x does not fit the tape word", ms.wsMask&^7)
+		}
+	}
+	m.Loops[0].WorkingSetKB++
+	if err := m.Validate(); err == nil {
+		t.Fatalf("%d KB working set validated", m.Loops[0].WorkingSetKB)
 	}
 }
 
