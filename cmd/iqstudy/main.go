@@ -1,7 +1,6 @@
-// Command iqstudy runs comparative studies — ablations, seed-replicated
-// statistics and adaptive energy–IPC Pareto frontier searches — through
-// the same Client layer iqsweep uses. A study is a strict-JSON spec
-// (-spec) in one of three modes:
+// Command iqstudy runs comparative studies — ablations and
+// seed-replicated statistics — through the same Client layer iqsweep
+// uses. A study is a strict-JSON spec (-spec) in one of two modes:
 //
 //   - "ablation": a baseline configuration plus named variants, each a
 //     set of feature toggles over the baseline; the output is a
@@ -9,17 +8,12 @@
 //   - "replication": the same variants fanned across RNG seeds (explicit
 //     "seeds" or a "replicates" count); the output reports mean, sample
 //     stddev and 95% confidence intervals per variant × benchmark.
-//   - "frontier": an adaptive search over a discrete configuration
-//     "space" (queues × entries × chains × rob) for the energy-vs-IPC
-//     Pareto frontier: a coarse grid seeds the search, then each round
-//     proposes neighbors of the current non-dominated set until the
-//     evaluation budget is exhausted or a round improves nothing.
 //
-// Every variant and candidate resolves through the content-addressed
-// engine, so a warm rerun performs zero simulations and emits identical
-// bytes, and a frontier re-proposing a visited point answers from cache.
-// With -server the study drives a remote distiqd via its sweep
-// endpoint; the table is byte-identical either way.
+// Each variant is one single-configuration scenario grid resolved
+// through the content-addressed engine, so a warm rerun performs zero
+// simulations and emits identical bytes. With -server the study drives
+// a remote distiqd via its sweep endpoint; the table is byte-identical
+// either way.
 //
 // Usage:
 //
@@ -37,17 +31,6 @@
 //	    {"name": "mb-distr", "scheme": "MB_distr"},
 //	    {"name": "small-rob", "rob": 128}
 //	  ]
-//	}
-//
-// A frontier spec:
-//
-//	{
-//	  "name": "latfifo-frontier",
-//	  "mode": "frontier",
-//	  "benchmarks": ["swim"],
-//	  "space": {"scheme": "LatFIFO", "queues": [2,4,8], "entries": [8,16,32]},
-//	  "budget": 16,
-//	  "batch": 4
 //	}
 package main
 
@@ -170,9 +153,8 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		return stats, err
 	}
 
-	// Emit through the shared study emitter — the same code path the
-	// distiqd /v1/studies service uses, so CLI output, -server output
-	// and service bodies are byte-identical by construction.
+	// Emit through the shared study emitter, so local and -server output
+	// are byte-identical by construction.
 	var buf bytes.Buffer
 	if err := res.Emit(&buf, *format); err != nil {
 		return stats, cliutil.BadInput(err)

@@ -56,6 +56,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 		t.Fatalf("unknown field not rejected: %v", err)
 	}
 
+	// The retired frontier mode is bad input like any unknown mode.
+	frontier := writeSpec(t, `{"mode": "frontier", "benchmarks": ["swim"]}`)
+	if _, err := run([]string{"-spec", frontier}, &out, &errw); err == nil ||
+		!strings.Contains(err.Error(), `unknown mode "frontier"`) {
+		t.Fatalf("frontier spec not rejected: %v", err)
+	} else if cliutil.ExitCode(err) != 2 {
+		t.Fatalf("frontier spec exit code %d, want 2 (%v)", cliutil.ExitCode(err), err)
+	}
+
 	good := writeSpec(t, ablationSpec)
 	if _, err := run([]string{"-spec", good, "-format", "xml"}, &out, &errw); err == nil {
 		t.Fatal("unknown format accepted")
@@ -106,6 +115,8 @@ func TestRunAblationEndToEndWarmCache(t *testing.T) {
 	}
 }
 
+// TestRunReplicationMode runs a replication study with -o: the table
+// lands in the file and stdout stays empty.
 func TestRunReplicationMode(t *testing.T) {
 	specPath := writeSpec(t, `{
 	  "name": "cli-replication",
@@ -115,53 +126,29 @@ func TestRunReplicationMode(t *testing.T) {
 	  "warmup": 1000,
 	  "instructions": 2000
 	}`)
+	outPath := filepath.Join(t.TempDir(), "replication.csv")
 	var out, errw bytes.Buffer
-	stats, err := run([]string{"-spec", specPath, "-quiet"}, &out, &errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Simulated != 3 { // baseline x 3 seeds x 1 benchmark
-		t.Fatalf("simulated %d jobs, want 3", stats.Simulated)
-	}
-	head := strings.SplitN(out.String(), "\n", 2)[0]
-	want := "variant,config,benchmark,n,ipc_mean,ipc_sd,ipc_ci95,energy_mean,energy_sd,energy_ci95"
-	if head != want {
-		t.Fatalf("csv header = %q, want %q", head, want)
-	}
-	if !strings.Contains(out.String(), ",3,") {
-		t.Fatalf("no n=3 column in:\n%s", out.String())
-	}
-}
-
-func TestRunFrontierModeWritesFile(t *testing.T) {
-	specPath := writeSpec(t, `{
-	  "name": "cli-frontier",
-	  "mode": "frontier",
-	  "benchmarks": ["swim"],
-	  "space": {"scheme": "LatFIFO", "queues": [2, 4], "entries": [8, 16]},
-	  "budget": 4,
-	  "batch": 2,
-	  "warmup": 1000,
-	  "instructions": 2000
-	}`)
-	outPath := filepath.Join(t.TempDir(), "frontier.md")
-	var out, errw bytes.Buffer
-	stats, err := run([]string{"-spec", specPath, "-quiet", "-format", "md", "-o", outPath}, &out, &errw)
+	stats, err := run([]string{"-spec", specPath, "-quiet", "-o", outPath}, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("-o still wrote to stdout: %q", out.String())
 	}
-	if stats.Simulated == 0 {
-		t.Fatal("frontier simulated nothing")
+	if stats.Simulated != 3 { // baseline x 3 seeds x 1 benchmark
+		t.Fatalf("simulated %d jobs, want 3", stats.Simulated)
 	}
 	body, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "Search trajectory:") {
-		t.Fatalf("frontier output has no trajectory:\n%s", body)
+	head := strings.SplitN(string(body), "\n", 2)[0]
+	want := "variant,config,benchmark,n,ipc_mean,ipc_sd,ipc_ci95,energy_mean,energy_sd,energy_ci95"
+	if head != want {
+		t.Fatalf("csv header = %q, want %q", head, want)
+	}
+	if !strings.Contains(string(body), ",3,") {
+		t.Fatalf("no n=3 column in:\n%s", body)
 	}
 }
 

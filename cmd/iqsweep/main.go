@@ -1,10 +1,8 @@
 // Command iqsweep runs declarative experiment grids through the cached
-// concurrent engine. A grid is either a JSON scenario spec (-spec) naming
-// axes over the full machine — benchmarks/suites, issue-queue schemes and
-// shapes, ROB size, pipeline widths, functional-unit counts, memory
-// latencies, the perfect-disambiguation ablation — or the legacy
-// queues × entries flags, which generate the equivalent spec
-// (-dump-spec prints it).
+// concurrent engine. A grid is a JSON scenario spec (-spec, required)
+// naming axes over the full machine — benchmarks/suites, issue-queue
+// schemes and shapes, ROB size, pipeline widths, functional-unit counts,
+// memory latencies, the perfect-disambiguation ablation.
 //
 // The grid runs through the Client layer: locally on the in-process
 // engine (simulations shard across -parallel workers, -store selects a
@@ -28,9 +26,6 @@
 //	iqsweep -spec grid.json -store fs:/tmp/distiq-cache
 //	iqsweep -spec grid.json -server http://localhost:8090
 //	iqsweep -spec grid.json -format md -o results.md
-//	iqsweep -scheme MixBUFF -queues 4,8,12,16 -entries 8,16,32 -suite fp
-//	iqsweep -scheme IssueFIFO -queues 8,16 -entries 8 -bench swim,gzip -distr
-//	iqsweep -scheme MixBUFF -queues 8 -dump-spec   # flags -> spec JSON
 //
 // Integrity: -manifest writes the sweep's tamper-evident Merkle
 // manifest (leaves are the content-addressed hashes of the stored
@@ -60,7 +55,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"distiq"
@@ -84,36 +78,24 @@ func main() {
 		// flag error; system failures exit 1.
 		os.Exit(cliutil.ExitCode(err))
 	}
-	// -dump-spec (and any future no-run mode) requests nothing from the
-	// engine; only summarize when jobs were actually resolved.
+	// -verify-manifest requests nothing from the engine; only summarize
+	// when jobs were actually resolved.
 	if stats.Requested > 0 {
 		fmt.Fprintf(os.Stderr, "iqsweep: %d simulated, %d memory hits, %d disk hits, %d deduplicated\n",
 			stats.Simulated, stats.MemoryHits, stats.DiskHits, stats.Shared)
 	}
 }
 
-// run parses argv, assembles the grid spec (from -spec or the legacy
-// flags), executes it and writes the formatted results. It returns the
-// engine counters so tests can assert warm-cache behaviour.
+// run parses argv, loads the grid spec, executes it and writes the
+// formatted results. It returns the engine counters so tests can assert
+// warm-cache behaviour.
 func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	fs := flag.NewFlagSet("iqsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		specPath = fs.String("spec", "", "JSON scenario-grid spec file (overrides the legacy grid flags)")
+		specPath = fs.String("spec", "", "JSON scenario-grid spec file (required unless -verify-manifest)")
 		format   = fs.String("format", "csv", "output format: csv, json or md")
 		outPath  = fs.String("o", "", "write output to this file instead of stdout")
-		dumpSpec = fs.Bool("dump-spec", false, "print the effective spec as JSON and exit without simulating")
-
-		scheme  = fs.String("scheme", "MixBUFF", "legacy grid: IssueFIFO, LatFIFO or MixBUFF (FP side; int side fixed per -intq)")
-		queues  = fs.String("queues", "8,12", "legacy grid: comma-separated FP queue counts")
-		entries = fs.String("entries", "8,16", "legacy grid: comma-separated FP entries per queue")
-		chains  = fs.String("chains", "0", "legacy grid: comma-separated chains per queue (MixBUFF; 0 = unbounded)")
-		intq    = fs.String("intq", "16x16", "legacy grid: fixed integer queues AxB")
-		suite   = fs.String("suite", "", "restrict to a suite: int or fp")
-		benchCS = fs.String("bench", "", "comma-separated benchmarks (default: suite or all)")
-		distr   = fs.Bool("distr", false, "legacy grid: distribute functional units")
-		n       = fs.Uint64("n", 60_000, "instructions per run")
-		warmup  = fs.Uint64("warmup", 10_000, "warmup instructions")
 
 		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
 		cacheDir  = fs.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR; local runs)")
@@ -146,26 +128,15 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		return distiq.EngineStats{}, verifyManifest(*verifyPath, effStore, stderr)
 	}
 
-	spec, err := assembleSpec(*specPath, legacyFlags{
-		scheme: *scheme, queues: *queues, entries: *entries, chains: *chains,
-		intq: *intq, suite: *suite, bench: *benchCS, distr: *distr,
-		n: *n, warmup: *warmup,
-	})
+	if *specPath == "" {
+		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-spec is required"))
+	}
+	spec, err := distiq.LoadScenarioSpec(*specPath)
 	if err != nil {
-		// Bad spec files and bad legacy grid flags are user input, like
-		// the engine knobs above: exit 2 (and 400 in distiqd).
+		// Bad spec files are user input, like the engine knobs above:
+		// exit 2 (and 400 in distiqd).
 		return distiq.EngineStats{}, cliutil.BadInput(err)
 	}
-
-	if *dumpSpec {
-		data, err := spec.JSON()
-		if err != nil {
-			return distiq.EngineStats{}, err
-		}
-		fmt.Fprintln(stdout, string(data))
-		return distiq.EngineStats{}, nil
-	}
-
 	grid, err := spec.Expand()
 	if err != nil {
 		return distiq.EngineStats{}, cliutil.BadInput(err)
@@ -289,56 +260,4 @@ func runStats(local *distiq.LocalClient, stream *distiq.SweepStream) distiq.Engi
 		return local.Stats()
 	}
 	return stream.Counts().Stats()
-}
-
-// legacyFlags carries the pre-spec grid flags; assembleSpec turns them
-// into the equivalent scenario spec when no -spec file is given.
-type legacyFlags struct {
-	scheme, queues, entries, chains, intq, suite, bench string
-	distr                                               bool
-	n, warmup                                           uint64
-}
-
-func assembleSpec(specPath string, lf legacyFlags) (*distiq.ScenarioSpec, error) {
-	if specPath != "" {
-		return distiq.LoadScenarioSpec(specPath)
-	}
-	qs, err := ints(lf.queues)
-	if err != nil {
-		return nil, err
-	}
-	es, err := ints(lf.entries)
-	if err != nil {
-		return nil, err
-	}
-	chs, err := ints(lf.chains)
-	if err != nil {
-		return nil, err
-	}
-	spec := distiq.NewScenario("").WithScheme(distiq.SchemeAxis{
-		Scheme: lf.scheme, IntQ: lf.intq,
-		Queues: qs, Entries: es, Chains: chs, Distr: lf.distr,
-	}).WithLengths(lf.warmup, lf.n)
-	if lf.bench != "" {
-		spec.WithBenchmarks(strings.Split(lf.bench, ",")...)
-	} else if lf.suite != "" {
-		spec.WithSuites(strings.ToLower(lf.suite))
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
-// ints parses a comma-separated integer list.
-func ints(csv string) ([]int, error) {
-	var out []int
-	for _, s := range strings.Split(csv, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q: %v", csv, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,55 +12,16 @@ import (
 	"distiq/internal/cliutil"
 )
 
-func TestInts(t *testing.T) {
-	got, err := ints("8, 12,16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{8, 12, 16}) {
-		t.Fatalf("ints = %v", got)
-	}
-	if _, err := ints("8,twelve"); err == nil {
-		t.Fatal("bad list accepted")
-	}
-}
-
-func TestAssembleSpecFromLegacyFlags(t *testing.T) {
-	spec, err := assembleSpec("", legacyFlags{
-		scheme: "MixBUFF", queues: "8,12", entries: "16", chains: "0,8",
-		intq: "16x16", suite: "fp", n: 60_000, warmup: 10_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 queues x 1 entries x 2 chains x 14 FP benchmarks.
-	if grid.Size() != 2*1*2*14 {
-		t.Fatalf("grid size = %d", grid.Size())
-	}
-	if !reflect.DeepEqual(grid.Axes, []string{"scheme", "queues", "entries", "chains"}) {
-		t.Fatalf("axes = %v", grid.Axes)
-	}
-
-	if _, err := assembleSpec("", legacyFlags{scheme: "nope", queues: "8",
-		entries: "8", chains: "0", n: 1, warmup: 1}); err == nil {
-		t.Fatal("unknown scheme accepted")
-	}
-	if _, err := assembleSpec("", legacyFlags{scheme: "MixBUFF", queues: "8",
-		entries: "8", chains: "0", bench: "nonesuch", n: 1, warmup: 1}); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
+	specPath := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var out, errw bytes.Buffer
 	if _, err := run([]string{"-parallel", "-1"}, &out, &errw); err == nil {
 		t.Fatal("-parallel -1 accepted")
 	}
-	if _, err := run([]string{"-cache-dir", "/nonexistent-parent-dir/sub/cache"}, &out, &errw); err == nil {
+	if _, err := run([]string{"-spec", specPath, "-cache-dir", "/nonexistent-parent-dir/sub/cache"}, &out, &errw); err == nil {
 		t.Fatal("bad -cache-dir parent accepted")
 	}
 	if _, err := run([]string{"-spec", "/no/such/spec.json"}, &out, &errw); err == nil {
@@ -193,57 +154,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRunDumpSpecRoundTrips(t *testing.T) {
-	var out, errw bytes.Buffer
-	if _, err := run([]string{"-dump-spec", "-bench", "swim", "-scheme", "IssueFIFO",
-		"-queues", "8", "-entries", "8", "-chains", "0"}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := distiq.ParseScenarioSpec(out.Bytes())
-	if err != nil {
-		t.Fatalf("dumped spec does not parse back: %v\n%s", err, out.String())
-	}
-	if len(spec.Schemes) != 1 || spec.Schemes[0].Scheme != "IssueFIFO" {
-		t.Fatalf("round-tripped spec = %+v", spec)
-	}
-}
-
-// TestDumpSpecByteIdenticalRoundTrip pins the -dump-spec contract:
-// whatever legacy flag combination generated the spec, parsing the
-// dumped JSON back through the strict parser and re-rendering it must
-// reproduce the dumped bytes exactly. A drift here would mean the CLI
-// emits fields the parser normalizes away (or vice versa), so dumped
-// specs would stop being canonical.
-func TestDumpSpecByteIdenticalRoundTrip(t *testing.T) {
-	combos := [][]string{
-		{"-dump-spec", "-scheme", "MixBUFF", "-queues", "4,8", "-entries", "8,16",
-			"-chains", "0,8", "-suite", "fp", "-distr"},
-		{"-dump-spec", "-scheme", "IssueFIFO", "-queues", "8", "-entries", "8",
-			"-chains", "0", "-bench", "swim,gzip"},
-		{"-dump-spec", "-scheme", "LatFIFO", "-queues", "2,4,8", "-entries", "32",
-			"-chains", "0", "-intq", "8x8", "-n", "30000", "-warmup", "5000"},
-	}
-	for _, argv := range combos {
-		var out, errw bytes.Buffer
-		if _, err := run(argv, &out, &errw); err != nil {
-			t.Fatalf("%v: %v", argv, err)
-		}
-		spec, err := distiq.ParseScenarioSpec(out.Bytes())
-		if err != nil {
-			t.Fatalf("%v: dumped spec does not parse back: %v\n%s", argv, err, out.String())
-		}
-		again, err := spec.JSON()
-		if err != nil {
-			t.Fatalf("%v: %v", argv, err)
-		}
-		// -dump-spec prints the JSON plus a trailing newline.
-		if want := append(again, '\n'); !bytes.Equal(out.Bytes(), want) {
-			t.Fatalf("%v: round trip is not byte-identical:\ndumped:\n%s\nre-rendered:\n%s",
-				argv, out.String(), want)
-		}
-	}
-}
-
 func TestRunOtherFormats(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "grid.json")
@@ -288,11 +198,9 @@ func TestRunErrorsAreBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, argv := range map[string][]string{
-		"bad parallel":   {"-parallel", "-1"},
-		"bad queues":     {"-queues", "8,x"},
-		"unknown scheme": {"-scheme", "nope"},
-		"bad format": {"-bench", "swim", "-queues", "8", "-entries", "8",
-			"-warmup", "100", "-n", "200", "-quiet", "-format", "yaml"},
+		"bad parallel":          {"-parallel", "-1"},
+		"no spec":               {"-quiet"},
+		"bad format":            {"-spec", specPath, "-quiet", "-format", "yaml"},
 		"removed store backend": {"-spec", specPath, "-store", "http://127.0.0.1:1/"},
 		"server list":           {"-spec", specPath, "-server", "http://127.0.0.1:1,http://127.0.0.1:2"},
 		// A freshly opened mem store can never hold the manifest's entries.
@@ -305,6 +213,30 @@ func TestRunErrorsAreBadInput(t *testing.T) {
 		}
 		if cliutil.ExitCode(err) != 2 {
 			t.Errorf("%s: exit code %d, want 2 (%v)", name, cliutil.ExitCode(err), err)
+		}
+	}
+}
+
+// TestRemovedGridFlagsAreFlagErrors: the grid flags that predate -spec
+// are gone, so passing one beside a spec is a flag error (exit 2), not
+// a value silently dropped in favour of the spec file.
+func TestRemovedGridFlagsAreFlagErrors(t *testing.T) {
+	specPath := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, flag := range [][]string{
+		{"-n", "1000"}, {"-warmup", "7"}, {"-bench", "gzip"}, {"-suite", "int"},
+		{"-scheme", "MixBUFF"}, {"-queues", "8"}, {"-entries", "16"},
+		{"-chains", "0"}, {"-intq", "16x16"}, {"-distr"}, {"-dump-spec"},
+	} {
+		var out, errw bytes.Buffer
+		_, err := run(append([]string{"-spec", specPath, "-quiet"}, flag...), &out, &errw)
+		if !errors.Is(err, errBadFlags) {
+			t.Errorf("%v: err = %v, want a flag error", flag, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %q to stdout", flag, out.String())
 		}
 	}
 }

@@ -427,13 +427,13 @@ var (
 
 // Study types: comparative experiment orchestration on top of the
 // Client layer. A study — built with NewStudy or parsed from strict
-// JSON — runs unchanged on any Client (Local or Remote) in one of
-// three modes: ablation (baseline + named feature-toggle variants,
-// emitted as a deterministic variant × metric delta table), replication
-// (variants fanned across RNG seeds with mean/stddev/95% CI columns)
-// and frontier (an adaptive energy-vs-IPC Pareto search over a discrete
-// configuration space). Tables use fixed-point formatting, so documents
-// are byte-identical across substrates and warm-cache reruns.
+// JSON — is an ordered list of single-configuration scenario grids,
+// swept unchanged on any Client (Local or Remote), in one of two modes:
+// ablation (baseline + named feature-toggle variants, emitted as a
+// deterministic variant × metric delta table) and replication (variants
+// fanned across RNG seeds with mean/stddev/95% CI columns). Tables use
+// fixed-point formatting, so documents are byte-identical across
+// substrates and warm-cache reruns.
 //
 //	spec := distiq.NewStudy("scheme-ablation").
 //		Ablation().
@@ -446,25 +446,16 @@ var (
 //	if err != nil { ... }
 //	fmt.Print(res.CSV())
 type (
-	// StudySpec is a strict-JSON study description (ablation,
-	// replication or frontier); build one with NewStudy or parse with
+	// StudySpec is a strict-JSON study description (ablation or
+	// replication); build one with NewStudy or parse with
 	// ParseStudySpec/LoadStudySpec.
 	StudySpec = study.Spec
 	// StudyVariant is one named feature-toggle set applied over a
 	// study's baseline.
 	StudyVariant = study.Variant
-	// StudySpace is the discrete configuration space a frontier search
-	// explores.
-	StudySpace = study.Space
 	// StudyResult is a finished study's deterministic table (CSV, JSON
-	// and markdown emitters) plus trajectory and resolution counts.
+	// and markdown emitters) plus resolution counts and manifest.
 	StudyResult = study.Result
-	// StudyRound summarizes one frontier search round.
-	StudyRound = study.Round
-	// StudyOptions tunes a study run (per-point streaming hook).
-	StudyOptions = study.Options
-	// StudyPointUpdate is one resolved point of a running study.
-	StudyPointUpdate = study.PointUpdate
 )
 
 // Study entry points.
@@ -479,8 +470,6 @@ var (
 	// RunStudy executes a study against any Client and returns its
 	// table.
 	RunStudy = study.Run
-	// RunStudyOpts is RunStudy with explicit options.
-	RunStudyOpts = study.RunOpts
 )
 
 // Domains of the split issue logic.

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -121,6 +122,43 @@ func TestBuilderMatchesJSON(t *testing.T) {
 	if g1.Size() != g2.Size() || !reflect.DeepEqual(g1.Axes, g2.Axes) {
 		t.Fatalf("builder and JSON grids differ: %d/%v vs %d/%v",
 			g1.Size(), g1.Axes, g2.Size(), g2.Axes)
+	}
+}
+
+// TestSpecJSONRoundTripByteIdentical pins that Spec.JSON is canonical:
+// parsing a rendered spec back through the strict parser and rendering
+// it again reproduces the bytes exactly. The specs cover parametric
+// scheme axes with suites or benchmarks, distributed FUs, a non-default
+// integer side and non-default lengths. A drift here would mean JSON
+// emits fields the parser normalizes away (or vice versa).
+func TestSpecJSONRoundTripByteIdentical(t *testing.T) {
+	specs := []*Spec{
+		New("").WithScheme(SchemeAxis{Scheme: "MixBUFF", IntQ: "16x16",
+			Queues: []int{4, 8}, Entries: []int{8, 16}, Chains: []int{0, 8}, Distr: true}).
+			WithSuites("fp").WithLengths(10_000, 60_000),
+		New("").WithScheme(SchemeAxis{Scheme: "IssueFIFO", IntQ: "16x16",
+			Queues: []int{8}, Entries: []int{8}, Chains: []int{0}}).
+			WithBenchmarks("swim", "gzip").WithLengths(10_000, 60_000),
+		New("").WithScheme(SchemeAxis{Scheme: "LatFIFO", IntQ: "8x8",
+			Queues: []int{2, 4, 8}, Entries: []int{32}, Chains: []int{0}}).
+			WithLengths(5_000, 30_000),
+	}
+	for i, s := range specs {
+		data, err := s.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSpec(data)
+		if err != nil {
+			t.Fatalf("spec %d does not parse back: %v\n%s", i, err, data)
+		}
+		again, err := back.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatalf("spec %d round trip is not byte-identical:\nrendered:\n%s\nre-rendered:\n%s", i, data, again)
+		}
 	}
 }
 

@@ -184,23 +184,6 @@ func (s *Server) instrument() {
 		"Sweep lifecycle transitions by state.", obs.L("state", "failed"))
 	s.instsPerSec = reg.Gauge("distiq_sweep_insts_per_second",
 		"Committed instructions per wall second of the most recently finished sweep (cache hits included).")
-	reg.GaugeFunc("distiq_study_active",
-		"Studies admitted but not yet finished.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.activeStudies)
-		})
-	s.studiesAccepted = reg.Counter("distiq_study_runs_total",
-		"Study lifecycle transitions by state.", obs.L("state", "accepted"))
-	s.studiesDone = reg.Counter("distiq_study_runs_total",
-		"Study lifecycle transitions by state.", obs.L("state", "done"))
-	s.studiesFailed = reg.Counter("distiq_study_runs_total",
-		"Study lifecycle transitions by state.", obs.L("state", "failed"))
-	s.studyPoints = reg.Counter("distiq_study_points_total",
-		"Simulation points resolved on behalf of studies.")
-	s.studyFrontierRounds = reg.Counter("distiq_study_frontier_rounds_total",
-		"Frontier search rounds completed across finished studies.")
 	version, goVersion := VersionInfo()
 	reg.Gauge("distiq_build_info",
 		"Build metadata; the value is always 1.",

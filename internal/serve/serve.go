@@ -198,16 +198,11 @@ type Server struct {
 
 	// Server-level metric instruments (the engine's live on the same
 	// registry).
-	httpInFlight        *obs.Gauge
-	sweepsAccepted      *obs.Counter
-	sweepsDone          *obs.Counter
-	sweepsFailed        *obs.Counter
-	instsPerSec         *obs.Gauge
-	studiesAccepted     *obs.Counter
-	studiesDone         *obs.Counter
-	studiesFailed       *obs.Counter
-	studyPoints         *obs.Counter
-	studyFrontierRounds *obs.Counter
+	httpInFlight   *obs.Gauge
+	sweepsAccepted *obs.Counter
+	sweepsDone     *obs.Counter
+	sweepsFailed   *obs.Counter
+	instsPerSec    *obs.Gauge
 
 	mu       sync.Mutex
 	sweeps   map[string]*sweep
@@ -215,13 +210,6 @@ type Server struct {
 	active   int      // admitted but unfinished sweeps
 	nextID   int
 	draining bool
-
-	// Study registry, bounded and evicted independently of sweeps (a
-	// study occupying a queue slot must not starve sweep admission).
-	studies       map[string]*studyRec
-	studyOrder    []string
-	activeStudies int
-	nextStudyID   int
 
 	wg sync.WaitGroup // one per in-flight sweep, for Drain
 }
@@ -256,7 +244,6 @@ func New(cfg Config) *Server {
 		obs:        reg,
 		start:      time.Now(),
 		sweeps:     make(map[string]*sweep),
-		studies:    make(map[string]*studyRec),
 	}
 	s.instrument()
 	mux := http.NewServeMux()
@@ -266,12 +253,6 @@ func New(cfg Config) *Server {
 	s.route(mux, "GET /v1/sweeps/{id}/stream", s.handleStream)
 	s.route(mux, "GET /v1/sweeps/{id}/status", s.handleStatus)
 	s.route(mux, "GET /v1/sweeps/{id}/manifest", s.handleManifest)
-	s.route(mux, "POST /v1/studies", s.handleStudySubmit)
-	s.route(mux, "GET /v1/studies", s.handleStudyList)
-	s.route(mux, "GET /v1/studies/{id}", s.handleStudyResult)
-	s.route(mux, "GET /v1/studies/{id}/stream", s.handleStudyStream)
-	s.route(mux, "GET /v1/studies/{id}/status", s.handleStudyStatus)
-	s.route(mux, "GET /v1/studies/{id}/manifest", s.handleStudyManifest)
 	s.route(mux, "GET /v1/machine", s.handleMachine)
 	s.route(mux, "GET /v1/benchmarks", s.handleBenchmarks)
 	s.route(mux, "GET /v1/stats", s.handleStats)

@@ -10,17 +10,6 @@ import (
 	"distiq/internal/engine"
 )
 
-// Round summarizes one frontier search round for the trajectory record:
-// how many configurations were proposed and evaluated, and the frontier
-// size after folding the round's results in. Round 0 is the coarse seed
-// grid.
-type Round struct {
-	Round     int `json:"round"`
-	Proposed  int `json:"proposed"`
-	Evaluated int `json:"evaluated"`
-	Frontier  int `json:"frontier"`
-}
-
 // Result is a finished study: a deterministic table (pre-formatted
 // fixed-point cells, so documents are byte-identical across substrates
 // and reruns) plus the evaluated jobs/results for manifest building and
@@ -36,8 +25,6 @@ type Result struct {
 	// numeric marks columns whose cells are fixed-point numbers (emitted
 	// as JSON numbers rather than strings).
 	numeric []bool
-	// Trajectory records frontier search rounds (frontier mode only).
-	Trajectory []Round
 	// Counts aggregates how the study's points were resolved; a warm
 	// rerun shows Simulated == 0.
 	Counts client.Counts
@@ -64,49 +51,32 @@ func (r *Result) CSV() string {
 	return b.String()
 }
 
-// Markdown renders the study table as a GitHub-flavored markdown table,
-// with the frontier trajectory appended as a second table when present.
+// Markdown renders the study table as a GitHub-flavored markdown table.
 func (r *Result) Markdown() string {
 	var b strings.Builder
 	if r.Name != "" {
 		fmt.Fprintf(&b, "### %s\n\n", r.Name)
 	}
-	writeTable := func(header []string, rows [][]string) {
-		b.WriteString("| " + strings.Join(header, " | ") + " |\n")
-		b.WriteString("|" + strings.Repeat(" --- |", len(header)) + "\n")
-		for _, row := range rows {
-			b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-		}
-	}
-	writeTable(r.Columns, r.Rows)
-	if len(r.Trajectory) > 0 {
-		b.WriteString("\nSearch trajectory:\n\n")
-		rows := make([][]string, len(r.Trajectory))
-		for i, t := range r.Trajectory {
-			rows[i] = []string{
-				fmt.Sprintf("%d", t.Round), fmt.Sprintf("%d", t.Proposed),
-				fmt.Sprintf("%d", t.Evaluated), fmt.Sprintf("%d", t.Frontier),
-			}
-		}
-		writeTable([]string{"round", "proposed", "evaluated", "frontier"}, rows)
+	b.WriteString("| " + strings.Join(r.Columns, " | ") + " |\n")
+	b.WriteString("|" + strings.Repeat(" --- |", len(r.Columns)) + "\n")
+	for _, row := range r.Rows {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
 	return b.String()
 }
 
-// JSON renders the study as an indented JSON document: name, mode, one
-// object per row keyed by column name, and the trajectory for frontier
-// studies. Numeric cells are emitted as json.Number wrapping the exact
+// JSON renders the study as an indented JSON document: name, mode and
+// one object per row keyed by column name. Numeric cells are emitted as json.Number wrapping the exact
 // fixed-point bytes of the table, so the JSON document is as
 // byte-deterministic as the CSV one. Run-varying counters are excluded;
 // read Counts (or the CLI's stderr summary) for resolution counts.
 func (r *Result) JSON() ([]byte, error) {
 	type doc struct {
-		Name       string           `json:"name,omitempty"`
-		Mode       string           `json:"mode"`
-		Rows       []map[string]any `json:"rows"`
-		Trajectory []Round          `json:"trajectory,omitempty"`
+		Name string           `json:"name,omitempty"`
+		Mode string           `json:"mode"`
+		Rows []map[string]any `json:"rows"`
 	}
-	d := doc{Name: r.Name, Mode: r.Mode, Trajectory: r.Trajectory}
+	d := doc{Name: r.Name, Mode: r.Mode}
 	for _, row := range r.Rows {
 		m := make(map[string]any, len(r.Columns))
 		for i, col := range r.Columns {
@@ -121,24 +91,9 @@ func (r *Result) JSON() ([]byte, error) {
 	return json.MarshalIndent(d, "", "  ")
 }
 
-// ContentType returns the MIME type of an Emit format, or false for an
-// unknown format name.
-func ContentType(format string) (string, bool) {
-	switch format {
-	case "csv":
-		return "text/csv; charset=utf-8", true
-	case "json":
-		return "application/json", true
-	case "md", "markdown":
-		return "text/markdown; charset=utf-8", true
-	}
-	return "", false
-}
-
-// Emit writes the study to w in the named format. Every front end
-// (cmd/iqstudy, the distiqd HTTP service) funnels through this one
-// function, so a given study emits byte-identical documents whichever
-// way it is requested. The JSON document gains a trailing newline,
+// Emit writes the study to w in the named format. cmd/iqstudy funnels
+// local and -server runs through this one function, so a given study
+// emits byte-identical documents whichever substrate ran it. The JSON document gains a trailing newline,
 // matching the sweep emitters.
 func (r *Result) Emit(w io.Writer, format string) error {
 	switch format {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"distiq/internal/client"
+	"distiq/internal/serve"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/*.txt from the current simulator")
@@ -33,11 +35,11 @@ func ablationSpec() *Spec {
 		WithLengths(quickWarmup, quickInsts)
 }
 
-func frontierSpec() *Spec {
-	return New("latfifo-frontier").Frontier().
+func replicationSpec() *Spec {
+	return New("rep").Replication().
 		WithBenchmarks("swim").
-		WithSpace(Space{Scheme: "LatFIFO", Queues: []int{2, 4, 8}, Entries: []int{4, 8, 16, 32, 64}}).
-		WithBudget(14).WithBatch(4).
+		WithVariants(Variant{Name: "mb-distr", Scheme: "MB_distr"}).
+		WithReplicates(3).
 		WithLengths(quickWarmup, quickInsts)
 }
 
@@ -64,38 +66,30 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenAblationTable pins the ablation variant × metric table
-// byte-for-byte in every emit format.
+// TestGoldenAblationTable pins the ablation variant × metric table and
+// the replication mean/sd/CI table byte-for-byte in every emit format.
 func TestGoldenAblationTable(t *testing.T) {
-	res, err := Run(context.Background(), client.NewLocal(), ablationSpec())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		spec *Spec
+	}{
+		{"ablation", ablationSpec()},
+		{"replication", replicationSpec()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(context.Background(), client.NewLocal(), tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, format := range Formats {
+				var buf bytes.Buffer
+				if err := res.Emit(&buf, format); err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, tc.name+"."+format+".txt", buf.String())
+			}
+		})
 	}
-	for _, format := range Formats {
-		var buf bytes.Buffer
-		if err := res.Emit(&buf, format); err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "ablation."+format+".txt", buf.String())
-	}
-}
-
-// TestGoldenFrontierTrajectory pins the adaptive search end to end: the
-// frontier table, the round-by-round trajectory and the total number of
-// evaluated configurations must not drift.
-func TestGoldenFrontierTrajectory(t *testing.T) {
-	res, err := Run(context.Background(), client.NewLocal(), frontierSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trajectory) == 0 {
-		t.Fatal("frontier study recorded no trajectory")
-	}
-	var buf bytes.Buffer
-	if err := res.Emit(&buf, "md"); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "frontier.md.txt", buf.String())
 }
 
 // TestAblationWarmRerun reruns the same study on one warm client: the
@@ -134,11 +128,7 @@ func TestAblationWarmRerun(t *testing.T) {
 // serially and wide: mean/sd/CI columns must match byte-for-byte, and
 // distinct seeds must actually spread the observations (nonzero sd).
 func TestReplicationStableAcrossParallelism(t *testing.T) {
-	spec := New("rep").Replication().
-		WithBenchmarks("swim").
-		WithVariants(Variant{Name: "mb-distr", Scheme: "MB_distr"}).
-		WithReplicates(3).
-		WithLengths(quickWarmup, quickInsts)
+	spec := replicationSpec()
 	serial, err := Run(context.Background(), client.NewLocal(client.WithParallel(1)), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -168,79 +158,48 @@ func TestReplicationStableAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestFrontierRevisitsResolveFromCache reruns a frontier search on a
-// warm client: every configuration the second search proposes is already
-// in the content-addressed cache, so the engine's Simulated counter must
-// not move while Requested grows.
-func TestFrontierRevisitsResolveFromCache(t *testing.T) {
-	cl := client.NewLocal()
-	if _, err := Run(context.Background(), cl, frontierSpec()); err != nil {
-		t.Fatal(err)
-	}
-	coldStats := cl.Stats()
-	if coldStats.Simulated == 0 {
-		t.Fatal("cold frontier search simulated nothing")
-	}
-	res, err := Run(context.Background(), cl, frontierSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmStats := cl.Stats()
-	if warmStats.Simulated != coldStats.Simulated {
-		t.Fatalf("warm frontier search re-simulated %d points",
-			warmStats.Simulated-coldStats.Simulated)
-	}
-	if warmStats.Requested <= coldStats.Requested {
-		t.Fatal("warm frontier search requested nothing")
-	}
-	if res.Counts.Simulated != 0 {
-		t.Fatalf("warm frontier search counted %d simulations", res.Counts.Simulated)
-	}
-}
-
-// TestOnPointOrder checks the streaming hook: plan-ordered sequence
-// numbers, stage labels naming variants, and one update per planned
-// point.
-func TestOnPointOrder(t *testing.T) {
+// TestManifestParityLocalRemote runs the ablation study on a Local
+// client and on a Remote client over an in-process distiqd: both
+// manifests cover every planned point and share one Merkle root, since
+// the manifest identifies the experiment, not the substrate.
+func TestManifestParityLocalRemote(t *testing.T) {
 	spec := ablationSpec()
 	planned, err := spec.PlannedPoints()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ups []PointUpdate
-	_, err = RunOpts(context.Background(), client.NewLocal(), spec, Options{
-		OnPoint: func(u PointUpdate) { ups = append(ups, u) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ups) != planned {
-		t.Fatalf("saw %d updates, want %d", len(ups), planned)
-	}
-	stages := map[string]bool{}
-	for i, u := range ups {
-		if u.Seq != i {
-			t.Fatalf("update %d carries seq %d", i, u.Seq)
+	ts := httptest.NewServer(serve.New(serve.Config{Parallel: 2}))
+	defer ts.Close()
+	var roots []string
+	for _, cl := range []client.Client{client.NewLocal(client.WithParallel(2)), client.NewRemote(ts.URL)} {
+		res, err := Run(context.Background(), cl, spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		stages[u.Stage] = true
-	}
-	for _, want := range []string{"baseline", "small-rob", "mb-distr", "oracle-disambig"} {
-		if !stages[want] {
-			t.Fatalf("no update for stage %q (saw %v)", want, stages)
+		m, err := res.Manifest()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := m.Check(); err != nil {
+			t.Fatalf("%T manifest does not verify: %v", cl, err)
+		}
+		if m.Points != planned {
+			t.Fatalf("%T manifest covers %d points, want %d", cl, m.Points, planned)
+		}
+		roots = append(roots, m.Root)
+	}
+	if roots[0] != roots[1] {
+		t.Fatalf("manifest roots differ: local %s, remote %s", roots[0], roots[1])
 	}
 }
 
-// TestEmitFormats pins the emit funnel's error path and content types.
+// TestEmitFormats pins the emit funnel's error path and JSON numbers.
 func TestEmitFormats(t *testing.T) {
 	res := &Result{Name: "x", Mode: ModeAblation, Columns: []string{"a"}, Rows: [][]string{{"1"}}, numeric: []bool{true}}
 	if err := res.Emit(&bytes.Buffer{}, "xml"); err == nil || !strings.Contains(err.Error(), "unknown format") {
 		t.Fatalf("unknown format not rejected: %v", err)
 	}
 	for _, f := range Formats {
-		if _, ok := ContentType(f); !ok {
-			t.Fatalf("no content type for %q", f)
-		}
 		if err := res.Emit(&bytes.Buffer{}, f); err != nil {
 			t.Fatalf("emit %s: %v", f, err)
 		}

@@ -2,7 +2,7 @@
 // the Client layer, so the same study runs unchanged against the
 // in-process engine or a remote distiqd service.
 //
-// A strict-JSON Spec (or the New builder) describes one of three modes:
+// A strict-JSON Spec (or the New builder) describes one of two modes:
 //
 //   - ablation: a baseline machine plus named variants, each toggling a
 //     feature set (scheme, ROB, widths, latencies, perfect
@@ -11,17 +11,14 @@
 //   - replication: the same variants fanned out across R RNG seeds (the
 //     scenario/engine Seed axis), reported as mean / stddev / 95% CI
 //     columns, so scheme comparisons are statistical rather than
-//     single-sample;
-//   - frontier: an adaptive energy-vs-IPC Pareto search over a discrete
-//     configuration space, seeding from a coarse grid and proposing
-//     batches of neighbors of the current non-dominated set until a
-//     fixed budget or a no-improvement round stops it.
+//     single-sample.
 //
-// Every number in an emitted table goes through a fixed-point formatter,
-// so documents are byte-identical across parallelism, substrate and
-// warm-cache reruns; the content-addressed engine makes a warm rerun of
-// any study — and a frontier re-proposing a visited point — cost zero
-// new simulations.
+// A study is an ordered list of single-configuration scenario grids,
+// baseline first, swept through any client.Client. Every number in an
+// emitted table goes through a fixed-point formatter, so documents are
+// byte-identical across parallelism, substrate and warm-cache reruns;
+// the content-addressed engine makes a warm rerun of any study cost
+// zero new simulations.
 package study
 
 import (
@@ -71,32 +68,13 @@ type Variant struct {
 	PerfectDisambiguation *bool `json:"perfect_disambiguation,omitempty"`
 }
 
-// Space is the discrete configuration space a frontier search explores:
-// a parametric scheme kind with ordered value lists for the searchable
-// axes. A single-valued (or empty) list fixes that parameter; lists of
-// two or more are searchable — neighbors differ by one step along one
-// axis's list.
-type Space struct {
-	// Scheme is the parametric kind (IssueFIFO, LatFIFO or MixBUFF).
-	Scheme string `json:"scheme"`
-	IntQ   string `json:"intq,omitempty"`
-	Distr  bool   `json:"distr,omitempty"`
-	// Axes, in search order (empty = the scenario defaults: queues 8,
-	// entries 16, chains unbounded, ROB per Table 1).
-	Queues  []int `json:"queues,omitempty"`
-	Entries []int `json:"entries,omitempty"`
-	Chains  []int `json:"chains,omitempty"` // MixBUFF only
-	ROB     []int `json:"rob,omitempty"`
-}
-
-// Spec is a strict-JSON study description. Mode selects which fields
-// apply: ablation and replication use Baseline + Variants (replication
-// additionally Seeds or Replicates); frontier uses Space + Budget +
-// Batch. Suites/Benchmarks and Warmup/Instructions size every mode.
+// Spec is a strict-JSON study description: a Baseline plus Variants,
+// and for replication mode Seeds or Replicates. Suites/Benchmarks and
+// Warmup/Instructions size every mode.
 type Spec struct {
 	// Name labels the study in reports.
 	Name string `json:"name,omitempty"`
-	// Mode is "ablation", "replication" or "frontier".
+	// Mode is "ablation" or "replication".
 	Mode string `json:"mode"`
 
 	// Suites and Benchmarks select workloads, as in a scenario spec
@@ -115,13 +93,6 @@ type Spec struct {
 	Seeds      []uint64 `json:"seeds,omitempty"`
 	Replicates int      `json:"replicates,omitempty"`
 
-	// Space, Budget and Batch configure a frontier search: Budget bounds
-	// evaluated configurations (default 32), Batch bounds proposals per
-	// round (default 8).
-	Space  *Space `json:"space,omitempty"`
-	Budget int    `json:"budget,omitempty"`
-	Batch  int    `json:"batch,omitempty"`
-
 	// Warmup and Instructions size every simulation (defaults as in
 	// scenario: 10000 and 60000).
 	Warmup       *uint64 `json:"warmup,omitempty"`
@@ -132,15 +103,11 @@ type Spec struct {
 const (
 	ModeAblation    = "ablation"
 	ModeReplication = "replication"
-	ModeFrontier    = "frontier"
 )
 
-// Defaults for unset spec fields.
-const (
-	DefaultReplicates = 3
-	DefaultBudget     = 32
-	DefaultBatch      = 8
-)
+// DefaultReplicates is the replication seed count when a replication
+// spec sets neither Seeds nor Replicates.
+const DefaultReplicates = 3
 
 // New returns an empty named Spec for builder-style assembly:
 //
@@ -155,10 +122,9 @@ const (
 //		WithLengths(10_000, 60_000)
 func New(name string) *Spec { return &Spec{Name: name} }
 
-// Ablation, Replication and Frontier select the study mode.
+// Ablation and Replication select the study mode.
 func (s *Spec) Ablation() *Spec    { s.Mode = ModeAblation; return s }
 func (s *Spec) Replication() *Spec { s.Mode = ModeReplication; return s }
-func (s *Spec) Frontier() *Spec    { s.Mode = ModeFrontier; return s }
 
 // WithSuites appends benchmark suites ("int", "fp" or "all").
 func (s *Spec) WithSuites(suites ...string) *Spec {
@@ -190,16 +156,6 @@ func (s *Spec) WithSeeds(seeds ...uint64) *Spec {
 
 // WithReplicates selects R replication seeds (0..R-1).
 func (s *Spec) WithReplicates(r int) *Spec { s.Replicates = r; return s }
-
-// WithSpace sets the frontier search space.
-func (s *Spec) WithSpace(sp Space) *Spec { s.Space = &sp; return s }
-
-// WithBudget bounds the number of configurations a frontier search
-// evaluates.
-func (s *Spec) WithBudget(n int) *Spec { s.Budget = n; return s }
-
-// WithBatch bounds proposals per frontier round.
-func (s *Spec) WithBatch(n int) *Spec { s.Batch = n; return s }
 
 // WithLengths sets warmup and measured instruction counts.
 func (s *Spec) WithLengths(warmup, instructions uint64) *Spec {
@@ -279,21 +235,6 @@ func (s *Spec) seedList() []uint64 {
 		seeds[i] = uint64(i)
 	}
 	return seeds
-}
-
-// budget and batch return the frontier bounds with defaults applied.
-func (s *Spec) budget() int {
-	if s.Budget > 0 {
-		return s.Budget
-	}
-	return DefaultBudget
-}
-
-func (s *Spec) batch() int {
-	if s.Batch > 0 {
-		return s.Batch
-	}
-	return DefaultBatch
 }
 
 // overlay applies a variant's non-zero toggles over the baseline,
@@ -376,149 +317,82 @@ func (s *Spec) variantSpec(eff Variant, seeds []uint64) *scenario.Spec {
 	return sp
 }
 
-// variantSpecs resolves the study's baseline-first variant list into
-// effective variants and their scenario specs, validating each by
-// expansion.
-func (s *Spec) variantSpecs(seeds []uint64) (names []string, specs []*scenario.Spec, err error) {
+// Validate checks the spec's structure without running anything: the
+// mode must be known, variant names unique and expandable, and
+// replication must have at least two seeds.
+func (s *Spec) Validate() error {
+	_, _, err := s.plan()
+	return err
+}
+
+// plan validates the spec and expands its baseline-first variant list
+// into one single-configuration grid per variant, over the study's
+// benchmarks (and, for replication, its seeds): the grids Run sweeps
+// and PlannedPoints counts.
+func (s *Spec) plan() (names []string, grids []*scenario.Grid, err error) {
+	switch s.Mode {
+	case ModeAblation:
+		if len(s.Variants) == 0 {
+			return nil, nil, fmt.Errorf("study: ablation needs at least one variant")
+		}
+		if len(s.Seeds) > 0 || s.Replicates != 0 {
+			return nil, nil, fmt.Errorf("study: seeds/replicates apply to replication mode only")
+		}
+	case ModeReplication:
+	case "":
+		return nil, nil, fmt.Errorf("study: spec has no mode (ablation or replication)")
+	default:
+		return nil, nil, fmt.Errorf("study: unknown mode %q (ablation or replication)", s.Mode)
+	}
+	if len(s.Seeds) > 0 && s.Replicates != 0 {
+		return nil, nil, fmt.Errorf("study: seeds and replicates are mutually exclusive")
+	}
+	if s.Replicates < 0 || (s.Replicates != 0 && s.Replicates < 2) {
+		return nil, nil, fmt.Errorf("study: replicates must be at least 2")
+	}
 	base := s.baseline()
-	all := append([]Variant{base}, s.Variants...)
-	for i, v := range all {
+	seen := map[string]bool{base.Name: true}
+	for i, v := range s.Variants {
+		if v.Name == "" {
+			return nil, nil, fmt.Errorf("study: variants[%d] needs a name", i)
+		}
+		if seen[v.Name] {
+			return nil, nil, fmt.Errorf("study: variant name %q repeats", v.Name)
+		}
+		seen[v.Name] = true
+	}
+	var seeds []uint64
+	if s.Mode == ModeReplication {
+		seeds = s.seedList()
+		if len(seeds) < 2 {
+			return nil, nil, fmt.Errorf("study: replication needs at least 2 seeds")
+		}
+	}
+	for i, v := range append([]Variant{base}, s.Variants...) {
 		eff := base
 		if i > 0 {
 			eff = overlay(base, v)
 		}
-		sp := s.variantSpec(eff, seeds)
-		if _, err := sp.Expand(); err != nil {
+		g, err := s.variantSpec(eff, seeds).Expand()
+		if err != nil {
 			return nil, nil, fmt.Errorf("study: variant %q: %w", eff.Name, err)
 		}
 		names = append(names, eff.Name)
-		specs = append(specs, sp)
+		grids = append(grids, g)
 	}
-	return names, specs, nil
+	return names, grids, nil
 }
 
-// Validate checks the spec's structure without running anything: the
-// mode must be known, variant names unique and expandable, replication
-// must have at least two seeds, and a frontier space must expand to a
-// valid candidate grid.
-func (s *Spec) Validate() error {
-	switch s.Mode {
-	case ModeAblation, ModeReplication:
-		if s.Mode == ModeAblation {
-			if len(s.Variants) == 0 {
-				return fmt.Errorf("study: ablation needs at least one variant")
-			}
-			if len(s.Seeds) > 0 || s.Replicates != 0 {
-				return fmt.Errorf("study: seeds/replicates apply to replication mode only")
-			}
-		}
-		if s.Space != nil || s.Budget != 0 || s.Batch != 0 {
-			return fmt.Errorf("study: space/budget/batch apply to frontier mode only")
-		}
-		if len(s.Seeds) > 0 && s.Replicates != 0 {
-			return fmt.Errorf("study: seeds and replicates are mutually exclusive")
-		}
-		if s.Replicates < 0 || (s.Replicates != 0 && s.Replicates < 2) {
-			return fmt.Errorf("study: replicates must be at least 2")
-		}
-		names := map[string]bool{}
-		base := s.baseline()
-		if base.Name == "" {
-			return fmt.Errorf("study: baseline needs a name")
-		}
-		names[base.Name] = true
-		for i, v := range s.Variants {
-			if v.Name == "" {
-				return fmt.Errorf("study: variants[%d] needs a name", i)
-			}
-			if names[v.Name] {
-				return fmt.Errorf("study: variant name %q repeats", v.Name)
-			}
-			names[v.Name] = true
-		}
-		var seeds []uint64
-		if s.Mode == ModeReplication {
-			seeds = s.seedList()
-			if len(seeds) < 2 {
-				return fmt.Errorf("study: replication needs at least 2 seeds")
-			}
-		}
-		_, _, err := s.variantSpecs(seeds)
-		return err
-	case ModeFrontier:
-		if len(s.Variants) > 0 || s.Baseline != nil {
-			return fmt.Errorf("study: baseline/variants apply to ablation and replication modes only")
-		}
-		if len(s.Seeds) > 0 || s.Replicates != 0 {
-			return fmt.Errorf("study: seeds/replicates apply to replication mode only")
-		}
-		if s.Space == nil {
-			return fmt.Errorf("study: frontier needs a space")
-		}
-		if s.Budget < 0 || s.Batch < 0 {
-			return fmt.Errorf("study: budget and batch must be positive")
-		}
-		return s.validateSpace()
-	case "":
-		return fmt.Errorf("study: spec has no mode (ablation, replication or frontier)")
-	default:
-		return fmt.Errorf("study: unknown mode %q (ablation, replication or frontier)", s.Mode)
-	}
-}
-
-// validateSpace expands the space's full cross-product as a scenario
-// grid, which checks the scheme kind, the axis values and every
-// reachable machine before any search runs.
-func (s *Spec) validateSpace() error {
-	sp := scenario.New(s.Name)
-	sp.Suites = append([]string(nil), s.Suites...)
-	sp.Benchmarks = append([]string(nil), s.Benchmarks...)
-	sp.WithScheme(scenario.SchemeAxis{
-		Scheme: s.Space.Scheme, IntQ: s.Space.IntQ, Distr: s.Space.Distr,
-		Queues: s.Space.Queues, Entries: s.Space.Entries, Chains: s.Space.Chains,
-	})
-	if len(s.Space.ROB) > 0 {
-		sp.WithROB(s.Space.ROB...)
-	}
-	sp.Warmup, sp.Instructions = s.Warmup, s.Instructions
-	if _, err := sp.Expand(); err != nil {
-		return fmt.Errorf("study: space: %w", err)
-	}
-	searchable := false
-	for _, ax := range s.spaceAxes() {
-		if len(ax.vals) > 1 {
-			searchable = true
-		}
-	}
-	if !searchable {
-		return fmt.Errorf("study: space has no searchable axis (every axis has at most one value)")
-	}
-	return nil
-}
-
-// PlannedPoints returns the number of simulation points the study will
-// request up front, or 0 for the adaptive frontier mode (whose total
-// emerges as the search runs).
+// PlannedPoints returns the number of simulation points the study
+// requests: variants × benchmarks, times seeds for replication.
 func (s *Spec) PlannedPoints() (int, error) {
-	switch s.Mode {
-	case ModeAblation, ModeReplication:
-		var seeds []uint64
-		if s.Mode == ModeReplication {
-			seeds = s.seedList()
-		}
-		_, specs, err := s.variantSpecs(seeds)
-		if err != nil {
-			return 0, err
-		}
-		total := 0
-		for _, sp := range specs {
-			g, err := sp.Expand()
-			if err != nil {
-				return 0, err
-			}
-			total += g.Size()
-		}
-		return total, nil
+	_, grids, err := s.plan()
+	if err != nil {
+		return 0, err
 	}
-	return 0, nil
+	total := 0
+	for _, g := range grids {
+		total += g.Size()
+	}
+	return total, nil
 }

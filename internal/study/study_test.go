@@ -17,7 +17,7 @@ func TestParseSpecStrict(t *testing.T) {
 		{"bad mode", `{"mode":"sweep"}`, `unknown mode "sweep"`},
 		{"ablation no variants", `{"mode":"ablation"}`, "at least one variant"},
 		{"ablation with seeds", `{"mode":"ablation","seeds":[0,1],"variants":[{"name":"v","rob":128}]}`, "replication mode only"},
-		{"ablation with space", `{"mode":"ablation","variants":[{"name":"v","rob":128}],"budget":4}`, "frontier mode only"},
+		{"ablation with space", `{"mode":"ablation","variants":[{"name":"v","rob":128}],"budget":4}`, `unknown field "budget"`},
 		{"unnamed variant", `{"mode":"ablation","variants":[{"rob":128}]}`, "needs a name"},
 		{"duplicate variant", `{"mode":"ablation","variants":[{"name":"v","rob":128},{"name":"v","rob":256}]}`, `name "v" repeats`},
 		{"baseline name collision", `{"mode":"ablation","variants":[{"name":"baseline","rob":128}]}`, `name "baseline" repeats`},
@@ -26,11 +26,13 @@ func TestParseSpecStrict(t *testing.T) {
 		{"seeds and replicates", `{"mode":"replication","replicates":3,"seeds":[1,2],"variants":[{"name":"v","rob":128}]}`, "mutually exclusive"},
 		{"one replicate", `{"mode":"replication","replicates":1,"variants":[{"name":"v","rob":128}]}`, "at least 2"},
 		{"one seed", `{"mode":"replication","seeds":[7],"variants":[{"name":"v","rob":128}]}`, "at least 2 seeds"},
-		{"frontier no space", `{"mode":"frontier"}`, "needs a space"},
-		{"frontier with variants", `{"mode":"frontier","variants":[{"name":"v"}],"space":{"scheme":"LatFIFO","queues":[4,8]}}`, "ablation and replication modes only"},
-		{"frontier bad scheme", `{"mode":"frontier","space":{"scheme":"IQ_64_64","queues":[4,8]}}`, "space"},
-		{"frontier unsearchable", `{"mode":"frontier","space":{"scheme":"LatFIFO","queues":[8]}}`, "no searchable axis"},
-		{"frontier chains non-mixbuff", `{"mode":"frontier","space":{"scheme":"LatFIFO","chains":[2,4]}}`, "chains"},
+		// The retired frontier mode and its space/budget/batch fields are
+		// rejected like any other unknown mode or field.
+		{"frontier no space", `{"mode":"frontier"}`, `unknown mode "frontier"`},
+		{"frontier with variants", `{"mode":"frontier","variants":[{"name":"v"}],"space":{"scheme":"LatFIFO","queues":[4,8]}}`, `unknown field "space"`},
+		{"frontier bad scheme", `{"mode":"frontier","space":{"scheme":"IQ_64_64","queues":[4,8]}}`, `unknown field "space"`},
+		{"frontier unsearchable", `{"mode":"frontier","space":{"scheme":"LatFIFO","queues":[8]}}`, `unknown field "space"`},
+		{"frontier chains non-mixbuff", `{"mode":"frontier","space":{"scheme":"LatFIFO","chains":[2,4]}}`, `unknown field "space"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,9 +58,6 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		New("rep").Replication().WithBenchmarks("swim").
 			WithVariants(Variant{Name: "if", Scheme: "IF_distr"}).
 			WithReplicates(3).WithLengths(100, 1000),
-		New("fr").Frontier().WithBenchmarks("swim").
-			WithSpace(Space{Scheme: "LatFIFO", Queues: []int{4, 8}, Entries: []int{8, 16}}).
-			WithBudget(6).WithBatch(2).WithLengths(100, 1000),
 	}
 	for _, s := range specs {
 		data, err := s.JSON()
@@ -102,7 +101,7 @@ func TestOverlaySemantics(t *testing.T) {
 }
 
 // TestPlannedPoints counts up-front work: variants × benchmarks
-// (× seeds for replication), 0 for the adaptive frontier.
+// (× seeds for replication).
 func TestPlannedPoints(t *testing.T) {
 	ab := New("ab").Ablation().WithBenchmarks("swim", "gzip").
 		WithVariants(Variant{Name: "v", ROB: 128}).WithLengths(100, 1000)
@@ -114,11 +113,6 @@ func TestPlannedPoints(t *testing.T) {
 	if n, err := rep.PlannedPoints(); err != nil || n != 2*1*3 {
 		t.Fatalf("replication planned %d (%v), want 6", n, err)
 	}
-	fr := New("fr").Frontier().WithBenchmarks("swim").
-		WithSpace(Space{Scheme: "LatFIFO", Queues: []int{4, 8}}).WithLengths(100, 1000)
-	if n, err := fr.PlannedPoints(); err != nil || n != 0 {
-		t.Fatalf("frontier planned %d (%v), want 0", n, err)
-	}
 }
 
 // FuzzParseStudySpec throws arbitrary bytes at the strict parser: it
@@ -127,6 +121,7 @@ func TestPlannedPoints(t *testing.T) {
 func FuzzParseStudySpec(f *testing.F) {
 	f.Add([]byte(`{"mode":"ablation","variants":[{"name":"v","rob":128}]}`))
 	f.Add([]byte(`{"mode":"replication","replicates":3,"benchmarks":["swim"],"variants":[{"name":"mb","scheme":"MB_distr"}]}`))
+	// Specs of the retired frontier mode, which the parser must reject.
 	f.Add([]byte(`{"mode":"frontier","space":{"scheme":"LatFIFO","queues":[4,8],"entries":[8,16]},"budget":6}`))
 	f.Add([]byte(`{"mode":"frontier","space":{"scheme":"MixBUFF","chains":[2,4]},"batch":2}`))
 	f.Add([]byte(`{}`))
