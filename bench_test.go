@@ -202,10 +202,8 @@ func BenchmarkFig15EnergyDelay2(b *testing.B) {
 func benchFigureParallel(b *testing.B, parallel int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		s := distiq.NewSessionWith(distiq.SessionConfig{
-			Opt:      distiq.Options{Warmup: 2_000, Instructions: 10_000},
-			Parallel: parallel,
-		})
+		s := distiq.NewSessionClient(distiq.Options{Warmup: 2_000, Instructions: 10_000},
+			distiq.NewLocalClient(distiq.WithParallel(parallel)))
 		if _, err := distiq.Figure(8, s); err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +215,8 @@ func BenchmarkFig8Parallel4(b *testing.B) { benchFigureParallel(b, 4) }
 func BenchmarkFig8Parallel8(b *testing.B) { benchFigureParallel(b, 8) }
 
 // ---------------------------------------------------------------------
-// Ablation benches for the design decisions called out in DESIGN.md.
+// Ablation benches for the design decisions described in
+// docs/ARCHITECTURE.md, "internal/core".
 // ---------------------------------------------------------------------
 
 func ablationIPC(b *testing.B, bench string, cfg distiq.Config) float64 {

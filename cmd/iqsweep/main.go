@@ -31,7 +31,8 @@
 // manifest (leaves are the content-addressed hashes of the stored
 // result entries, in grid order), and -verify-manifest re-hashes an
 // on-disk store offline against such a manifest, exiting non-zero if
-// any byte of any covered entry changed:
+// any byte of any covered entry changed. It runs no sweep, so beside it
+// only -cache-dir or -store may be given; any other flag exits 2:
 //
 //	iqsweep -spec grid.json -cache-dir /tmp/c -manifest sweep.json
 //	iqsweep -verify-manifest sweep.json -cache-dir /tmp/c
@@ -104,7 +105,7 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		quiet     = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
 
 		manifestOut = fs.String("manifest", "", "write the sweep's tamper-evident Merkle manifest to this JSON file")
-		verifyPath  = fs.String("verify-manifest", "", "verify a manifest file against the -cache-dir or -store fs:DIR store and exit (no sweep runs)")
+		verifyPath  = fs.String("verify-manifest", "", "verify a manifest file against the -cache-dir or -store fs:DIR store and exit (no sweep runs; takes no other flag)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -112,6 +113,22 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		}
 		// The FlagSet has already written the message and usage.
 		return distiq.EngineStats{}, fmt.Errorf("%w: %v", errBadFlags, err)
+	}
+	if *verifyPath != "" {
+		// Verification runs no sweep, so a sweep flag beside it would be
+		// silently ignored: reject it instead.
+		var extra []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "verify-manifest", "cache-dir", "store":
+			default:
+				extra = append(extra, "-"+f.Name)
+			}
+		})
+		if len(extra) > 0 {
+			return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf(
+				"-verify-manifest takes only -cache-dir or -store beside it, not %s", strings.Join(extra, ", ")))
+		}
 	}
 	if err := cliutil.ValidateParallel(*parallel); err != nil {
 		return distiq.EngineStats{}, err

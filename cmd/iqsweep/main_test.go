@@ -154,6 +154,57 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifyManifestRejectsSweepFlags: -verify-manifest runs no sweep,
+// so a flag other than -cache-dir or -store beside it is bad input
+// (exit 2) naming the flag, and nothing is written.
+func TestVerifyManifestRejectsSweepFlags(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "grid.json")
+	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := filepath.Join(dir, "cache")
+	manifestPath := filepath.Join(dir, "sweep-manifest.json")
+	var out, errw bytes.Buffer
+	if _, err := run([]string{"-spec", specPath, "-cache-dir", cacheDir, "-quiet",
+		"-manifest", manifestPath}, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+
+	outPath := filepath.Join(dir, "out.csv")
+	manifest2 := filepath.Join(dir, "m2.json")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-spec", []string{"-spec", specPath}},
+		{"-format", []string{"-format", "md"}},
+		{"-o", []string{"-o", outPath}},
+		{"-manifest", []string{"-manifest", manifest2}},
+		{"-server", []string{"-server", "http://127.0.0.1:1"}},
+		{"-parallel", []string{"-parallel", "3"}},
+		{"-quiet", []string{"-quiet"}},
+	} {
+		argv := append([]string{"-verify-manifest", manifestPath, "-cache-dir", cacheDir}, tc.args...)
+		out.Reset()
+		errw.Reset()
+		_, err := run(argv, &out, &errw)
+		if err == nil {
+			t.Errorf("%s beside -verify-manifest accepted (stderr %q)", tc.flag, errw.String())
+			continue
+		}
+		if cliutil.ExitCode(err) != 2 || !strings.HasSuffix(err.Error(), "not "+tc.flag) {
+			t.Errorf("%s: exit code %d, err %q; want 2 and an error naming the flag",
+				tc.flag, cliutil.ExitCode(err), err)
+		}
+	}
+	for _, p := range []string{outPath, manifest2} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s written beside -verify-manifest (stat err %v)", filepath.Base(p), err)
+		}
+	}
+}
+
 func TestRunOtherFormats(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "grid.json")

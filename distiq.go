@@ -131,9 +131,10 @@
 // place. Benchmark traces are generated once per process and replayed
 // from a shared bounded trace cache (internal/trace.Cache); replay is
 // bit-exact, so results, figure bytes and store fingerprints are
-// unchanged by caching. cmd/iqbench measures both layers over a fixed
-// matrix and writes BENCH_<date>.json, the repo's recorded performance
-// trajectory. See docs/ARCHITECTURE.md for the full picture.
+// unchanged by caching. perfbench (perfbench/README.md) is the
+// repository's benchmark: it times both layers, end to end and layer by
+// layer, with repeated runs. See docs/ARCHITECTURE.md for the full
+// picture.
 package distiq
 
 import (
@@ -318,13 +319,6 @@ type (
 	// Session memoizes runs across figures; all methods are
 	// goroutine-safe and batches fan out across the engine's workers.
 	Session = sim.Session
-	// SessionConfig configures a Session's engine: parallelism,
-	// persistent cache directory and progress reporting.
-	//
-	// Deprecated: construct a Client with NewLocalClient and the
-	// functional options instead; SessionConfig remains as a thin shim
-	// over exactly that client.
-	SessionConfig = sim.SessionConfig
 	// EngineStats counts how jobs were resolved (simulated, memory
 	// hits, disk hits, deduplicated).
 	EngineStats = engine.Stats
@@ -358,19 +352,13 @@ var (
 	Run = sim.Run
 	// NewSession returns a memoizing experiment session.
 	NewSession = sim.NewSession
-	// NewSessionWith returns a session with explicit engine
-	// configuration (parallelism, cache directory, progress).
-	//
-	// Deprecated: build a LocalClient with the functional options and
-	// wrap it with NewSessionClient; this shim does exactly that.
-	NewSessionWith = sim.NewSessionWith
 	// NewSessionClient returns a figure session running every job
 	// through an existing LocalClient (sharing its caches and worker
 	// pool); bind a context with Session.WithContext to make figure
 	// generation cancellable.
 	NewSessionClient = sim.NewSessionClient
-	// NewConsoleReporter returns a progress reporter for
-	// SessionConfig.Progress, writing a status line to w.
+	// NewConsoleReporter returns a progress reporter whose Report method
+	// is a WithProgress callback, writing a status line to w.
 	NewConsoleReporter = engine.NewConsoleReporter
 	// Figure regenerates a figure of the paper (2-4, 6-15).
 	Figure = sim.Figure

@@ -35,10 +35,6 @@ func NewLocal(opts ...Option) *Local {
 // caches) — the embedding path for services that own the engine.
 func NewLocalOn(e *engine.Engine) *Local { return &Local{eng: e} }
 
-// Engine returns the underlying engine, for callers that need its
-// batch primitives or counters directly.
-func (c *Local) Engine() *engine.Engine { return c.eng }
-
 // Stats returns a consistent snapshot of the engine's resolution
 // counters.
 func (c *Local) Stats() engine.Stats { return c.eng.Stats() }
@@ -53,7 +49,7 @@ func (c *Local) Run(ctx context.Context, job Job) (engine.Result, error) {
 // RunAll resolves a batch of jobs concurrently and returns their results
 // in input order (first error in input order on failure).
 func (c *Local) RunAll(ctx context.Context, jobs []Job) ([]engine.Result, error) {
-	return c.eng.ResultAllCtx(ctx, jobs, nil)
+	return c.eng.ResultAllCtx(ctx, jobs)
 }
 
 // Sweep shards the grid across the engine's worker pool and streams

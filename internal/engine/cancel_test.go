@@ -154,7 +154,7 @@ func TestCancelKeepsStoreConsistentWarmRerunCompletesRemainder(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := first.ResultAllCtx(ctx, jobs, nil)
+	_, err := first.ResultAllCtx(ctx, jobs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep err = %v, want context.Canceled", err)
 	}
@@ -330,13 +330,13 @@ func TestCancelMidSweepRealSimulator(t *testing.T) {
 		}
 	}
 
-	e := New(Config{Workers: 1, CacheDir: dir})
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := e.ResultAllCtx(ctx, jobs, func(p Progress) {
+	e := New(Config{Workers: 1, CacheDir: dir, Progress: func(Progress) {
 		// Cancel as soon as the first job lands: later jobs have not
 		// claimed the single worker slot yet.
 		cancel()
-	})
+	}})
+	_, err := e.ResultAllCtx(ctx, jobs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

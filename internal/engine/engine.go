@@ -550,35 +550,19 @@ func (e *Engine) finish(job Job, src Source) {
 // batch are simulated once. On failure the first error in input order is
 // returned alongside the partial results.
 func (e *Engine) ResultAll(jobs []Job) ([]Result, error) {
-	return e.ResultAllCtx(context.Background(), jobs, nil)
+	return e.ResultAllCtx(context.Background(), jobs)
 }
 
-// ResultAllProgress resolves a batch like ResultAll while additionally
-// invoking progress once per resolved job with Done/Total scoped to this
-// batch (Total is fixed at len(jobs); Done reaches Total exactly when the
-// batch completes). Batch progress is independent of — and in addition
-// to — the engine-wide Config.Progress callback, so each submitter of a
-// shared engine can track its own batch. Invocations are serialized per
-// batch.
-func (e *Engine) ResultAllProgress(jobs []Job, progress func(Progress)) ([]Result, error) {
-	return e.ResultAllCtx(context.Background(), jobs, progress)
-}
-
-// ResultAllCtx is ResultAllProgress honoring ctx: once ctx is cancelled,
-// jobs that have not claimed a worker slot resolve promptly to ctx.Err()
+// ResultAllCtx is ResultAll honoring ctx: once ctx is cancelled, jobs
+// that have not claimed a worker slot resolve promptly to ctx.Err()
 // while in-flight jobs finish (and persist), and the first error in input
 // order — a context error, under cancellation — is returned alongside
 // the partial results.
-func (e *Engine) ResultAllCtx(ctx context.Context, jobs []Job, progress func(Progress)) ([]Result, error) {
+func (e *Engine) ResultAllCtx(ctx context.Context, jobs []Job) ([]Result, error) {
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	done := 0
-	e.ResultStream(ctx, jobs, func(i int, r Result, err error, src Source) {
+	e.ResultStream(ctx, jobs, func(i int, r Result, err error, _ Source) {
 		results[i], errs[i] = r, err
-		if progress != nil {
-			done++
-			progress(Progress{Done: done, Total: len(jobs), Job: jobs[i], Source: src})
-		}
 	})
 	for _, err := range errs {
 		if err != nil {

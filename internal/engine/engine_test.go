@@ -154,6 +154,10 @@ func TestErrorsSharedNotCached(t *testing.T) {
 	}
 }
 
+// TestProgressReporting: Config.Progress fires once per resolved job,
+// Done rises by one per event and reaches Total when the batch is done,
+// a duplicate job reports a memory or shared source, and a second pass
+// over the same jobs is all memory hits.
 func TestProgressReporting(t *testing.T) {
 	var calls sync.Map
 	var events []Progress
@@ -165,7 +169,7 @@ func TestProgressReporting(t *testing.T) {
 	jobs := []Job{
 		quickJob("swim", core.Baseline64()),
 		quickJob("gzip", core.Baseline64()),
-		quickJob("swim", core.Baseline64()),
+		quickJob("swim", core.Baseline64()), // duplicate: memory or shared
 	}
 	if _, err := e.ResultAll(jobs); err != nil {
 		t.Fatal(err)
@@ -173,9 +177,35 @@ func TestProgressReporting(t *testing.T) {
 	if len(events) != len(jobs) {
 		t.Fatalf("%d progress events, want %d", len(events), len(jobs))
 	}
+	bySource := map[Source]int{}
+	for i, p := range events {
+		if p.Done != i+1 {
+			t.Fatalf("event %d Done = %d, want %d (monotonic)", i, p.Done, i+1)
+		}
+		bySource[p.Source]++
+	}
 	last := events[len(events)-1]
 	if last.Done != len(jobs) || last.Total != len(jobs) {
 		t.Fatalf("final progress %d/%d, want %d/%d", last.Done, last.Total, len(jobs), len(jobs))
+	}
+	if bySource[SourceSimulated] != 2 || bySource[SourceMemory]+bySource[SourceShared] != 1 {
+		t.Fatalf("sources = %v, want 2 simulated and 1 memory/shared for the duplicate", bySource)
+	}
+
+	events = nil
+	if _, err := e.ResultAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != len(jobs) {
+		t.Fatalf("second pass: %d progress events, want %d", len(events), len(jobs))
+	}
+	for i, p := range events {
+		if p.Source != SourceMemory {
+			t.Fatalf("second pass event %d source = %s, want %s", i, p.Source, SourceMemory)
+		}
+	}
+	if n := totalCalls(&calls); n != 2 {
+		t.Fatalf("simulator ran %d times, want 2", n)
 	}
 }
 
@@ -210,75 +240,6 @@ func TestDefaultWorkerCount(t *testing.T) {
 	}
 	if w := New(Config{Workers: 7}).Workers(); w != 7 {
 		t.Fatalf("workers = %d, want 7", w)
-	}
-}
-
-// TestResultAllProgressBatchScoped: batch progress is scoped to the
-// submitted batch — Total fixed at the batch size, Done monotonically
-// reaching it — and reports per-job sources, independent of the
-// engine-wide callback (which still observes every job).
-func TestResultAllProgressBatchScoped(t *testing.T) {
-	var calls sync.Map
-	var global atomic.Int64
-	e := New(Config{
-		Workers:  4,
-		Simulate: countingSim(&calls, 0),
-		Progress: func(Progress) { global.Add(1) },
-	})
-	jobs := []Job{
-		quickJob("swim", core.Baseline64()),
-		quickJob("gzip", core.Baseline64()),
-		quickJob("swim", core.Baseline64()), // duplicate: memory or shared
-	}
-
-	var mu sync.Mutex
-	var events []Progress
-	if _, err := e.ResultAllProgress(jobs, func(p Progress) {
-		mu.Lock()
-		events = append(events, p)
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(events) != len(jobs) {
-		t.Fatalf("batch progress fired %d times, want %d", len(events), len(jobs))
-	}
-	bySource := map[Source]int{}
-	for i, p := range events {
-		if p.Total != len(jobs) {
-			t.Fatalf("event %d Total = %d, want %d", i, p.Total, len(jobs))
-		}
-		if p.Done != i+1 {
-			t.Fatalf("event %d Done = %d, want %d (monotonic)", i, p.Done, i+1)
-		}
-		bySource[p.Source]++
-	}
-	if bySource[SourceSimulated] != 2 {
-		t.Fatalf("sources = %v, want 2 simulated", bySource)
-	}
-	if bySource[SourceMemory]+bySource[SourceShared] != 1 {
-		t.Fatalf("sources = %v, want 1 memory/shared for the duplicate", bySource)
-	}
-	if global.Load() != int64(len(jobs)) {
-		t.Fatalf("engine-wide progress fired %d times, want %d", global.Load(), len(jobs))
-	}
-
-	// A second batch over warm jobs is all memory hits, again batch-scoped.
-	var warm []Progress
-	if _, err := e.ResultAllProgress(jobs[:2], func(p Progress) { warm = append(warm, p) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(warm) != 2 || warm[1].Done != 2 || warm[1].Total != 2 {
-		t.Fatalf("warm batch events = %+v", warm)
-	}
-	for _, p := range warm {
-		if p.Source != SourceMemory {
-			t.Fatalf("warm batch source = %s", p.Source)
-		}
-	}
-	if n := totalCalls(&calls); n != 2 {
-		t.Fatalf("simulator ran %d times, want 2", n)
 	}
 }
 
@@ -332,37 +293,6 @@ func TestConcurrentSweepsRace(t *testing.T) {
 	}
 	if sum := st.Simulated + st.MemoryHits + st.DiskHits + st.Shared + st.Canceled; sum != st.Requested {
 		t.Errorf("resolution identity broken: %d resolved of %d requested (%+v)", sum, st.Requested, st)
-	}
-}
-
-// TestBatchProgressAccounting: real-simulator jobs of one batch call
-// report progress one event per job, Done reaches Total exactly, and
-// every job surfaces as SourceSimulated so downstream accounting
-// (streams, manifests, consoles) sees each point.
-func TestBatchProgressAccounting(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	jobs := []Job{
-		quickJob("swim", core.Baseline64()),
-		quickJob("swim", core.IFDistr()),
-		quickJob("gcc", core.Baseline64()),
-	}
-	e := New(Config{Workers: 2})
-	var events []Progress
-	if _, err := e.ResultAllProgress(jobs, func(p Progress) { events = append(events, p) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(jobs) {
-		t.Fatalf("%d progress events, want %d", len(events), len(jobs))
-	}
-	for i, p := range events {
-		if p.Done != i+1 || p.Total != len(jobs) {
-			t.Errorf("event %d: Done/Total = %d/%d", i, p.Done, p.Total)
-		}
-		if p.Source != SourceSimulated {
-			t.Errorf("event %d: source %s, want %s", i, p.Source, SourceSimulated)
-		}
 	}
 }
 

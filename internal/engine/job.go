@@ -195,28 +195,8 @@ func (j Job) Fingerprint() (string, bool) {
 var sharedTraces = trace.NewCache(trace.DefaultCacheCap)
 
 // TraceCacheStats reports the shared trace cache's counters (residency,
-// hits, evictions), for observability surfaces such as cmd/iqbench.
+// hits, evictions); perfbench reads them to count generated streams.
 func TraceCacheStats() trace.CacheStats { return sharedTraces.Stats() }
-
-// WarmTraces materializes the shared trace cache for the named benchmarks
-// up to n instructions each, so subsequent timed runs pay no one-time
-// generation cost (cmd/iqbench uses it to put its serial and parallel
-// cold cases on equal footing). Warming is bounded by the shared cache's
-// capacity: past it, readers fall back to private generation as usual.
-func WarmTraces(benches []string, n uint64) error {
-	for _, b := range benches {
-		model, err := trace.ByName(b)
-		if err != nil {
-			return err
-		}
-		r := sharedTraces.Reader(model)
-		var in isa.Inst
-		for i := uint64(0); i < n; i++ {
-			r.Next(&in)
-		}
-	}
-	return nil
-}
 
 // Simulate runs one job to completion on the calling goroutine: it drives
 // the pipeline over the benchmark's synthetic model under the job's

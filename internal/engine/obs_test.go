@@ -130,48 +130,18 @@ func TestEngineGaugesTrackOccupancy(t *testing.T) {
 	waitFor("distiq_engine_queue_depth", 0)
 }
 
-// TestResultAllProgressMonotonicOnSuccess pins batch-scoped progress:
-// Done increases by exactly one per event, Total is fixed at the batch
-// size, and the final event has Done == Total.
-func TestResultAllProgressMonotonicOnSuccess(t *testing.T) {
+// TestProgressUnderCancellation pins the mid-cancel contract of
+// Config.Progress: every job still produces exactly one progress event
+// (canceled points included), Done stays monotonic and reaches Total,
+// and the batch error is the context error. Run under -race in CI.
+func TestProgressUnderCancellation(t *testing.T) {
 	var calls atomic.Int64
-	e := New(Config{Workers: 4, Simulate: slowStub(100*time.Microsecond, &calls)})
-	jobs := cancelJobs(20)
-	jobs = append(jobs, jobs[0], jobs[1]) // duplicates resolve via cache/share
-
 	var events []Progress
-	results, err := e.ResultAllProgress(jobs, func(p Progress) {
-		events = append(events, p)
+	e := New(Config{
+		Workers:  2,
+		Simulate: slowStub(300*time.Microsecond, &calls),
+		Progress: func(p Progress) { events = append(events, p) },
 	})
-	if err != nil {
-		t.Fatalf("ResultAllProgress: %v", err)
-	}
-	if len(results) != len(jobs) {
-		t.Fatalf("got %d results, want %d", len(results), len(jobs))
-	}
-	if len(events) != len(jobs) {
-		t.Fatalf("got %d progress events, want %d", len(events), len(jobs))
-	}
-	for i, p := range events {
-		if p.Done != i+1 {
-			t.Fatalf("event %d: Done = %d, want %d (monotonic +1)", i, p.Done, i+1)
-		}
-		if p.Total != len(jobs) {
-			t.Fatalf("event %d: Total = %d, want %d", i, p.Total, len(jobs))
-		}
-	}
-	if last := events[len(events)-1]; last.Done != last.Total {
-		t.Fatalf("final event %+v, want Done == Total", last)
-	}
-}
-
-// TestResultAllProgressUnderCancellation pins the mid-cancel contract:
-// every job still produces exactly one progress event (canceled points
-// included), Done stays monotonic and reaches Total, and the batch error
-// is the context error. Run under -race in CI.
-func TestResultAllProgressUnderCancellation(t *testing.T) {
-	var calls atomic.Int64
-	e := New(Config{Workers: 2, Simulate: slowStub(300*time.Microsecond, &calls)})
 	jobs := cancelJobs(40)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -179,10 +149,7 @@ func TestResultAllProgressUnderCancellation(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
-	var events []Progress
-	_, err := e.ResultAllCtx(ctx, jobs, func(p Progress) {
-		events = append(events, p)
-	})
+	_, err := e.ResultAllCtx(ctx, jobs)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want nil or context.Canceled", err)
 	}
@@ -194,9 +161,6 @@ func TestResultAllProgressUnderCancellation(t *testing.T) {
 		if p.Done != i+1 {
 			t.Fatalf("event %d: Done = %d, want %d", i, p.Done, i+1)
 		}
-		if p.Total != len(jobs) {
-			t.Fatalf("event %d: Total = %d, want %d", i, p.Total, len(jobs))
-		}
 		if p.Source == SourceCanceled {
 			canceled++
 		}
@@ -204,37 +168,9 @@ func TestResultAllProgressUnderCancellation(t *testing.T) {
 	if err != nil && canceled == 0 {
 		t.Error("cancelled batch reported no canceled progress events")
 	}
-	if events[len(events)-1].Done != len(jobs) {
-		t.Fatal("final progress event did not reach Done == Total")
+	if last := events[len(events)-1]; last.Done != len(jobs) || last.Total != len(jobs) {
+		t.Fatalf("final progress event %d/%d, want %d/%d", last.Done, last.Total, len(jobs), len(jobs))
 	}
 	t.Logf("cancelled batch: %d canceled of %d (%s)", canceled, len(jobs),
 		map[bool]string{true: "cancelled", false: "completed"}[err != nil])
-}
-
-// TestBatchProgressIndependentOfEngineProgress: batch-scoped events are
-// in addition to the engine-wide callback, each with its own Done/Total.
-func TestBatchProgressIndependentOfEngineProgress(t *testing.T) {
-	var calls atomic.Int64
-	var engineEvents atomic.Int64
-	e := New(Config{
-		Workers:  2,
-		Simulate: slowStub(0, &calls),
-		Progress: func(Progress) { engineEvents.Add(1) },
-	})
-	jobs := cancelJobs(8)
-	var batchEvents int
-	if _, err := e.ResultAllProgress(jobs, func(p Progress) {
-		batchEvents++
-		if p.Total != len(jobs) {
-			t.Errorf("batch event Total = %d, want %d", p.Total, len(jobs))
-		}
-	}); err != nil {
-		t.Fatalf("ResultAllProgress: %v", err)
-	}
-	if batchEvents != len(jobs) {
-		t.Errorf("batch events = %d, want %d", batchEvents, len(jobs))
-	}
-	if engineEvents.Load() != int64(len(jobs)) {
-		t.Errorf("engine-wide events = %d, want %d", engineEvents.Load(), len(jobs))
-	}
 }

@@ -277,16 +277,7 @@ func (g *Grid) RunStream(ctx context.Context, e *engine.Engine, emit func(i int,
 
 // RunOn runs the grid on an existing engine, sharing its caches.
 func (g *Grid) RunOn(e *engine.Engine) (*ResultSet, error) {
-	return g.RunOnProgress(e, nil)
-}
-
-// RunOnProgress runs the grid on an existing engine, additionally
-// invoking progress once per resolved job with Done/Total scoped to this
-// grid — independent of the engine-wide progress callback, so several
-// grids sharing one engine (e.g. concurrent service sweeps) each observe
-// their own completion.
-func (g *Grid) RunOnProgress(e *engine.Engine, progress func(engine.Progress)) (*ResultSet, error) {
-	results, err := e.ResultAllProgress(g.Jobs(), progress)
+	results, err := e.ResultAll(g.Jobs())
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"distiq/internal/engine"
@@ -353,41 +352,5 @@ func TestEmitWriterParity(t *testing.T) {
 	}
 	if _, ok := ContentType("yaml"); ok {
 		t.Error("ContentType accepted yaml")
-	}
-}
-
-// TestRunOnProgressPerGrid: grid-scoped progress counts exactly this
-// grid's points (Total = grid size, Done reaches it) with per-job
-// sources, even when the engine has served other work before.
-func TestRunOnProgressPerGrid(t *testing.T) {
-	e := stubEngine(4)
-	g := testGrid(t)
-	if _, err := g.RunOn(e); err != nil { // warm the engine first
-		t.Fatal(err)
-	}
-
-	var events []engine.Progress
-	var mu sync.Mutex
-	rs, err := g.RunOnProgress(e, func(p engine.Progress) {
-		mu.Lock()
-		events = append(events, p)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != g.Size() {
-		t.Fatalf("progress fired %d times, want %d", len(events), g.Size())
-	}
-	for i, p := range events {
-		if p.Total != g.Size() || p.Done != i+1 {
-			t.Fatalf("event %d = %d/%d, want %d/%d", i, p.Done, p.Total, i+1, g.Size())
-		}
-		if p.Source != engine.SourceMemory {
-			t.Fatalf("warm grid event source = %s", p.Source)
-		}
-	}
-	if rs.CSV() == "" {
-		t.Fatal("empty result set")
 	}
 }

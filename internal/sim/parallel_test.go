@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"distiq/internal/client"
 	"distiq/internal/core"
 )
 
@@ -17,7 +18,7 @@ func tinyOptions() Options {
 // with overlapping jobs; run under -race this is the goroutine-safety
 // regression test for the Session → engine delegation.
 func TestSessionConcurrentResult(t *testing.T) {
-	s := NewSessionWith(SessionConfig{Opt: tinyOptions(), Parallel: 4})
+	s := NewSessionClient(tinyOptions(), client.NewLocal(client.WithParallel(4)))
 	benches := []string{"swim", "gzip", "mcf"}
 	cfgs := []core.Config{core.Baseline64(), core.MBDistr()}
 
@@ -55,8 +56,8 @@ func TestSessionConcurrentResult(t *testing.T) {
 // figure generated by an 8-way parallel session must render byte-identical
 // to the strictly serial session's table.
 func TestParallelFigureByteIdentical(t *testing.T) {
-	serial := NewSessionWith(SessionConfig{Opt: tinyOptions(), Parallel: 1})
-	parallel := NewSessionWith(SessionConfig{Opt: tinyOptions(), Parallel: 8})
+	serial := NewSessionClient(tinyOptions(), client.NewLocal(client.WithParallel(1)))
+	parallel := NewSessionClient(tinyOptions(), client.NewLocal(client.WithParallel(8)))
 
 	for _, fig := range []int{8, 12} {
 		ts, err := Figure(fig, serial)
@@ -85,7 +86,7 @@ func TestSessionDiskCacheWarmRerun(t *testing.T) {
 	benches := []string{"swim", "gzip"}
 	cfgs := []core.Config{core.Baseline64(), core.IFDistr()}
 
-	cold := NewSessionWith(SessionConfig{Opt: tinyOptions(), CacheDir: dir})
+	cold := NewSessionClient(tinyOptions(), client.NewLocal(client.WithCacheDir(dir)))
 	if err := cold.Prefetch(benches, cfgs...); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSessionDiskCacheWarmRerun(t *testing.T) {
 		t.Fatalf("cold stats = %+v", st)
 	}
 
-	warm := NewSessionWith(SessionConfig{Opt: tinyOptions(), CacheDir: dir})
+	warm := NewSessionClient(tinyOptions(), client.NewLocal(client.WithCacheDir(dir)))
 	for _, b := range benches {
 		for _, cfg := range cfgs {
 			cr, err := cold.Result(b, cfg)

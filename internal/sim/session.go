@@ -47,24 +47,6 @@ func Run(bench string, cfg core.Config, opt Options) (Result, error) {
 	return engine.Simulate(engine.Job{Bench: bench, Config: cfg, Opt: opt})
 }
 
-// SessionConfig configures a Session beyond its defaults.
-//
-// Deprecated: new code should construct a Client directly
-// (distiq.NewLocalClient with WithParallel/WithCacheDir/WithProgress);
-// SessionConfig remains as a thin shim over the same options.
-type SessionConfig struct {
-	// Opt sizes every simulation of the session.
-	Opt Options
-	// Parallel bounds concurrent simulations; 0 selects GOMAXPROCS,
-	// 1 runs strictly serially.
-	Parallel int
-	// CacheDir, when non-empty, persists results to (and reuses them
-	// from) an on-disk store shared across processes.
-	CacheDir string
-	// Progress, when non-nil, receives one callback per resolved job.
-	Progress func(engine.Progress)
-}
-
 // Session memoizes runs so figures sharing configurations (every figure
 // reuses the baselines) do not repeat work. It is a thin harness over
 // the Client layer: every job flows through an in-process client, whose
@@ -79,19 +61,7 @@ type Session struct {
 // NewSession returns a Session with the given options, a GOMAXPROCS-wide
 // worker pool and in-memory caching only.
 func NewSession(opt Options) *Session {
-	return NewSessionWith(SessionConfig{Opt: opt})
-}
-
-// NewSessionWith returns a Session with explicit engine configuration.
-//
-// Deprecated: construct a Client (distiq.NewLocalClient) for new code;
-// this shim builds exactly that client under the hood.
-func NewSessionWith(cfg SessionConfig) *Session {
-	return NewSessionClient(cfg.Opt, client.NewLocal(
-		client.WithParallel(cfg.Parallel),
-		client.WithCacheDir(cfg.CacheDir),
-		client.WithProgress(cfg.Progress),
-	))
+	return NewSessionClient(opt, client.NewLocal())
 }
 
 // NewSessionClient returns a Session running every job through an
@@ -115,9 +85,6 @@ func (s *Session) context() context.Context {
 	}
 	return s.ctx
 }
-
-// Client returns the Local client the session runs on.
-func (s *Session) Client() *client.Local { return s.cl }
 
 // EngineStats reports how the session resolved its jobs so far
 // (simulated, memory hits, disk hits, deduplicated, cancelled).

@@ -202,21 +202,20 @@ func (r *StreamReader) offset(_, _ uint64) uint64 {
 // replay them.
 const DefaultCacheCap = 4 << 20
 
-// CacheStats is a snapshot of a Cache's behaviour counters. The JSON
-// keys are part of cmd/iqbench's stable BENCH_*.json schema.
+// CacheStats is a snapshot of a Cache's behaviour counters.
 type CacheStats struct {
 	// Hits and Misses count Stream lookups that found, respectively
 	// created, a stream.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	Hits   int64
+	Misses int64
 	// Evictions counts streams dropped to respect the capacity.
-	Evictions int64 `json:"evictions"`
+	Evictions int64
 	// Streams and RecordedInsts describe current residency.
-	Streams       int `json:"streams"`
-	RecordedInsts int `json:"recorded_insts"`
+	Streams       int
+	RecordedInsts int
 	// Forks counts readers (across all current streams) that outran the
 	// per-stream recording cap and fell back to private generation.
-	Forks int64 `json:"forks"`
+	Forks int64
 }
 
 // Cache materializes model streams on demand and bounds their total
