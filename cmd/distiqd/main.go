@@ -57,12 +57,8 @@ import (
 
 func main() {
 	srv, logger, addr, err := setup(os.Args[1:], os.Stderr)
-	switch {
-	case errors.Is(err, flag.ErrHelp):
-		os.Exit(0)
-	case err != nil:
-		fmt.Fprintf(os.Stderr, "distiqd: %v\n", err)
-		os.Exit(cliutil.ExitCode(err))
+	if err != nil {
+		cliutil.Exit("distiqd", err)
 	}
 
 	httpSrv := &http.Server{Addr: addr, Handler: srv}
@@ -143,25 +139,16 @@ func setup(argv []string, stderr io.Writer) (*serve.Server, *slog.Logger, string
 	var (
 		addr      = fs.String("addr", ":8090", "listen address")
 		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		cacheDir  = fs.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR), shared with the iq* CLIs")
-		storeSpec = fs.String("store", "", "result-store backend: fs:DIR or mem")
+		cacheDir  = fs.String("cache-dir", "", "persistent result store directory, shared with the iq* CLIs")
 		maxQueued = fs.Int("max-queued", serve.DefaultMaxQueued, "maximum admitted-but-unfinished sweeps before 429")
 		logFormat = fs.String("log-format", "text", "structured log format: text or json")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		quiet     = fs.Bool("quiet", false, "suppress all logging on stderr")
 	)
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil, nil, "", err
-		}
-		// The FlagSet has already written the message and usage.
-		return nil, nil, "", cliutil.BadInput(err)
-	}
-	if err := cliutil.ValidateParallel(*parallel); err != nil {
+	if err := cliutil.ParseFlags(fs, argv); err != nil {
 		return nil, nil, "", err
 	}
-	effStore, err := cliutil.ResolveStoreFlags(*storeSpec, *cacheDir)
-	if err != nil {
+	if err := cliutil.ValidateEngineFlags(*parallel, *cacheDir); err != nil {
 		return nil, nil, "", err
 	}
 	if err := cliutil.ValidateMaxQueued(*maxQueued); err != nil {
@@ -175,14 +162,10 @@ func setup(argv []string, stderr io.Writer) (*serve.Server, *slog.Logger, string
 		Parallel:  *parallel,
 		MaxQueued: *maxQueued,
 	}
-	if effStore != "" {
+	if *cacheDir != "" {
 		// The service adopts the store: Server.Close (called after Drain)
 		// closes it.
-		store, err := engine.OpenStore(effStore)
-		if err != nil {
-			return nil, nil, "", cliutil.BadInput(err)
-		}
-		cfg.Store = store
+		cfg.Store = engine.NewStore(*cacheDir)
 	}
 	if !*quiet {
 		cfg.Logger = logger

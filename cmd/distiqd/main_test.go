@@ -40,6 +40,8 @@ func TestSetupRejectsBadFlags(t *testing.T) {
 		{"-max-queued", "0"},
 		{"-max-queued", "-5"},
 		{"-cache-dir", "/nonexistent-parent-dir/sub/cache"},
+		// -cache-dir DIR names the one store; -store is gone.
+		{"-store", "mem"},
 	}
 	for _, argv := range cases {
 		var errw bytes.Buffer

@@ -7,6 +7,7 @@
 //	iqfig -all -n 500000             # longer runs for tighter numbers
 //	iqfig -all -parallel 8           # 8 concurrent simulations
 //	iqfig -all -cache-dir ~/.distiq  # reuse results across invocations
+//	iqfig -cycletime -csv            # the cycle-time what-if study alone
 //
 // Simulations fan out across the engine's worker pool (GOMAXPROCS-wide by
 // default; -parallel 1 forces serial execution) and are deterministic per
@@ -17,80 +18,71 @@
 // The session is bound to a signal context: Ctrl-C stops scheduling new
 // simulations (in-flight ones finish and persist to -cache-dir) and the
 // command exits 130, so an interrupted -all run resumes where it left
-// off on the next invocation.
+// off on the next invocation. Bad flags exit 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"time"
 
 	"distiq"
 	"distiq/internal/cliutil"
 )
 
-// fail reports err and exits with the taxonomy code (130 for Ctrl-C,
-// 2 for bad input, 1 otherwise).
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "iqfig:", err)
-	os.Exit(cliutil.ExitCode(err))
+func main() {
+	cliutil.Exit("iqfig", run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
+// run parses argv, regenerates the requested figures or study and
+// writes the tables to stdout, progress and the engine summary to
+// stderr.
+func run(argv []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("iqfig", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		figN      = flag.Int("fig", 0, "figure number to regenerate (2-4, 6-15)")
-		all       = flag.Bool("all", false, "regenerate every figure")
-		n         = flag.Uint64("n", 100_000, "instructions measured per run")
-		bars      = flag.Bool("bars", false, "render figures as ASCII bar charts")
-		cycle     = flag.Bool("cycletime", false, "run the cycle-time what-if extension study")
-		csv       = flag.Bool("csv", false, "emit tables as CSV")
-		md        = flag.Bool("md", false, "emit tables as markdown")
-		warmup    = flag.Uint64("warmup", 20_000, "warmup instructions per run")
-		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		cacheDir  = flag.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR), reused across runs")
-		storeSpec = flag.String("store", "", "result-store backend: fs:DIR or mem")
-		quiet     = flag.Bool("quiet", false, "suppress the progress reporter on stderr")
+		figN     = fs.Int("fig", 0, "figure number to regenerate (2-4, 6-15)")
+		all      = fs.Bool("all", false, "regenerate every figure")
+		n        = fs.Uint64("n", 100_000, "instructions measured per run")
+		bars     = fs.Bool("bars", false, "render tables as ASCII bar charts")
+		cycle    = fs.Bool("cycletime", false, "run the cycle-time what-if extension study (alone: not with -fig or -all)")
+		csv      = fs.Bool("csv", false, "emit tables as CSV")
+		md       = fs.Bool("md", false, "emit tables as markdown")
+		warmup   = fs.Uint64("warmup", 20_000, "warmup instructions per run")
+		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+		cacheDir = fs.String("cache-dir", "", "persistent result store directory, reused across runs")
+		quiet    = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
 	)
-	flag.Parse()
-
-	if !*cycle && !*all && *figN == 0 {
-		fmt.Fprintln(os.Stderr, "iqfig: pass -fig N, -all or -cycletime")
-		flag.Usage()
-		os.Exit(2)
+	if err := cliutil.ParseFlags(fs, argv); err != nil {
+		return err
 	}
-	if err := cliutil.ValidateParallel(*parallel); err != nil {
-		fmt.Fprintln(os.Stderr, "iqfig:", err)
-		os.Exit(2)
+	switch {
+	case !*cycle && !*all && *figN == 0:
+		fs.Usage()
+		return cliutil.BadInput(errors.New("pass -fig N, -all or -cycletime"))
+	case *cycle && (*all || *figN != 0):
+		return cliutil.BadInput(errors.New("-cycletime runs alone, not with -fig or -all"))
+	case !*cycle && !*all && !slices.Contains(distiq.FigureNumbers(), *figN):
+		return cliutil.BadInput(fmt.Errorf("-fig %d: no such figure (valid: 2-4, 6-15)", *figN))
 	}
-	effStore, err := cliutil.ResolveStoreFlags(*storeSpec, *cacheDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iqfig:", err)
-		os.Exit(2)
+	if err := cliutil.ValidateEngineFlags(*parallel, *cacheDir); err != nil {
+		return err
 	}
 
 	// The figure harness rides the Client layer: build the local client
 	// with functional options and bind the session to a signal context,
 	// so Ctrl-C cancels mid-figure.
 	opts := []distiq.ClientOption{distiq.WithParallel(*parallel)}
-	if effStore != "" {
-		store, err := distiq.OpenStore(effStore)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iqfig:", err)
-			os.Exit(2)
-		}
-		// A failed Close is reported but does not fail the run — the
-		// figures already printed.
-		defer func() {
-			if cerr := store.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "iqfig:", cerr)
-			}
-		}()
-		opts = append(opts, distiq.WithStore(store))
+	if *cacheDir != "" {
+		opts = append(opts, distiq.WithStore(distiq.NewFSStore(*cacheDir)))
 	}
 	var reporter *distiq.ConsoleReporter
 	if !*quiet {
-		reporter = distiq.NewConsoleReporter(os.Stderr)
+		reporter = distiq.NewConsoleReporter(stderr)
 		opts = append(opts, distiq.WithProgress(reporter.Report))
 	}
 	ctx, stop := cliutil.SignalContext()
@@ -104,49 +96,53 @@ func main() {
 			reporter.Finish()
 		}
 	}
+	render := func(tab distiq.Table) {
+		switch {
+		case *csv:
+			fmt.Fprint(stdout, tab.CSV())
+		case *md:
+			fmt.Fprint(stdout, tab.Markdown())
+		case *bars:
+			fmt.Fprint(stdout, tab.Bars(48))
+		default:
+			fmt.Fprint(stdout, tab)
+		}
+	}
 
 	if *cycle {
 		tab, err := distiq.CycleTimeStudy(s)
 		finish()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(tab)
-		summarize(s)
-		return
+		render(tab)
+		summarize(stderr, s)
+		return nil
 	}
 
 	figures := []int{*figN}
 	if *all {
 		figures = distiq.FigureNumbers()
-		fmt.Print(distiq.Table1())
-		fmt.Println()
+		fmt.Fprint(stdout, distiq.Table1())
+		fmt.Fprintln(stdout)
 	}
 	for _, fn := range figures {
 		start := time.Now()
 		tab, err := distiq.Figure(fn, s)
 		finish()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		switch {
-		case *csv:
-			fmt.Print(tab.CSV())
-		case *md:
-			fmt.Print(tab.Markdown())
-		case *bars:
-			fmt.Print(tab.Bars(48))
-		default:
-			fmt.Print(tab)
-		}
-		fmt.Printf("(generated in %.1fs)\n\n", time.Since(start).Seconds())
+		render(tab)
+		fmt.Fprintf(stdout, "(generated in %.1fs)\n\n", time.Since(start).Seconds())
 	}
-	summarize(s)
+	summarize(stderr, s)
+	return nil
 }
 
 // summarize reports how the engine resolved the session's jobs.
-func summarize(s *distiq.Session) {
+func summarize(w io.Writer, s *distiq.Session) {
 	st := s.EngineStats()
-	fmt.Fprintf(os.Stderr, "iqfig: %d simulated, %d memory hits, %d disk hits, %d deduplicated\n",
+	fmt.Fprintf(w, "iqfig: %d simulated, %d memory hits, %d disk hits, %d deduplicated\n",
 		st.Simulated, st.MemoryHits, st.DiskHits, st.Shared)
 }

@@ -7,11 +7,14 @@
 //	iqsim -bench gcc -config IssueFIFO -intq 8x8 -fpq 8x16
 //	iqsim -bench swim -cache-dir /tmp/distiq-cache   # instant on rerun
 //	iqsim -list
+//
+// A bad flag, configuration, queue shape or benchmark exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,65 +27,64 @@ import (
 )
 
 func main() {
-	var (
-		bench     = flag.String("bench", "swim", "benchmark name (see -list)")
-		config    = flag.String("config", "MB_distr", "configuration: IQ_unbounded, IQ_64_64, IF_distr, MB_distr, IssueFIFO, LatFIFO, MixBUFF")
-		intq      = flag.String("intq", "8x8", "integer queues AxB (IssueFIFO/LatFIFO/MixBUFF configs)")
-		fpq       = flag.String("fpq", "8x16", "FP queues CxD")
-		chains    = flag.Int("chains", 8, "chains per FP queue for MixBUFF (0 = unbounded)")
-		distr     = flag.Bool("distr", false, "distribute functional units across queues")
-		n         = flag.Uint64("n", 200_000, "instructions to measure")
-		warmup    = flag.Uint64("warmup", 20_000, "warmup instructions")
-		list      = flag.Bool("list", false, "list benchmarks and exit")
-		traceN    = flag.Int64("trace", 0, "print a pipeline trace for the first N cycles after warmup")
-		showcfg   = flag.Bool("table1", false, "print the processor configuration and exit")
-		parallel  = flag.Int("parallel", 1, "engine worker-pool size (one job needs no more)")
-		cacheDir  = flag.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR); a rerun with the same job is served from the store (ignored with -trace)")
-		storeSpec = flag.String("store", "", "result-store backend: fs:DIR or mem")
-	)
-	flag.Parse()
+	cliutil.Exit("iqsim", run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := cliutil.ValidateParallel(*parallel); err != nil {
-		fmt.Fprintln(os.Stderr, "iqsim:", err)
-		os.Exit(2)
+// run parses argv, resolves the one job and writes its report to
+// stdout. A bad flag, configuration, queue shape or benchmark is bad
+// input (exit 2), rejected before anything simulates.
+func run(argv []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("iqsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		bench    = fs.String("bench", "swim", "benchmark name (see -list)")
+		config   = fs.String("config", "MB_distr", "configuration: IQ_unbounded, IQ_64_64, IF_distr, MB_distr, IssueFIFO, LatFIFO, MixBUFF")
+		intq     = fs.String("intq", "8x8", "integer queues AxB (IssueFIFO/LatFIFO/MixBUFF configs)")
+		fpq      = fs.String("fpq", "8x16", "FP queues CxD")
+		chains   = fs.Int("chains", 8, "chains per FP queue for MixBUFF (0 = unbounded)")
+		distr    = fs.Bool("distr", false, "distribute functional units across queues")
+		n        = fs.Uint64("n", 200_000, "instructions to measure")
+		warmup   = fs.Uint64("warmup", 20_000, "warmup instructions")
+		list     = fs.Bool("list", false, "list benchmarks and exit")
+		traceN   = fs.Int64("trace", 0, "print a pipeline trace for the first N cycles after warmup")
+		showcfg  = fs.Bool("table1", false, "print the processor configuration and exit")
+		parallel = fs.Int("parallel", 1, "engine worker-pool size (one job needs no more)")
+		cacheDir = fs.String("cache-dir", "", "persistent result store directory; a rerun with the same job is served from the store (ignored with -trace)")
+	)
+	if err := cliutil.ParseFlags(fs, argv); err != nil {
+		return err
 	}
-	effStore, err := cliutil.ResolveStoreFlags(*storeSpec, *cacheDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iqsim:", err)
-		os.Exit(2)
+	if err := cliutil.ValidateEngineFlags(*parallel, *cacheDir); err != nil {
+		return err
 	}
 	if *list {
-		fmt.Println("SPECINT:", strings.Join(distiq.Benchmarks(distiq.SuiteInt), " "))
-		fmt.Println("SPECFP: ", strings.Join(distiq.Benchmarks(distiq.SuiteFP), " "))
-		return
+		fmt.Fprintln(stdout, "SPECINT:", strings.Join(distiq.Benchmarks(distiq.SuiteInt), " "))
+		fmt.Fprintln(stdout, "SPECFP: ", strings.Join(distiq.Benchmarks(distiq.SuiteFP), " "))
+		return nil
 	}
 	if *showcfg {
-		fmt.Print(distiq.Table1())
-		return
+		fmt.Fprint(stdout, distiq.Table1())
+		return nil
 	}
 
 	cfg, err := resolveConfig(*config, *intq, *fpq, *chains, *distr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "iqsim:", err)
-		os.Exit(1)
+		return cliutil.BadInput(err)
+	}
+	if _, err := distiq.WorkloadByName(*bench); err != nil {
+		return cliutil.BadInput(err)
 	}
 	var res distiq.Result
 	if *traceN > 0 {
-		res, err = runTraced(*bench, cfg, *warmup, *n, *traceN)
+		res, err = runTraced(stdout, *bench, cfg, *warmup, *n, *traceN)
 	} else {
 		// One job through the Client layer, bound to a signal context so
 		// Ctrl-C interrupts a long run cleanly (exit 130).
 		ctx, stop := cliutil.SignalContext()
 		defer stop()
 		opts := []distiq.ClientOption{distiq.WithParallel(*parallel)}
-		var store distiq.ResultStore
-		if effStore != "" {
-			store, err = distiq.OpenStore(effStore)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "iqsim:", err)
-				os.Exit(2)
-			}
-			opts = append(opts, distiq.WithStore(store))
+		if *cacheDir != "" {
+			opts = append(opts, distiq.WithStore(distiq.NewFSStore(*cacheDir)))
 		}
 		cl := distiq.NewLocalClient(opts...)
 		res, err = cl.Run(ctx, distiq.Job{
@@ -90,36 +92,31 @@ func main() {
 			Config: cfg,
 			Opt:    distiq.Options{Warmup: *warmup, Instructions: *n},
 		})
-		if store != nil {
-			if cerr := store.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
 		if st := cl.Stats(); st.DiskHits > 0 {
-			fmt.Fprintln(os.Stderr, "iqsim: result served from the persistent store")
+			fmt.Fprintln(stderr, "iqsim: result served from the persistent store")
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "iqsim:", err)
-		os.Exit(cliutil.ExitCode(err))
+		return err
 	}
 
 	st := res.Stats
-	fmt.Printf("benchmark        %s\n", res.Benchmark)
-	fmt.Printf("configuration    %s\n", res.Config)
-	fmt.Printf("instructions     %d\n", st.Committed)
-	fmt.Printf("cycles           %d\n", st.Cycles)
-	fmt.Printf("IPC              %.3f\n", res.IPC())
-	fmt.Printf("branches         %d (%.1f%% mispredicted, %d misfetches)\n",
+	fmt.Fprintf(stdout, "benchmark        %s\n", res.Benchmark)
+	fmt.Fprintf(stdout, "configuration    %s\n", res.Config)
+	fmt.Fprintf(stdout, "instructions     %d\n", st.Committed)
+	fmt.Fprintf(stdout, "cycles           %d\n", st.Cycles)
+	fmt.Fprintf(stdout, "IPC              %.3f\n", res.IPC())
+	fmt.Fprintf(stdout, "branches         %d (%.1f%% mispredicted, %d misfetches)\n",
 		st.Branches, 100*st.MispredictRate(), st.Misfetches)
-	fmt.Printf("issued           %d int, %d fp\n", st.IssuedInt, st.IssuedFP)
-	fmt.Printf("dispatch stalls  %d scheme, %d rob, %d regs (cycles)\n",
+	fmt.Fprintf(stdout, "issued           %d int, %d fp\n", st.IssuedInt, st.IssuedFP)
+	fmt.Fprintf(stdout, "dispatch stalls  %d scheme, %d rob, %d regs (cycles)\n",
 		st.StallScheme, st.StallROB, st.StallRegs)
-	fmt.Printf("load forwards    %d\n", st.LoadForwards)
-	fmt.Printf("\nissue-logic energy: %.1f nJ (%.2f pJ/instr)\n",
+	fmt.Fprintf(stdout, "load forwards    %d\n", st.LoadForwards)
+	fmt.Fprintf(stdout, "\nissue-logic energy: %.1f nJ (%.2f pJ/instr)\n",
 		res.IQEnergy/1000, res.IQEnergy/float64(st.Committed))
-	fmt.Println("breakdown:")
-	fmt.Print(res.Breakdown)
+	fmt.Fprintln(stdout, "breakdown:")
+	fmt.Fprint(stdout, res.Breakdown)
+	return nil
 }
 
 // resolveConfig maps command-line naming to a core configuration.
@@ -158,8 +155,8 @@ func resolveConfig(name, intq, fpq string, chains int, distr bool) (distiq.Confi
 }
 
 // runTraced runs the benchmark with a cycle-window pipeline trace printed
-// to stdout (pipeview-style, one line per stage event).
-func runTraced(bench string, cfg distiq.Config, warmup, n uint64, traceCycles int64) (distiq.Result, error) {
+// to w (pipeview-style, one line per stage event).
+func runTraced(w io.Writer, bench string, cfg distiq.Config, warmup, n uint64, traceCycles int64) (distiq.Result, error) {
 	model, err := distiq.WorkloadByName(bench)
 	if err != nil {
 		return distiq.Result{}, err
@@ -171,7 +168,7 @@ func runTraced(bench string, cfg distiq.Config, warmup, n uint64, traceCycles in
 	}
 	p.Warmup(warmup)
 	p.SetTracer(&pipeline.TextTracer{
-		W:    os.Stdout,
+		W:    w,
 		From: p.CurrentCycle(),
 		To:   p.CurrentCycle() + traceCycles,
 	})

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"distiq/internal/cliutil"
+)
 
 func TestResolveConfig(t *testing.T) {
 	cases := []struct {
@@ -39,6 +44,32 @@ func TestResolveConfig(t *testing.T) {
 		}
 		if cfg.DistributedFU != (c.distr || c.name == "MB_distr" || c.name == "IF_distr") {
 			t.Errorf("%q: DistributedFU wrong", c.name)
+		}
+	}
+}
+
+// TestRunRejectsBadInput: each mistake is bad input (exit 2), rejected
+// before anything simulates, so nothing reaches stdout.
+func TestRunRejectsBadInput(t *testing.T) {
+	for _, argv := range [][]string{
+		{"-config", "NOPE"},
+		{"-config", "IssueFIFO", "-intq", "9y9"},
+		{"-bench", "nope"},
+		{"-bench", "nope", "-trace", "10"},
+		// -cache-dir DIR names the one store; -store is gone.
+		{"-store", "mem"},
+	} {
+		var out, errw bytes.Buffer
+		err := run(argv, &out, &errw)
+		if err == nil {
+			t.Errorf("%v accepted", argv)
+			continue
+		}
+		if cliutil.ExitCode(err) != 2 {
+			t.Errorf("%v: exit code %d, want 2 (%v)", argv, cliutil.ExitCode(err), err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %q to stdout", argv, out.String())
 		}
 	}
 }

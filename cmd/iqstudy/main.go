@@ -13,7 +13,8 @@
 // through the content-addressed engine, so a warm rerun performs zero
 // simulations and emits identical bytes. With -server the study drives
 // a remote distiqd via its sweep endpoint; the table is byte-identical
-// either way.
+// either way. Bad flags, an unknown -format and bad specs exit 2 before
+// anything simulates.
 //
 // Usage:
 //
@@ -36,7 +37,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,29 +45,16 @@ import (
 
 	"distiq"
 	"distiq/internal/cliutil"
+	"distiq/internal/scenario"
 )
-
-// errBadFlags marks a flag-parse failure the FlagSet already reported
-// on stderr, so main does not print it a second time.
-var errBadFlags = errors.New("bad flags")
 
 func main() {
 	stats, err := run(os.Args[1:], os.Stdout, os.Stderr)
-	switch {
-	case errors.Is(err, flag.ErrHelp):
-		os.Exit(0)
-	case errors.Is(err, errBadFlags):
-		os.Exit(2)
-	case err != nil:
-		fmt.Fprintf(os.Stderr, "iqstudy: %v\n", err)
-		// Bad user input (specs, unknown formats) exits 2 like a flag
-		// error; system failures exit 1.
-		os.Exit(cliutil.ExitCode(err))
-	}
-	if stats.Requested > 0 {
+	if err == nil && stats.Requested > 0 {
 		fmt.Fprintf(os.Stderr, "iqstudy: %d simulated, %d memory hits, %d disk hits, %d deduplicated\n",
 			stats.Simulated, stats.MemoryHits, stats.DiskHits, stats.Shared)
 	}
+	cliutil.Exit("iqstudy", err)
 }
 
 // run parses argv, loads the study spec, executes it through the Client
@@ -81,25 +68,20 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		format   = fs.String("format", "csv", "output format: csv, json or md")
 		outPath  = fs.String("o", "", "write output to this file instead of stdout")
 
-		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
-		cacheDir  = fs.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR; local runs)")
-		storeSpec = fs.String("store", "", "result-store backend: fs:DIR or mem (local runs)")
-		server    = fs.String("server", "", "run the study's points on the distiqd at this base URL instead of in-process")
-		quiet     = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
+		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
+		cacheDir = fs.String("cache-dir", "", "persistent result store directory (local runs)")
+		server   = fs.String("server", "", "run the study's points on the distiqd at this base URL instead of in-process")
+		quiet    = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
 	)
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return distiq.EngineStats{}, err
-		}
-		// The FlagSet has already written the message and usage.
-		return distiq.EngineStats{}, fmt.Errorf("%w: %v", errBadFlags, err)
-	}
-	if err := cliutil.ValidateParallel(*parallel); err != nil {
+	if err := cliutil.ParseFlags(fs, argv); err != nil {
 		return distiq.EngineStats{}, err
 	}
-	effStore, err := cliutil.ResolveStoreFlags(*storeSpec, *cacheDir)
-	if err != nil {
+	if err := cliutil.ValidateEngineFlags(*parallel, *cacheDir); err != nil {
 		return distiq.EngineStats{}, err
+	}
+	// The study and scenario emitters accept the same format names.
+	if _, ok := scenario.ContentType(*format); !ok {
+		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-format %q: want csv, json or md", *format))
 	}
 	if strings.Contains(*server, ",") {
 		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-server %q: takes one base URL", *server))
@@ -120,17 +102,12 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	var reporter *distiq.ConsoleReporter
 	var cl distiq.Client
 	var local *distiq.LocalClient
-	var store distiq.ResultStore
 	if *server != "" {
 		cl = distiq.NewRemoteClient(*server)
 	} else {
 		opts := []distiq.ClientOption{distiq.WithParallel(*parallel)}
-		if effStore != "" {
-			store, err = distiq.OpenStore(effStore)
-			if err != nil {
-				return distiq.EngineStats{}, cliutil.BadInput(err)
-			}
-			opts = append(opts, distiq.WithStore(store))
+		if *cacheDir != "" {
+			opts = append(opts, distiq.WithStore(distiq.NewFSStore(*cacheDir)))
 		}
 		if !*quiet {
 			reporter = distiq.NewConsoleReporter(stderr)
@@ -143,11 +120,6 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	if reporter != nil {
 		reporter.Finish()
 	}
-	if store != nil {
-		if cerr := store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	stats := runStats(local, res)
 	if err != nil {
 		return stats, err
@@ -157,7 +129,7 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	// are byte-identical by construction.
 	var buf bytes.Buffer
 	if err := res.Emit(&buf, *format); err != nil {
-		return stats, cliutil.BadInput(err)
+		return stats, err
 	}
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, buf.Bytes(), 0o644); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"distiq/internal/cliutil"
+	"distiq/internal/engine"
 	"distiq/internal/serve"
 )
 
@@ -65,11 +66,23 @@ func TestRunRejectsBadInput(t *testing.T) {
 		t.Fatalf("frontier spec exit code %d, want 2 (%v)", cliutil.ExitCode(err), err)
 	}
 
+	// An unknown format is rejected before anything simulates: the cache
+	// directory stays empty.
 	good := writeSpec(t, ablationSpec)
-	if _, err := run([]string{"-spec", good, "-format", "xml"}, &out, &errw); err == nil {
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	if _, err := run([]string{"-spec", good, "-format", "xml", "-cache-dir", cacheDir, "-quiet"}, &out, &errw); err == nil {
 		t.Fatal("unknown format accepted")
 	} else if cliutil.ExitCode(err) != 2 {
 		t.Fatalf("unknown format exit code %d, want 2 (%v)", cliutil.ExitCode(err), err)
+	}
+	if entries, err := os.ReadDir(cacheDir); len(entries) != 0 {
+		t.Fatalf("unknown format stored %d entries (read err %v)", len(entries), err)
+	}
+	// -cache-dir DIR names the one store; -store is gone.
+	errw.Reset()
+	if _, err := run([]string{"-spec", good, "-store", "mem"}, &out, &errw); cliutil.ExitCode(err) != 2 ||
+		!strings.Contains(errw.String(), "flag provided but not defined: -store") {
+		t.Fatalf("-store mem: err = %v, stderr %q; want a flag error", err, errw.String())
 	}
 	if _, err := run([]string{"-spec", good, "-server", "http://127.0.0.1:1,http://127.0.0.1:2"}, &out, &errw); err == nil ||
 		!strings.Contains(err.Error(), "takes one base URL") {
@@ -169,7 +182,7 @@ func TestRunServerParity(t *testing.T) {
 		local[format] = out.String()
 	}
 
-	ts := httptest.NewServer(serve.New(serve.Config{Parallel: 2, CacheDir: cacheDir}))
+	ts := httptest.NewServer(serve.New(serve.Config{Parallel: 2, Store: engine.NewStore(cacheDir)}))
 	defer ts.Close()
 	for _, format := range []string{"csv", "json", "md"} {
 		var out, errw bytes.Buffer

@@ -5,25 +5,19 @@
 // memory latencies, the perfect-disambiguation ablation.
 //
 // The grid runs through the Client layer: locally on the in-process
-// engine (simulations shard across -parallel workers, -store selects a
-// result-store backend reused across invocations) or, with -server, on
-// a remote distiqd via its streaming endpoint. Same grid, byte-identical
-// output either way. Output rows stay in deterministic grid order; a
-// warm rerun performs zero simulations and emits identical bytes.
-// Ctrl-C cancels cleanly (exit 130): scheduling stops, in-flight
-// simulations finish and persist, and a rerun completes only the
-// remainder.
-//
-// Result-store backends (-store SPEC; -cache-dir DIR remains as the
-// alias for -store fs:DIR):
-//
-//	fs:DIR   on-disk distiq-v2 store
-//	mem      in-memory (one process)
+// engine (simulations shard across -parallel workers, and -cache-dir
+// names the on-disk distiq-v2 store reused across invocations) or, with
+// -server, on a remote distiqd via its streaming endpoint. Same grid,
+// byte-identical output either way. Output rows stay in deterministic
+// grid order; a warm rerun performs zero simulations and emits
+// identical bytes. Ctrl-C cancels cleanly (exit 130): scheduling stops,
+// in-flight simulations finish and persist, and a rerun completes only
+// the remainder. Bad flags, an unknown -format and bad specs exit 2
+// before anything simulates.
 //
 // Usage:
 //
 //	iqsweep -spec grid.json -cache-dir /tmp/distiq-cache
-//	iqsweep -spec grid.json -store fs:/tmp/distiq-cache
 //	iqsweep -spec grid.json -server http://localhost:8090
 //	iqsweep -spec grid.json -format md -o results.md
 //
@@ -32,7 +26,7 @@
 // result entries, in grid order), and -verify-manifest re-hashes an
 // on-disk store offline against such a manifest, exiting non-zero if
 // any byte of any covered entry changed. It runs no sweep, so beside it
-// only -cache-dir or -store may be given; any other flag exits 2:
+// only -cache-dir may be given; any other flag exits 2:
 //
 //	iqsweep -spec grid.json -cache-dir /tmp/c -manifest sweep.json
 //	iqsweep -verify-manifest sweep.json -cache-dir /tmp/c
@@ -51,7 +45,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,31 +53,18 @@ import (
 
 	"distiq"
 	"distiq/internal/cliutil"
+	"distiq/internal/scenario"
 )
-
-// errBadFlags marks a flag-parse failure the FlagSet already reported
-// on stderr, so main does not print it a second time.
-var errBadFlags = errors.New("bad flags")
 
 func main() {
 	stats, err := run(os.Args[1:], os.Stdout, os.Stderr)
-	switch {
-	case errors.Is(err, flag.ErrHelp):
-		os.Exit(0)
-	case errors.Is(err, errBadFlags):
-		os.Exit(2)
-	case err != nil:
-		fmt.Fprintf(os.Stderr, "iqsweep: %v\n", err)
-		// Bad user input (engine knobs, unknown formats) exits 2 like a
-		// flag error; system failures exit 1.
-		os.Exit(cliutil.ExitCode(err))
-	}
 	// -verify-manifest requests nothing from the engine; only summarize
 	// when jobs were actually resolved.
-	if stats.Requested > 0 {
+	if err == nil && stats.Requested > 0 {
 		fmt.Fprintf(os.Stderr, "iqsweep: %d simulated, %d memory hits, %d disk hits, %d deduplicated\n",
 			stats.Simulated, stats.MemoryHits, stats.DiskHits, stats.Shared)
 	}
+	cliutil.Exit("iqsweep", err)
 }
 
 // run parses argv, loads the grid spec, executes it and writes the
@@ -98,21 +78,16 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		format   = fs.String("format", "csv", "output format: csv, json or md")
 		outPath  = fs.String("o", "", "write output to this file instead of stdout")
 
-		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
-		cacheDir  = fs.String("cache-dir", "", "persistent result store directory (alias for -store fs:DIR; local runs)")
-		storeSpec = fs.String("store", "", "result-store backend: fs:DIR or mem (local runs)")
-		server    = fs.String("server", "", "run the sweep on the distiqd at this base URL instead of in-process")
-		quiet     = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
+		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
+		cacheDir = fs.String("cache-dir", "", "persistent result store directory (local runs)")
+		server   = fs.String("server", "", "run the sweep on the distiqd at this base URL instead of in-process")
+		quiet    = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
 
 		manifestOut = fs.String("manifest", "", "write the sweep's tamper-evident Merkle manifest to this JSON file")
-		verifyPath  = fs.String("verify-manifest", "", "verify a manifest file against the -cache-dir or -store fs:DIR store and exit (no sweep runs; takes no other flag)")
+		verifyPath  = fs.String("verify-manifest", "", "verify a manifest file against the -cache-dir store and exit (no sweep runs; takes no other flag)")
 	)
-	if err := fs.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return distiq.EngineStats{}, err
-		}
-		// The FlagSet has already written the message and usage.
-		return distiq.EngineStats{}, fmt.Errorf("%w: %v", errBadFlags, err)
+	if err := cliutil.ParseFlags(fs, argv); err != nil {
+		return distiq.EngineStats{}, err
 	}
 	if *verifyPath != "" {
 		// Verification runs no sweep, so a sweep flag beside it would be
@@ -120,29 +95,28 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		var extra []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "verify-manifest", "cache-dir", "store":
+			case "verify-manifest", "cache-dir":
 			default:
 				extra = append(extra, "-"+f.Name)
 			}
 		})
 		if len(extra) > 0 {
 			return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf(
-				"-verify-manifest takes only -cache-dir or -store beside it, not %s", strings.Join(extra, ", ")))
+				"-verify-manifest takes only -cache-dir beside it, not %s", strings.Join(extra, ", ")))
 		}
 	}
-	if err := cliutil.ValidateParallel(*parallel); err != nil {
+	if err := cliutil.ValidateEngineFlags(*parallel, *cacheDir); err != nil {
 		return distiq.EngineStats{}, err
 	}
-	effStore, err := cliutil.ResolveStoreFlags(*storeSpec, *cacheDir)
-	if err != nil {
-		return distiq.EngineStats{}, err
+	if _, ok := scenario.ContentType(*format); !ok {
+		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-format %q: want csv, json or md", *format))
 	}
 	if strings.Contains(*server, ",") {
 		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-server %q: takes one base URL", *server))
 	}
 
 	if *verifyPath != "" {
-		return distiq.EngineStats{}, verifyManifest(*verifyPath, effStore, stderr)
+		return distiq.EngineStats{}, verifyManifest(*verifyPath, *cacheDir, stderr)
 	}
 
 	if *specPath == "" {
@@ -167,19 +141,12 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	var reporter *distiq.ConsoleReporter
 	var cl distiq.Client
 	var local *distiq.LocalClient
-	var store distiq.ResultStore
 	if *server != "" {
 		cl = distiq.NewRemoteClient(*server)
 	} else {
 		opts := []distiq.ClientOption{distiq.WithParallel(*parallel)}
-		if effStore != "" {
-			// The effective -store/-cache-dir spec opens here and closes
-			// after the sweep.
-			store, err = distiq.OpenStore(effStore)
-			if err != nil {
-				return distiq.EngineStats{}, cliutil.BadInput(err)
-			}
-			opts = append(opts, distiq.WithStore(store))
+		if *cacheDir != "" {
+			opts = append(opts, distiq.WithStore(distiq.NewFSStore(*cacheDir)))
 		}
 		if !*quiet {
 			reporter = distiq.NewConsoleReporter(stderr)
@@ -192,11 +159,6 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	res, err := stream.ResultSet()
 	if reporter != nil {
 		reporter.Finish()
-	}
-	if store != nil {
-		if cerr := store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
 	}
 	stats := runStats(local, stream)
 	if err != nil {
@@ -214,7 +176,7 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	// service bodies are byte-identical by construction.
 	var buf bytes.Buffer
 	if err := res.Emit(&buf, *format); err != nil {
-		return stats, cliutil.BadInput(err)
+		return stats, err
 	}
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, buf.Bytes(), 0o644); err != nil {
@@ -245,23 +207,16 @@ func writeManifest(path string, stream *distiq.SweepStream) error {
 // verifyManifest re-derives a manifest's Merkle root from the bytes the
 // on-disk store holds right now: every leaf's entry is re-fetched and
 // re-hashed, so any post-sweep tampering — or a truncated or edited
-// manifest — fails loudly (exit 1). storeSpec is the resolved
-// -store/-cache-dir spec; it must name an fs: store, because a freshly
-// opened mem store can never hold an entry.
-func verifyManifest(path, storeSpec string, stderr io.Writer) error {
-	if storeSpec == "" || storeSpec == "mem" {
-		return cliutil.BadInput(fmt.Errorf("-verify-manifest needs the store to verify against: -cache-dir DIR or -store fs:DIR"))
+// manifest — fails loudly (exit 1). dir is the -cache-dir store.
+func verifyManifest(path, dir string, stderr io.Writer) error {
+	if dir == "" {
+		return cliutil.BadInput(fmt.Errorf("-verify-manifest needs the store to verify against: -cache-dir DIR"))
 	}
 	m, err := distiq.LoadManifest(path)
 	if err != nil {
 		return err
 	}
-	store, err := distiq.OpenStore(storeSpec)
-	if err != nil {
-		return cliutil.BadInput(err)
-	}
-	defer store.Close() //nolint:errcheck // read-only use
-	if err := m.VerifyIn(store); err != nil {
+	if err := m.VerifyIn(distiq.NewFSStore(dir)); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "iqsweep: manifest %s verified: %d points, root %s\n", path, m.Points, m.Root)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,8 +82,8 @@ func TestRunSpecEndToEndWarmCache(t *testing.T) {
 	if warmStats.Simulated != 0 {
 		t.Fatalf("warm rerun simulated %d jobs, want 0", warmStats.Simulated)
 	}
-	if warmStats.DiskHits == 0 {
-		t.Fatal("warm rerun reported no disk hits")
+	if warmStats.DiskHits != 4 {
+		t.Fatalf("warm rerun store hits = %d, want 4", warmStats.DiskHits)
 	}
 	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
 		t.Fatalf("warm CSV differs from cold CSV:\ncold:\n%s\nwarm:\n%s", cold.String(), warm.String())
@@ -155,8 +154,8 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 // TestVerifyManifestRejectsSweepFlags: -verify-manifest runs no sweep,
-// so a flag other than -cache-dir or -store beside it is bad input
-// (exit 2) naming the flag, and nothing is written.
+// so a flag other than -cache-dir beside it is bad input (exit 2)
+// naming the flag, and nothing is written.
 func TestVerifyManifestRejectsSweepFlags(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "grid.json")
@@ -233,29 +232,24 @@ func TestRunOtherFormats(t *testing.T) {
 }
 
 // TestRunErrorsAreBadInput: spec and flag mistakes classify as user
-// input (exit 2 via cliutil.ExitCode), matching the service's 400s.
+// input (exit 2 via cliutil.ExitCode), matching the service's 400s, and
+// are rejected before anything simulates: the cache directory stays
+// empty.
 func TestRunErrorsAreBadInput(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "grid.json")
 	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A real manifest, so -verify-manifest fails on the store and not on
-	// a missing file.
-	manifestPath := filepath.Join(dir, "sweep-manifest.json")
+	cacheDir := filepath.Join(dir, "cache")
 	var out, errw bytes.Buffer
-	if _, err := run([]string{"-spec", specPath, "-store", "mem", "-quiet",
-		"-manifest", manifestPath}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
 	for name, argv := range map[string][]string{
-		"bad parallel":          {"-parallel", "-1"},
-		"no spec":               {"-quiet"},
-		"bad format":            {"-spec", specPath, "-quiet", "-format", "yaml"},
-		"removed store backend": {"-spec", specPath, "-store", "http://127.0.0.1:1/"},
-		"server list":           {"-spec", specPath, "-server", "http://127.0.0.1:1,http://127.0.0.1:2"},
-		// A freshly opened mem store can never hold the manifest's entries.
-		"verify against mem": {"-verify-manifest", manifestPath, "-store", "mem"},
+		"bad parallel": {"-parallel", "-1"},
+		"no spec":      {"-quiet"},
+		"bad format":   {"-spec", specPath, "-quiet", "-format", "yaml"},
+		"bad format with a store": {"-spec", specPath, "-quiet", "-format", "xml",
+			"-cache-dir", cacheDir},
+		"server list": {"-spec", specPath, "-server", "http://127.0.0.1:1,http://127.0.0.1:2"},
 	} {
 		_, err := run(argv, &out, &errw)
 		if err == nil {
@@ -266,11 +260,14 @@ func TestRunErrorsAreBadInput(t *testing.T) {
 			t.Errorf("%s: exit code %d, want 2 (%v)", name, cliutil.ExitCode(err), err)
 		}
 	}
+	if entries, err := os.ReadDir(cacheDir); len(entries) != 0 {
+		t.Errorf("rejected runs stored %d entries (read err %v)", len(entries), err)
+	}
 }
 
-// TestRemovedGridFlagsAreFlagErrors: the grid flags that predate -spec
-// are gone, so passing one beside a spec is a flag error (exit 2), not
-// a value silently dropped in favour of the spec file.
+// TestRemovedGridFlagsAreFlagErrors: the grid flags that predate -spec,
+// and -store, are gone, so passing one beside a spec is a flag error
+// (exit 2), not a value silently dropped.
 func TestRemovedGridFlagsAreFlagErrors(t *testing.T) {
 	specPath := filepath.Join(t.TempDir(), "grid.json")
 	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
@@ -280,11 +277,13 @@ func TestRemovedGridFlagsAreFlagErrors(t *testing.T) {
 		{"-n", "1000"}, {"-warmup", "7"}, {"-bench", "gzip"}, {"-suite", "int"},
 		{"-scheme", "MixBUFF"}, {"-queues", "8"}, {"-entries", "16"},
 		{"-chains", "0"}, {"-intq", "16x16"}, {"-distr"}, {"-dump-spec"},
+		// -cache-dir DIR names the one store.
+		{"-store", "mem"}, {"-store", "fs:" + t.TempDir()},
 	} {
 		var out, errw bytes.Buffer
 		_, err := run(append([]string{"-spec", specPath, "-quiet"}, flag...), &out, &errw)
-		if !errors.Is(err, errBadFlags) {
-			t.Errorf("%v: err = %v, want a flag error", flag, err)
+		if cliutil.ExitCode(err) != 2 || !strings.Contains(errw.String(), "flag provided but not defined: "+flag[0]) {
+			t.Errorf("%v: err = %v (exit %d), stderr %q; want a flag error", flag, err, cliutil.ExitCode(err), errw.String())
 		}
 		if out.Len() != 0 {
 			t.Errorf("%v: wrote %q to stdout", flag, out.String())
@@ -311,60 +310,5 @@ func TestFleetServerFlagRejectsEmptyList(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "takes one base URL") {
 		t.Fatalf("error %q does not name the one-URL rule", err)
-	}
-}
-
-// TestRunStoreBackendsEndToEnd sweeps cold through -store fs:DIR and
-// warm through the -cache-dir alias for the same directory (zero
-// simulations warm, identical bytes), and -verify-manifest works
-// against the -store spelling.
-func TestRunStoreBackendsEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	specPath := filepath.Join(dir, "grid.json")
-	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cacheDir := filepath.Join(dir, "cache")
-	manifestPath := filepath.Join(dir, "sweep-manifest.json")
-
-	var cold, errw bytes.Buffer
-	coldStats, err := run([]string{"-spec", specPath, "-store", "fs:" + cacheDir, "-quiet",
-		"-parallel", "2", "-manifest", manifestPath}, &cold, &errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldStats.Simulated != 4 {
-		t.Fatalf("cold run simulated %d jobs, want 4", coldStats.Simulated)
-	}
-
-	var warm bytes.Buffer
-	warmStats, err := run([]string{"-spec", specPath, "-cache-dir", cacheDir, "-quiet",
-		"-parallel", "2"}, &warm, &errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.Simulated != 0 {
-		t.Fatalf("warm rerun through -cache-dir simulated %d jobs, want 0", warmStats.Simulated)
-	}
-	if warmStats.DiskHits != 4 {
-		t.Fatalf("warm rerun store hits = %d, want 4", warmStats.DiskHits)
-	}
-	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
-		t.Fatalf("warm CSV differs from cold CSV:\ncold:\n%s\nwarm:\n%s", cold.String(), warm.String())
-	}
-
-	errw.Reset()
-	if _, err := run([]string{"-verify-manifest", manifestPath, "-store", "fs:" + cacheDir},
-		&warm, &errw); err != nil {
-		t.Fatalf("verify against -store fs:DIR: %v", err)
-	}
-	if !strings.Contains(errw.String(), "verified") {
-		t.Fatalf("no verification report: %q", errw.String())
-	}
-
-	// -store and -cache-dir together are ambiguous: bad input, exit 2.
-	if _, err := run([]string{"-spec", specPath, "-store", "mem", "-cache-dir", dir,
-		"-quiet"}, &warm, &errw); err == nil || cliutil.ExitCode(err) != 2 {
-		t.Fatalf("-store with -cache-dir not rejected as bad input: %v", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"distiq/internal/engine"
 	"distiq/internal/serve"
 )
 
@@ -40,7 +41,7 @@ func TestServeParityWithCLI(t *testing.T) {
 
 	// The service shares the store: the sweep must resolve entirely from
 	// disk, simulating nothing.
-	ts := httptest.NewServer(serve.New(serve.Config{Parallel: 2, CacheDir: cacheDir}))
+	ts := httptest.NewServer(serve.New(serve.Config{Parallel: 2, Store: engine.NewStore(cacheDir)}))
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(testSpec))
 	if err != nil {

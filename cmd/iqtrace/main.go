@@ -9,6 +9,9 @@
 //	iqtrace -bench swim              # detailed report for one benchmark
 //	iqtrace -bench swim -dump t.diqt # capture a binary trace file
 //	iqtrace -replay t.diqt           # summarize a captured trace file
+//
+// Bad input (a non-positive -n, an unknown benchmark, -dump without
+// -bench, an unreadable replay file) exits 2; other failures exit 1.
 package main
 
 import (
@@ -18,6 +21,7 @@ import (
 	"os"
 
 	"distiq"
+	"distiq/internal/cliutil"
 	"distiq/internal/isa"
 	"distiq/internal/trace"
 )
@@ -31,21 +35,19 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(os.Stdout, *bench, *n, *dump, *replay); err != nil {
-		fmt.Fprintln(os.Stderr, "iqtrace:", err)
-		os.Exit(1)
-	}
+	cliutil.Exit("iqtrace", run(os.Stdout, *bench, *n, *dump, *replay))
 }
 
 // run dispatches the command's modes: replay a captured file, capture a
 // benchmark, report one benchmark in detail, or summarize all of them.
 func run(w io.Writer, bench string, n int, dump, replay string) error {
 	if n <= 0 {
-		return fmt.Errorf("-n %d: must be positive", n)
+		return cliutil.BadInput(fmt.Errorf("-n %d: must be positive", n))
 	}
 	switch {
 	case replay != "":
-		return summarizeFile(w, replay, n)
+		// Every error here comes from reading the file the caller named.
+		return cliutil.BadInput(summarizeFile(w, replay, n))
 	case dump != "":
 		return captureFile(w, bench, dump, n)
 	case bench != "":
@@ -59,11 +61,11 @@ func run(w io.Writer, bench string, n int, dump, replay string) error {
 // file.
 func captureFile(w io.Writer, bench, path string, n int) error {
 	if bench == "" {
-		return fmt.Errorf("-dump requires -bench")
+		return cliutil.BadInput(fmt.Errorf("-dump requires -bench"))
 	}
 	model, err := trace.ByName(bench)
 	if err != nil {
-		return err
+		return cliutil.BadInput(err)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -84,7 +86,7 @@ func captureFile(w io.Writer, bench, path string, n int) error {
 func detailBenchmark(w io.Writer, bench string, n int) error {
 	model, err := trace.ByName(bench)
 	if err != nil {
-		return err
+		return cliutil.BadInput(err)
 	}
 	g := trace.NewGenerator(model)
 	st := trace.CollectStats(g, n)

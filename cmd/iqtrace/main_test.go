@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"distiq"
+	"distiq/internal/cliutil"
 )
 
 func TestRunSummarizeAll(t *testing.T) {
@@ -63,15 +64,26 @@ func TestRunCaptureAndReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadInputs: each mistake is bad input, exit 2.
 func TestRunRejectsBadInputs(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(&out, "", 0, "", ""); err == nil {
-		t.Fatal("-n 0 accepted")
-	}
-	if err := run(&out, "", 100, "x.diqt", ""); err == nil {
-		t.Fatal("-dump without -bench accepted")
-	}
-	if err := run(&out, "", 100, "", "/no/such/file.diqt"); err == nil {
-		t.Fatal("missing replay file accepted")
+	for _, tc := range []struct {
+		name         string
+		bench        string
+		n            int
+		dump, replay string
+	}{
+		{"-n 0", "", 0, "", ""},
+		{"unknown benchmark", "nope", 100, "", ""},
+		{"-dump of an unknown benchmark", "nope", 100, filepath.Join(t.TempDir(), "x.diqt"), ""},
+		{"-dump without -bench", "", 100, "x.diqt", ""},
+		{"missing replay file", "", 100, "", "/no/such/file.diqt"},
+	} {
+		var out bytes.Buffer
+		err := run(&out, tc.bench, tc.n, tc.dump, tc.replay)
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+		} else if cliutil.ExitCode(err) != 2 {
+			t.Errorf("%s: exit code %d, want 2 (%v)", tc.name, cliutil.ExitCode(err), err)
+		}
 	}
 }

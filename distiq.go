@@ -24,8 +24,8 @@
 // configured with functional options:
 //
 //	cl := distiq.NewLocalClient(
-//		distiq.WithParallel(8),                // worker-pool bound (0 = GOMAXPROCS)
-//		distiq.WithCacheDir("/tmp/distiq-cache"), // reuse results across processes
+//		distiq.WithParallel(8), // worker-pool bound (0 = GOMAXPROCS)
+//		distiq.WithStore(distiq.NewFSStore("/tmp/distiq-cache")), // reuse results across processes
 //	)
 //	res, err := cl.Run(ctx, distiq.Job{
 //		Bench:  "swim",
@@ -81,13 +81,13 @@
 // holds no global state — so tables assembled from parallel runs are
 // byte-identical to serial ones.
 //
-// With WithCacheDir, results also persist to an on-disk store shared
-// across processes: one JSON file per result, content-addressed by a
-// SHA-256 of the job's structural identity (benchmark, configuration name
-// and shape, warmup and measured instruction counts, plus a format
-// version), written atomically so concurrent engines can share a
-// directory. A warm rerun of a figure or sweep performs zero new
-// simulations.
+// With WithStore(NewFSStore(dir)), results also persist to an on-disk
+// store shared across processes: one JSON file per result,
+// content-addressed by a SHA-256 of the job's structural identity
+// (benchmark, configuration name and shape, warmup and measured
+// instruction counts, plus a format version), written atomically so
+// concurrent engines can share a directory. A warm rerun of a figure or
+// sweep performs zero new simulations.
 //
 // # Scenario grids
 //
@@ -108,7 +108,7 @@
 //		WithLengths(10_000, 60_000)
 //	grid, err := spec.Expand()
 //	if err != nil { ... }
-//	cl := distiq.NewLocalClient(distiq.WithCacheDir("/tmp/distiq-cache"))
+//	cl := distiq.NewLocalClient(distiq.WithStore(distiq.NewFSStore("/tmp/distiq-cache")))
 //	res, err := cl.Sweep(ctx, grid).ResultSet()
 //	if err != nil { ... }
 //	fmt.Print(res.CSV())
@@ -180,18 +180,15 @@ type (
 // Client layer entry points.
 var (
 	// NewLocalClient returns the in-process Client. Options:
-	// WithParallel, WithCacheDir, WithProgress.
+	// WithParallel, WithStore, WithProgress.
 	NewLocalClient = client.NewLocal
 	// NewRemoteClient returns the Client for the distiqd at a base URL.
 	// Options: WithHTTPClient.
 	NewRemoteClient = client.NewRemote
 	// WithParallel bounds a local client's concurrent simulations.
 	WithParallel = client.WithParallel
-	// WithCacheDir persists a local client's results to the shared
-	// distiq-v2 store.
-	WithCacheDir = client.WithCacheDir
-	// WithStore backs a local client with an explicit result-store
-	// backend (takes precedence over WithCacheDir; the caller closes it).
+	// WithStore persists a local client's results to a result store,
+	// such as the shared distiq-v2 store NewFSStore opens.
 	WithStore = client.WithStore
 	// WithProgress installs a per-resolved-job callback on a local
 	// client.
@@ -200,34 +197,21 @@ var (
 	WithHTTPClient = client.WithHTTPClient
 )
 
-// Result-store backends: the persistent layer under the engine is an
-// interface with two interchangeable implementations — the on-disk
-// distiq-v2 store and an in-memory store. Both store the same canonical
-// entry bytes, so manifests verify byte-identically whichever backend
-// holds the results.
+// The result store: the persistent layer under the engine is an
+// interface, and its one persistent implementation is the on-disk
+// distiq-v2 store, one canonical entry file per result, so a manifest
+// verifies byte for byte against the directory.
 type (
 	// ResultStore is the persistent result-store interface consulted by
 	// the engine on miss and written through on completed simulations.
 	ResultStore = engine.ResultStore
 	// FSStore is the on-disk distiq-v2 content-addressed store.
 	FSStore = engine.Store
-	// MemStore is the in-memory ResultStore.
-	MemStore = engine.MemStore
 )
 
-// Result-store entry points.
-var (
-	// OpenStore builds a ResultStore from a -store spec string: fs:DIR
-	// or mem.
-	OpenStore = engine.OpenStore
-	// ParseStoreSpec validates a -store spec's syntax and returns the
-	// fs: directory it names.
-	ParseStoreSpec = engine.ParseStoreSpec
-	// NewFSStore returns the on-disk store rooted at a directory.
-	NewFSStore = engine.NewStore
-	// NewMemStore returns an empty in-memory store.
-	NewMemStore = engine.NewMemStore
-)
+// NewFSStore returns the on-disk store rooted at a directory (created on
+// first write).
+var NewFSStore = engine.NewStore
 
 // Sweep integrity: every successfully completed sweep carries a
 // tamper-evident manifest — a Merkle tree (RFC 6962 leaf/node hashing

@@ -158,7 +158,7 @@ func TestLocalSweepCancelledMidFlight(t *testing.T) {
 	}
 	n := grid.Size() // 12 points
 
-	first := client.NewLocal(client.WithParallel(2), client.WithCacheDir(dir))
+	first := client.NewLocal(client.WithParallel(2), client.WithStore(engine.NewStore(dir)))
 	ctx, cancel := context.WithCancel(context.Background())
 	st := first.Sweep(ctx, grid)
 	if !st.Next() {
@@ -183,7 +183,7 @@ func TestLocalSweepCancelledMidFlight(t *testing.T) {
 		t.Fatalf("stream failed (%v) but the engine cancelled nothing: %+v", err, st1)
 	}
 
-	second := client.NewLocal(client.WithParallel(2), client.WithCacheDir(dir))
+	second := client.NewLocal(client.WithParallel(2), client.WithStore(engine.NewStore(dir)))
 	rs, err := second.Sweep(context.Background(), grid).ResultSet()
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestLocalVsRemoteParity(t *testing.T) {
 	grid := testGrid(t)
 
 	// Cold local sweep populates the store.
-	cold := client.NewLocal(client.WithParallel(2), client.WithCacheDir(dir))
+	cold := client.NewLocal(client.WithParallel(2), client.WithStore(engine.NewStore(dir)))
 	coldStream := cold.Sweep(context.Background(), grid)
 	coldRS, err := coldStream.ResultSet()
 	if err != nil {
@@ -274,7 +274,7 @@ func TestLocalVsRemoteParity(t *testing.T) {
 
 	// Remote sweep through a distiqd sharing the store: warm, so every
 	// point is a disk hit — and the documents must match byte-for-byte.
-	srv := serve.New(serve.Config{Parallel: 2, CacheDir: dir})
+	srv := serve.New(serve.Config{Parallel: 2, Store: engine.NewStore(dir)})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	remote := client.NewRemote(ts.URL)
@@ -286,7 +286,7 @@ func TestLocalVsRemoteParity(t *testing.T) {
 	remoteDocs := emitAll(t, remoteRS)
 
 	// Warm local rerun through a fresh client on the same store.
-	warm := client.NewLocal(client.WithParallel(2), client.WithCacheDir(dir))
+	warm := client.NewLocal(client.WithParallel(2), client.WithStore(engine.NewStore(dir)))
 	warmStream := warm.Sweep(context.Background(), testGrid(t))
 	warmRS, err := warmStream.ResultSet()
 	if err != nil {

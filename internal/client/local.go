@@ -9,7 +9,7 @@ import (
 
 // Local is the in-process Client: it resolves jobs on the concurrent
 // experiment engine — bounded worker pool, single-flight deduplication,
-// in-memory cache and (with WithCacheDir) the persistent distiq-v2
+// in-memory cache and (with WithStore) the persistent distiq-v2
 // store. All methods are safe for concurrent use; one Local client may
 // serve many goroutines and amortizes one warm cache across them.
 type Local struct {
@@ -17,7 +17,7 @@ type Local struct {
 }
 
 // NewLocal returns a Local client. Recognized options: WithParallel,
-// WithCacheDir, WithStore, WithProgress.
+// WithStore, WithProgress.
 func NewLocal(opts ...Option) *Local {
 	var cfg config
 	for _, o := range opts {
@@ -25,7 +25,6 @@ func NewLocal(opts ...Option) *Local {
 	}
 	return &Local{eng: engine.New(engine.Config{
 		Workers:  cfg.parallel,
-		CacheDir: cfg.cacheDir,
 		Store:    cfg.store,
 		Progress: cfg.progress,
 	})}

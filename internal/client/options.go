@@ -14,7 +14,6 @@ type Option func(*config)
 // config collects every constructor knob.
 type config struct {
 	parallel   int
-	cacheDir   string
 	store      engine.ResultStore
 	progress   func(engine.Progress)
 	httpClient *http.Client
@@ -26,18 +25,11 @@ func WithParallel(n int) Option {
 	return func(c *config) { c.parallel = n }
 }
 
-// WithCacheDir backs a Local client's engine with the persistent
-// distiq-v2 content-addressed store at dir (created lazily), shared
-// across processes — including a distiqd pointed at the same directory.
-func WithCacheDir(dir string) Option {
-	return func(c *config) { c.cacheDir = dir }
-}
-
-// WithStore backs a Local client's engine with an explicit result-store
-// backend — any engine.ResultStore, such as the filesystem or in-memory
-// store (engine.OpenStore builds one from a -store spec string). It
-// takes precedence over WithCacheDir. The store is borrowed: the caller
-// closes it when done.
+// WithStore backs a Local client's engine with a persistent result
+// store: engine.NewStore(dir) for the distiq-v2 content-addressed store
+// in a directory (created on first write), shared across processes —
+// including a distiqd pointed at the same directory. The store is
+// borrowed: the caller closes it when done.
 func WithStore(st engine.ResultStore) Option {
 	return func(c *config) { c.store = st }
 }

@@ -6,8 +6,8 @@
 // The package also carries the shared error taxonomy: BadInput marks an
 // error as caused by the caller's input (bad flags, malformed or invalid
 // specs) rather than by the system, and every front end agrees on how to
-// surface that distinction — CLIs exit with status 2 (via ExitCode), the
-// HTTP service answers 400 instead of 500. Interruption is part of the
+// surface that distinction — CLIs exit with status 2 (Exit, through
+// ExitCode), the HTTP service answers 400 instead of 500. Interruption is part of the
 // same taxonomy: an error chain carrying context.Canceled (a Ctrl-C
 // propagated through a context-aware sweep) exits 130, the shell
 // convention for SIGINT.
@@ -16,13 +16,12 @@ package cliutil
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
-
-	"distiq/internal/engine"
 )
 
 // badInput wraps an error to mark it as caused by invalid user input.
@@ -48,6 +47,35 @@ func IsBadInput(err error) bool {
 // ExitInterrupted is the conventional exit status of a process stopped
 // by SIGINT (128 + signal 2).
 const ExitInterrupted = 130
+
+// errFlagsReported marks a flag-parse failure its FlagSet has already
+// reported on stderr, so Exit does not print it a second time.
+var errFlagsReported = errors.New("bad flags")
+
+// ParseFlags parses argv with fs, a ContinueOnError FlagSet. -h returns
+// flag.ErrHelp; any other failure, which fs has already reported, is bad
+// input.
+func ParseFlags(fs *flag.FlagSet, argv []string) error {
+	err := fs.Parse(argv)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return BadInput(fmt.Errorf("%w: %v", errFlagsReported, err))
+}
+
+// Exit ends a command's process with the outcome of its run: status 0
+// for nil or flag.ErrHelp, otherwise err is printed to stderr after the
+// command's name (unless ParseFlags already reported it) and the status
+// is ExitCode(err).
+func Exit(name string, err error) {
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil && !errors.Is(err, errFlagsReported) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	}
+	os.Exit(ExitCode(err))
+}
 
 // ExitCode maps an error to the conventional process exit status: 0 for
 // nil, 130 for cancellation (Ctrl-C through a context-aware run), 2 for
@@ -127,33 +155,4 @@ func ValidateEngineFlags(parallel int, cacheDir string) error {
 		return err
 	}
 	return ValidateCacheDir(cacheDir)
-}
-
-// ResolveStoreFlags folds the -store and -cache-dir flags into one
-// effective store spec: -cache-dir DIR is the legacy alias for the
-// filesystem backend (fs:DIR), so passing both flags is ambiguous and
-// rejected. The spec's syntax is validated (engine.ParseStoreSpec) and
-// an fs: directory runs through the same parent-directory checks
-// -cache-dir always had. An empty result means "no persistent store".
-func ResolveStoreFlags(storeSpec, cacheDir string) (string, error) {
-	if storeSpec != "" && cacheDir != "" {
-		return "", BadInput(fmt.Errorf("-store and -cache-dir are mutually exclusive (-cache-dir %s is shorthand for -store fs:%s)", cacheDir, cacheDir))
-	}
-	if storeSpec == "" {
-		if cacheDir == "" {
-			return "", nil
-		}
-		if err := ValidateCacheDir(cacheDir); err != nil {
-			return "", err
-		}
-		return "fs:" + cacheDir, nil
-	}
-	dir, err := engine.ParseStoreSpec(storeSpec)
-	if err != nil {
-		return "", BadInput(err)
-	}
-	if err := ValidateCacheDir(dir); err != nil {
-		return "", err
-	}
-	return storeSpec, nil
 }

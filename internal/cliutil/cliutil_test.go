@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -153,68 +152,4 @@ func TestSignalContextCancels(t *testing.T) {
 	if !errors.Is(ctx.Err(), context.Canceled) {
 		t.Fatalf("stopped signal context err = %v", ctx.Err())
 	}
-}
-
-func TestResolveStoreFlags(t *testing.T) {
-	dir := t.TempDir()
-
-	t.Run("neither", func(t *testing.T) {
-		spec, err := ResolveStoreFlags("", "")
-		if err != nil || spec != "" {
-			t.Fatalf("ResolveStoreFlags(\"\", \"\") = %q, %v", spec, err)
-		}
-	})
-	t.Run("cache-dir alias", func(t *testing.T) {
-		spec, err := ResolveStoreFlags("", dir)
-		if err != nil || spec != "fs:"+dir {
-			t.Fatalf("alias = %q, %v; want fs:%s", spec, err, dir)
-		}
-	})
-	t.Run("mutually exclusive", func(t *testing.T) {
-		_, err := ResolveStoreFlags("mem", dir)
-		if err == nil || !IsBadInput(err) {
-			t.Fatalf("both flags accepted (err=%v)", err)
-		}
-	})
-	t.Run("valid specs pass through", func(t *testing.T) {
-		for _, spec := range []string{"mem", "fs:" + dir} {
-			got, err := ResolveStoreFlags(spec, "")
-			if err != nil || got != spec {
-				t.Errorf("spec %q = %q, %v", spec, got, err)
-			}
-		}
-	})
-	t.Run("bad syntax is bad input", func(t *testing.T) {
-		for _, spec := range []string{
-			"s3://bucket", // unknown scheme
-			"fs:",         // missing directory
-			// Removed backends: the error names the two that remain.
-			"http://cache.internal:9000/distiq",
-			"https://cache.internal/bucket",
-			"tier:mem,fs:" + dir,
-			"batch:fs:" + dir,
-		} {
-			_, err := ResolveStoreFlags(spec, "")
-			if err == nil {
-				t.Errorf("spec %q accepted", spec)
-				continue
-			}
-			if !IsBadInput(err) {
-				t.Errorf("spec %q error not bad input: %v", spec, err)
-			}
-			if spec != "fs:" && !strings.Contains(err.Error(), "fs:DIR or mem") {
-				t.Errorf("spec %q error does not name fs:DIR and mem: %v", spec, err)
-			}
-		}
-	})
-	t.Run("fs dirs validated like cache-dir", func(t *testing.T) {
-		_, err := ResolveStoreFlags("fs:/no/such/parent/cache", "")
-		if err == nil || !IsBadInput(err) {
-			t.Fatalf("uncreatable fs: dir accepted (err=%v)", err)
-		}
-		_, err = ResolveStoreFlags("", "/no/such/parent/cache")
-		if err == nil || !IsBadInput(err) {
-			t.Fatalf("uncreatable -cache-dir accepted (err=%v)", err)
-		}
-	})
 }

@@ -147,7 +147,7 @@ func TestCancelKeepsStoreConsistentWarmRerunCompletesRemainder(t *testing.T) {
 	jobs := cancelJobs(60)
 
 	var firstCalls atomic.Int64
-	first := New(Config{Workers: 4, CacheDir: dir, Simulate: slowStub(300*time.Microsecond, &firstCalls)})
+	first := New(Config{Workers: 4, Store: NewStore(dir), Simulate: slowStub(300*time.Microsecond, &firstCalls)})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(2 * time.Millisecond)
@@ -172,7 +172,7 @@ func TestCancelKeepsStoreConsistentWarmRerunCompletesRemainder(t *testing.T) {
 	// Warm rerun through a fresh engine sharing only the on-disk store:
 	// every point the first run completed must be a disk hit.
 	var secondCalls atomic.Int64
-	second := New(Config{Workers: 4, CacheDir: dir, Simulate: slowStub(0, &secondCalls)})
+	second := New(Config{Workers: 4, Store: NewStore(dir), Simulate: slowStub(0, &secondCalls)})
 	results, err := second.ResultAll(jobs)
 	if err != nil {
 		t.Fatalf("warm rerun failed: %v", err)
@@ -331,7 +331,7 @@ func TestCancelMidSweepRealSimulator(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	e := New(Config{Workers: 1, CacheDir: dir, Progress: func(Progress) {
+	e := New(Config{Workers: 1, Store: NewStore(dir), Progress: func(Progress) {
 		// Cancel as soon as the first job lands: later jobs have not
 		// claimed the single worker slot yet.
 		cancel()
@@ -352,7 +352,7 @@ func TestCancelMidSweepRealSimulator(t *testing.T) {
 	// read back as disk hits, the remainder simulates once each, and the
 	// MB_distr jobs of gcc and mcf take their IF_distr twins' runs.
 	const distinct, twins = 10, 2
-	rerun := New(Config{Workers: 1, CacheDir: dir})
+	rerun := New(Config{Workers: 1, Store: NewStore(dir)})
 	if _, err := rerun.ResultAll(jobs); err != nil {
 		t.Fatal(err)
 	}

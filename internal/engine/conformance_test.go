@@ -23,9 +23,9 @@ import (
 // through the new handle.
 type confFactory func(t *testing.T) (store ResultStore, reopen func() ResultStore)
 
-// confFactories enumerates every backend under conformance. Keep this in
-// sync with the backends OpenStore can build — a new backend lands here
-// or its contract is unproven.
+// confFactories enumerates every ResultStore under conformance: the
+// on-disk Store and the MemStore reference. A new implementation lands
+// here or its contract is unproven.
 func confFactories() map[string]confFactory {
 	return map[string]confFactory{
 		"fs": func(t *testing.T) (ResultStore, func() ResultStore) {

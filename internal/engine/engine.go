@@ -18,15 +18,11 @@ type Config struct {
 	// Workers bounds concurrent simulations; 0 (or negative) selects
 	// GOMAXPROCS. Workers == 1 executes jobs strictly serially.
 	Workers int
-	// CacheDir, when non-empty, backs the in-memory cache with a
-	// persistent on-disk store at that path (created if missing), so
-	// results are reused across processes. It is the convenience form of
-	// Store for the common filesystem backend.
-	CacheDir string
-	// Store, when non-nil, is the persistent result backend — any
-	// ResultStore (filesystem or memory). It takes precedence over
-	// CacheDir. The store is borrowed, not owned: the caller closes it
-	// once the engine is done.
+	// Store, when non-nil, backs the in-memory cache with a persistent
+	// result store, so results are reused across processes:
+	// NewStore(dir) for an on-disk directory (created on first write).
+	// The store is borrowed, not owned: the caller closes it once the
+	// engine is done.
 	Store ResultStore
 	// Simulate overrides the simulation function (tests inject stubs);
 	// nil selects Simulate. Only the job key is known to determine what
@@ -148,9 +144,9 @@ type Engine struct {
 	stats   Stats
 }
 
-// New returns an Engine. The persistent store directory is created lazily
-// on first use; an unusable CacheDir surfaces as DiskErrors, never as job
-// failures.
+// New returns an Engine. Store writes are best-effort: an unusable store
+// (say, a directory that cannot be created) surfaces as DiskErrors, never
+// as job failures.
 func New(cfg Config) *Engine {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -169,11 +165,7 @@ func New(cfg Config) *Engine {
 		memory:   make(map[string]Result),
 		inflight: make(map[string]*call),
 		sims:     make(map[[sha256.Size]byte]string),
-	}
-	if cfg.Store != nil {
-		e.store = cfg.Store
-	} else if cfg.CacheDir != "" {
-		e.store = NewStore(cfg.CacheDir)
+		store:    cfg.Store,
 	}
 	if cfg.Obs != nil {
 		e.instrument(cfg.Obs)

@@ -154,11 +154,7 @@ func TestSharedRunsAccountingAndPersistence(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	store, err := OpenStore("fs:" + dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
+	store := NewStore(dir)
 
 	e := New(Config{Workers: 2, Store: store})
 	if _, err := e.ResultAll(jobs); err != nil {
@@ -343,15 +339,10 @@ func (s *countingStore) Put(fp string, job Job, r Result) error {
 	return s.ResultStore.Put(fp, job, r)
 }
 
-// countingFS opens a counting fs: store in a temporary directory.
+// countingFS returns a counting on-disk store in a temporary directory.
 func countingFS(t *testing.T) *countingStore {
 	t.Helper()
-	store, err := OpenStore("fs:" + t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	return &countingStore{ResultStore: store}
+	return &countingStore{ResultStore: NewStore(t.TempDir())}
 }
 
 // TestAdaptedResultMemoized: a job that took an equivalent job's run

@@ -145,7 +145,7 @@ func BuildManifest(name string, jobs []Job, results []Result) (*Manifest, error)
 // Check validates the manifest's internal consistency: version and
 // algorithm tags, leaf indices and point count, hash syntax, and that
 // the leaves fold to the recorded root. It does not touch any store —
-// see VerifyStore for that.
+// see VerifyIn for that.
 func (m *Manifest) Check() error {
 	if m.Version != ManifestVersion {
 		return fmt.Errorf("engine: manifest version %q, want %q", m.Version, ManifestVersion)
@@ -176,20 +176,12 @@ func (m *Manifest) Check() error {
 	return nil
 }
 
-// VerifyStore checks the manifest offline against a distiq-v2 store
-// directory: every leaf's stored file must hash back to its recorded
-// leaf hash (over the raw file bytes — any single flipped byte fails),
-// and the leaves must fold to the recorded root. The first discrepancy
-// is reported with its grid index and fingerprint.
-func (m *Manifest) VerifyStore(dir string) error {
-	return m.VerifyIn(NewStore(dir))
-}
-
-// VerifyIn is VerifyStore generalized over any result-store backend: the
-// enumeration hook (ResultStore.Raw) returns each leaf's exact stored
-// entry bytes, which must hash back to the recorded leaf hash. A
-// manifest therefore verifies identically against a cache directory or
-// an in-memory store.
+// VerifyIn checks the manifest offline against a result store, such as
+// NewStore(dir) for a distiq-v2 store directory: every leaf's stored
+// entry (ResultStore.Raw) must hash back to its recorded leaf hash (over
+// the raw bytes — any single flipped byte fails), and the leaves must
+// fold to the recorded root. The first discrepancy is reported with its
+// grid index and fingerprint.
 func (m *Manifest) VerifyIn(store ResultStore) error {
 	if err := m.Check(); err != nil {
 		return err

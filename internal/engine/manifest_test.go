@@ -165,8 +165,8 @@ func TestManifestVerifyStoreAndLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildManifest: %v", err)
 	}
-	if err := m.VerifyStore(dir); err != nil {
-		t.Fatalf("VerifyStore against warm store: %v", err)
+	if err := m.VerifyIn(NewStore(dir)); err != nil {
+		t.Fatalf("VerifyIn against warm store: %v", err)
 	}
 
 	// JSON round trip through LoadManifest.
@@ -185,8 +185,8 @@ func TestManifestVerifyStoreAndLoadRoundTrip(t *testing.T) {
 	if loaded.Root != m.Root || len(loaded.Leaves) != len(m.Leaves) {
 		t.Error("loaded manifest differs from original")
 	}
-	if err := loaded.VerifyStore(dir); err != nil {
-		t.Errorf("loaded manifest fails VerifyStore: %v", err)
+	if err := loaded.VerifyIn(NewStore(dir)); err != nil {
+		t.Errorf("loaded manifest fails VerifyIn: %v", err)
 	}
 
 	// Flip one byte of one stored file: verification must fail and name
@@ -200,9 +200,9 @@ func TestManifestVerifyStoreAndLoadRoundTrip(t *testing.T) {
 	if err := os.WriteFile(victim, raw, 0o644); err != nil {
 		t.Fatalf("tamper: %v", err)
 	}
-	err = m.VerifyStore(dir)
+	err = m.VerifyIn(NewStore(dir))
 	if err == nil {
-		t.Fatal("VerifyStore passed against a tampered store")
+		t.Fatal("VerifyIn passed against a tampered store")
 	}
 	if !strings.Contains(err.Error(), "point 2") {
 		t.Errorf("tamper error does not name the point: %v", err)
@@ -212,8 +212,8 @@ func TestManifestVerifyStoreAndLoadRoundTrip(t *testing.T) {
 	if err := os.Remove(victim); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
-	if err := m.VerifyStore(dir); err == nil {
-		t.Error("VerifyStore passed with a missing store entry")
+	if err := m.VerifyIn(NewStore(dir)); err == nil {
+		t.Error("VerifyIn passed with a missing store entry")
 	}
 }
 

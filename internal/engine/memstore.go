@@ -6,12 +6,12 @@ import (
 )
 
 // MemStore is the in-memory ResultStore: a goroutine-safe map from
-// fingerprint to canonical entry bytes. It exists as a hermetic backend
-// for tests and as the reference implementation of the ResultStore
-// contract (it stores the same canonical bytes the FS store writes, so
-// manifests verify against it byte-for-byte). A MemStore is
-// process-local: "cross-process" reuse means sharing one MemStore value
-// between engines.
+// fingerprint to canonical entry bytes. It is the reference
+// implementation of the ResultStore contract and the tests' hermetic
+// store, not a store a command offers: it holds the same canonical
+// bytes the filesystem Store writes, so manifests verify against it
+// byte-for-byte. A MemStore is process-local: "cross-process" reuse
+// means sharing one MemStore value between engines.
 type MemStore struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte
@@ -68,13 +68,6 @@ func (s *MemStore) Raw(fp string) ([]byte, error) {
 		return nil, fmt.Errorf("engine: memstore: no entry for %s", fp)
 	}
 	return append([]byte(nil), data...), nil
-}
-
-// Len reports the number of stored entries.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.blobs)
 }
 
 // Close is a no-op.

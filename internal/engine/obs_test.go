@@ -49,7 +49,7 @@ func TestEngineMetricsMatchStats(t *testing.T) {
 	var calls atomic.Int64
 	e := New(Config{
 		Workers:  2,
-		CacheDir: t.TempDir(),
+		Store:    NewStore(t.TempDir()),
 		Simulate: slowStub(0, &calls),
 		Obs:      reg,
 	})

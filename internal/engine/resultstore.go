@@ -5,10 +5,11 @@ import "encoding/json"
 // ResultStore is the persistent result cache behind the engine: a
 // content-addressed map from a job's distiq-v2 fingerprint (Job.Fingerprint)
 // to the canonical JSON entry for its result. The engine consults it before
-// simulating and persists fresh results through it, so any backend that
-// honors the contract below is interchangeable — the same warm-rerun,
-// single-flight and manifest semantics hold over a local directory
-// (Store) and an in-process map (MemStore).
+// simulating and persists fresh results through it. The one persistent
+// implementation is the on-disk Store (NewStore); MemStore is the
+// in-process reference implementation the tests run beside it, so the
+// same warm-rerun, single-flight and manifest semantics are checked over
+// both.
 //
 // Contract (pinned for every implementation by the shared conformance
 // suite in conformance_test.go):

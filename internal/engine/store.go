@@ -37,9 +37,6 @@ func NewStore(dir string) *Store {
 	return s
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // sweepStaleTemps removes temp files older than tmpStaleAfter. Put's
 // CreateTemp pattern is "." + fp + ".tmp*"; a crash between CreateTemp
 // and Rename orphans such a file. Recent temps are left alone — they may
@@ -160,3 +157,17 @@ var (
 	_ ResultStore = (*Store)(nil)
 	_ RawPutter   = (*Store)(nil)
 )
+
+// OpenStore returns NewStore(DIR) for the spec "fs:DIR" and rejects
+// every other spec.
+//
+// Deprecated: OpenStore exists only because the benchmark harness still
+// calls it; use NewStore. It goes away when the benchmark is next
+// redefined.
+func OpenStore(spec string) (ResultStore, error) {
+	dir, ok := strings.CutPrefix(spec, "fs:")
+	if !ok || dir == "" {
+		return nil, fmt.Errorf("engine: store spec %q: want fs:DIR", spec)
+	}
+	return NewStore(dir), nil
+}

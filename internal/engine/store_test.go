@@ -119,7 +119,7 @@ func TestEngineDiskStoreCrossProcessReuse(t *testing.T) {
 	}
 
 	var callsA sync.Map
-	a := New(Config{Workers: 2, CacheDir: dir, Simulate: countingSim(&callsA, 0)})
+	a := New(Config{Workers: 2, Store: NewStore(dir), Simulate: countingSim(&callsA, 0)})
 	wantRes, err := a.ResultAll(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestEngineDiskStoreCrossProcessReuse(t *testing.T) {
 	// A second engine (a new process, in effect) must serve both jobs
 	// from disk and simulate nothing.
 	var refuse atomic.Int64
-	b := New(Config{Workers: 2, CacheDir: dir, Simulate: func(Job) (Result, error) {
+	b := New(Config{Workers: 2, Store: NewStore(dir), Simulate: func(Job) (Result, error) {
 		refuse.Add(1)
 		return Result{}, nil
 	}})
@@ -164,7 +164,7 @@ func TestEngineCustomConfigSkipsStore(t *testing.T) {
 		return core.New(d, o)
 	}
 	var calls sync.Map
-	e := New(Config{Workers: 1, CacheDir: dir, Simulate: countingSim(&calls, 0)})
+	e := New(Config{Workers: 1, Store: NewStore(dir), Simulate: countingSim(&calls, 0)})
 	if _, err := e.Result(quickJob("swim", cfg)); err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +237,12 @@ func TestEngineBatchRespectsStore(t *testing.T) {
 		quickJob("gcc", core.IFDistr()),
 		quickJob("gcc", core.MBDistr()),
 	}
-	seed := New(Config{Workers: 1, CacheDir: dir})
+	seed := New(Config{Workers: 1, Store: NewStore(dir)})
 	if _, err := seed.Result(jobs[0]); err != nil {
 		t.Fatal(err)
 	}
 
-	e := New(Config{Workers: 1, CacheDir: dir})
+	e := New(Config{Workers: 1, Store: NewStore(dir)})
 	got, err := e.ResultAll(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestEngineBatchRespectsStore(t *testing.T) {
 			t.Errorf("%s under %s not persisted", j.Bench, j.Config.Name)
 		}
 	}
-	warm := New(Config{Workers: 1, CacheDir: dir})
+	warm := New(Config{Workers: 1, Store: NewStore(dir)})
 	again, err := warm.ResultAll(jobs)
 	if err != nil {
 		t.Fatal(err)

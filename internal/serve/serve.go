@@ -73,14 +73,10 @@ const maxSpecBytes = 1 << 20
 type Config struct {
 	// Parallel bounds concurrent simulations (0 = GOMAXPROCS, 1 = serial).
 	Parallel int
-	// CacheDir, when non-empty, backs the engine with the persistent
-	// distiq-v2 content-addressed store, shared with the iq* CLIs and
-	// other distiqd processes.
-	CacheDir string
-	// Store, when non-nil, is the engine's persistent result backend —
-	// any engine.ResultStore (engine.OpenStore builds one from a -store
-	// spec: filesystem or memory). It takes precedence over CacheDir.
-	// The Server adopts the store: Close closes it.
+	// Store, when non-nil, backs the engine with a persistent result
+	// store: engine.NewStore(dir) for the distiq-v2 content-addressed
+	// store in a directory, shared with the iq* CLIs and other distiqd
+	// processes. The Server adopts the store: Close closes it.
 	Store engine.ResultStore
 	// MaxQueued bounds sweeps admitted but not yet finished; further
 	// submissions answer 429. Zero selects DefaultMaxQueued.
@@ -233,7 +229,6 @@ func New(cfg Config) *Server {
 		store: cfg.Store,
 		eng: engine.New(engine.Config{
 			Workers:  cfg.Parallel,
-			CacheDir: cfg.CacheDir,
 			Store:    cfg.Store,
 			Simulate: cfg.Simulate,
 			Obs:      reg,

@@ -100,7 +100,7 @@ func fetch(t *testing.T, ts *httptest.Server, id, format string) (string, string
 // `iqsweep -spec` warm-store regression test.
 func TestEndToEndColdWarm(t *testing.T) {
 	cacheDir := t.TempDir()
-	srv := New(Config{Parallel: 2, CacheDir: cacheDir})
+	srv := New(Config{Parallel: 2, Store: engine.NewStore(cacheDir)})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -137,7 +137,7 @@ func TestEndToEndColdWarm(t *testing.T) {
 	}
 
 	// A fresh server on the same store: everything resolves from disk.
-	srv2 := New(Config{Parallel: 2, CacheDir: cacheDir})
+	srv2 := New(Config{Parallel: 2, Store: engine.NewStore(cacheDir)})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	cross := submit(t, ts2, testSpec)

@@ -6,6 +6,7 @@ import (
 
 	"distiq/internal/client"
 	"distiq/internal/core"
+	"distiq/internal/engine"
 )
 
 // tinyOptions keeps the concurrency tests fast: stability of the numbers
@@ -86,7 +87,7 @@ func TestSessionDiskCacheWarmRerun(t *testing.T) {
 	benches := []string{"swim", "gzip"}
 	cfgs := []core.Config{core.Baseline64(), core.IFDistr()}
 
-	cold := NewSessionClient(tinyOptions(), client.NewLocal(client.WithCacheDir(dir)))
+	cold := NewSessionClient(tinyOptions(), client.NewLocal(client.WithStore(engine.NewStore(dir))))
 	if err := cold.Prefetch(benches, cfgs...); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSessionDiskCacheWarmRerun(t *testing.T) {
 		t.Fatalf("cold stats = %+v", st)
 	}
 
-	warm := NewSessionClient(tinyOptions(), client.NewLocal(client.WithCacheDir(dir)))
+	warm := NewSessionClient(tinyOptions(), client.NewLocal(client.WithStore(engine.NewStore(dir))))
 	for _, b := range benches {
 		for _, cfg := range cfgs {
 			cr, err := cold.Result(b, cfg)
