@@ -18,7 +18,8 @@
 // The session is bound to a signal context: Ctrl-C stops scheduling new
 // simulations (in-flight ones finish and persist to -cache-dir) and the
 // command exits 130, so an interrupted -all run resumes where it left
-// off on the next invocation. Bad flags exit 2.
+// off on the next invocation. Bad flags exit 2, as do -fig beside -all
+// and -cycletime beside either.
 package main
 
 import (
@@ -46,7 +47,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		figN     = fs.Int("fig", 0, "figure number to regenerate (2-4, 6-15)")
-		all      = fs.Bool("all", false, "regenerate every figure")
+		all      = fs.Bool("all", false, "regenerate every figure (not with -fig)")
 		n        = fs.Uint64("n", 100_000, "instructions measured per run")
 		bars     = fs.Bool("bars", false, "render tables as ASCII bar charts")
 		cycle    = fs.Bool("cycletime", false, "run the cycle-time what-if extension study (alone: not with -fig or -all)")
@@ -66,6 +67,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return cliutil.BadInput(errors.New("pass -fig N, -all or -cycletime"))
 	case *cycle && (*all || *figN != 0):
 		return cliutil.BadInput(errors.New("-cycletime runs alone, not with -fig or -all"))
+	case *all && figSet(fs):
+		return cliutil.BadInput(errors.New("-all regenerates every figure, not with -fig"))
 	case !*cycle && !*all && !slices.Contains(distiq.FigureNumbers(), *figN):
 		return cliutil.BadInput(fmt.Errorf("-fig %d: no such figure (valid: 2-4, 6-15)", *figN))
 	}
@@ -145,4 +148,12 @@ func summarize(w io.Writer, s *distiq.Session) {
 	st := s.EngineStats()
 	fmt.Fprintf(w, "iqfig: %d simulated, %d memory hits, %d disk hits, %d deduplicated\n",
 		st.Simulated, st.MemoryHits, st.DiskHits, st.Shared)
+}
+
+// figSet reports whether -fig was given on the command line, whatever
+// its value.
+func figSet(fs *flag.FlagSet) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "fig" })
+	return set
 }

@@ -16,6 +16,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-fig", "16"},
 		{"-cycletime", "-fig", "8"},
 		{"-cycletime", "-all"},
+		// -all regenerates every figure; a -fig beside it, valid or
+		// not, would be silently dropped.
+		{"-all", "-fig", "5"},
+		{"-all", "-fig", "8"},
+		{"-fig", "0", "-all"},
 		// -cache-dir DIR names the one store; -store is gone.
 		{"-fig", "8", "-store", "mem"},
 	} {

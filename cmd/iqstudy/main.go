@@ -14,7 +14,8 @@
 // simulations and emits identical bytes. With -server the study drives
 // a remote distiqd via its sweep endpoint; the table is byte-identical
 // either way. Bad flags, an unknown -format and bad specs exit 2 before
-// anything simulates.
+// anything simulates; so do -cache-dir and -parallel beside -server,
+// since the distiqd's own engine and store resolve a remote study.
 //
 // Usage:
 //
@@ -68,8 +69,8 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		format   = fs.String("format", "csv", "output format: csv, json or md")
 		outPath  = fs.String("o", "", "write output to this file instead of stdout")
 
-		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
-		cacheDir = fs.String("cache-dir", "", "persistent result store directory (local runs)")
+		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs only, not with -server)")
+		cacheDir = fs.String("cache-dir", "", "persistent result store directory (local runs only, not with -server)")
 		server   = fs.String("server", "", "run the study's points on the distiqd at this base URL instead of in-process")
 		quiet    = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
 	)
@@ -85,6 +86,11 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	}
 	if strings.Contains(*server, ",") {
 		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-server %q: takes one base URL", *server))
+	}
+	if *server != "" {
+		if err := cliutil.RejectLocalEngineFlags(fs); err != nil {
+			return distiq.EngineStats{}, err
+		}
 	}
 	if *specPath == "" {
 		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-spec is required"))

@@ -92,6 +92,35 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestServerRejectsLocalEngineFlags: -cache-dir and -parallel configure
+// only the in-process engine, so beside -server either is bad input
+// (exit 2) naming the flag, rejected before the server is contacted:
+// the cache directory stays empty.
+func TestServerRejectsLocalEngineFlags(t *testing.T) {
+	spec := writeSpec(t, ablationSpec)
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	for _, tc := range []struct {
+		flags []string
+		named string
+	}{
+		{[]string{"-cache-dir", cacheDir}, "-cache-dir"},
+		{[]string{"-parallel", "1"}, "-parallel"},
+	} {
+		var out, errw bytes.Buffer
+		argv := append([]string{"-spec", spec, "-quiet", "-server", "http://127.0.0.1:1"}, tc.flags...)
+		_, err := run(argv, &out, &errw)
+		if cliutil.ExitCode(err) != 2 || !strings.HasPrefix(err.Error(), tc.named+": ") {
+			t.Errorf("%v: err = %v (exit %d); want exit 2 naming %s", tc.flags, err, cliutil.ExitCode(err), tc.named)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %q to stdout", tc.flags, out.String())
+		}
+	}
+	if entries, err := os.ReadDir(cacheDir); len(entries) != 0 {
+		t.Errorf("rejected runs stored %d entries (read err %v)", len(entries), err)
+	}
+}
+
 func TestRunAblationEndToEndWarmCache(t *testing.T) {
 	specPath := writeSpec(t, ablationSpec)
 	cacheDir := filepath.Join(t.TempDir(), "cache")

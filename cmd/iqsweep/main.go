@@ -13,7 +13,9 @@
 // identical bytes. Ctrl-C cancels cleanly (exit 130): scheduling stops,
 // in-flight simulations finish and persist, and a rerun completes only
 // the remainder. Bad flags, an unknown -format and bad specs exit 2
-// before anything simulates.
+// before anything simulates; so do -cache-dir and -parallel beside
+// -server, since the distiqd's own engine and store resolve a remote
+// sweep.
 //
 // Usage:
 //
@@ -78,8 +80,8 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		format   = fs.String("format", "csv", "output format: csv, json or md")
 		outPath  = fs.String("o", "", "write output to this file instead of stdout")
 
-		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs)")
-		cacheDir = fs.String("cache-dir", "", "persistent result store directory (local runs)")
+		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; local runs only, not with -server)")
+		cacheDir = fs.String("cache-dir", "", "persistent result store directory (local runs only, not with -server)")
 		server   = fs.String("server", "", "run the sweep on the distiqd at this base URL instead of in-process")
 		quiet    = fs.Bool("quiet", false, "suppress the progress reporter on stderr")
 
@@ -113,6 +115,11 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	}
 	if strings.Contains(*server, ",") {
 		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-server %q: takes one base URL", *server))
+	}
+	if *server != "" {
+		if err := cliutil.RejectLocalEngineFlags(fs); err != nil {
+			return distiq.EngineStats{}, err
+		}
 	}
 
 	if *verifyPath != "" {

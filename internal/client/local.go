@@ -108,7 +108,7 @@ func (c *Local) Sweep(ctx context.Context, grid *scenario.Grid) *Stream {
 			// Grids expanded from specs are always content-addressable;
 			// a grid that is not (hand-built with Custom schemes) simply
 			// has no manifest.
-			if m, err := engine.BuildManifest(grid.Spec.Name, grid.Jobs(), results); err == nil {
+			if m, err := c.eng.Manifest(grid.Spec.Name, grid.Jobs(), results); err == nil {
 				st.setManifest(m)
 			}
 		}

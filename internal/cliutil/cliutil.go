@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 )
 
@@ -155,4 +156,21 @@ func ValidateEngineFlags(parallel int, cacheDir string) error {
 		return err
 	}
 	return ValidateCacheDir(cacheDir)
+}
+
+// RejectLocalEngineFlags reports -cache-dir and -parallel given on fs's
+// command line as bad input naming them. A command calls it when
+// -server hands its points to a distiqd, whose own engine and store
+// resolve them, so the local engine's flags would be silently ignored.
+func RejectLocalEngineFlags(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "cache-dir" || f.Name == "parallel" {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return BadInput(fmt.Errorf("%s: local runs only, not with -server", strings.Join(set, " and ")))
 }

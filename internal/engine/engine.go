@@ -84,6 +84,23 @@ type Stats struct {
 	DiskErrors int64
 }
 
+// memEntry is one job's resolved result in the engine's memory, with
+// the job's manifest leaf once a manifest has named it (Engine.Manifest).
+// The map holds pointers, so filling the leaf in place never stores the
+// filler's copy of the key: a map assignment replaces a string key.
+type memEntry struct {
+	res  Result
+	leaf leafMemo
+}
+
+// leafMemo is a job's store fingerprint and the manifest leaf hash of
+// its result, kept once ok. Neither changes while the result is in
+// memory, so a repeat point's leaf costs a map lookup.
+type leafMemo struct {
+	fp, leaf [sha256.Size]byte
+	ok       bool
+}
+
 // call is one in-flight computation shared by all requesters of a
 // simulation identity. err is the computation's own error; each requester
 // reports it under its own benchmark and configuration.
@@ -117,7 +134,7 @@ type Engine struct {
 	slots    slotQueue
 
 	mu       sync.Mutex
-	memory   map[string]Result
+	memory   map[string]*memEntry
 	inflight map[string]*call
 	// sims maps a hashed simulation identity to the key of the job whose
 	// run holds it, in flight or in memory, so jobs the simulator cannot
@@ -162,7 +179,7 @@ func New(cfg Config) *Engine {
 		progress: cfg.Progress,
 		workers:  workers,
 		slots:    slotQueue{free: workers},
-		memory:   make(map[string]Result),
+		memory:   make(map[string]*memEntry),
 		inflight: make(map[string]*call),
 		sims:     make(map[[sha256.Size]byte]string),
 		store:    cfg.Store,
@@ -345,7 +362,7 @@ retry:
 				// on. A requester that skipped the write leaves it,
 				// and the memo, to a later call.
 				e.mu.Lock()
-				e.memory[key] = r
+				e.memory[key] = &memEntry{res: r}
 				e.mu.Unlock()
 			}
 		}
@@ -377,7 +394,7 @@ retry:
 	c.res, c.err = res, err
 	e.mu.Lock()
 	if err == nil {
-		e.memory[key] = res
+		e.memory[key] = &memEntry{res: res}
 	} else {
 		delete(e.sims, id)
 	}
@@ -391,8 +408,8 @@ retry:
 // lookup finds key's result in memory or its computation in flight. The
 // caller holds e.mu.
 func (e *Engine) lookup(key string) (Result, *call, bool) {
-	if r, ok := e.memory[key]; ok {
-		return r, nil, true
+	if m, ok := e.memory[key]; ok {
+		return m.res, nil, true
 	}
 	c, ok := e.inflight[key]
 	return Result{}, c, ok

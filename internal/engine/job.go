@@ -17,7 +17,7 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"distiq/internal/core"
 	"distiq/internal/isa"
@@ -93,40 +93,78 @@ func (j Job) model() (trace.Model, error) {
 // v2 added the machine-configuration segment to job identity.
 const storeVersion = 2
 
-// domCanon renders the structural identity of one domain's configuration.
-func domCanon(d core.DomainConfig) string {
-	return fmt.Sprintf("%s,%d,%d,%d,%t,%t",
-		d.Kind, d.Queues, d.Entries, d.Chains,
-		d.KeepMapOnMispredict, d.FlatSelectPriority)
+// canonCap sizes the stack buffer job identities are rendered into; a
+// canonical string of the paper's machine is about 260 bytes.
+const canonCap = 384
+
+// appendDom appends the structural identity of one domain's
+// configuration: its kind, queues, entries and chains, and the two
+// ablation switches.
+func appendDom(b []byte, d *core.DomainConfig) []byte {
+	b = append(b, d.Kind.String()...)
+	b = appendInt(append(b, ','), d.Queues)
+	b = appendInt(append(b, ','), d.Entries)
+	b = appendInt(append(b, ','), d.Chains)
+	b = strconv.AppendBool(append(b, ','), d.KeepMapOnMispredict)
+	return strconv.AppendBool(append(b, ','), d.FlatSelectPriority)
 }
 
-// canonical renders the job's full structural identity, or reports false
-// when the configuration embeds a Custom scheme factory, whose behaviour
-// a string cannot capture. The machine segment is rendered from the
-// *applied* pipeline configuration, so overrides that restate Table 1
-// defaults hash identically to no override.
-func (j Job) canonical() (string, bool) {
+// appendInt appends v in decimal.
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+// appendInts appends vs in decimal, separated by sep.
+func appendInts(b []byte, sep byte, vs []int) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = appendInt(b, v)
+	}
+	return b
+}
+
+// appendCanonical appends the job's full structural identity, or
+// reports false when the configuration embeds a Custom scheme factory,
+// whose behaviour a string cannot capture. The machine segment is
+// rendered from the *applied* pipeline configuration, so overrides that
+// restate Table 1 defaults hash identically to no override.
+func (j *Job) appendCanonical(b []byte) ([]byte, bool) {
 	if j.Config.Int.Custom != nil || j.Config.FP.Custom != nil {
-		return "", false
+		return b, false
 	}
-	return j.canon(j.Config.Name, domCanon(j.Config.FP)), true
+	return j.appendCanon(b, j.Config.Name, false), true
 }
 
-// canon renders the canonical layout with the given configuration name
-// and FP-domain segment.
-func (j Job) canon(name, fp string) string {
-	c := fmt.Sprintf("distiq-v%d|%s|%s|w%d|n%d|int:%s|fp:%s|distr:%t|mach:%s",
-		storeVersion, j.Bench, name,
-		j.Opt.Warmup, j.Opt.Instructions,
-		domCanon(j.Config.Int), fp,
-		j.Config.DistributedFU, j.machineCanon())
-	// The seed segment appears only when set: every pre-existing
-	// (seed-zero) fingerprint — and with it every warm store entry and
-	// golden manifest root — is untouched by the axis.
-	if j.Seed != 0 {
-		c += fmt.Sprintf("|seed:%d", j.Seed)
+// appendCanon appends the canonical layout with the given configuration
+// name, and with the FP-domain segment "idle" when fpIdle is set:
+//
+//	distiq-v2|<bench>|<name>|w<warmup>|n<insts>|int:<dom>|fp:<dom>|distr:<bool>|mach:<machine>[|seed:<seed>]
+func (j *Job) appendCanon(b []byte, name string, fpIdle bool) []byte {
+	b = strconv.AppendInt(append(b, "distiq-v"...), storeVersion, 10)
+	b = append(append(b, '|'), j.Bench...)
+	b = append(append(b, '|'), name...)
+	b = strconv.AppendUint(append(b, "|w"...), j.Opt.Warmup, 10)
+	b = strconv.AppendUint(append(b, "|n"...), j.Opt.Instructions, 10)
+	b = appendDom(append(b, "|int:"...), &j.Config.Int)
+	b = append(b, "|fp:"...)
+	if fpIdle {
+		b = append(b, "idle"...)
+	} else {
+		b = appendDom(b, &j.Config.FP)
 	}
-	return c
+	b = strconv.AppendBool(append(b, "|distr:"...), j.Config.DistributedFU)
+	b = j.appendMachine(append(b, "|mach:"...))
+	return j.appendSeed(b)
+}
+
+// appendSeed appends the seed segment. It appears only when set: every
+// pre-existing (seed-zero) fingerprint — and with it every warm store
+// entry and golden manifest root — is untouched by the axis.
+func (j *Job) appendSeed(b []byte) []byte {
+	if j.Seed == 0 {
+		return b
+	}
+	return strconv.AppendUint(append(b, "|seed:"...), j.Seed, 10)
 }
 
 // simIdentity returns what the simulator sees of the job: its canonical
@@ -146,45 +184,70 @@ func (j Job) simIdentity() (id string, fpIdle, ok bool) {
 	if err != nil || j.PipelineConfig().Validate() != nil {
 		return "", false, false
 	}
-	fp := domCanon(j.Config.FP)
-	if !m.HasFPOps() {
-		fp, fpIdle = "idle", true
-	}
+	fpIdle = !m.HasFPOps()
 	// The prefix keeps identities apart from job keys.
-	return "sim|" + j.canon("", fp), fpIdle, true
+	var buf [canonCap]byte
+	return string(j.appendCanon(append(buf[:0], "sim|"...), "", fpIdle)), fpIdle, true
 }
+
+// table1Mach is the machine segment of every job without a Machine
+// override: the Table 1 machine around any issue-queue organization,
+// which the segment does not cover.
+var table1Mach = machCanon(pipeline.DefaultConfig(core.Config{}))
 
 // machineCanon renders the job's full-machine identity segment.
 func (j Job) machineCanon() string {
+	if j.Machine == nil {
+		return table1Mach
+	}
 	return machCanon(j.PipelineConfig())
+}
+
+// appendMachine appends machineCanon's rendering.
+func (j *Job) appendMachine(b []byte) []byte {
+	if j.Machine == nil {
+		return append(b, table1Mach...)
+	}
+	c := j.PipelineConfig()
+	return appendMach(b, &c)
 }
 
 // Key returns the in-process memoization key. Jobs with Custom schemes
 // fall back to name-based identity (the caller must name distinct custom
 // configurations distinctly, as sim.Session always required).
 func (j Job) Key() string {
-	if c, ok := j.canonical(); ok {
-		return c
+	var buf [canonCap]byte
+	if c, ok := j.appendCanonical(buf[:0]); ok {
+		return string(c)
 	}
-	k := fmt.Sprintf("custom|%s|%s|w%d|n%d|mach:%s",
-		j.Bench, j.Config.Name, j.Opt.Warmup, j.Opt.Instructions,
-		j.machineCanon())
-	if j.Seed != 0 {
-		k += fmt.Sprintf("|seed:%d", j.Seed)
-	}
-	return k
+	b := append(buf[:0], "custom|"...)
+	b = append(append(b, j.Bench...), '|')
+	b = append(b, j.Config.Name...)
+	b = strconv.AppendUint(append(b, "|w"...), j.Opt.Warmup, 10)
+	b = strconv.AppendUint(append(b, "|n"...), j.Opt.Instructions, 10)
+	b = j.appendMachine(append(b, "|mach:"...))
+	return string(j.appendSeed(b))
 }
 
 // Fingerprint returns the content address used by the persistent store: a
 // hex SHA-256 of the job's canonical identity. It reports false for jobs
 // that cannot be safely persisted (Custom scheme configurations).
 func (j Job) Fingerprint() (string, bool) {
-	c, ok := j.canonical()
+	sum, ok := j.fingerprint()
 	if !ok {
 		return "", false
 	}
-	sum := sha256.Sum256([]byte(c))
 	return hex.EncodeToString(sum[:]), true
+}
+
+// fingerprint is Fingerprint's SHA-256 before hex encoding.
+func (j Job) fingerprint() ([sha256.Size]byte, bool) {
+	var buf [canonCap]byte
+	c, ok := j.appendCanonical(buf[:0])
+	if !ok {
+		return [sha256.Size]byte{}, false
+	}
+	return sha256.Sum256(c), true
 }
 
 // sharedTraces caches each benchmark's generated dynamic instruction

@@ -1,8 +1,9 @@
 package engine
 
 import (
-	"fmt"
+	"strconv"
 
+	"distiq/internal/cache"
 	"distiq/internal/isa"
 	"distiq/internal/pipeline"
 )
@@ -85,20 +86,48 @@ func (j Job) PipelineConfig() pipeline.Config {
 
 // machCanon renders the structural identity of the full machine (beyond
 // the issue-queue organization, which the job canon covers separately).
-// Every result-affecting pipeline parameter a Machine can reach appears
-// here, so two jobs share a fingerprint exactly when they simulate the
-// same processor.
 func machCanon(c pipeline.Config) string {
-	return fmt.Sprintf(
-		"f%d,d%d,ii%d,if%d,c%d,fq%d,rob%d,dd%d,rp%d|lat:%v|l1i:%d/%d/%d/%d,l1d:%d/%d/%d/%d,l2:%d/%d/%d/%d,mem:%d/%d/%d,p%d|fu:%v|pdis:%t",
-		c.FetchWidth, c.DispatchWidth, c.IssueWidthInt, c.IssueWidthFP,
-		c.CommitWidth, c.FetchQueue, c.ROBSize, c.DecodeDepth, c.RedirectPenalty,
-		c.Latencies,
-		c.Hier.L1I.SizeKB, c.Hier.L1I.Assoc, c.Hier.L1I.LineSize, c.Hier.L1I.Latency,
-		c.Hier.L1D.SizeKB, c.Hier.L1D.Assoc, c.Hier.L1D.LineSize, c.Hier.L1D.Latency,
-		c.Hier.L2.SizeKB, c.Hier.L2.Assoc, c.Hier.L2.LineSize, c.Hier.L2.Latency,
-		c.Hier.Mem.FirstChunk, c.Hier.Mem.InterChunk, c.Hier.Mem.ChunkBytes,
-		c.Hier.DPorts,
-		c.FUCounts,
-		c.PerfectDisambiguation)
+	var buf [canonCap]byte
+	return string(appendMach(buf[:0], &c))
+}
+
+// appendMach appends machCanon's rendering. Every result-affecting
+// pipeline parameter a Machine can reach appears here, so two jobs share
+// a fingerprint exactly when they simulate the same processor:
+//
+//	f<fetch>,d<dispatch>,ii<issue int>,if<issue fp>,c<commit>,fq<fetch queue>,rob<rob>,dd<decode depth>,rp<redirect penalty>
+//	|lat:[<latency> ...]|l1i:<KB>/<assoc>/<line>/<latency>,l1d:...,l2:...,mem:<first>/<inter>/<chunk bytes>,p<data ports>
+//	|fu:[<units> ...]|pdis:<bool>
+//
+// (one line, without the breaks).
+func appendMach(b []byte, c *pipeline.Config) []byte {
+	b = appendInt(append(b, 'f'), c.FetchWidth)
+	b = appendInt(append(b, ",d"...), c.DispatchWidth)
+	b = appendInt(append(b, ",ii"...), c.IssueWidthInt)
+	b = appendInt(append(b, ",if"...), c.IssueWidthFP)
+	b = appendInt(append(b, ",c"...), c.CommitWidth)
+	b = appendInt(append(b, ",fq"...), c.FetchQueue)
+	b = appendInt(append(b, ",rob"...), c.ROBSize)
+	b = appendInt(append(b, ",dd"...), c.DecodeDepth)
+	b = appendInt(append(b, ",rp"...), c.RedirectPenalty)
+	b = append(appendInts(append(b, "|lat:["...), ' ', c.Latencies[:]), ']')
+	b = appendCache(append(b, "|l1i:"...), &c.Hier.L1I)
+	b = appendCache(append(b, ",l1d:"...), &c.Hier.L1D)
+	b = appendCache(append(b, ",l2:"...), &c.Hier.L2)
+	m := &c.Hier.Mem
+	b = appendInt(append(b, ",mem:"...), m.FirstChunk)
+	b = appendInt(append(b, '/'), m.InterChunk)
+	b = appendInt(append(b, '/'), m.ChunkBytes)
+	b = appendInt(append(b, ",p"...), c.Hier.DPorts)
+	b = append(appendInts(append(b, "|fu:["...), ' ', c.FUCounts[:]), ']')
+	return strconv.AppendBool(append(b, "|pdis:"...), c.PerfectDisambiguation)
+}
+
+// appendCache appends one cache level's size, associativity, line size
+// and latency, separated by slashes.
+func appendCache(b []byte, c *cache.Config) []byte {
+	b = appendInt(b, c.SizeKB)
+	b = appendInt(append(b, '/'), c.Assoc)
+	b = appendInt(append(b, '/'), c.LineSize)
+	return appendInt(append(b, '/'), c.Latency)
 }

@@ -197,42 +197,68 @@ func normalizeForTest(m Machine) [15]int {
 	}
 }
 
+// machineSeed is the fuzz input of one machine override (fuzzMachine).
+type machineSeed struct {
+	rob, fw, alu, l2 int
+	perfect          bool
+}
+
+func (s machineSeed) machine() Machine { return fuzzMachine(s.rob, s.fw, s.alu, s.l2, s.perfect) }
+
+// machineFingerprintSeeds is FuzzMachineFingerprint's seed corpus: two
+// machine overrides per entry.
+var machineFingerprintSeeds = [][2]machineSeed{
+	{{128, 0, 2, 0, false}, {256, 8, 0, 20, true}},
+	{{0, 0, 0, 0, false}, {0, 0, 0, 0, false}},
+	{{64, 4, 4, 1, true}, {64, 4, 4, 1, true}},
+}
+
+// fuzzMachine maps fuzz inputs onto a valid machine override: a
+// power-of-two ROB, a fetch width, an integer ALU count and an L2
+// latency, each zero (the default) or in range.
+func fuzzMachine(rob, fw, alu, l2 int, perfect bool) Machine {
+	clampPow2 := func(v int) int {
+		switch {
+		case v <= 0:
+			return 0
+		case v < 96:
+			return 64
+		case v < 192:
+			return 128
+		default:
+			return 256
+		}
+	}
+	clamp := func(v, hi int) int {
+		if v <= 0 {
+			return 0
+		}
+		return v%hi + 1
+	}
+	return Machine{ROBSize: clampPow2(rob), FetchWidth: clamp(fw, 8),
+		IntALUs: clamp(alu, 8), L2Latency: clamp(l2, 30), PerfectDisambiguation: perfect}
+}
+
 // FuzzMachineFingerprint checks the injectivity contract of job
 // identity under machine overrides: two overrides denote the same
 // machine (after default-normalization) exactly when their fingerprints
-// match, and fingerprints are stable across computations.
+// match, fingerprints are stable across computations, and every
+// identity equals its fmt rendering (checkOracle).
 func FuzzMachineFingerprint(f *testing.F) {
-	f.Add(128, 0, 2, 0, false, 256, 8, 0, 20, true)
-	f.Add(0, 0, 0, 0, false, 0, 0, 0, 0, false)
-	f.Add(64, 4, 4, 1, true, 64, 4, 4, 1, true)
+	for _, s := range machineFingerprintSeeds {
+		a, b := s[0], s[1]
+		f.Add(a.rob, a.fw, a.alu, a.l2, a.perfect, b.rob, b.fw, b.alu, b.l2, b.perfect)
+	}
 	f.Fuzz(func(t *testing.T, rob1, fw1, alu1, l2a int, p1 bool,
 		rob2, fw2, alu2, l2b int, p2 bool) {
-		clampPow2 := func(v int) int {
-			switch {
-			case v <= 0:
-				return 0
-			case v < 96:
-				return 64
-			case v < 192:
-				return 128
-			default:
-				return 256
-			}
-		}
-		clamp := func(v, hi int) int {
-			if v <= 0 {
-				return 0
-			}
-			return v%hi + 1
-		}
-		m1 := Machine{ROBSize: clampPow2(rob1), FetchWidth: clamp(fw1, 8),
-			IntALUs: clamp(alu1, 8), L2Latency: clamp(l2a, 30), PerfectDisambiguation: p1}
-		m2 := Machine{ROBSize: clampPow2(rob2), FetchWidth: clamp(fw2, 8),
-			IntALUs: clamp(alu2, 8), L2Latency: clamp(l2b, 30), PerfectDisambiguation: p2}
+		m1 := fuzzMachine(rob1, fw1, alu1, l2a, p1)
+		m2 := fuzzMachine(rob2, fw2, alu2, l2b, p2)
 		j1 := quickJob("swim", core.MBDistr())
 		j1.Machine = &m1
 		j2 := quickJob("swim", core.MBDistr())
 		j2.Machine = &m2
+		checkOracle(t, j1)
+		checkOracle(t, j2)
 		fp1a, ok1 := j1.Fingerprint()
 		fp1b, _ := j1.Fingerprint()
 		fp2, ok2 := j2.Fingerprint()

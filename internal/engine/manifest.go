@@ -54,26 +54,34 @@ type Manifest struct {
 	Leaves []ManifestLeaf `json:"leaves"`
 }
 
-// LeafHash returns the hex manifest leaf hash for one job's result. It
-// reports an error for jobs that have no canonical encoding (Custom
-// scheme configurations cannot be content-addressed).
-func LeafHash(job Job, r Result) (string, error) {
-	if _, ok := job.Fingerprint(); !ok {
-		return "", fmt.Errorf("engine: job %s/%s has no content address (custom scheme)", job.Bench, job.Config.Name)
+// computeLeaf returns a job's store fingerprint and the manifest leaf
+// hash of its result, encoding the result's canonical store entry. Jobs
+// with Custom schemes have no canonical encoding, so no leaf.
+func computeLeaf(job Job, r Result) (fp, leaf [sha256.Size]byte, err error) {
+	fp, ok := job.fingerprint()
+	if !ok {
+		return fp, leaf, fmt.Errorf("job %s/%s has no content address (custom scheme)", job.Bench, job.Config.Name)
 	}
 	data, err := entryBytes(job, r)
 	if err != nil {
-		return "", fmt.Errorf("engine: encode manifest leaf: %w", err)
+		return fp, leaf, fmt.Errorf("encode manifest leaf: %w", err)
 	}
-	return hashLeafBytes(data), nil
+	return fp, leafSum(data), nil
+}
+
+// leafSum hashes raw canonical entry bytes into a leaf hash.
+func leafSum(data []byte) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	h.Write([]byte{0x00})
+	h.Write(data)
+	h.Sum(sum[:0])
+	return sum
 }
 
 // hashLeafBytes hashes raw canonical entry bytes into a hex leaf hash.
 func hashLeafBytes(data []byte) string {
-	h := sha256.New()
-	h.Write([]byte{0x00})
-	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := leafSum(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // merkleRoot folds leaf-level hashes into the hex root. An empty tree
@@ -103,8 +111,65 @@ func merkleRoot(level [][]byte) string {
 
 // BuildManifest assembles the manifest for a completed sweep: jobs and
 // results are the grid's points in grid order. Every job must be
-// content-addressable (no Custom schemes).
+// content-addressable (no Custom schemes). It encodes and hashes every
+// point's store entry; Engine.Manifest builds the same manifest from
+// leaves the engine keeps.
 func BuildManifest(name string, jobs []Job, results []Result) (*Manifest, error) {
+	return buildManifest(name, jobs, results, func(i int) (fp, leaf [sha256.Size]byte, err error) {
+		return computeLeaf(jobs[i], results[i])
+	})
+}
+
+// Manifest is BuildManifest over results this engine has just delivered
+// for jobs, in grid order. A job's fingerprint and leaf hash are
+// computed the first time a manifest names it and kept in its memory
+// entry, so a point the engine has seen before costs a map lookup. A job
+// with no memory entry (such as a result adapted from an equivalent
+// job's run and never persisted) has its leaf computed and not kept.
+// The manifest equals BuildManifest's as long as results are the
+// engine's own for jobs.
+func (e *Engine) Manifest(name string, jobs []Job, results []Result) (*Manifest, error) {
+	keys := make([]string, len(jobs))
+	for i, job := range jobs {
+		keys[i] = job.Key()
+	}
+	memo := make([]leafMemo, len(jobs))
+	e.mu.Lock()
+	for i, key := range keys {
+		if ent := e.memory[key]; ent != nil {
+			memo[i] = ent.leaf
+		}
+	}
+	e.mu.Unlock()
+	var fresh []int
+	m, err := buildManifest(name, jobs, results, func(i int) (fp, leaf [sha256.Size]byte, err error) {
+		if !memo[i].ok {
+			if fp, leaf, err = computeLeaf(jobs[i], results[i]); err != nil {
+				return fp, leaf, err
+			}
+			memo[i] = leafMemo{fp: fp, leaf: leaf, ok: true}
+			fresh = append(fresh, i)
+		}
+		return memo[i].fp, memo[i].leaf, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(fresh) > 0 {
+		e.mu.Lock()
+		for _, i := range fresh {
+			if ent := e.memory[keys[i]]; ent != nil {
+				ent.leaf = memo[i]
+			}
+		}
+		e.mu.Unlock()
+	}
+	return m, nil
+}
+
+// buildManifest assembles a manifest from the fingerprint and leaf hash
+// leafOf returns for each point in grid order.
+func buildManifest(name string, jobs []Job, results []Result, leafOf func(i int) (fp, leaf [sha256.Size]byte, err error)) (*Manifest, error) {
 	if len(jobs) != len(results) {
 		return nil, fmt.Errorf("engine: manifest: %d jobs but %d results", len(jobs), len(results))
 	}
@@ -115,28 +180,22 @@ func BuildManifest(name string, jobs []Job, results []Result) (*Manifest, error)
 		Algo:    ManifestAlgo,
 		Leaves:  make([]ManifestLeaf, len(jobs)),
 	}
+	sums := make([][sha256.Size]byte, len(jobs))
 	hashes := make([][]byte, len(jobs))
 	for i, job := range jobs {
-		fp, ok := job.Fingerprint()
-		if !ok {
-			return nil, fmt.Errorf("engine: manifest point %d: job %s/%s has no content address (custom scheme)", i, job.Bench, job.Config.Name)
-		}
-		leaf, err := LeafHash(job, results[i])
+		fp, sum, err := leafOf(i)
 		if err != nil {
 			return nil, fmt.Errorf("engine: manifest point %d: %w", i, err)
 		}
+		sums[i] = sum
+		hashes[i] = sums[i][:]
 		m.Leaves[i] = ManifestLeaf{
 			Index:       i,
 			Benchmark:   job.Bench,
 			Config:      job.Config.Name,
-			Fingerprint: fp,
-			Hash:        leaf,
+			Fingerprint: hex.EncodeToString(fp[:]),
+			Hash:        hex.EncodeToString(sum[:]),
 		}
-		raw, err := hex.DecodeString(leaf)
-		if err != nil {
-			return nil, fmt.Errorf("engine: manifest point %d: %w", i, err)
-		}
-		hashes[i] = raw
 	}
 	m.Root = merkleRoot(hashes)
 	return m, nil

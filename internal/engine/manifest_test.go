@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"distiq/internal/core"
@@ -225,15 +227,129 @@ func TestLeafHashMatchesStoredBytes(t *testing.T) {
 	if err := st.Put(fp, job, res); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	want, err := LeafHash(job, res)
+	_, leaf, err := computeLeaf(job, res)
 	if err != nil {
-		t.Fatalf("LeafHash: %v", err)
+		t.Fatalf("computeLeaf: %v", err)
 	}
+	want := hex.EncodeToString(leaf[:])
 	raw, err := os.ReadFile(filepath.Join(dir, fp+".json"))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if got := hashLeafBytes(raw); got != want {
 		t.Errorf("stored file hashes to %s, in-memory leaf is %s", got, want)
+	}
+}
+
+// manifestsEqual fails t unless got is want, leaf for leaf.
+func manifestsEqual(t *testing.T, what string, got, want *Manifest) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: Engine.Manifest\n%+v\nwant BuildManifest's\n%+v", what, got, want)
+	}
+}
+
+// engineManifest builds jobs' manifest on e from results e delivers, and
+// fails t unless it equals BuildManifest over the same results.
+func engineManifest(t *testing.T, what string, e *Engine, jobs []Job) *Manifest {
+	t.Helper()
+	results, err := e.ResultAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Manifest("sweep", jobs, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BuildManifest("sweep", jobs, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestsEqual(t, what, got, want)
+	return got
+}
+
+// TestEngineManifestMatchesBuildManifest: the manifest an engine builds
+// from the leaves it keeps equals BuildManifest's for cold points, warm
+// points whose leaves it kept (memo hits), disk hits, points taken from
+// an equivalent job's run (gcc's MB_distr runs as IF_distr), a result
+// the engine never resolved, and concurrent sweeps. A Custom job has no
+// manifest.
+func TestEngineManifestMatchesBuildManifest(t *testing.T) {
+	var jobs []Job
+	for _, bench := range []string{"gcc", "swim"} {
+		for _, cfg := range []core.Config{core.Baseline64(), core.IFDistr(), core.MBDistr()} {
+			j := quickJob(bench, cfg)
+			j.Opt = Options{Warmup: 200, Instructions: 1000}
+			jobs = append(jobs, j)
+		}
+	}
+	dir := t.TempDir()
+	e := New(Config{Workers: 2, Store: NewStore(dir)})
+	cold := engineManifest(t, "cold", e, jobs)
+	if st := e.Stats(); st.Simulated != 5 || st.MemoryHits+st.Shared != 1 {
+		t.Fatalf("cold stats %+v, want 5 simulations and gcc's MB_distr from IF_distr's run", st)
+	}
+	for _, job := range jobs {
+		if !e.memory[job.Key()].leaf.ok {
+			t.Fatalf("%s under %s: leaf not kept after the first manifest", job.Bench, job.Config.Name)
+		}
+	}
+	warm := engineManifest(t, "warm", e, jobs)
+	manifestsEqual(t, "warm against cold", warm, cold)
+
+	disk := New(Config{Workers: 2, Store: NewStore(dir)})
+	engineManifest(t, "disk hits", disk, jobs)
+	if st := disk.Stats(); st.DiskHits != 5 || st.Simulated != 0 {
+		t.Fatalf("disk stats %+v, want 5 disk hits", st)
+	}
+	// A second manifest on the same engine reads the kept leaves.
+	engineManifest(t, "disk then memory", disk, jobs)
+
+	// Results the engine never resolved have no memory entry: their
+	// leaves are computed and not kept.
+	fresh := New(Config{Workers: 1})
+	results := make([]Result, len(jobs))
+	for i, job := range jobs {
+		r, err := Simulate(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = r
+	}
+	got, err := fresh.Manifest("sweep", jobs, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestsEqual(t, "unresolved results", got, cold)
+	if len(fresh.memory) != 0 {
+		t.Fatalf("a manifest of unresolved results added %d memory entries", len(fresh.memory))
+	}
+
+	// Concurrent sweeps over overlapping points on one engine.
+	shared := New(Config{Workers: 2})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sub := jobs[g%2 : len(jobs)-1+g%2]
+			for n := 0; n < 3; n++ {
+				engineManifest(t, "concurrent", shared, sub)
+			}
+		}()
+	}
+	wg.Wait()
+	manifestsEqual(t, "after concurrent sweeps", engineManifest(t, "repeat", shared, jobs), cold)
+
+	custom := core.Baseline64()
+	custom.Int.Custom = func(core.DomainConfig, core.Options) (core.Scheme, error) { return nil, nil }
+	bad := append([]Job{}, jobs[:2]...)
+	bad[1].Config = custom
+	if _, err := e.Manifest("x", bad, manifestResults(2)); err == nil {
+		t.Error("custom-scheme job accepted into an engine manifest")
+	}
+	if _, err := e.Manifest("x", jobs[:2], manifestResults(3)); err == nil {
+		t.Error("length mismatch accepted")
 	}
 }

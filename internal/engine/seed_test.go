@@ -8,22 +8,17 @@ import (
 )
 
 // TestSeedZeroIdentityUnchanged pins that the replication axis is
-// invisible at seed zero: the canonical string has no seed segment, so
-// every pre-axis fingerprint (and warm store entry) stays valid.
+// invisible at seed zero: the canonical string (an addressable job's
+// key) has no seed segment, so every pre-axis fingerprint (and warm
+// store entry) stays valid.
 func TestSeedZeroIdentityUnchanged(t *testing.T) {
 	j := Job{Bench: "swim", Config: core.MBDistr(), Opt: Options{Warmup: 100, Instructions: 1000}}
-	c0, ok := j.canonical()
-	if !ok {
-		t.Fatal("canonical not ok")
-	}
+	c0 := j.Key()
 	if strings.Contains(c0, "seed:") {
 		t.Fatalf("seed-zero canonical carries a seed segment: %s", c0)
 	}
 	j.Seed = 7
-	c7, ok := j.canonical()
-	if !ok {
-		t.Fatal("canonical not ok")
-	}
+	c7 := j.Key()
 	if !strings.HasSuffix(c7, "|seed:7") {
 		t.Fatalf("seeded canonical missing seed segment: %s", c7)
 	}

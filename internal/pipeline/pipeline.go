@@ -56,8 +56,9 @@ type Pipeline struct {
 
 	// Completion events, a ring of per-cycle lists. Each list is an
 	// intrusive FIFO threaded through isa.Inst.NextEvent, so scheduling
-	// and draining completions never allocates.
-	events [eventRing]eventList
+	// and draining completions never allocates. Release hands the ring
+	// to the next pipeline (newRing).
+	events *[eventRing]eventList
 
 	// Per-cycle issue budgets.
 	dPortsUsed int
@@ -87,6 +88,7 @@ func New(cfg Config, gen Fetcher) (*Pipeline, error) {
 		ldst:   lsq.New(cfg.ROBSize),
 		fus:    fu.New(cfg.FUCounts, cfg.IQ.DistributedFU),
 		fetchQ: make([]*isa.Inst, cfg.FetchQueue),
+		events: newRing(),
 	}
 	// At most ROB + fetch queue + 1 (pending I-miss) instructions are
 	// ever in flight; one slab of that many keeps the steady-state cycle
@@ -508,16 +510,32 @@ func newSlab(n int) ([]isa.Inst, []*isa.Inst) {
 	return s.insts, free
 }
 
-// Release hands the pipeline's cache, BTB and instruction arrays to the
-// next pipeline built, which resets them to their fresh state. The
-// pipeline must not be used afterwards. A pipeline that is never
-// released leaves its arrays to the garbage collector; it behaves the
-// same.
+// ringPool recycles released pipelines' completion-event rings.
+var ringPool sync.Pool
+
+// newRing returns an empty completion-event ring, reusing a released
+// one. A released ring still holds the events its pipeline left in
+// flight, so it is cleared.
+func newRing() *[eventRing]eventList {
+	r, ok := ringPool.Get().(*[eventRing]eventList)
+	if !ok {
+		return new([eventRing]eventList)
+	}
+	*r = [eventRing]eventList{}
+	return r
+}
+
+// Release hands the pipeline's cache, BTB, instruction and event-ring
+// arrays to the next pipeline built, which resets them to their fresh
+// state. The pipeline must not be used afterwards. A pipeline that is
+// never released leaves its arrays to the garbage collector; it behaves
+// the same.
 func (p *Pipeline) Release() {
 	p.hier.Release()
 	p.btb.Release()
 	slabPool.Put(&instSlab{insts: p.insts, free: p.freeInsts})
-	p.insts, p.freeInsts = nil, nil
+	ringPool.Put(p.events)
+	p.insts, p.freeInsts, p.events = nil, nil, nil
 }
 
 // Run advances the pipeline until n more instructions have committed. It

@@ -120,6 +120,10 @@ type sweep struct {
 	// lifecycle log line so a sweep's records correlate with the
 	// submission.
 	reqID string
+	// finished, guarded by the Server's mu, marks a sweep counted among
+	// the finished ones history eviction may drop: set once the sweep
+	// has reached its terminal state.
+	finished bool
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -204,6 +208,7 @@ type Server struct {
 	sweeps   map[string]*sweep
 	order    []string // sweep ids in admission order
 	active   int      // admitted but unfinished sweeps
+	finished int      // retained sweeps counted finished (sweep.finished)
 	nextID   int
 	draining bool
 
@@ -422,7 +427,7 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 		// so a Remote sweep's manifest is identical to a Local sweep of
 		// the same grid. Spec-expanded grids are always addressable; a
 		// build failure is a server bug, surfaced at the endpoint.
-		manifest, err = engine.BuildManifest(sw.name, grid.Jobs(), sw.results)
+		manifest, err = s.eng.Manifest(sw.name, grid.Jobs(), sw.results)
 	}
 
 	// Count the sweep before publishing its final state: a status poller
@@ -448,6 +453,8 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 
 	s.mu.Lock()
 	s.active--
+	s.finished++
+	sw.finished = true
 	s.evictLocked()
 	s.mu.Unlock()
 
@@ -470,33 +477,35 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 // evictLocked drops the oldest finished sweeps — and, with them, their
 // retained result sets — once more than maxHistory have finished, so a
 // long-lived service does not grow without bound. Unfinished sweeps are
-// never evicted (the admission queue bounds those). Called with s.mu
-// held.
+// never evicted (the admission queue bounds those). The pass walks the
+// sweeps in admission order and stops as soon as maxHistory finished
+// ones remain. Called with s.mu held.
 func (s *Server) evictLocked() {
-	finished := 0
-	for _, id := range s.order {
-		sw := s.sweeps[id]
-		sw.mu.Lock()
-		f := sw.state == stateDone || sw.state == stateFailed
-		sw.mu.Unlock()
-		if f {
-			finished++
-		}
-	}
-	for i := 0; finished > s.maxHistory && i < len(s.order); {
+	for i := 0; s.finished > s.maxHistory && i < len(s.order); {
 		sw := s.sweeps[s.order[i]]
-		sw.mu.Lock()
-		f := sw.state == stateDone || sw.state == stateFailed
-		sw.mu.Unlock()
-		if !f {
+		if !sw.finished {
 			i++
 			continue
 		}
 		delete(s.sweeps, sw.id)
 		s.order = append(s.order[:i], s.order[i+1:]...)
-		finished--
+		s.finished--
 		s.log.Info("sweep evicted", "sweep", sw.id, "max_history", s.maxHistory)
 	}
+}
+
+// blocks reports whether a stream must wait on the sweep for point i,
+// or for i == total for its terminal state: neither has arrived, the
+// sweep has not failed and the stream's client is still there. The
+// caller holds sw.mu.
+func (sw *sweep) blocks(ctx context.Context, i int) bool {
+	if sw.state == stateFailed || ctx.Err() != nil {
+		return false
+	}
+	if i < sw.total {
+		return !sw.ready[i]
+	}
+	return sw.state != stateDone
 }
 
 // lookup returns the sweep for the request's {id}, or writes 404.
@@ -583,11 +592,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream serves a sweep's per-point results as NDJSON
-// (client.StreamEvent per line) in grid order, each point flushed the
-// moment the in-order prefix reaches it — so a consumer renders progress
-// live while the sweep runs, and a finished sweep replays instantly. The
-// stream terminates with {"done":true} on success or an {"error":...}
-// event at the first failed point; a cancelled request unblocks promptly.
+// (client.StreamEvent per line) in grid order. Points already resolved
+// go out back to back, and the stream is flushed only when it would
+// otherwise wait on the sweep, and once at the end: a consumer sees each
+// point as soon as the in-order prefix reaches it and renders progress
+// live, while a finished sweep replays in as few writes as its size
+// allows. The stream terminates with {"done":true} on success or an
+// {"error":...} event at the first failed point; a cancelled request
+// unblocks promptly.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sw := s.lookup(w, r)
 	if sw == nil {
@@ -607,18 +619,32 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the response header out before blocking on the first
-		// point, so clients see the stream open immediately.
-		flusher.Flush()
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	// await locks sw.mu and returns, holding it, once the stream need
+	// not wait for point i (for i == sw.total: for the sweep's end).
+	// Before it first waits it pushes out what is written so far (on
+	// the first point, the response header) outside the lock, so a slow
+	// client never holds up the sweep.
+	await := func(i int) {
+		sw.mu.Lock()
+		if !sw.blocks(ctx, i) {
+			return
+		}
+		sw.mu.Unlock()
+		flush()
+		sw.mu.Lock()
+		for sw.blocks(ctx, i) {
+			sw.cond.Wait()
+		}
 	}
 	enc := json.NewEncoder(w)
 
 	for i := 0; i < sw.total; i++ {
-		sw.mu.Lock()
-		for !sw.ready[i] && sw.state != stateFailed && ctx.Err() == nil {
-			sw.cond.Wait()
-		}
+		await(i)
 		ok := sw.ready[i]
 		res := sw.results[i]
 		src := sw.sources[i]
@@ -645,26 +671,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}); err != nil {
 			return // client went away mid-write
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
 	// Every point is out; wait for the sweep's terminal transition so the
 	// done event can carry the manifest (built right after the last point
 	// resolves — the wait is momentary).
-	sw.mu.Lock()
-	for sw.state != stateDone && sw.state != stateFailed && ctx.Err() == nil {
-		sw.cond.Wait()
-	}
+	await(sw.total)
 	manifest := sw.manifest
 	sw.mu.Unlock()
 	if ctx.Err() != nil {
 		return
 	}
 	enc.Encode(client.StreamEvent{Done: true, Points: sw.total, Manifest: manifest}) //nolint:errcheck // stream already committed
-	if flusher != nil {
-		flusher.Flush()
-	}
+	flush()
 }
 
 // handleManifest serves a finished sweep's tamper-evident Merkle

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -436,18 +437,27 @@ func TestFailedSweep(t *testing.T) {
 	}
 }
 
-// TestHistoryEviction: finished sweeps beyond MaxHistory are evicted
-// oldest-first (their ids answer 404), so a long-lived service does not
-// retain every result set ever computed; unfinished sweeps are exempt.
+// TestHistoryEviction: beyond MaxHistory finished sweeps the oldest
+// finished ones by admission are evicted (404), while a sweep still
+// running is kept however old; once it finishes it is the oldest
+// finished sweep and goes first.
 func TestHistoryEviction(t *testing.T) {
+	gate := make(chan struct{})
 	srv := New(Config{
-		Parallel:   1,
+		Parallel:   2,
 		MaxHistory: 2,
-		Simulate:   func(j engine.Job) (engine.Result, error) { return engine.Result{}, nil },
+		Simulate: func(j engine.Job) (engine.Result, error) {
+			if j.Bench == "gcc" {
+				<-gate
+			}
+			return engine.Result{}, nil
+		},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	held := submit(t, ts, `{"benchmarks": ["gcc"], "schemes": [{"scheme": "MB_distr"}],
+		"warmup": 100, "instructions": 200}`)
 	spec := `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
 		"warmup": 100, "instructions": 200}`
 	var ids []string
@@ -457,8 +467,8 @@ func TestHistoryEviction(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 
-	if got := srv.SweepIDs(); len(got) != 2 {
-		t.Fatalf("retained sweeps = %v, want the newest 2 of %v", got, ids)
+	if got, want := srv.SweepIDs(), []string{held.ID, ids[3], ids[4]}; !slices.Equal(got, want) {
+		t.Fatalf("retained sweeps = %v, want the running %s and the newest 2 of %v", got, held.ID, ids)
 	}
 	for _, id := range ids[:3] {
 		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/status")
@@ -474,5 +484,22 @@ func TestHistoryEviction(t *testing.T) {
 		if _, ct := fetch(t, ts, id, "csv"); ct == "" {
 			t.Errorf("retained sweep %s lost its results", id)
 		}
+	}
+	var st Status
+	getJSON(t, ts, "/v1/sweeps/"+held.ID+"/status", &st)
+	if st.State != string(stateQueued) && st.State != string(stateRunning) {
+		t.Fatalf("held sweep state %q, want it unfinished", st.State)
+	}
+
+	close(gate)
+	deadline := time.Now().Add(30 * time.Second)
+	for slices.Contains(srv.SweepIDs(), held.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("finished held sweep %s not evicted after 30s", held.ID)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := srv.SweepIDs(); !slices.Equal(got, ids[3:]) {
+		t.Fatalf("retained sweeps = %v, want %v", got, ids[3:])
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +15,15 @@ import (
 	"distiq/internal/engine"
 )
 
+// streamClient bounds a stream exchange, so a server that never sends
+// the response header fails the test instead of hanging it.
+var streamClient = &http.Client{Timeout: 30 * time.Second}
+
 // streamLines opens a sweep's NDJSON stream and forwards decoded events
 // on the returned channel (closed at EOF).
 func streamLines(t *testing.T, ts *httptest.Server, id string) (<-chan client.StreamEvent, *http.Response) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/stream")
+	resp, err := streamClient.Get(ts.URL + "/v1/sweeps/" + id + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +128,83 @@ func TestStreamDeliversInGridOrderWhileRunning(t *testing.T) {
 	if n != st.Points {
 		t.Fatalf("replay delivered %d points, want %d", n, st.Points)
 	}
+}
+
+// TestStreamFlushesBeforeWaiting gates each job on its own channel:
+// point 0 must reach the client while point 1 is still blocked, since
+// the stream flushes whatever it holds before it waits, and once the
+// sweep has finished its replay arrives whole.
+func TestStreamFlushesBeforeWaiting(t *testing.T) {
+	gates := map[string]chan struct{}{"swim": make(chan struct{}), "gcc": make(chan struct{})}
+	srv := New(Config{
+		Parallel: 2,
+		Simulate: func(j engine.Job) (engine.Result, error) {
+			<-gates[j.Bench]
+			var r engine.Result
+			r.Benchmark = j.Bench
+			return r, nil
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	// Whatever fails, let the sweep finish (a receive succeeds only
+	// from a closed gate).
+	defer func() {
+		for _, g := range gates {
+			select {
+			case <-g:
+			default:
+				close(g)
+			}
+		}
+	}()
+
+	st := submit(t, ts, `{"benchmarks": ["swim", "gcc"], "schemes": [{"scheme": "MB_distr"}],
+		"warmup": 100, "instructions": 200}`)
+	ch, resp := streamLines(t, ts, st.ID)
+	defer resp.Body.Close()
+
+	close(gates["swim"])
+	select {
+	case ev := <-ch:
+		if ev.Index != 0 || ev.Benchmark != "swim" || ev.Result == nil {
+			t.Fatalf("first event %+v, want point 0 (swim)", ev)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("point 0 did not reach the client while point 1 was blocked")
+	}
+	select {
+	case ev := <-ch:
+		t.Fatalf("event %+v arrived while point 1 was blocked", ev)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gates["gcc"])
+	want := []string{"1:gcc", "done"}
+	var got []string
+	for ev := range ch {
+		got = append(got, eventTag(ev))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("after point 0: events %v, want %v", got, want)
+	}
+
+	replay, resp2 := streamLines(t, ts, st.ID)
+	defer resp2.Body.Close()
+	got = got[:0]
+	for ev := range replay {
+		got = append(got, eventTag(ev))
+	}
+	if want := []string{"0:swim", "1:gcc", "done"}; !slices.Equal(got, want) {
+		t.Fatalf("replay events %v, want %v", got, want)
+	}
+}
+
+// eventTag names a stream event: index and benchmark, or done.
+func eventTag(ev client.StreamEvent) string {
+	if ev.Done {
+		return "done"
+	}
+	return fmt.Sprintf("%d:%s", ev.Index, ev.Benchmark)
 }
 
 // TestStreamUnknownSweep404s.
