@@ -1,8 +1,11 @@
 // Command distiqd serves the experiment engine over HTTP: a long-lived
-// process owning one worker pool, one in-memory result cache and
-// (optionally) one persistent distiq-v2 content-addressed store, so many
-// clients — and concurrent iq* CLI runs pointed at the same -cache-dir —
-// amortize each simulation exactly once.
+// process owning one worker pool, one in-memory cache of the 1,024 most
+// recently used results and (optionally) one persistent distiq-v2
+// content-addressed store, so many clients — and concurrent iq* CLI runs
+// pointed at the same -cache-dir — amortize each simulation exactly
+// once. The bounded cache keeps a long-lived distiqd from growing with
+// every point it serves; a point it has dropped comes back from the
+// store, or is simulated again without one.
 //
 // Sweeps are submitted as the strict-JSON scenario specs of
 // `iqsweep -spec` and served back through the same emitters, so the HTTP

@@ -76,7 +76,7 @@
 // worker pool (GOMAXPROCS-wide by default), runs each distinct simulation
 // once single-flight style (jobs that differ only in their configuration
 // name, or in an FP side their benchmark never reaches, share one run),
-// and memoizes results in a goroutine-safe in-memory cache. Simulations are deterministic per job —
+// and keeps the 1,024 most recently used results in memory. Simulations are deterministic per job —
 // the workload generators use per-instance seeded PRNGs and the pipeline
 // holds no global state — so tables assembled from parallel runs are
 // byte-identical to serial ones.

@@ -84,13 +84,24 @@ type Stats struct {
 	DiskErrors int64
 }
 
+// memoryCap bounds the engine's memory: past it, resolving a new job
+// drops the least recently used result. At about 1.2 KB per entry the
+// memory holds at most about 1.2 MiB, and a long-lived engine stops
+// growing with every distinct point it serves.
+const memoryCap = 1024
+
 // memEntry is one job's resolved result in the engine's memory, with
 // the job's manifest leaf once a manifest has named it (Engine.Manifest).
 // The map holds pointers, so filling the leaf in place never stores the
 // filler's copy of the key: a map assignment replaces a string key.
+// prev and next link the entries in recency order (Engine.lru); key and
+// id name the map and identity-index entries an eviction drops.
 type memEntry struct {
-	res  Result
-	leaf leafMemo
+	res        Result
+	leaf       leafMemo
+	key        string
+	id         [sha256.Size]byte
+	prev, next *memEntry
 }
 
 // leafMemo is a job's store fingerprint and the manifest leaf hash of
@@ -115,8 +126,10 @@ type call struct {
 }
 
 // Engine runs experiment jobs across a bounded worker pool with
-// single-flight deduplication, an in-memory result cache and an optional
-// persistent store. All methods are safe for concurrent use.
+// single-flight deduplication, an in-memory cache of the memoryCap most
+// recently used results and an optional persistent store. A result the
+// cache has dropped costs one store read, or a re-simulation when no
+// store backs the engine. All methods are safe for concurrent use.
 //
 // Every job-resolving method takes a context: cancellation stops
 // scheduling (jobs that have not claimed a worker slot resolve promptly
@@ -136,6 +149,9 @@ type Engine struct {
 	mu       sync.Mutex
 	memory   map[string]*memEntry
 	inflight map[string]*call
+	// lru is the sentinel of memory's recency list: lru.next is the most
+	// recently used entry and lru.prev the next to be dropped.
+	lru memEntry
 	// sims maps a hashed simulation identity to the key of the job whose
 	// run holds it, in flight or in memory, so jobs the simulator cannot
 	// tell apart share that run. It holds keys only, and an entry lives
@@ -184,6 +200,7 @@ func New(cfg Config) *Engine {
 		sims:     make(map[[sha256.Size]byte]string),
 		store:    cfg.Store,
 	}
+	e.lru.prev, e.lru.next = &e.lru, &e.lru
 	if cfg.Obs != nil {
 		e.instrument(cfg.Obs)
 	}
@@ -328,7 +345,9 @@ retry:
 	r, c, found := e.lookup(key)
 	if !found && haveID {
 		if from, found = e.sims[id]; found {
-			r, c, _ = e.lookup(from)
+			// A key in neither memory nor flight is a miss, never a
+			// zero result.
+			r, c, found = e.lookup(from)
 		}
 	}
 	if !found && !haveID {
@@ -362,7 +381,7 @@ retry:
 				// on. A requester that skipped the write leaves it,
 				// and the memo, to a later call.
 				e.mu.Lock()
-				e.memory[key] = &memEntry{res: r}
+				e.remember(key, id, r)
 				e.mu.Unlock()
 			}
 		}
@@ -394,7 +413,7 @@ retry:
 	c.res, c.err = res, err
 	e.mu.Lock()
 	if err == nil {
-		e.memory[key] = &memEntry{res: res}
+		e.remember(key, id, res)
 	} else {
 		delete(e.sims, id)
 	}
@@ -405,14 +424,51 @@ retry:
 	return res, wrap(job, err), src
 }
 
-// lookup finds key's result in memory or its computation in flight. The
-// caller holds e.mu.
+// lookup finds key's result in memory, making it the most recently
+// used, or its computation in flight. The caller holds e.mu.
 func (e *Engine) lookup(key string) (Result, *call, bool) {
 	if m, ok := e.memory[key]; ok {
+		m.unlink()
+		e.pushFront(m)
 		return m.res, nil, true
 	}
 	c, ok := e.inflight[key]
 	return Result{}, c, ok
+}
+
+// remember keeps r in memory under key as the most recently used entry,
+// replacing any entry the key had, and past memoryCap drops the least
+// recently used one with the identity-index entry that names it, unless
+// that key is in flight again (an adapted result can be kept while the
+// job's own run is under way). id is the job's simulation identity. The
+// caller holds e.mu.
+func (e *Engine) remember(key string, id [sha256.Size]byte, r Result) {
+	if old, ok := e.memory[key]; ok {
+		old.unlink()
+	}
+	m := &memEntry{res: r, key: key, id: id}
+	e.memory[key] = m
+	e.pushFront(m)
+	if len(e.memory) <= memoryCap {
+		return
+	}
+	last := e.lru.prev
+	last.unlink()
+	delete(e.memory, last.key)
+	if _, running := e.inflight[last.key]; !running && e.sims[last.id] == last.key {
+		delete(e.sims, last.id)
+	}
+}
+
+// pushFront links m in as the most recently used entry.
+func (e *Engine) pushFront(m *memEntry) {
+	m.prev, m.next = &e.lru, e.lru.next
+	m.prev.next, m.next.prev = m, m
+}
+
+// unlink takes m out of the recency list.
+func (m *memEntry) unlink() {
+	m.prev.next, m.next.prev = m.next, m.prev
 }
 
 // identity hashes the job's simulation identity, or its key when that is

@@ -323,6 +323,60 @@ func TestEquivalentJobsRace(t *testing.T) {
 	}
 }
 
+// TestEquivalentJobAfterDonorEvicted: once memoryCap other jobs (stub
+// runs) have pushed gcc's IF_distr run out of memory, the identity index
+// no longer names it, and gcc's MB_distr, one machine with it, resolves
+// on its own to exactly its own simulation's result, never to a zero one
+// taken from the index. An index entry naming a key in neither memory
+// nor flight, which eviction never leaves, is a miss as well.
+func TestEquivalentJobAfterDonorEvicted(t *testing.T) {
+	opt := Options{Warmup: 100, Instructions: 400}
+	donor := Job{Bench: "gcc", Config: core.IFDistr(), Opt: opt}
+	twin := Job{Bench: "gcc", Config: core.MBDistr(), Opt: opt}
+	third := Job{Bench: "gcc", Config: distr(core.MixBUFFCfg(8, 8, 8, 16, 2), "MixBUFF_8x8_8x16_distr"), Opt: opt}
+
+	e := New(Config{Workers: 2})
+	e.sim = func(j Job) (Result, error) { // only gcc's runs need the simulator
+		if j.Bench != donor.Bench {
+			return stubResult(int(j.Opt.Instructions)), nil
+		}
+		return Simulate(j)
+	}
+	if _, err := e.Result(donor); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ResultAll(tinyJobs(memoryCap)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.memory[donor.Key()]; ok {
+		t.Fatal("the donor survived memoryCap newer jobs")
+	}
+	checkIndex(t, e)
+
+	for i, job := range []Job{twin, third} {
+		if i == 1 {
+			// Point the index at the evicted donor again.
+			id, _ := e.identity(job, job.Key())
+			e.mu.Lock()
+			e.sims[id] = donor.Key()
+			e.mu.Unlock()
+		}
+		before := e.Stats()
+		r, err := e.Result(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := entryBytes(job, r); !bytes.Equal(b, uncachedEntry(t, job)) {
+			t.Errorf("%s: result differs from its uncached simulation", job.Config.Name)
+		}
+		st := e.Stats()
+		if st.Simulated+st.DiskHits != before.Simulated+before.DiskHits+1 || st.MemoryHits != before.MemoryHits || st.Shared != before.Shared {
+			t.Errorf("%s: stats %+v after %+v, want one simulation or disk hit", job.Config.Name, st, before)
+		}
+	}
+	checkIndex(t, e)
+}
+
 // countingStore counts a store's Has and Put calls.
 type countingStore struct {
 	ResultStore

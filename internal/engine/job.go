@@ -2,8 +2,8 @@
 // independent (benchmark × configuration × options) jobs across a bounded
 // worker pool, runs each distinct simulation once single-flight style
 // (jobs that differ only in their configuration name, or in an FP side
-// their benchmark never reaches, share one run), memoizes results in a
-// goroutine-safe in-memory cache and, optionally,
+// their benchmark never reaches, share one run), keeps the memoryCap
+// most recently used results in memory and, optionally,
 // persists them to an on-disk store content-addressed by a hash of the
 // job, so results are reused across processes.
 //

@@ -272,9 +272,9 @@ func engineManifest(t *testing.T, what string, e *Engine, jobs []Job) *Manifest 
 // TestEngineManifestMatchesBuildManifest: the manifest an engine builds
 // from the leaves it keeps equals BuildManifest's for cold points, warm
 // points whose leaves it kept (memo hits), disk hits, points taken from
-// an equivalent job's run (gcc's MB_distr runs as IF_distr), a result
-// the engine never resolved, and concurrent sweeps. A Custom job has no
-// manifest.
+// an equivalent job's run (gcc's MB_distr runs as IF_distr), points
+// evicted from memory, a result the engine never resolved, and
+// concurrent sweeps. A Custom job has no manifest.
 func TestEngineManifestMatchesBuildManifest(t *testing.T) {
 	var jobs []Job
 	for _, bench := range []string{"gcc", "swim"} {
@@ -297,6 +297,33 @@ func TestEngineManifestMatchesBuildManifest(t *testing.T) {
 	}
 	warm := engineManifest(t, "warm", e, jobs)
 	manifestsEqual(t, "warm against cold", warm, cold)
+
+	// A sweep past the cap evicts its earliest points before its
+	// manifest is built: their leaves are computed and not kept.
+	// Resolved again, they come back from the store and their leaves are
+	// kept anew.
+	var calls sync.Map
+	bounded := New(Config{Workers: 2, Store: NewMemStore(), Simulate: countingSim(&calls, 0)})
+	sweep := tinyJobs(memoryCap + 6)
+	engineManifest(t, "past the cap", bounded, sweep)
+	var evicted []Job
+	for _, job := range sweep {
+		if _, ok := bounded.memory[job.Key()]; !ok {
+			evicted = append(evicted, job)
+		}
+	}
+	if len(evicted) != 6 {
+		t.Fatalf("%d of %d points left memory, want 6", len(evicted), len(sweep))
+	}
+	engineManifest(t, "evicted", bounded, evicted)
+	if st := bounded.Stats(); st.DiskHits != 6 || st.Simulated != int64(len(sweep)) {
+		t.Fatalf("evicted stats %+v, want 6 disk hits and no new simulation", st)
+	}
+	for _, job := range evicted {
+		if !bounded.memory[job.Key()].leaf.ok {
+			t.Fatalf("%d-instruction job: leaf not kept after it came back", job.Opt.Instructions)
+		}
+	}
 
 	disk := New(Config{Workers: 2, Store: NewStore(dir)})
 	engineManifest(t, "disk hits", disk, jobs)

@@ -15,7 +15,9 @@ import (
 //
 // Writes go through a temp file and an atomic rename, so concurrent
 // engines sharing a directory never observe torn entries; unreadable or
-// stale-format files are treated as misses and overwritten.
+// stale-format files are treated as misses and overwritten. Nothing is
+// synced to disk: after a system crash an entry may be torn or empty,
+// Get reads it as a miss, and a later Put rewrites it.
 type Store struct {
 	dir string
 }
@@ -98,7 +100,8 @@ func (s *Store) Raw(fp string) ([]byte, error) {
 	return os.ReadFile(s.path(fp))
 }
 
-// Close is a no-op: every Put is already durable on return.
+// Close is a no-op: a Put holds no file open past its return, and its
+// entry is then visible whole to every other handle on the directory.
 func (s *Store) Close() error { return nil }
 
 // entryBytes renders the canonical on-disk encoding of a job's result —
@@ -126,7 +129,8 @@ func (s *Store) Put(fp string, job Job, r Result) error {
 	return s.PutRaw(fp, data)
 }
 
-// PutRaw persists pre-encoded entry bytes under fp atomically.
+// PutRaw persists pre-encoded entry bytes under fp atomically, without
+// syncing (see Store).
 func (s *Store) PutRaw(fp string, data []byte) error {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("engine: create store: %w", err)

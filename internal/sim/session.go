@@ -47,11 +47,12 @@ func Run(bench string, cfg core.Config, opt Options) (Result, error) {
 	return engine.Simulate(engine.Job{Bench: bench, Config: cfg, Opt: opt})
 }
 
-// Session memoizes runs so figures sharing configurations (every figure
-// reuses the baselines) do not repeat work. It is a thin harness over
-// the Client layer: every job flows through an in-process client, whose
-// engine fans batches across the worker pool. All methods are safe for
-// concurrent use.
+// Session memoizes runs, the 1,024 most recently used, so figures
+// sharing configurations (every figure reuses the baselines) do not
+// repeat work; all 13 figures together use fewer. It is a thin harness
+// over the Client layer: every job flows through an in-process client,
+// whose engine fans batches across the worker pool. All methods are
+// safe for concurrent use.
 type Session struct {
 	Opt Options
 	cl  *client.Local
