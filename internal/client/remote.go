@@ -23,13 +23,16 @@ import (
 // few kilobytes, so four megabytes is generous.
 const maxStreamLine = 4 << 20
 
-// Remote is the Client over a distiqd service: sweeps are submitted as
-// scenario specs to POST /v1/sweeps and results consumed from the
-// streaming NDJSON endpoint GET /v1/sweeps/{id}/stream, so many remote
-// clients amortize the service's one warm engine. The stream arrives in
-// grid order straight off the wire; results decode to the exact
-// engine.Result the server computed, so documents assembled from a
-// Remote sweep are byte-identical to a Local sweep of the same grid.
+// Remote is the Client over a distiqd service: a sweep is one exchange,
+// its scenario spec posted to POST /v1/sweeps with an Accept header
+// naming application/x-ndjson and its per-point results read off the
+// NDJSON stream the service answers with, so many remote clients
+// amortize the service's one warm engine. It needs a distiqd that
+// streams submissions; an older one answers 202, which Remote reports as
+// an error. The stream arrives in grid order straight off the wire;
+// results decode to the exact engine.Result the server computed, so
+// documents assembled from a Remote sweep are byte-identical to a Local
+// sweep of the same grid.
 type Remote struct {
 	base string
 	hc   *http.Client
@@ -124,10 +127,11 @@ func (c *Remote) Run(ctx context.Context, job Job) (engine.Result, error) {
 }
 
 // Sweep submits the grid's spec and streams per-point results from the
-// service in grid order. Cancelling ctx aborts the HTTP stream promptly
-// (the stream error unwraps to context.Canceled); the service finishes
-// the sweep server-side and persists into its store, so resubmitting the
-// same grid later costs no re-simulation of completed points.
+// service in grid order, in one exchange. Cancelling ctx aborts the HTTP
+// stream promptly (the stream error unwraps to context.Canceled); the
+// service finishes the sweep server-side and persists into its store,
+// so resubmitting the same grid later costs no re-simulation of
+// completed points.
 func (c *Remote) Sweep(ctx context.Context, grid *scenario.Grid) *Stream {
 	st := newStream(grid)
 	go func() {
@@ -139,24 +143,35 @@ func (c *Remote) Sweep(ctx context.Context, grid *scenario.Grid) *Stream {
 	return st
 }
 
-// stream drives one submit + NDJSON consumption cycle, pushing in-order
-// updates onto st.
+// stream drives one sweep exchange: it posts the spec asking for the
+// NDJSON stream, takes the sweep id from the response's Location and
+// pushes in-order updates onto st.
 func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) error {
-	id, err := c.submit(ctx, grid.Spec)
+	data, err := grid.Spec.JSON()
 	if err != nil {
-		return err
+		return fmt.Errorf("client: encode spec: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/sweeps/"+id+"/stream", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/sweeps", bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("client: stream sweep %s: %w", id, err)
+		return fmt.Errorf("client: submit sweep: %w", err)
 	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("client: stream sweep %s: %w", id, err)
+		return fmt.Errorf("client: submit sweep: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.errorFrom("stream sweep "+id, resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusAccepted:
+		return errors.New("client: submit sweep: HTTP 202 without a stream (the server predates streamed submissions)")
+	default:
+		return c.errorFrom("submit sweep", resp)
+	}
+	id, ok := strings.CutPrefix(resp.Header.Get("Location"), "/v1/sweeps/")
+	if !ok || id == "" {
+		return fmt.Errorf("client: submit sweep: no sweep named in Location %q", resp.Header.Get("Location"))
 	}
 
 	// The scanner's buffer starts at 4 KiB and grows to the longest line.
@@ -169,7 +184,7 @@ func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) er
 			continue
 		}
 		var ev StreamEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
+		if err := ev.UnmarshalJSON(line); err != nil {
 			return fmt.Errorf("client: sweep %s: malformed stream event: %w", id, err)
 		}
 		switch {
@@ -193,34 +208,6 @@ func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) er
 		return fmt.Errorf("client: stream sweep %s: %w", id, err)
 	}
 	return fmt.Errorf("client: sweep %s stream truncated after %d of %d points", id, next, grid.Size())
-}
-
-// submit posts the spec and returns the admitted sweep id.
-func (c *Remote) submit(ctx context.Context, spec *scenario.Spec) (string, error) {
-	data, err := spec.JSON()
-	if err != nil {
-		return "", fmt.Errorf("client: encode spec: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/sweeps", bytes.NewReader(data))
-	if err != nil {
-		return "", fmt.Errorf("client: submit sweep: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("client: submit sweep: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return "", c.errorFrom("submit sweep", resp)
-	}
-	var accepted struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil || accepted.ID == "" {
-		return "", fmt.Errorf("client: submit sweep: malformed acceptance body (%v)", err)
-	}
-	return accepted.ID, nil
 }
 
 // errorFrom renders the service's uniform {"code","error"} body as an

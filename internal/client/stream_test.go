@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,16 +14,14 @@ import (
 	"distiq/internal/engine"
 )
 
-// streamServer fakes distiqd's sweep endpoints: it admits any spec and
-// streams one result event per point of a points-sized grid, then done.
+// streamServer fakes distiqd's streamed submission: it admits any spec
+// as sweep s1 and answers with one result event per point of a
+// points-sized grid, then done.
 func streamServer(t *testing.T, points int, manifest *engine.Manifest) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprint(w, `{"id":"s1"}`)
-	})
-	mux.HandleFunc("GET /v1/sweeps/s1/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Location", "/v1/sweeps/s1")
 		enc := json.NewEncoder(w)
 		for i := 0; i < points; i++ {
 			enc.Encode(client.StreamEvent{Index: i, Result: &engine.Result{}})

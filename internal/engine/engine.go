@@ -539,7 +539,8 @@ func (e *Engine) abandon(job Job, key string, id [sha256.Size]byte, c *call, err
 }
 
 // persist writes a result the job took from another job's run under the
-// job's own fingerprint, unless the store already has an entry there.
+// job's own fingerprint, unless the store already holds a valid entry
+// there: a torn or empty one, which Has would report, is rewritten.
 // The write takes a worker slot, as a simulated result's write does; a
 // job cancelled before its slot is granted skips it and reports false.
 func (e *Engine) persist(ctx context.Context, job Job, r Result) bool {
@@ -547,7 +548,10 @@ func (e *Engine) persist(ctx context.Context, job Job, r Result) bool {
 		return true
 	}
 	fp, ok := job.Fingerprint()
-	if !ok || e.store.Has(fp) {
+	if !ok {
+		return true
+	}
+	if _, ok := e.store.Get(fp, job); ok {
 		return true
 	}
 	if !e.acquire(ctx, nil) {

@@ -471,3 +471,43 @@ func TestAdaptedResultCancelledNotMemoized(t *testing.T) {
 		t.Errorf("the next resolution made %d Put calls and left the entry absent", store.put.Load()-put)
 	}
 }
+
+// TestAdaptedResultRewritesTornEntry: an empty entry under the
+// fingerprint of a job that takes an equivalent job's run, as a system
+// crash can leave one since nothing is synced, is rewritten, so the
+// sweep's manifest verifies against the store and a second engine reads
+// the entry back from disk.
+func TestAdaptedResultRewritesTornEntry(t *testing.T) {
+	dir := t.TempDir()
+	store := NewStore(dir)
+	jobs := []Job{quickJob("gcc", core.IFDistr()), quickJob("gcc", core.MBDistr())}
+	fp, _ := jobs[1].Fingerprint()
+	if err := store.PutRaw(fp, nil); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workers: 1, Store: store})
+	results, err := e.ResultAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Simulated != 1 || st.MemoryHits+st.Shared != 1 {
+		t.Fatalf("stats %+v, want 1 simulated and 1 taken from its twin", st)
+	}
+	if _, ok := store.Get(fp, jobs[1]); !ok {
+		t.Fatal("the empty entry was not rewritten")
+	}
+	m, err := e.Manifest("torn", jobs, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifyIn(store); err != nil {
+		t.Fatalf("manifest does not verify against the store: %v", err)
+	}
+	fresh := New(Config{Workers: 1, Store: NewStore(dir)})
+	if _, err := fresh.Result(jobs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if st := fresh.Stats(); st.DiskHits != 1 {
+		t.Fatalf("second engine: %+v, want 1 disk hit", st)
+	}
+}

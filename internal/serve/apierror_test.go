@@ -95,17 +95,32 @@ func TestAPIErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
+			checkGolden(t, tc.name, apiRequest(t, ts, tc.method, tc.path, tc.body, ""))
+			if tc.method == "POST" {
+				// A submission asking for the stream is refused the same
+				// way, before anything streams.
+				checkGolden(t, tc.name, apiRequest(t, ts, tc.method, tc.path, tc.body, "application/x-ndjson"))
 			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, tc.name, resp)
 		})
 	}
+}
+
+// apiRequest sends one request, with the Accept header when accept is
+// set.
+func apiRequest(t *testing.T, ts *httptest.Server, method, path, body, accept string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // TestAPIErrorQueueFull pins the 429 over-quota answer: a MaxQueued-1
@@ -127,11 +142,9 @@ func TestAPIErrorQueueFull(t *testing.T) {
 
 	first := submit(t, ts, stubSpec)
 	<-started
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(stubSpec))
-	if err != nil {
-		t.Fatal(err)
+	for _, accept := range []string{"", "application/x-ndjson"} {
+		checkGolden(t, "queue-full", apiRequest(t, ts, "POST", "/v1/sweeps", stubSpec, accept))
 	}
-	checkGolden(t, "queue-full", resp)
 	close(release)
 	waitDone(t, ts, first.ID)
 }
@@ -147,9 +160,7 @@ func TestAPIErrorDraining(t *testing.T) {
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(stubSpec))
-	if err != nil {
-		t.Fatal(err)
+	for _, accept := range []string{"", "application/x-ndjson"} {
+		checkGolden(t, "draining", apiRequest(t, ts, "POST", "/v1/sweeps", stubSpec, accept))
 	}
-	checkGolden(t, "draining", resp)
 }

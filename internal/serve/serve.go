@@ -9,13 +9,15 @@
 //
 //	POST /v1/sweeps               submit a spec; 202 + sweep id, 400 on a
 //	                              malformed/invalid spec, 429 over quota,
-//	                              503 while draining
+//	                              503 while draining; with an Accept
+//	                              header naming application/x-ndjson,
+//	                              200 + the sweep's NDJSON stream (the
+//	                              Client layer's RemoteClient sends this)
 //	GET  /v1/sweeps               status of every known sweep
 //	GET  /v1/sweeps/{id}          results (?format=csv|json|md; 202 while
 //	                              the sweep is still running)
 //	GET  /v1/sweeps/{id}/stream   per-point results as NDJSON, streamed in
-//	                              grid order as they resolve (the Client
-//	                              layer's RemoteClient consumes this)
+//	                              grid order as they resolve (re-attach)
 //	GET  /v1/sweeps/{id}/status   per-sweep progress and resolution counts
 //	GET  /v1/sweeps/{id}/manifest the sweep's tamper-evident Merkle
 //	                              manifest (202 while running)
@@ -44,6 +46,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -312,7 +315,9 @@ func writeSpecError(w http.ResponseWriter, err error) {
 }
 
 // handleSubmit parses, validates and expands a spec, then admits it onto
-// the bounded queue and starts it on the shared engine.
+// the bounded queue and starts it on the shared engine. It answers with
+// the sweep's status, or, when the request accepts NDJSON, with the
+// sweep's stream.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
@@ -373,14 +378,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.sweepsAccepted.Inc()
 	s.log.Info("sweep accepted",
 		"sweep", sw.id, "name", sw.name, "points", sw.total, "request_id", sw.reqID)
+	w.Header().Set("Location", "/v1/sweeps/"+sw.id)
+	if acceptsNDJSON(r) {
+		go s.runSweep(sw, grid)
+		streamSweep(w, r, sw)
+		return
+	}
 	// Snapshot the documented "queued" response before the sweep starts:
 	// on a warm store a tiny grid could otherwise finish first and the
 	// 202 body would surprise clients pinned to the documented shape.
 	st := sw.status()
 	go s.runSweep(sw, grid)
-
-	w.Header().Set("Location", "/v1/sweeps/"+sw.id)
 	writeJSON(w, http.StatusAccepted, st)
+}
+
+// acceptsNDJSON reports whether the request's Accept header names the
+// NDJSON stream, asking for a submission to answer with the sweep's
+// stream instead of its status.
+func acceptsNDJSON(r *http.Request) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for _, mt := range strings.Split(v, ",") {
+			mt, _, _ = strings.Cut(mt, ";")
+			if strings.EqualFold(strings.TrimSpace(mt), "application/x-ndjson") {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // runSweep executes one admitted grid on the shared engine through the
@@ -591,20 +615,24 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStream serves a sweep's per-point results as NDJSON
-// (client.StreamEvent per line) in grid order. Points already resolved
-// go out back to back, and the stream is flushed only when it would
-// otherwise wait on the sweep, and once at the end: a consumer sees each
-// point as soon as the in-order prefix reaches it and renders progress
-// live, while a finished sweep replays in as few writes as its size
-// allows. The stream terminates with {"done":true} on success or an
+// handleStream serves a sweep's per-point results as NDJSON: the
+// re-attach form of a streamed submission (see streamSweep).
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	if sw := s.lookup(w, r); sw != nil {
+		streamSweep(w, r, sw)
+	}
+}
+
+// streamSweep writes a sweep's per-point results as NDJSON
+// (client.StreamEvent per line) in grid order, answering 200. Points
+// already resolved go out back to back, and the stream is flushed only
+// when it would otherwise wait on the sweep: a consumer sees each point
+// as soon as the in-order prefix reaches it and renders progress live,
+// while a finished sweep replays in as few writes as its size allows.
+// The stream terminates with {"done":true} on success or an
 // {"error":...} event at the first failed point; a cancelled request
 // unblocks promptly.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookup(w, r)
-	if sw == nil {
-		return
-	}
+func streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) {
 	ctx := r.Context()
 	// Wake the cond waiters below when the client goes away, so an
 	// abandoned stream never outlives its request.
@@ -619,11 +647,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 	// await locks sw.mu and returns, holding it, once the stream need
 	// not wait for point i (for i == sw.total: for the sweep's end).
 	// Before it first waits it pushes out what is written so far (on
@@ -635,13 +658,24 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sw.mu.Unlock()
-		flush()
+		if flusher != nil {
+			flusher.Flush()
+		}
 		sw.mu.Lock()
 		for sw.blocks(ctx, i) {
 			sw.cond.Wait()
 		}
 	}
-	enc := json.NewEncoder(w)
+	// write sends one event; false means the stream is over.
+	var line []byte
+	write := func(ev client.StreamEvent) bool {
+		var err error
+		if line, err = ev.AppendLine(line[:0]); err != nil {
+			return false
+		}
+		_, err = w.Write(line)
+		return err == nil
+	}
 
 	for i := 0; i < sw.total; i++ {
 		await(i)
@@ -660,29 +694,29 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				msg = err.Error()
 			}
-			enc.Encode(client.StreamEvent{Index: i, Error: msg}) //nolint:errcheck // stream already committed
+			write(client.StreamEvent{Index: i, Error: msg})
 			return
 		}
-		if err := enc.Encode(client.StreamEvent{
+		if !write(client.StreamEvent{
 			Index:     i,
 			Benchmark: sw.grid.Points[i].Bench,
 			Source:    src,
 			Result:    &res,
-		}); err != nil {
+		}) {
 			return // client went away mid-write
 		}
 	}
 	// Every point is out; wait for the sweep's terminal transition so the
 	// done event can carry the manifest (built right after the last point
-	// resolves — the wait is momentary).
+	// resolves — the wait is momentary). The server flushes the last
+	// write with the end of the response.
 	await(sw.total)
 	manifest := sw.manifest
 	sw.mu.Unlock()
 	if ctx.Err() != nil {
 		return
 	}
-	enc.Encode(client.StreamEvent{Done: true, Points: sw.total, Manifest: manifest}) //nolint:errcheck // stream already committed
-	flush()
+	write(client.StreamEvent{Done: true, Points: sw.total, Manifest: manifest})
 }
 
 // handleManifest serves a finished sweep's tamper-evident Merkle

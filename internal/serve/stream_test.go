@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -27,6 +30,29 @@ func streamLines(t *testing.T, ts *httptest.Server, id string) (<-chan client.St
 	if err != nil {
 		t.Fatal(err)
 	}
+	return streamEvents(t, resp), resp
+}
+
+// postStream submits spec asking for the NDJSON stream as the answer.
+func postStream(t *testing.T, ts *httptest.Server, spec string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
+	resp, err := streamClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// streamEvents checks that resp is an NDJSON stream and forwards its
+// decoded events on the returned channel (closed at EOF).
+func streamEvents(t *testing.T, resp *http.Response) <-chan client.StreamEvent {
+	t.Helper()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream: status %d", resp.StatusCode)
 	}
@@ -47,7 +73,27 @@ func streamLines(t *testing.T, ts *httptest.Server, id string) (<-chan client.St
 			ch <- ev
 		}
 	}()
-	return ch, resp
+	return ch
+}
+
+// streamOpener starts a sweep of spec and opens its stream, returning
+// the sweep id: openByGet submits and then attaches with GET
+// …/stream, openBySubmit reads the stream a submission answers with.
+type streamOpener func(t *testing.T, ts *httptest.Server, spec string) (string, <-chan client.StreamEvent, *http.Response)
+
+func openByGet(t *testing.T, ts *httptest.Server, spec string) (string, <-chan client.StreamEvent, *http.Response) {
+	st := submit(t, ts, spec)
+	ch, resp := streamLines(t, ts, st.ID)
+	return st.ID, ch, resp
+}
+
+func openBySubmit(t *testing.T, ts *httptest.Server, spec string) (string, <-chan client.StreamEvent, *http.Response) {
+	resp := postStream(t, ts, spec)
+	id, ok := strings.CutPrefix(resp.Header.Get("Location"), "/v1/sweeps/")
+	if !ok || id == "" {
+		t.Fatalf("streamed submission: Location = %q", resp.Header.Get("Location"))
+	}
+	return id, streamEvents(t, resp), resp
 }
 
 // TestStreamDeliversInGridOrderWhileRunning gates the simulator, opens
@@ -55,6 +101,17 @@ func streamLines(t *testing.T, ts *httptest.Server, id string) (<-chan client.St
 // grid order with valid sources, terminated by the done event — then
 // replays the finished sweep's stream instantly.
 func TestStreamDeliversInGridOrderWhileRunning(t *testing.T) {
+	streamInGridOrder(t, openByGet)
+}
+
+// TestSubmitStreamDeliversInGridOrderWhileRunning: the same through the
+// stream a submission answers with.
+func TestSubmitStreamDeliversInGridOrderWhileRunning(t *testing.T) {
+	streamInGridOrder(t, openBySubmit)
+}
+
+func streamInGridOrder(t *testing.T, open streamOpener) {
+	const points = 4 // testSpec's grid
 	gate := make(chan struct{})
 	srv := New(Config{
 		Parallel: 2,
@@ -71,8 +128,7 @@ func TestStreamDeliversInGridOrderWhileRunning(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	st := submit(t, ts, testSpec) // 4 points
-	ch, resp := streamLines(t, ts, st.ID)
+	id, ch, resp := open(t, ts, testSpec)
 	defer resp.Body.Close()
 
 	// Nothing can stream before the first point resolves.
@@ -93,10 +149,10 @@ func TestStreamDeliversInGridOrderWhileRunning(t *testing.T) {
 		default:
 		}
 	}
-	if len(events) != st.Points+1 {
-		t.Fatalf("got %d events, want %d points + done", len(events), st.Points)
+	if len(events) != points+1 {
+		t.Fatalf("got %d events, want %d points + done", len(events), points)
 	}
-	for i, ev := range events[:st.Points] {
+	for i, ev := range events[:points] {
 		if ev.Index != i || ev.Result == nil || ev.Error != "" || ev.Done {
 			t.Fatalf("event %d out of order or malformed: %+v", i, ev)
 		}
@@ -108,13 +164,13 @@ func TestStreamDeliversInGridOrderWhileRunning(t *testing.T) {
 			t.Fatalf("event %d source = %q", i, ev.Source)
 		}
 	}
-	last := events[st.Points]
-	if !last.Done || last.Points != st.Points {
+	last := events[points]
+	if !last.Done || last.Points != points {
 		t.Fatalf("terminal event = %+v", last)
 	}
 
 	// A finished sweep replays its whole stream immediately.
-	replay, resp2 := streamLines(t, ts, st.ID)
+	replay, resp2 := streamLines(t, ts, id)
 	defer resp2.Body.Close()
 	n := 0
 	for ev := range replay {
@@ -125,8 +181,8 @@ func TestStreamDeliversInGridOrderWhileRunning(t *testing.T) {
 			n++
 		}
 	}
-	if n != st.Points {
-		t.Fatalf("replay delivered %d points, want %d", n, st.Points)
+	if n != points {
+		t.Fatalf("replay delivered %d points, want %d", n, points)
 	}
 }
 
@@ -135,6 +191,17 @@ func TestStreamDeliversInGridOrderWhileRunning(t *testing.T) {
 // the stream flushes whatever it holds before it waits, and once the
 // sweep has finished its replay arrives whole.
 func TestStreamFlushesBeforeWaiting(t *testing.T) {
+	streamFlushesBeforeWaiting(t, openByGet)
+}
+
+// TestSubmitStreamFlushesBeforeWaiting: the same through the stream a
+// submission answers with, whose response header must arrive while
+// point 0 is still blocked.
+func TestSubmitStreamFlushesBeforeWaiting(t *testing.T) {
+	streamFlushesBeforeWaiting(t, openBySubmit)
+}
+
+func streamFlushesBeforeWaiting(t *testing.T, open streamOpener) {
 	gates := map[string]chan struct{}{"swim": make(chan struct{}), "gcc": make(chan struct{})}
 	srv := New(Config{
 		Parallel: 2,
@@ -159,9 +226,8 @@ func TestStreamFlushesBeforeWaiting(t *testing.T) {
 		}
 	}()
 
-	st := submit(t, ts, `{"benchmarks": ["swim", "gcc"], "schemes": [{"scheme": "MB_distr"}],
+	id, ch, resp := open(t, ts, `{"benchmarks": ["swim", "gcc"], "schemes": [{"scheme": "MB_distr"}],
 		"warmup": 100, "instructions": 200}`)
-	ch, resp := streamLines(t, ts, st.ID)
 	defer resp.Body.Close()
 
 	close(gates["swim"])
@@ -188,7 +254,7 @@ func TestStreamFlushesBeforeWaiting(t *testing.T) {
 		t.Fatalf("after point 0: events %v, want %v", got, want)
 	}
 
-	replay, resp2 := streamLines(t, ts, st.ID)
+	replay, resp2 := streamLines(t, ts, id)
 	defer resp2.Body.Close()
 	got = got[:0]
 	for ev := range replay {
@@ -234,19 +300,165 @@ func TestStreamFailedSweepTerminatesWithError(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	st := submit(t, ts, `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
-		"warmup": 100, "instructions": 200}`)
+	const spec = `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
+		"warmup": 100, "instructions": 200}`
+	st := submit(t, ts, spec)
 	waitDone(t, ts, st.ID)
 	ch, resp := streamLines(t, ts, st.ID)
 	defer resp.Body.Close()
-	var events []client.StreamEvent
-	for ev := range ch {
-		events = append(events, ev)
+	_, sch, sresp := openBySubmit(t, ts, spec)
+	defer sresp.Body.Close()
+	for _, ch := range []<-chan client.StreamEvent{ch, sch} {
+		var events []client.StreamEvent
+		for ev := range ch {
+			events = append(events, ev)
+		}
+		if len(events) != 1 {
+			t.Fatalf("failed sweep streamed %d events: %+v", len(events), events)
+		}
+		if events[0].Error == "" || !strings.Contains(events[0].Error, "injected stream failure") {
+			t.Fatalf("terminal event = %+v", events[0])
+		}
 	}
-	if len(events) != 1 {
-		t.Fatalf("failed sweep streamed %d events: %+v", len(events), events)
+}
+
+// TestSubmitStreamMatchesGetStream: the body a streamed submission
+// answers with is byte for byte the stream GET …/stream replays for the
+// same sweep, and the submission leaves the sweep registered.
+func TestSubmitStreamMatchesGetStream(t *testing.T) {
+	srv := New(Config{Parallel: 2, Store: engine.NewStore(t.TempDir())})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	resp := postStream(t, ts, testSpec)
+	posted, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if events[0].Error == "" || !strings.Contains(events[0].Error, "injected stream failure") {
-		t.Fatalf("terminal event = %+v", events[0])
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
+		t.Fatalf("streamed submission: status %d, content type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	id, _ := strings.CutPrefix(resp.Header.Get("Location"), "/v1/sweeps/")
+	if st := waitDone(t, ts, id); st.State != "done" || st.Simulated != 4 {
+		t.Fatalf("sweep %q after its stream: %+v", id, st)
+	}
+	gresp, err := streamClient.Get(ts.URL + "/v1/sweeps/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(gresp.Body)
+	gresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(posted, got) {
+		t.Fatalf("GET stream differs from the submission's:\n%s\nvs\n%s", got, posted)
+	}
+	if n := bytes.Count(posted, []byte("\n")); n != 5 {
+		t.Fatalf("submission streamed %d lines, want 4 points and done", n)
+	}
+	fetch(t, ts, id, "csv") // the result endpoint serves the sweep too
+}
+
+// TestSubmitStreamCancelled: a client that goes away mid-stream frees
+// its submission's handler while the sweep runs on, finishes and
+// persists, so a warm rerun over the store simulates nothing.
+func TestSubmitStreamCancelled(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	srv := New(Config{
+		Parallel: 4,
+		Store:    engine.NewStore(dir),
+		Simulate: func(j engine.Job) (engine.Result, error) {
+			// The ROB-128 half of testSpec resolves freely so the stream
+			// opens; the ROB-256 half waits for the test.
+			if j.Machine != nil && j.Machine.ROBSize == 256 {
+				<-release
+			}
+			return engine.Simulate(j)
+		},
+	})
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if r.Method == http.MethodPost {
+			returned <- struct{}{}
+		}
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweeps", strings.NewReader(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/x-ndjson")
+	resp, err := streamClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	id, _ := strings.CutPrefix(resp.Header.Get("Location"), "/v1/sweeps/")
+	var ev client.StreamEvent
+	line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+	if err != nil || ev.UnmarshalJSON(line) != nil || ev.Index != 0 || ev.Result == nil {
+		t.Fatalf("first line %q (%v), want point 0", line, err)
+	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the submission's handler outlived its cancelled client")
+	}
+	var st Status
+	if getJSON(t, ts, "/v1/sweeps/"+id+"/status", &st); st.State == "done" {
+		t.Fatalf("sweep finished before its gated points were released: %+v", st)
+	}
+	close(release)
+	if st := waitDone(t, ts, id); st.State != "done" || st.Simulated != 4 {
+		t.Fatalf("sweep after its client left: %+v", st)
+	}
+
+	warm := httptest.NewServer(New(Config{Parallel: 2, Store: engine.NewStore(dir)}))
+	defer warm.Close()
+	wid, wch, wresp := openBySubmit(t, warm, testSpec)
+	defer wresp.Body.Close()
+	n := 0
+	for ev := range wch {
+		if !ev.Done {
+			n++
+		}
+	}
+	if st := waitDone(t, warm, wid); n != 4 || st.Simulated != 0 || st.DiskHits != 4 {
+		t.Fatalf("warm rerun streamed %d points with %+v, want 4 disk hits and 0 simulated", n, st)
+	}
+}
+
+// TestAcceptsNDJSON: a submission streams when any media range of its
+// Accept header names application/x-ndjson, whatever its case,
+// parameters or neighbours.
+func TestAcceptsNDJSON(t *testing.T) {
+	for _, tc := range []struct {
+		accept []string
+		want   bool
+	}{
+		{nil, false},
+		{[]string{"application/json"}, false},
+		{[]string{"*/*"}, false},
+		{[]string{"application/x-ndjson-seq"}, false},
+		{[]string{"application/x-ndjson"}, true},
+		{[]string{"Application/X-NDJSON"}, true},
+		{[]string{"application/json, application/x-ndjson;q=0.9"}, true},
+		{[]string{"text/plain", " application/x-ndjson "}, true},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sweeps", nil)
+		for _, v := range tc.accept {
+			r.Header.Add("Accept", v)
+		}
+		if got := acceptsNDJSON(r); got != tc.want {
+			t.Errorf("Accept %q: streams = %v, want %v", tc.accept, got, tc.want)
+		}
 	}
 }
