@@ -7,32 +7,33 @@
 // every point it serves; a point it has dropped comes back from the
 // store, or is simulated again without one.
 //
-// Sweeps are submitted as the strict-JSON scenario specs of
-// `iqsweep -spec` and served back through the same emitters, so the HTTP
-// bodies are byte-identical to the CLI's output for the same spec:
+// A sweep is one exchange: its strict-JSON scenario spec (the format of
+// `iqsweep -spec`) is posted, and the response streams its per-point
+// results as NDJSON in grid order, ending in a done event that carries
+// the sweep's Merkle manifest. `iqsweep -server` assembles CSV, JSON and
+// markdown from that stream through the CLI's own emitters, so its
+// output is byte-identical to a local run of the same spec:
 //
 //	distiqd -addr :8090 -parallel 8 -cache-dir /tmp/distiq-cache &
 //
-//	curl -s -X POST localhost:8090/v1/sweeps -d '{
+//	curl -sN localhost:8090/v1/sweeps -d '{
 //	  "name": "rob-ablation",
 //	  "benchmarks": ["swim"],
 //	  "schemes": [{"scheme": "MB_distr"}],
 //	  "rob": [128, 256]
 //	}'
-//	# -> 202 {"id": "sw-000001", "state": "queued", "points": 2, ...}
+//	# -> 200, one NDJSON line per point, live, then {"index":0,"done":true,"points":2,"manifest":{...}}
 //
-//	curl -s localhost:8090/v1/sweeps/sw-000001/status   # progress + per-sweep counts
-//	curl -s localhost:8090/v1/sweeps/sw-000001/stream   # NDJSON per-point results, live, grid order
-//	curl -s localhost:8090/v1/sweeps/sw-000001          # CSV (202 while running)
-//	curl -s 'localhost:8090/v1/sweeps/sw-000001?format=md'
+//	iqsweep -spec grid.json -server http://localhost:8090 -format md
 //	curl -s localhost:8090/v1/machine                   # Table 1 introspection
 //	curl -s localhost:8090/v1/benchmarks
 //	curl -s localhost:8090/v1/stats                     # engine-wide counters
 //
 // Malformed or invalid specs answer 400 before anything simulates;
 // submissions while -max-queued sweeps are already unfinished answer
-// 429. On SIGINT/SIGTERM the listener closes and every in-flight sweep
-// drains before exit.
+// 429. The server holds a sweep only while it runs; one whose client
+// leaves runs to completion and persists. On SIGINT/SIGTERM the
+// listener closes and every in-flight sweep drains before exit.
 //
 // Observability: GET /metrics serves the Prometheus exposition,
 // /healthz is the readiness probe (503 once draining), /livez the

@@ -1,8 +1,8 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"net/http"
@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"distiq/internal/client"
 	"distiq/internal/cliutil"
-	"distiq/internal/serve"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing server logs.
@@ -74,43 +74,15 @@ func TestSetupServesSweeps(t *testing.T) {
 
 	spec := `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
 		"warmup": 500, "instructions": 1000}`
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st serve.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for st.State != "done" && st.State != "failed" {
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep stuck in %q", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-		r, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/status")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-	}
-	if st.State != "done" || st.Done != 1 {
-		t.Fatalf("sweep = %+v", st)
+	if last := streamSweep(t, ts.URL, spec); !last.Done || last.Points != 1 {
+		t.Fatalf("stream ended with %+v, want done after 1 point", last)
 	}
 	if errw.Len() != 0 {
 		t.Fatalf("-quiet still logged: %s", errw.String())
 	}
 
 	// Without -quiet the lifecycle log lands on stderr. The buffer needs
-	// a lock: sweep goroutines log concurrently with the test's polling.
+	// a lock: sweep goroutines log concurrently with the test's reads.
 	loud := &syncBuffer{}
 	srv2, _, _, err := setup(nil, loud)
 	if err != nil {
@@ -118,14 +90,38 @@ func TestSetupServesSweeps(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
-	if _, err := http.Post(ts2.URL+"/v1/sweeps", "application/json", strings.NewReader(spec)); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(10 * time.Second)
+	streamSweep(t, ts2.URL, spec)
+	deadline := time.Now().Add(10 * time.Second)
 	for !strings.Contains(loud.String(), "accepted") {
 		if time.Now().After(deadline) {
 			t.Fatalf("no lifecycle log; stderr: %q", loud.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// streamSweep submits spec to the distiqd at base and returns the last
+// event of the NDJSON stream it answers with.
+func streamSweep(t *testing.T, base, spec string) client.StreamEvent {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	var last client.StreamEvent
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 4<<20)
+	for sc.Scan() {
+		if err := last.UnmarshalJSON(sc.Bytes()); err != nil {
+			t.Fatalf("stream line %q: %v", sc.Bytes(), err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return last
 }

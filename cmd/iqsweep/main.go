@@ -178,9 +178,10 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		}
 	}
 
-	// Emit through the shared scenario emitter — the same code path the
-	// distiqd HTTP service uses, so -spec output, -server output and
-	// service bodies are byte-identical by construction.
+	// Emit through the shared scenario emitter, local or -server alike:
+	// a -server sweep's streamed results decode to the exact results a
+	// local run computes, so the outputs are byte-identical by
+	// construction.
 	var buf bytes.Buffer
 	if err := res.Emit(&buf, *format); err != nil {
 		return stats, err

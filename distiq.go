@@ -50,7 +50,7 @@
 //	if err := stream.Err(); err != nil { ... } // context.Canceled on Ctrl-C
 //
 // or collect everything through the shared emitters (byte-identical to
-// iqsweep and the distiqd HTTP bodies):
+// iqsweep's output, local or -server):
 //
 //	res, err := cl.Sweep(ctx, grid).ResultSet()
 //	fmt.Print(res.CSV())

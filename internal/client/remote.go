@@ -24,15 +24,14 @@ import (
 const maxStreamLine = 4 << 20
 
 // Remote is the Client over a distiqd service: a sweep is one exchange,
-// its scenario spec posted to POST /v1/sweeps with an Accept header
-// naming application/x-ndjson and its per-point results read off the
-// NDJSON stream the service answers with, so many remote clients
-// amortize the service's one warm engine. It needs a distiqd that
-// streams submissions; an older one answers 202, which Remote reports as
-// an error. The stream arrives in grid order straight off the wire;
-// results decode to the exact engine.Result the server computed, so
-// documents assembled from a Remote sweep are byte-identical to a Local
-// sweep of the same grid.
+// its scenario spec posted to POST /v1/sweeps and its per-point results
+// read off the NDJSON stream the service answers with, so many remote
+// clients amortize the service's one warm engine. It needs a distiqd
+// that streams submissions; an older one answers 202, which Remote
+// reports as an error. The stream arrives in grid order straight off the
+// wire; results decode to the exact engine.Result the server computed,
+// so documents assembled from a Remote sweep are byte-identical to a
+// Local sweep of the same grid.
 type Remote struct {
 	base string
 	hc   *http.Client
@@ -143,9 +142,8 @@ func (c *Remote) Sweep(ctx context.Context, grid *scenario.Grid) *Stream {
 	return st
 }
 
-// stream drives one sweep exchange: it posts the spec asking for the
-// NDJSON stream, takes the sweep id from the response's Location and
-// pushes in-order updates onto st.
+// stream drives one sweep exchange: it posts the spec, reads the NDJSON
+// stream the service answers with and pushes in-order updates onto st.
 func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) error {
 	data, err := grid.Spec.JSON()
 	if err != nil {
@@ -169,10 +167,6 @@ func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) er
 	default:
 		return c.errorFrom("submit sweep", resp)
 	}
-	id, ok := strings.CutPrefix(resp.Header.Get("Location"), "/v1/sweeps/")
-	if !ok || id == "" {
-		return fmt.Errorf("client: submit sweep: no sweep named in Location %q", resp.Header.Get("Location"))
-	}
 
 	// The scanner's buffer starts at 4 KiB and grows to the longest line.
 	sc := bufio.NewScanner(resp.Body)
@@ -185,29 +179,29 @@ func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) er
 		}
 		var ev StreamEvent
 		if err := ev.UnmarshalJSON(line); err != nil {
-			return fmt.Errorf("client: sweep %s: malformed stream event: %w", id, err)
+			return fmt.Errorf("client: malformed stream event: %w", err)
 		}
 		switch {
 		case ev.Error != "":
-			return fmt.Errorf("client: sweep %s failed at point %d: %s", id, ev.Index, ev.Error)
+			return fmt.Errorf("client: sweep failed at point %d: %s", ev.Index, ev.Error)
 		case ev.Done:
 			if next != grid.Size() {
-				return fmt.Errorf("client: sweep %s stream ended after %d of %d points", id, next, grid.Size())
+				return fmt.Errorf("client: sweep stream ended after %d of %d points", next, grid.Size())
 			}
 			st.setManifest(ev.Manifest)
 			return nil
 		default:
 			if ev.Result == nil || ev.Index != next || next >= grid.Size() {
-				return fmt.Errorf("client: sweep %s: out-of-order stream event (index %d, expected %d)", id, ev.Index, next)
+				return fmt.Errorf("client: out-of-order stream event (index %d, expected %d)", ev.Index, next)
 			}
 			st.send(Update{Index: next, Point: grid.Points[next], Result: *ev.Result, Source: ev.Source})
 			next++
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("client: stream sweep %s: %w", id, err)
+		return fmt.Errorf("client: stream sweep: %w", err)
 	}
-	return fmt.Errorf("client: sweep %s stream truncated after %d of %d points", id, next, grid.Size())
+	return fmt.Errorf("client: sweep stream truncated after %d of %d points", next, grid.Size())
 }
 
 // errorFrom renders the service's uniform {"code","error"} body as an

@@ -15,13 +15,12 @@ import (
 )
 
 // streamServer fakes distiqd's streamed submission: it admits any spec
-// as sweep s1 and answers with one result event per point of a
-// points-sized grid, then done.
+// and answers with one result event per point of a points-sized grid,
+// then done.
 func streamServer(t *testing.T, points int, manifest *engine.Manifest) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Location", "/v1/sweeps/s1")
 		enc := json.NewEncoder(w)
 		for i := 0; i < points; i++ {
 			enc.Encode(client.StreamEvent{Index: i, Result: &engine.Result{}})
@@ -66,7 +65,7 @@ func TestRemoteStreamLineTooLong(t *testing.T) {
 	for st.Next() {
 	}
 	err := st.Err()
-	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "client: stream sweep s1") {
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "client: stream sweep: ") {
 		t.Fatalf("stream err = %v, want the stream sweep error wrapping bufio.ErrTooLong", err)
 	}
 }

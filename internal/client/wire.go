@@ -10,8 +10,7 @@ import (
 )
 
 // StreamEvent is one NDJSON line of the distiqd per-point results stream
-// (the body of POST /v1/sweeps with an application/x-ndjson Accept
-// header, and of GET /v1/sweeps/{id}/stream). The server
+// (the body of the answer to POST /v1/sweeps). The server
 // (internal/serve) writes each line with AppendLine and Remote reads it
 // with UnmarshalJSON, so the wire format has one definition.
 //
@@ -23,8 +22,8 @@ import (
 //
 // The result object is the engine's Result JSON — the same encoding the
 // persistent store uses — so a decoded stream reconstructs results
-// exactly and documents emitted from them are byte-identical to the
-// server's own emitters.
+// exactly and documents emitted from them are byte-identical to a local
+// run's.
 type StreamEvent struct {
 	// Index is the point's position in the grid (present on per-point
 	// and error events; 0 on the done event, which carries no point).

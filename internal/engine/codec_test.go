@@ -199,6 +199,36 @@ func FuzzResultJSON(f *testing.F) {
 	})
 }
 
+// FuzzEntryBytes checks entryBytes against json.MarshalIndent of the
+// store entry it renders, for any benchmark and configuration name, any
+// lengths, the Table 1 machine or an override, and a Result built from
+// the input.
+func FuzzEntryBytes(f *testing.F) {
+	for i, s := range codecStrings {
+		f.Add(s, codecStrings[(i+3)%len(codecStrings)], uint64(1000), uint64(4000), i%2 == 0,
+			[]byte("seed corpus result 0123456789abcdef"[i:]))
+	}
+	f.Add("swim", "MB_distr", uint64(0), uint64(math.MaxUint64), false, []byte{})
+	f.Fuzz(func(t *testing.T, bench, config string, warmup, insts uint64, override bool, data []byte) {
+		job := Job{Bench: bench, Config: core.Config{Name: config}, Opt: Options{Warmup: warmup, Instructions: insts}}
+		if override {
+			job.Machine = &Machine{ROBSize: 128, PerfectDisambiguation: true}
+		}
+		r := (&resultGen{b: data}).result()
+		got, err := entryBytes(job, r)
+		if err != nil {
+			t.Fatalf("entryBytes: %v", err)
+		}
+		want, err := json.MarshalIndent(entry{storeVersion, bench, config, job.machineCanon(), warmup, insts, r}, "", " ")
+		if err != nil {
+			t.Fatalf("MarshalIndent: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("entryBytes differs from json.MarshalIndent:\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
 // TestResultJSONSimulated: results the simulator computed encode as
 // reflection encodes them, and so do their store entries, the bytes
 // every warm store and manifest root is built on.
@@ -274,6 +304,34 @@ func TestResultUnmarshalNullKeeps(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEntryBytes times a store entry's encoding against
+// json.MarshalIndent of the entry on a simulated MB_distr result, the
+// bytes every store Put writes and every fresh manifest leaf hashes.
+func BenchmarkEntryBytes(b *testing.B) {
+	job := quickJob("swim", core.MBDistr())
+	r, err := Simulate(job)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("entryBytes", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			entrySink, _ = entryBytes(job, r)
+		}
+	})
+	b.Run("MarshalIndent", func(b *testing.B) {
+		b.ReportAllocs()
+		ent := entry{storeVersion, job.Bench, job.Config.Name, job.machineCanon(),
+			job.Opt.Warmup, job.Opt.Instructions, r}
+		for i := 0; i < b.N; i++ {
+			entrySink, _ = json.MarshalIndent(ent, "", " ")
+		}
+	})
+}
+
+// entrySink keeps BenchmarkEntryBytes's encodings live.
+var entrySink []byte
 
 // BenchmarkResultJSON times the codec against reflection on a simulated
 // MB_distr result, the shape a stream line and a store entry carry.

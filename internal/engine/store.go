@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
+
+	"distiq/internal/jsonwire"
 )
 
 // Store is the filesystem ResultStore: one JSON file per result under a
@@ -64,6 +68,7 @@ func (s *Store) sweepStaleTemps() {
 
 // entry is the on-disk format: a version tag plus the job identity for
 // auditability (the filename alone is an opaque hash) and validation.
+// decodeEntry reads it; entryBytes writes its bytes without reflection.
 type entry struct {
 	Version      int    `json:"version"`
 	Benchmark    string `json:"benchmark"`
@@ -105,19 +110,36 @@ func (s *Store) Raw(fp string) ([]byte, error) {
 func (s *Store) Close() error { return nil }
 
 // entryBytes renders the canonical on-disk encoding of a job's result —
-// the exact bytes Put writes. Manifest leaf hashing shares it, so a
-// manifest built in memory verifies against the raw store files.
+// the exact bytes Put writes, which are json.MarshalIndent's of the
+// job's entry with a one-space indent. Manifest leaf hashing shares it,
+// so a manifest built in memory verifies against the raw store files.
+// The entry is appended compact without reflection, then indented once;
+// the compact form fits a stack buffer, so only the indented bytes it
+// returns are allocated.
 func entryBytes(job Job, r Result) ([]byte, error) {
-	ent := entry{
-		Version:      storeVersion,
-		Benchmark:    job.Bench,
-		Config:       job.Config.Name,
-		Machine:      job.machineCanon(),
-		Warmup:       job.Opt.Warmup,
-		Instructions: job.Opt.Instructions,
-		Result:       r,
+	var buf [2048]byte
+	b := append(buf[:0], `{"version":`...)
+	b = strconv.AppendInt(b, storeVersion, 10)
+	b = append(b, `,"benchmark":`...)
+	b = jsonwire.AppendString(b, job.Bench)
+	b = append(b, `,"config":`...)
+	b = jsonwire.AppendString(b, job.Config.Name)
+	b = append(b, `,"machine":`...)
+	b = jsonwire.AppendString(b, job.machineCanon())
+	b = append(b, `,"warmup":`...)
+	b = strconv.AppendUint(b, job.Opt.Warmup, 10)
+	b = append(b, `,"instructions":`...)
+	b = strconv.AppendUint(b, job.Opt.Instructions, 10)
+	b = append(b, `,"result":`...)
+	b, err := r.AppendJSON(b)
+	if err != nil {
+		return nil, err
 	}
-	return json.MarshalIndent(ent, "", " ")
+	var out bytes.Buffer
+	if err := json.Indent(&out, append(b, '}'), "", " "); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }
 
 // Put persists a result under fp atomically (temp file + rename).

@@ -1,9 +1,10 @@
 // Package jsonwire writes and reads JSON byte for byte as encoding/json
 // does, without reflection, for the few types encoded on every request:
-// engine.Result (the store entry's and the stream's result object) and
-// client.StreamEvent (the NDJSON line). The rare inputs its fast paths
-// do not cover, a string that needs escaping or unescaping and a value a
-// caller hands on whole, go through encoding/json itself.
+// engine.Result (the stream's result object), the store entry that
+// carries it and client.StreamEvent (the NDJSON line). The rare inputs
+// its fast paths do not cover, a string that needs escaping or
+// unescaping and a value a caller hands on whole, go through
+// encoding/json itself.
 package jsonwire
 
 import (

@@ -114,9 +114,9 @@ func ContentType(format string) (string, bool) {
 }
 
 // Emit writes the result set to w in the named format. Every front end
-// (cmd/iqsweep, the distiqd HTTP service) funnels through this one
-// function, so a given grid emits byte-identical documents whichever way
-// it is requested. The JSON document gains a trailing newline, matching
+// (cmd/iqsweep, local or -server) funnels through this one function, so
+// a given grid emits byte-identical documents whichever substrate ran
+// it. The JSON document gains a trailing newline, matching
 // the historical CLI output.
 func (rs *ResultSet) Emit(w io.Writer, format string) error {
 	switch format {

@@ -18,7 +18,7 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/*.txt from the current API")
 
 // stubSpec is a minimal valid spec for the error tests that need an
-// admitted or finished sweep.
+// admitted sweep.
 const stubSpec = `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
 	"warmup": 100, "instructions": 200}`
 
@@ -62,54 +62,35 @@ func TestAPIErrors(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// One finished sweep for the result-endpoint cases.
-	done := submit(t, ts, stubSpec)
-	if st := waitDone(t, ts, done.ID); st.State != "done" {
-		t.Fatalf("stub sweep: %+v", st)
-	}
-
 	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   string
+		name string
+		spec string
 	}{
-		{"malformed-json", "POST", "/v1/sweeps", `{not json`},
-		{"body-too-large", "POST", "/v1/sweeps", `{"pad": "` + strings.Repeat("x", 1<<20) + `"}`},
-		{"trailing-data", "POST", "/v1/sweeps",
-			`{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}]} extra`},
-		{"unknown-axis", "POST", "/v1/sweeps",
-			`{"schemes": [{"scheme": "MB_distr"}], "robz": [128]}`},
-		{"unknown-scheme", "POST", "/v1/sweeps",
-			`{"schemes": [{"scheme": "QuantumQueue"}]}`},
-		{"unknown-benchmark", "POST", "/v1/sweeps",
-			`{"benchmarks": ["nonesuch"], "schemes": [{"scheme": "MB_distr"}]}`},
-		{"no-schemes", "POST", "/v1/sweeps", `{"benchmarks": ["swim"]}`},
-		{"rob-not-power-of-two", "POST", "/v1/sweeps",
-			`{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "rob": [100]}`},
-		{"zero-instructions", "POST", "/v1/sweeps",
-			`{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "instructions": 0}`},
-		{"unknown-format", "GET", "/v1/sweeps/" + done.ID + "?format=yaml", ""},
-		{"unknown-sweep", "GET", "/v1/sweeps/sw-999999", ""},
-		{"unknown-sweep-status", "GET", "/v1/sweeps/sw-999999/status", ""},
+		{"malformed-json", `{not json`},
+		{"body-too-large", `{"pad": "` + strings.Repeat("x", 1<<20) + `"}`},
+		{"trailing-data", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}]} extra`},
+		{"unknown-axis", `{"schemes": [{"scheme": "MB_distr"}], "robz": [128]}`},
+		{"unknown-scheme", `{"schemes": [{"scheme": "QuantumQueue"}]}`},
+		{"unknown-benchmark", `{"benchmarks": ["nonesuch"], "schemes": [{"scheme": "MB_distr"}]}`},
+		{"no-schemes", `{"benchmarks": ["swim"]}`},
+		{"rob-not-power-of-two", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "rob": [100]}`},
+		{"zero-instructions", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "instructions": 0}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkGolden(t, tc.name, apiRequest(t, ts, tc.method, tc.path, tc.body, ""))
-			if tc.method == "POST" {
-				// A submission asking for the stream is refused the same
-				// way, before anything streams.
-				checkGolden(t, tc.name, apiRequest(t, ts, tc.method, tc.path, tc.body, "application/x-ndjson"))
+			// A submission is refused the same way whatever its Accept
+			// header, before anything streams.
+			for _, accept := range []string{"", "application/x-ndjson"} {
+				checkGolden(t, tc.name, postSpec(t, ts, tc.spec, accept))
 			}
 		})
 	}
 }
 
-// apiRequest sends one request, with the Accept header when accept is
-// set.
-func apiRequest(t *testing.T, ts *httptest.Server, method, path, body, accept string) *http.Response {
+// postSpec submits spec, with the Accept header when accept is set.
+func postSpec(t *testing.T, ts *httptest.Server, spec, accept string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +105,7 @@ func apiRequest(t *testing.T, ts *httptest.Server, method, path, body, accept st
 }
 
 // TestAPIErrorQueueFull pins the 429 over-quota answer: a MaxQueued-1
-// server with its only slot occupied by a blocked sweep.
+// server with its only slot held by a blocked sweep's open stream.
 func TestAPIErrorQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
@@ -140,13 +121,15 @@ func TestAPIErrorQueueFull(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	first := submit(t, ts, stubSpec)
+	held := postStream(t, ts, stubSpec)
 	<-started
 	for _, accept := range []string{"", "application/x-ndjson"} {
-		checkGolden(t, "queue-full", apiRequest(t, ts, "POST", "/v1/sweeps", stubSpec, accept))
+		checkGolden(t, "queue-full", postSpec(t, ts, stubSpec, accept))
 	}
 	close(release)
-	waitDone(t, ts, first.ID)
+	if s, err := readStream(t, held); err != nil || !s.last().Done {
+		t.Fatalf("held sweep: %+v (%v)", s, err)
+	}
 }
 
 // TestAPIErrorDraining pins the 503 refused-while-draining answer.
@@ -161,6 +144,6 @@ func TestAPIErrorDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, accept := range []string{"", "application/x-ndjson"} {
-		checkGolden(t, "draining", apiRequest(t, ts, "POST", "/v1/sweeps", stubSpec, accept))
+		checkGolden(t, "draining", postSpec(t, ts, stubSpec, accept))
 	}
 }

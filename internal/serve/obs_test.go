@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -19,8 +20,6 @@ import (
 
 	"distiq/internal/engine"
 	"distiq/internal/obs"
-
-	clientpkg "distiq/internal/client"
 )
 
 // scrape GETs /metrics, validates the exposition syntax and content
@@ -63,17 +62,16 @@ func sampleValue(t *testing.T, body, series string) float64 {
 	return -1
 }
 
-// TestMetricsAfterSweep is the acceptance scrape: after one cold sweep
-// the exposition parses, the engine counters agree with /v1/stats, the
-// HTTP duration histograms have non-zero buckets and the gauges are
-// coherent.
+// TestMetricsAfterSweep is the acceptance scrape: right after a cold
+// sweep's stream ends with its done event, the exposition parses, the
+// engine counters agree with /v1/stats, the HTTP duration histograms
+// have non-zero buckets and the gauges are coherent.
 func TestMetricsAfterSweep(t *testing.T) {
 	srv := New(Config{Parallel: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	st := submit(t, ts, testSpec)
-	waitDone(t, ts, st.ID)
+	sweepDone(t, ts, testSpec, 4)
 
 	var stats struct {
 		Requested int64 `json:"requested"`
@@ -104,15 +102,15 @@ func TestMetricsAfterSweep(t *testing.T) {
 		t.Error("exposition still carries distiq_engine_batch_* families")
 	}
 
-	// The submit and the status polls landed in the per-route request
-	// counters and duration histograms.
-	if v := sampleValue(t, body, `distiq_http_requests_total{code="202",route="/v1/sweeps"}`); v < 1 {
-		t.Errorf("submit not counted: %v", v)
+	// The submission, stream included, landed in the per-route request
+	// counter and duration histogram.
+	if v := sampleValue(t, body, `distiq_http_requests_total{code="200",route="/v1/sweeps"}`); v != 1 {
+		t.Errorf("submit counted %v times, want 1", v)
 	}
-	if v := sampleValue(t, body, `distiq_http_request_duration_seconds_count{route="/v1/sweeps/{id}/status"}`); v < 1 {
-		t.Errorf("status polls not observed: %v", v)
+	if v := sampleValue(t, body, `distiq_http_request_duration_seconds_count{route="/v1/sweeps"}`); v != 1 {
+		t.Errorf("submit observed %v times, want 1", v)
 	}
-	if !regexp.MustCompile(`distiq_http_request_duration_seconds_bucket\{le="\+Inf",route="/v1/sweeps/\{id\}/status"\} [1-9]`).MatchString(body) {
+	if !regexp.MustCompile(`distiq_http_request_duration_seconds_bucket\{le="\+Inf",route="/v1/sweeps"\} [1-9]`).MatchString(body) {
 		t.Error("http duration histogram has no non-zero bucket")
 	}
 
@@ -168,8 +166,7 @@ func TestMetricsNamesMatchDocs(t *testing.T) {
 	srv := New(Config{Parallel: 1, Store: engine.NewStore(t.TempDir())})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	st := submit(t, ts, testSpec)
-	waitDone(t, ts, st.ID)
+	sweepDone(t, ts, testSpec, 4)
 	body := scrape(t, ts)
 
 	for _, n := range docNames {
@@ -268,7 +265,8 @@ func (b *logBuffer) String() string {
 
 // TestStructuredRequestLog: every API request produces one JSON record
 // carrying the route, status and X-Request-Id; probe and scrape routes
-// stay below the info level.
+// stay below the info level; a sweep's lifecycle records carry its
+// submission's request ID and its spec's name.
 func TestStructuredRequestLog(t *testing.T) {
 	var buf logBuffer
 	srv := New(Config{
@@ -335,87 +333,78 @@ func TestStructuredRequestLog(t *testing.T) {
 	if !found {
 		t.Fatal("no /v1/machine record")
 	}
-}
 
-// TestManifestEndpointAndStream: the manifest endpoint answers 202 while
-// the sweep runs and, once done, serves a manifest that verifies and is
-// byte-identical to the one the NDJSON done event carries. A failed
-// sweep has no manifest.
-func TestManifestEndpointAndStream(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 16)
-	srv := New(Config{
-		Parallel: 1,
-		Simulate: func(j engine.Job) (engine.Result, error) {
-			started <- struct{}{}
-			<-release
-			return engine.Result{}, nil
-		},
-	})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	st := submit(t, ts, testSpec)
-	<-started
-
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/manifest")
+	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps", strings.NewReader(testSpec))
+	req.Header.Set("X-Request-Id", "log-sweep-1")
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("running manifest status = %d, want 202", resp.StatusCode)
+	if s, err := readStream(t, resp); err != nil || !s.last().Done {
+		t.Fatalf("sweep: %+v (%v)", s, err)
 	}
-
-	close(release)
-	if got := waitDone(t, ts, st.ID); got.State != "done" {
-		t.Fatalf("sweep = %+v", got)
+	for _, msg := range []string{"sweep accepted", "sweep done"} {
+		deadline := time.Now().Add(5 * time.Second)
+		for !strings.Contains(buf.String(), `"msg":"`+msg+`"`) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %q record; log: %s", msg, buf.String())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
+	sc = bufio.NewScanner(strings.NewReader(buf.String()))
+	for sc.Scan() {
+		var rec struct {
+			Msg       string `json:"msg"`
+			Name      string `json:"name"`
+			RequestID string `json:"request_id"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("record %s: %v", sc.Bytes(), err)
+		}
+		if strings.HasPrefix(rec.Msg, "sweep ") && (rec.Name != "e2e" || rec.RequestID != "log-sweep-1") {
+			t.Errorf("lifecycle record %s, want name e2e and request_id log-sweep-1", sc.Bytes())
+		}
+	}
+}
 
-	var m engine.Manifest
-	getJSON(t, ts, "/v1/sweeps/"+st.ID+"/manifest", &m)
+// TestDoneEventCarriesManifest: the done event of a sweep's stream
+// carries its manifest, which verifies, names the spec, has a leaf per
+// point and equals BuildManifest over the streamed results. A failed
+// sweep's stream ends in its error, with no manifest.
+func TestDoneEventCarriesManifest(t *testing.T) {
+	srv := New(Config{Parallel: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	s := sweepDone(t, ts, testSpec, 4)
+	m := s.last().Manifest
+	if m == nil {
+		t.Fatal("done event carries no manifest")
+	}
 	if err := m.Check(); err != nil {
 		t.Fatalf("manifest does not verify: %v", err)
 	}
 	if m.Points != 4 || m.Name != "e2e" || len(m.Leaves) != 4 {
 		t.Fatalf("manifest = %d points, name %q, %d leaves", m.Points, m.Name, len(m.Leaves))
 	}
-
-	// The NDJSON done event carries the same manifest.
-	sresp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/stream")
+	grid, err := mustSpec(t, testSpec).Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sresp.Body.Close()
-	var last clientpkg.StreamEvent
-	points := 0
-	sc := bufio.NewScanner(sresp.Body)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
-			t.Fatalf("stream event %s: %v", sc.Bytes(), err)
-		}
-		if !last.Done {
-			points++
-		}
+	var results []engine.Result
+	for _, ev := range s.points() {
+		results = append(results, *ev.Result)
 	}
-	if err := sc.Err(); err != nil {
+	want, err := engine.BuildManifest("e2e", grid.Jobs(), results)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !last.Done || points != 4 {
-		t.Fatalf("stream ended with %+v after %d points", last, points)
-	}
-	if last.Manifest == nil {
-		t.Fatal("done event carries no manifest")
-	}
-	if last.Manifest.Root != m.Root {
-		t.Fatalf("stream manifest root %s != endpoint root %s", last.Manifest.Root, m.Root)
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("streamed manifest root %s, BuildManifest over the streamed results %s", m.Root, want.Root)
 	}
 
-	// A failed sweep serves its error instead of a manifest.
+	// A failed sweep ends with its error instead of a manifest.
 	fsrv := New(Config{
 		Parallel: 1,
 		Simulate: func(j engine.Job) (engine.Result, error) {
@@ -424,17 +413,13 @@ func TestManifestEndpointAndStream(t *testing.T) {
 	})
 	fts := httptest.NewServer(fsrv)
 	defer fts.Close()
-	fst := submit(t, fts, testSpec)
-	if got := waitDone(t, fts, fst.ID); got.State != "failed" {
-		t.Fatalf("sweep = %+v", got)
+	fs := sweepSpec(t, fts, testSpec)
+	for _, ev := range fs {
+		if ev.Done || ev.Manifest != nil {
+			t.Fatalf("failed sweep streamed %+v", ev)
+		}
 	}
-	fresp, err := http.Get(fts.URL + "/v1/sweeps/" + fst.ID + "/manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fbody, _ := io.ReadAll(fresp.Body)
-	fresp.Body.Close()
-	if fresp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(fbody), "sweep_failed") {
-		t.Fatalf("failed-sweep manifest: status %d, body %s", fresp.StatusCode, fbody)
+	if !strings.Contains(fs.last().Error, "injected failure") {
+		t.Fatalf("failed sweep ended with %+v", fs.last())
 	}
 }

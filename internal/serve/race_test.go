@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -31,14 +30,14 @@ func clientSpec(i int) string {
 // points cover only 4 unique jobs, and everything beyond those 4 must
 // come from the in-memory cache or single-flight sharing. Run under
 // -race (CI does) this also proves the submission path, the per-sweep
-// progress trackers and the shared engine are data-race free.
+// streams and the shared engine are data-race free.
 func TestConcurrentClientsSingleFlight(t *testing.T) {
 	const clients = 8
 	srv := New(Config{Parallel: 4, MaxQueued: clients})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	ids := make([]string, clients)
+	runs := make([]streamed, clients)
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -53,17 +52,7 @@ func TestConcurrentClientsSingleFlight(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			defer resp.Body.Close()
-			var st Status
-			if resp.StatusCode != http.StatusAccepted {
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				errs[i] = err
-				return
-			}
-			ids[i] = st.ID
+			runs[i], errs[i] = readStream(t, resp)
 		}(i)
 	}
 	wg.Wait()
@@ -74,15 +63,15 @@ func TestConcurrentClientsSingleFlight(t *testing.T) {
 	}
 
 	var perSweep int64
-	for _, id := range ids {
-		st := waitDone(t, ts, id)
-		if st.State != "done" {
-			t.Fatalf("sweep %s: %+v", id, st)
+	for i, s := range runs {
+		if last := s.last(); !last.Done || last.Points != 2 {
+			t.Fatalf("client %d: stream ended with %+v", i, last)
 		}
-		if st.Done != 2 || st.Simulated+st.MemoryHits+st.DiskHits+st.Shared != 2 {
-			t.Fatalf("sweep %s counts inconsistent: %+v", id, st)
+		c := s.counts()
+		if len(s.points()) != 2 || c.Total() != 2 {
+			t.Fatalf("client %d counts inconsistent: %+v", i, c)
 		}
-		perSweep += st.Simulated
+		perSweep += c.Simulated
 	}
 
 	// 4 unique jobs across all clients: rob 128 (shared by every spec)

@@ -3,39 +3,33 @@
 // shared on-disk store instead of each paying cold simulations.
 //
 // The API accepts the strict-JSON scenario Spec of internal/scenario and
-// funnels results through the same emitters as cmd/iqsweep, so a sweep
-// fetched over HTTP is byte-identical to `iqsweep -spec` on the same
-// spec:
+// answers it with the sweep's per-point results, streamed in grid order.
+// The results decode to the exact engine.Result the server computed, so
+// documents a client assembles from them (`iqsweep -server`) are
+// byte-identical to `iqsweep -spec` on the same spec:
 //
-//	POST /v1/sweeps               submit a spec; 202 + sweep id, 400 on a
-//	                              malformed/invalid spec, 429 over quota,
-//	                              503 while draining; with an Accept
-//	                              header naming application/x-ndjson,
-//	                              200 + the sweep's NDJSON stream (the
-//	                              Client layer's RemoteClient sends this)
-//	GET  /v1/sweeps               status of every known sweep
-//	GET  /v1/sweeps/{id}          results (?format=csv|json|md; 202 while
-//	                              the sweep is still running)
-//	GET  /v1/sweeps/{id}/stream   per-point results as NDJSON, streamed in
-//	                              grid order as they resolve (re-attach)
-//	GET  /v1/sweeps/{id}/status   per-sweep progress and resolution counts
-//	GET  /v1/sweeps/{id}/manifest the sweep's tamper-evident Merkle
-//	                              manifest (202 while running)
-//	GET  /v1/machine              the paper's Table 1 machine
-//	GET  /v1/benchmarks           workload names per suite
-//	GET  /v1/stats                engine-wide resolution counters
-//	GET  /v1/version              build and process identity
-//	GET  /metrics                 Prometheus text exposition
-//	GET  /healthz                 readiness (503 while draining)
-//	GET  /livez                   liveness
+//	POST /v1/sweeps       submit a spec; 200 + the sweep's NDJSON stream,
+//	                      ending in a done event that carries the sweep's
+//	                      Merkle manifest; 400 on a malformed/invalid
+//	                      spec, 413 over 1 MiB, 429 over quota, 503 while
+//	                      draining, each before anything streams
+//	GET  /v1/machine      the paper's Table 1 machine
+//	GET  /v1/benchmarks   workload names per suite
+//	GET  /v1/stats        engine-wide resolution counters
+//	GET  /v1/version      build and process identity
+//	GET  /metrics         Prometheus text exposition
+//	GET  /healthz         readiness (503 while draining)
+//	GET  /livez           liveness
 //
 // Every error body has one stable shape: {"code": ..., "error": ...},
 // and every response carries an X-Request-Id header (honored from the
 // request or generated) that also tags the server's structured logs.
 // Specs are expanded and validated before admission (invalid grids never
-// occupy a queue slot), admitted sweeps run asynchronously on the shared
-// engine's worker pool, and Drain provides graceful shutdown: new
-// submissions are refused while every in-flight sweep runs to completion.
+// occupy a queue slot). The server holds a sweep only while it runs, on
+// the shared engine's worker pool; a sweep whose client leaves still
+// runs to completion and persists, so resubmitting its spec simulates
+// nothing. Drain provides graceful shutdown: new submissions are refused
+// while every in-flight sweep runs to completion.
 package serve
 
 import (
@@ -46,7 +40,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -64,10 +57,6 @@ import (
 // leaves MaxQueued zero.
 const DefaultMaxQueued = 64
 
-// DefaultMaxHistory bounds retained finished sweeps when Config leaves
-// MaxHistory zero.
-const DefaultMaxHistory = 256
-
 // maxSpecBytes bounds a submitted spec document; real specs are a few
 // hundred bytes, so a megabyte is generous.
 const maxSpecBytes = 1 << 20
@@ -84,10 +73,6 @@ type Config struct {
 	// MaxQueued bounds sweeps admitted but not yet finished; further
 	// submissions answer 429. Zero selects DefaultMaxQueued.
 	MaxQueued int
-	// MaxHistory bounds finished sweeps retained for result fetches;
-	// beyond it the oldest finished sweeps (and their result sets) are
-	// evicted and their ids answer 404. Zero selects DefaultMaxHistory.
-	MaxHistory int
 	// Simulate overrides the simulation function (tests inject stubs);
 	// nil selects the real simulator.
 	Simulate func(engine.Job) (engine.Result, error)
@@ -98,106 +83,49 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// sweepState is the lifecycle of one admitted sweep.
-type sweepState string
-
-const (
-	stateQueued  sweepState = "queued"
-	stateRunning sweepState = "running"
-	stateDone    sweepState = "done"
-	stateFailed  sweepState = "failed"
-)
-
-// sweep is one admitted grid and its progress. The progress counters are
-// per-sweep (fed by the engine's per-point streaming hook), so a warm
-// resubmission reports 0 simulated even while other sweeps simulate.
-// Per-point results are retained in grid order as they resolve, so the
-// NDJSON streaming endpoint can deliver each point the moment the
-// in-order prefix reaches it; cond (on mu) is broadcast at every point
-// completion and state change.
+// sweep is one admitted grid and its progress, held while it runs and
+// while its submission streams. The resolution counts are per-sweep (fed
+// by the engine's per-point streaming hook), so a warm resubmission
+// reports 0 simulated even while other sweeps simulate. Per-point
+// results are kept in grid order as they resolve, so the stream can
+// deliver each point the moment the in-order prefix reaches it; cond (on
+// mu) is broadcast at every point completion and at the sweep's end.
 type sweep struct {
-	id   string
-	name string
 	grid *scenario.Grid
 	// reqID is the submitting request's ID, threaded through every
 	// lifecycle log line so a sweep's records correlate with the
 	// submission.
 	reqID string
-	// finished, guarded by the Server's mu, marks a sweep counted among
-	// the finished ones history eviction may drop: set once the sweep
-	// has reached its terminal state.
-	finished bool
-
-	mu    sync.Mutex
-	cond  *sync.Cond
-	state sweepState
 	total int
-	done  int
+
+	mu   sync.Mutex
+	cond *sync.Cond
 	// Per-sweep resolution counts by source.
 	counts client.Counts
 	// Per-point outcomes, indexed by grid position; ready[i] flips once
-	// results[i]/sources[i] are valid.
+	// results[i]/sources[i] are valid, and they never change after.
 	results []engine.Result
 	sources []engine.Source
 	ready   []bool
-	res     *scenario.ResultSet
-	err     error
-	// manifest is the sweep's tamper-evident Merkle manifest, built once
-	// when the sweep completes successfully.
+	// over marks the sweep's end: err is its error, nil when it is
+	// counted done, and manifest then its tamper-evident Merkle
+	// manifest.
+	over     bool
+	err      error
 	manifest *engine.Manifest
 }
 
-// Status is the JSON progress document of one sweep.
-type Status struct {
-	ID    string `json:"id"`
-	Name  string `json:"name,omitempty"`
-	State string `json:"state"`
-	// Points is the grid size; Done counts points resolved so far.
-	Points int `json:"points"`
-	Done   int `json:"done"`
-	// Resolution counts, per-sweep: Simulated ran the simulator;
-	// MemoryHits, DiskHits and Shared were served from the shared
-	// engine's caches or an in-flight run of the same simulation.
-	Simulated  int64  `json:"simulated"`
-	MemoryHits int64  `json:"memory_hits"`
-	DiskHits   int64  `json:"disk_hits"`
-	Shared     int64  `json:"shared"`
-	Error      string `json:"error,omitempty"`
-}
-
-// status snapshots the sweep under its lock.
-func (sw *sweep) status() Status {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.statusLocked()
-}
-
-// statusLocked snapshots the sweep; the caller holds sw.mu.
-func (sw *sweep) statusLocked() Status {
-	st := Status{
-		ID: sw.id, Name: sw.name, State: string(sw.state),
-		Points: sw.total, Done: sw.done,
-		Simulated: sw.counts.Simulated, MemoryHits: sw.counts.MemoryHits,
-		DiskHits: sw.counts.DiskHits, Shared: sw.counts.Shared,
-	}
-	if sw.err != nil {
-		st.Error = sw.err.Error()
-	}
-	return st
-}
-
 // Server is the HTTP experiment service: one shared engine, a bounded
-// admission queue of sweeps, and handlers for submission, progress,
-// results and introspection. It implements http.Handler.
+// admission queue of sweeps, and handlers for submission and
+// introspection. It implements http.Handler.
 type Server struct {
-	eng        *engine.Engine
-	store      engine.ResultStore
-	maxQueued  int
-	maxHistory int
-	log        *slog.Logger
-	mux        *http.ServeMux
-	obs        *obs.Registry
-	start      time.Time
+	eng       *engine.Engine
+	store     engine.ResultStore
+	maxQueued int
+	log       *slog.Logger
+	mux       *http.ServeMux
+	obs       *obs.Registry
+	start     time.Time
 
 	// Server-level metric instruments (the engine's live on the same
 	// registry).
@@ -208,11 +136,7 @@ type Server struct {
 	instsPerSec    *obs.Gauge
 
 	mu       sync.Mutex
-	sweeps   map[string]*sweep
-	order    []string // sweep ids in admission order
-	active   int      // admitted but unfinished sweeps
-	finished int      // retained sweeps counted finished (sweep.finished)
-	nextID   int
+	active   int // admitted but unfinished sweeps
 	draining bool
 
 	wg sync.WaitGroup // one per in-flight sweep, for Drain
@@ -223,10 +147,6 @@ func New(cfg Config) *Server {
 	maxQueued := cfg.MaxQueued
 	if maxQueued <= 0 {
 		maxQueued = DefaultMaxQueued
-	}
-	maxHistory := cfg.MaxHistory
-	if maxHistory <= 0 {
-		maxHistory = DefaultMaxHistory
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -241,21 +161,14 @@ func New(cfg Config) *Server {
 			Simulate: cfg.Simulate,
 			Obs:      reg,
 		}),
-		maxQueued:  maxQueued,
-		maxHistory: maxHistory,
-		log:        logger,
-		obs:        reg,
-		start:      time.Now(),
-		sweeps:     make(map[string]*sweep),
+		maxQueued: maxQueued,
+		log:       logger,
+		obs:       reg,
+		start:     time.Now(),
 	}
 	s.instrument()
 	mux := http.NewServeMux()
 	s.route(mux, "POST /v1/sweeps", s.handleSubmit)
-	s.route(mux, "GET /v1/sweeps", s.handleList)
-	s.route(mux, "GET /v1/sweeps/{id}", s.handleResult)
-	s.route(mux, "GET /v1/sweeps/{id}/stream", s.handleStream)
-	s.route(mux, "GET /v1/sweeps/{id}/status", s.handleStatus)
-	s.route(mux, "GET /v1/sweeps/{id}/manifest", s.handleManifest)
 	s.route(mux, "GET /v1/machine", s.handleMachine)
 	s.route(mux, "GET /v1/benchmarks", s.handleBenchmarks)
 	s.route(mux, "GET /v1/stats", s.handleStats)
@@ -314,9 +227,8 @@ func writeSpecError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "bad_spec", err.Error())
 }
 
-// handleSubmit parses, validates and expands a spec, then admits it onto
-// the bounded queue and starts it on the shared engine. It answers with
-// the sweep's status, or, when the request accepts NDJSON, with the
+// handleSubmit parses, validates and expands a spec, admits it onto the
+// bounded queue, starts it on the shared engine and answers with the
 // sweep's stream.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
@@ -356,73 +268,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("admission queue is full (%d sweeps queued or running)", n))
 		return
 	}
-	s.nextID++
-	sw := &sweep{
-		id:      fmt.Sprintf("sw-%06d", s.nextID),
-		name:    spec.Name,
-		grid:    grid,
-		reqID:   RequestID(r.Context()),
-		state:   stateQueued,
-		total:   grid.Size(),
-		results: make([]engine.Result, grid.Size()),
-		sources: make([]engine.Source, grid.Size()),
-		ready:   make([]bool, grid.Size()),
-	}
-	sw.cond = sync.NewCond(&sw.mu)
-	s.sweeps[sw.id] = sw
-	s.order = append(s.order, sw.id)
 	s.active++
 	s.wg.Add(1)
 	s.mu.Unlock()
 
+	n := grid.Size()
+	sw := &sweep{
+		grid:    grid,
+		reqID:   RequestID(r.Context()),
+		total:   n,
+		results: make([]engine.Result, n),
+		sources: make([]engine.Source, n),
+		ready:   make([]bool, n),
+	}
+	sw.cond = sync.NewCond(&sw.mu)
 	s.sweepsAccepted.Inc()
 	s.log.Info("sweep accepted",
-		"sweep", sw.id, "name", sw.name, "points", sw.total, "request_id", sw.reqID)
-	w.Header().Set("Location", "/v1/sweeps/"+sw.id)
-	if acceptsNDJSON(r) {
-		go s.runSweep(sw, grid)
-		streamSweep(w, r, sw)
-		return
-	}
-	// Snapshot the documented "queued" response before the sweep starts:
-	// on a warm store a tiny grid could otherwise finish first and the
-	// 202 body would surprise clients pinned to the documented shape.
-	st := sw.status()
-	go s.runSweep(sw, grid)
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// acceptsNDJSON reports whether the request's Accept header names the
-// NDJSON stream, asking for a submission to answer with the sweep's
-// stream instead of its status.
-func acceptsNDJSON(r *http.Request) bool {
-	for _, v := range r.Header.Values("Accept") {
-		for _, mt := range strings.Split(v, ",") {
-			mt, _, _ = strings.Cut(mt, ";")
-			if strings.EqualFold(strings.TrimSpace(mt), "application/x-ndjson") {
-				return true
-			}
-		}
-	}
-	return false
+		"name", spec.Name, "points", n, "request_id", sw.reqID)
+	go s.runSweep(sw)
+	streamSweep(w, r, sw)
 }
 
 // runSweep executes one admitted grid on the shared engine through the
 // per-point streaming primitive: every resolved point lands in the
-// sweep's in-order result slots (waking any NDJSON streamers) and feeds
-// the per-sweep resolution counters.
-func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
+// sweep's in-order result slots (waking its stream) and feeds the
+// per-sweep resolution counters.
+func (s *Server) runSweep(sw *sweep) {
 	defer s.wg.Done()
 	started := time.Now()
-	sw.mu.Lock()
-	sw.state = stateRunning
-	sw.cond.Broadcast()
-	sw.mu.Unlock()
-
-	errs := make([]error, grid.Size())
-	grid.RunStream(context.Background(), s.eng, func(i int, r engine.Result, err error, src engine.Source) {
+	errs := make([]error, sw.total)
+	sw.grid.RunStream(context.Background(), s.eng, func(i int, r engine.Result, err error, src engine.Source) {
 		sw.mu.Lock()
-		sw.done++
 		sw.counts.Add(src)
 		if err != nil {
 			errs[i] = err
@@ -441,6 +317,7 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 	}
 
 	elapsed := time.Since(started)
+	name := sw.grid.Spec.Name
 	var manifest *engine.Manifest
 	var insts uint64
 	if err == nil {
@@ -450,12 +327,12 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 		// The manifest name is the spec name (as the Local client uses),
 		// so a Remote sweep's manifest is identical to a Local sweep of
 		// the same grid. Spec-expanded grids are always addressable; a
-		// build failure is a server bug, surfaced at the endpoint.
-		manifest, err = s.eng.Manifest(sw.name, grid.Jobs(), sw.results)
+		// build failure is a server bug, which fails the sweep.
+		manifest, err = s.eng.Manifest(name, sw.grid.Jobs(), sw.results)
 	}
 
-	// Count the sweep before publishing its final state: a status poller
-	// the broadcast wakes may scrape the metrics next.
+	// Count the sweep before publishing its end: a client the terminal
+	// event reaches may scrape the metrics or resubmit next.
 	ips := float64(insts) / elapsed.Seconds()
 	if err != nil {
 		s.sweepsFailed.Inc()
@@ -463,34 +340,25 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 		s.instsPerSec.Set(ips)
 		s.sweepsDone.Inc()
 	}
+	s.mu.Lock()
+	s.active--
+	s.mu.Unlock()
 
 	sw.mu.Lock()
-	if err != nil {
-		sw.state, sw.err = stateFailed, err
-	} else {
-		sw.state = stateDone
-		sw.manifest = manifest
-		sw.res = &scenario.ResultSet{Grid: grid, Results: sw.results, Stats: s.eng.Stats()}
-	}
+	sw.over, sw.err, sw.manifest = true, err, manifest
+	counts := sw.counts
 	sw.cond.Broadcast()
 	sw.mu.Unlock()
 
-	s.mu.Lock()
-	s.active--
-	s.finished++
-	sw.finished = true
-	s.evictLocked()
-	s.mu.Unlock()
-
-	if st := sw.status(); err != nil {
+	if err != nil {
 		s.log.Error("sweep failed",
-			"sweep", sw.id, "error", err.Error(),
+			"name", name, "error", err.Error(),
 			"duration_s", elapsed.Seconds(), "request_id", sw.reqID)
 	} else {
 		s.log.Info("sweep done",
-			"sweep", sw.id,
-			"simulated", st.Simulated, "memory", st.MemoryHits,
-			"disk", st.DiskHits, "shared", st.Shared,
+			"name", name,
+			"simulated", counts.Simulated, "memory", counts.MemoryHits,
+			"disk", counts.DiskHits, "shared", counts.Shared,
 			"duration_s", elapsed.Seconds(),
 			"insts_per_second", ips,
 			"merkle_root", manifest.Root,
@@ -498,140 +366,48 @@ func (s *Server) runSweep(sw *sweep, grid *scenario.Grid) {
 	}
 }
 
-// evictLocked drops the oldest finished sweeps — and, with them, their
-// retained result sets — once more than maxHistory have finished, so a
-// long-lived service does not grow without bound. Unfinished sweeps are
-// never evicted (the admission queue bounds those). The pass walks the
-// sweeps in admission order and stops as soon as maxHistory finished
-// ones remain. Called with s.mu held.
-func (s *Server) evictLocked() {
-	for i := 0; s.finished > s.maxHistory && i < len(s.order); {
-		sw := s.sweeps[s.order[i]]
-		if !sw.finished {
-			i++
-			continue
-		}
-		delete(s.sweeps, sw.id)
-		s.order = append(s.order[:i], s.order[i+1:]...)
-		s.finished--
-		s.log.Info("sweep evicted", "sweep", sw.id, "max_history", s.maxHistory)
-	}
-}
-
 // blocks reports whether a stream must wait on the sweep for point i,
-// or for i == total for its terminal state: neither has arrived, the
-// sweep has not failed and the stream's client is still there. The
-// caller holds sw.mu.
+// or for i == total for its end: neither has arrived, the sweep has not
+// failed and the stream's client is still there. The caller holds
+// sw.mu.
 func (sw *sweep) blocks(ctx context.Context, i int) bool {
-	if sw.state == stateFailed || ctx.Err() != nil {
+	if sw.err != nil || ctx.Err() != nil {
 		return false
 	}
 	if i < sw.total {
 		return !sw.ready[i]
 	}
-	return sw.state != stateDone
+	return !sw.over
 }
 
-// lookup returns the sweep for the request's {id}, or writes 404.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *sweep {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	sw := s.sweeps[id]
-	s.mu.Unlock()
-	if sw == nil {
-		writeError(w, http.StatusNotFound, "not_found",
-			fmt.Sprintf("unknown sweep %q", id))
+// event returns the stream's event at position i once the stream need
+// not wait for it: point i's result, the sweep's error at its first
+// position without one, or, for i == total, the done event of a sweep
+// counted done. The caller holds sw.mu.
+func (sw *sweep) event(i int) client.StreamEvent {
+	switch {
+	case i < sw.total && sw.ready[i]:
+		return client.StreamEvent{
+			Index:     i,
+			Benchmark: sw.grid.Points[i].Bench,
+			Source:    sw.sources[i],
+			Result:    &sw.results[i],
+		}
+	case sw.err != nil:
+		return client.StreamEvent{Index: i, Error: sw.err.Error()}
 	}
-	return sw
-}
-
-// handleStatus serves per-sweep progress.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookup(w, r)
-	if sw == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, sw.status())
-}
-
-// handleList serves every known sweep's status in admission order.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sws := make([]*sweep, 0, len(s.order))
-	for _, id := range s.order {
-		sws = append(sws, s.sweeps[id])
-	}
-	s.mu.Unlock()
-	out := make([]Status, len(sws))
-	for i, sw := range sws {
-		out[i] = sw.status()
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Sweeps []Status `json:"sweeps"`
-	}{out})
-}
-
-// handleResult serves a finished sweep's results through the scenario
-// emitters — the same code path as `iqsweep -spec`, so the bodies are
-// byte-identical. While the sweep is still queued or running it answers
-// 202 with the status document.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookup(w, r)
-	if sw == nil {
-		return
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "csv"
-	}
-	ctype, ok := scenario.ContentType(format)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "bad_format",
-			fmt.Sprintf("unknown format %q (csv, json or md)", format))
-		return
-	}
-
-	// One snapshot under one lock: the 202 body below must agree with
-	// the state we branched on, even if the sweep finishes meanwhile.
-	sw.mu.Lock()
-	st := sw.statusLocked()
-	res, err := sw.res, sw.err
-	sw.mu.Unlock()
-	switch sweepState(st.State) {
-	case stateQueued, stateRunning:
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	case stateFailed:
-		writeError(w, http.StatusInternalServerError, "sweep_failed", err.Error())
-		return
-	}
-
-	w.Header().Set("Content-Type", ctype)
-	if err := res.Emit(w, format); err != nil {
-		// The response may be partially written; nothing more to do
-		// than log (Emit only fails on writer errors here, the format
-		// was validated above).
-		s.log.Warn("emit failed", "sweep", sw.id, "format", format, "error", err.Error())
-	}
-}
-
-// handleStream serves a sweep's per-point results as NDJSON: the
-// re-attach form of a streamed submission (see streamSweep).
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if sw := s.lookup(w, r); sw != nil {
-		streamSweep(w, r, sw)
-	}
+	return client.StreamEvent{Done: true, Points: sw.total, Manifest: sw.manifest}
 }
 
 // streamSweep writes a sweep's per-point results as NDJSON
 // (client.StreamEvent per line) in grid order, answering 200. Points
 // already resolved go out back to back, and the stream is flushed only
 // when it would otherwise wait on the sweep: a consumer sees each point
-// as soon as the in-order prefix reaches it and renders progress live,
-// while a finished sweep replays in as few writes as its size allows.
-// The stream terminates with {"done":true} on success or an
-// {"error":...} event at the first failed point; a cancelled request
-// unblocks promptly.
+// as soon as the in-order prefix reaches it and renders progress live.
+// The stream terminates with the done event, carrying the manifest, on
+// success, or with an error event at the first point without a result
+// (past the last point when only the manifest failed); a cancelled
+// request returns promptly while the sweep runs on.
 func streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) {
 	ctx := r.Context()
 	// Wake the cond waiters below when the client goes away, so an
@@ -647,100 +423,39 @@ func streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	// await locks sw.mu and returns, holding it, once the stream need
-	// not wait for point i (for i == sw.total: for the sweep's end).
-	// Before it first waits it pushes out what is written so far (on
-	// the first point, the response header) outside the lock, so a slow
-	// client never holds up the sweep.
-	await := func(i int) {
-		sw.mu.Lock()
-		if !sw.blocks(ctx, i) {
-			return
-		}
-		sw.mu.Unlock()
-		if flusher != nil {
-			flusher.Flush()
-		}
-		sw.mu.Lock()
-		for sw.blocks(ctx, i) {
-			sw.cond.Wait()
-		}
-	}
-	// write sends one event; false means the stream is over.
 	var line []byte
-	write := func(ev client.StreamEvent) bool {
-		var err error
-		if line, err = ev.AppendLine(line[:0]); err != nil {
-			return false
+	// Position sw.total is the sweep's end, a moment after its last
+	// point, so the done event can carry the manifest; the server
+	// flushes the last write with the end of the response.
+	for i := 0; i <= sw.total; i++ {
+		// Wait until the stream need not wait for position i. Before the
+		// first wait, push out what is written so far (on the first point,
+		// the response header) outside the lock, so a slow client never
+		// holds up the sweep.
+		sw.mu.Lock()
+		if sw.blocks(ctx, i) {
+			sw.mu.Unlock()
+			if flusher != nil {
+				flusher.Flush()
+			}
+			sw.mu.Lock()
+			for sw.blocks(ctx, i) {
+				sw.cond.Wait()
+			}
 		}
-		_, err = w.Write(line)
-		return err == nil
-	}
-
-	for i := 0; i < sw.total; i++ {
-		await(i)
-		ok := sw.ready[i]
-		res := sw.results[i]
-		src := sw.sources[i]
-		err := sw.err
+		ev := sw.event(i)
 		sw.mu.Unlock()
 		if ctx.Err() != nil {
 			return
 		}
-		if !ok {
-			// The sweep failed and this is the first unresolved point in
-			// grid order; terminate the stream with the sweep's error.
-			msg := "sweep failed"
-			if err != nil {
-				msg = err.Error()
-			}
-			write(client.StreamEvent{Index: i, Error: msg})
+		var err error
+		if line, err = ev.AppendLine(line[:0]); err != nil {
 			return
 		}
-		if !write(client.StreamEvent{
-			Index:     i,
-			Benchmark: sw.grid.Points[i].Bench,
-			Source:    src,
-			Result:    &res,
-		}) {
-			return // client went away mid-write
+		if _, err := w.Write(line); err != nil || ev.Result == nil {
+			return // the client went away, or the stream is over
 		}
 	}
-	// Every point is out; wait for the sweep's terminal transition so the
-	// done event can carry the manifest (built right after the last point
-	// resolves — the wait is momentary). The server flushes the last
-	// write with the end of the response.
-	await(sw.total)
-	manifest := sw.manifest
-	sw.mu.Unlock()
-	if ctx.Err() != nil {
-		return
-	}
-	write(client.StreamEvent{Done: true, Points: sw.total, Manifest: manifest})
-}
-
-// handleManifest serves a finished sweep's tamper-evident Merkle
-// manifest: 202 with the status document while the sweep is queued or
-// running, the sweep's error while failed, the manifest JSON once done.
-func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	sw := s.lookup(w, r)
-	if sw == nil {
-		return
-	}
-	sw.mu.Lock()
-	st := sw.statusLocked()
-	m := sw.manifest
-	err := sw.err
-	sw.mu.Unlock()
-	switch sweepState(st.State) {
-	case stateQueued, stateRunning:
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	case stateFailed:
-		writeError(w, http.StatusInternalServerError, "sweep_failed", err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, m)
 }
 
 // machineDoc is the stable JSON rendering of the Table 1 machine. It is
@@ -877,12 +592,4 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return s.store.Close()
-}
-
-// SweepIDs returns every known sweep id in admission order (a stable,
-// test-friendly view of the registry).
-func (s *Server) SweepIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
 }

@@ -1,19 +1,20 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"distiq/internal/client"
 	"distiq/internal/engine"
-	"distiq/internal/scenario"
 )
 
 // testSpec is the canonical 3-axis grid (scheme × ROB × perfect
@@ -29,75 +30,109 @@ const testSpec = `{
   "instructions": 2000
 }`
 
-// submit POSTs a spec and decodes the 202 status document.
-func submit(t *testing.T, ts *httptest.Server, spec string) Status {
+// streamed is the events of a submission's NDJSON stream read to its
+// end.
+type streamed []client.StreamEvent
+
+// last returns the stream's terminal event.
+func (s streamed) last() client.StreamEvent {
+	if len(s) == 0 {
+		return client.StreamEvent{}
+	}
+	return s[len(s)-1]
+}
+
+// points returns the stream's per-point events.
+func (s streamed) points() []client.StreamEvent {
+	var out []client.StreamEvent
+	for _, ev := range s {
+		if ev.Result != nil {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// counts sums how the stream's points were resolved, as Stream.Counts
+// does for a Remote sweep.
+func (s streamed) counts() client.Counts {
+	var c client.Counts
+	for _, ev := range s.points() {
+		c.Add(ev.Source)
+	}
+	return c
+}
+
+// readStream checks that resp answers 200 with an NDJSON stream and
+// reads its events to the end of the body. It reports failures with
+// Errorf, so it may run off the test goroutine.
+func readStream(t *testing.T, resp *http.Response) (streamed, error) {
+	t.Helper()
+	defer resp.Body.Close()
+	var s streamed
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		return s, fmt.Errorf("submit: status %d, body %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		return s, fmt.Errorf("stream content type = %q", ct)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
+	for sc.Scan() {
+		var ev client.StreamEvent
+		if err := ev.UnmarshalJSON(sc.Bytes()); err != nil {
+			return s, fmt.Errorf("malformed stream line %q: %v", sc.Text(), err)
+		}
+		s = append(s, ev)
+	}
+	return s, sc.Err()
+}
+
+// sweepSpec POSTs spec as a plain JSON body, with no Accept header, and
+// reads the stream the server answers with to its end.
+func sweepSpec(t *testing.T, ts *httptest.Server, spec string) streamed {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d, body %s", resp.StatusCode, body)
-	}
-	var st Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("submit: bad status body %s: %v", body, err)
-	}
-	if resp.Header.Get("Location") != "/v1/sweeps/"+st.ID {
-		t.Fatalf("submit: Location = %q for id %s", resp.Header.Get("Location"), st.ID)
-	}
-	return st
-}
-
-// waitDone polls a sweep's status until it leaves the queued/running
-// states, then returns the final status.
-func waitDone(t *testing.T, ts *httptest.Server, id string) Status {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/status")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st Status
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if st.State == string(stateDone) || st.State == string(stateFailed) {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep %s still %s after 30s", id, st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// fetch GETs a finished sweep's body in one format.
-func fetch(t *testing.T, ts *httptest.Server, id, format string) (string, string) {
-	t.Helper()
-	url := ts.URL + "/v1/sweeps/" + id
-	if format != "" {
-		url += "?format=" + format
-	}
-	resp, err := http.Get(url)
+	s, err := readStream(t, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fetch %s format %q: status %d, body %s", id, format, resp.StatusCode, body)
+	return s
+}
+
+// sweepDone is sweepSpec for a sweep that must succeed with points
+// points.
+func sweepDone(t *testing.T, ts *httptest.Server, spec string, points int) streamed {
+	t.Helper()
+	s := sweepSpec(t, ts, spec)
+	if last := s.last(); !last.Done || last.Points != points || len(s.points()) != points {
+		t.Fatalf("stream of %d events ended with %+v, want %d points and done", len(s), last, points)
 	}
-	return string(body), resp.Header.Get("Content-Type")
+	return s
+}
+
+// resultBytes encodes each point's result, the bytes every document
+// assembled from the stream is built on.
+func resultBytes(t *testing.T, s streamed) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, ev := range s.points() {
+		b, err := ev.Result.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
 }
 
 // TestEndToEndColdWarm submits the 3-axis spec cold, re-submits it warm,
 // and asserts the warm sweep performs zero simulations while every
-// emitted body stays byte-identical — the service analogue of the
+// streamed result stays byte-identical — the service analogue of the
 // `iqsweep -spec` warm-store regression test.
 func TestEndToEndColdWarm(t *testing.T) {
 	cacheDir := t.TempDir()
@@ -105,35 +140,19 @@ func TestEndToEndColdWarm(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	cold := submit(t, ts, testSpec)
-	if cold.Points != 4 {
-		t.Fatalf("cold sweep points = %d, want 4", cold.Points)
-	}
-	coldDone := waitDone(t, ts, cold.ID)
-	if coldDone.State != "done" {
-		t.Fatalf("cold sweep state = %q (%s)", coldDone.State, coldDone.Error)
-	}
-	if coldDone.Simulated != 4 {
-		t.Fatalf("cold sweep simulated %d jobs, want 4", coldDone.Simulated)
-	}
-	if coldDone.Done != 4 {
-		t.Fatalf("cold sweep done = %d, want 4", coldDone.Done)
+	cold := sweepDone(t, ts, testSpec, 4)
+	if c := cold.counts(); c.Simulated != 4 {
+		t.Fatalf("cold sweep simulated %d jobs, want 4: %+v", c.Simulated, c)
 	}
 
-	warm := submit(t, ts, testSpec)
-	warmDone := waitDone(t, ts, warm.ID)
-	if warmDone.Simulated != 0 {
-		t.Fatalf("warm sweep simulated %d jobs, want 0", warmDone.Simulated)
+	warm := sweepDone(t, ts, testSpec, 4)
+	if c := warm.counts(); c.Simulated != 0 || c.MemoryHits+c.DiskHits+c.Shared != 4 {
+		t.Fatalf("warm sweep not fully served from caches: %+v", c)
 	}
-	if warmDone.MemoryHits+warmDone.DiskHits+warmDone.Shared != 4 {
-		t.Fatalf("warm sweep not fully served from caches: %+v", warmDone)
-	}
-
-	for _, format := range []string{"csv", "json", "md"} {
-		cb, _ := fetch(t, ts, cold.ID, format)
-		wb, _ := fetch(t, ts, warm.ID, format)
-		if cb != wb {
-			t.Errorf("%s body differs between cold and warm sweep:\ncold:\n%s\nwarm:\n%s", format, cb, wb)
+	coldBytes := resultBytes(t, cold)
+	for i, b := range resultBytes(t, warm) {
+		if !bytes.Equal(b, coldBytes[i]) {
+			t.Errorf("point %d differs between cold and warm sweep:\ncold: %s\nwarm: %s", i, coldBytes[i], b)
 		}
 	}
 
@@ -141,105 +160,55 @@ func TestEndToEndColdWarm(t *testing.T) {
 	srv2 := New(Config{Parallel: 2, Store: engine.NewStore(cacheDir)})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
-	cross := submit(t, ts2, testSpec)
-	crossDone := waitDone(t, ts2, cross.ID)
-	if crossDone.Simulated != 0 || crossDone.DiskHits != 4 {
-		t.Fatalf("cross-process sweep not served from the store: %+v", crossDone)
+	cross := sweepDone(t, ts2, testSpec, 4)
+	if c := cross.counts(); c.Simulated != 0 || c.DiskHits != 4 {
+		t.Fatalf("cross-process sweep not served from the store: %+v", c)
 	}
-	cb, _ := fetch(t, ts, cold.ID, "csv")
-	xb, _ := fetch(t, ts2, cross.ID, "csv")
-	if cb != xb {
-		t.Fatalf("cross-process CSV differs:\n%s\nvs\n%s", cb, xb)
+	for i, b := range resultBytes(t, cross) {
+		if !bytes.Equal(b, coldBytes[i]) {
+			t.Fatalf("cross-process point %d differs:\n%s\nvs\n%s", i, coldBytes[i], b)
+		}
 	}
 }
 
-// TestResultMatchesScenarioEmitters pins the HTTP bodies to the scenario
-// emitters (the code path `iqsweep -spec` uses), including content types
-// and the default csv format.
-func TestResultMatchesScenarioEmitters(t *testing.T) {
-	srv := New(Config{Parallel: 2})
-	ts := httptest.NewServer(srv)
+// TestSubmitWithoutAcceptStreams: a submission that names no media type
+// gets the stream like any other — 200, NDJSON, in grid order, ending in
+// the done event — and no Location, since the server holds a sweep only
+// while it runs.
+func TestSubmitWithoutAcceptStreams(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Parallel: 2}))
 	defer ts.Close()
 
-	st := submit(t, ts, testSpec)
-	if got := waitDone(t, ts, st.ID); got.State != "done" {
-		t.Fatalf("sweep state = %q (%s)", got.State, got.Error)
-	}
-
-	spec, err := scenario.ParseSpec([]byte(testSpec))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps", strings.NewReader(testSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := spec.Expand()
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := grid.RunOn(engine.New(engine.Config{Workers: 2}))
+	s, err := readStream(t, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []string{"csv", "json", "md"} {
-		var want strings.Builder
-		if err := res.Emit(&want, format); err != nil {
-			t.Fatal(err)
-		}
-		got, ctype := fetch(t, ts, st.ID, format)
-		if got != want.String() {
-			t.Errorf("%s body drifted from the scenario emitter:\n--- emitter ---\n%s--- http ---\n%s",
-				format, want.String(), got)
-		}
-		wantType, _ := scenario.ContentType(format)
-		if ctype != wantType {
-			t.Errorf("%s content type = %q, want %q", format, ctype, wantType)
+	if loc := resp.Header.Get("Location"); loc != "" {
+		t.Errorf("Location = %q, want none", loc)
+	}
+	if len(s) != 5 {
+		t.Fatalf("got %d events, want 4 points and done: %+v", len(s), s)
+	}
+	for i, ev := range s[:4] {
+		if ev.Index != i || ev.Result == nil {
+			t.Fatalf("event %d = %+v, want point %d", i, ev, i)
 		}
 	}
-
-	// The default format is csv.
-	def, _ := fetch(t, ts, st.ID, "")
-	csv, _ := fetch(t, ts, st.ID, "csv")
-	if def != csv {
-		t.Error("default format is not csv")
+	if last := s.last(); !last.Done || last.Points != 4 || last.Manifest == nil {
+		t.Fatalf("terminal event = %+v, want done with the manifest", last)
 	}
 }
 
-// TestResultWhileRunning answers 202 with the status document until the
-// sweep finishes.
-func TestResultWhileRunning(t *testing.T) {
-	release := make(chan struct{})
-	srv := New(Config{
-		Parallel: 1,
-		Simulate: func(j engine.Job) (engine.Result, error) {
-			<-release
-			return engine.Result{}, nil
-		},
-	})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	st := submit(t, ts, `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
-		"warmup": 100, "instructions": 200}`)
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("in-flight result fetch: status %d, body %s", resp.StatusCode, body)
-	}
-	var got Status
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatalf("in-flight result body %s: %v", body, err)
-	}
-	if got.State != "queued" && got.State != "running" {
-		t.Fatalf("in-flight state = %q", got.State)
-	}
-	close(release)
-	waitDone(t, ts, st.ID)
-}
-
-// TestIntrospectionEndpoints pins /v1/machine, /v1/benchmarks, /v1/stats,
-// /v1/sweeps and /healthz.
+// TestIntrospectionEndpoints pins /v1/machine, /v1/benchmarks, /v1/stats
+// and /healthz.
 func TestIntrospectionEndpoints(t *testing.T) {
 	srv := New(Config{Parallel: 2})
 	ts := httptest.NewServer(srv)
@@ -260,8 +229,7 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		t.Fatalf("benchmarks = %d int, %d fp", len(benches.Int), len(benches.FP))
 	}
 
-	st := submit(t, ts, testSpec)
-	waitDone(t, ts, st.ID)
+	sweepDone(t, ts, testSpec, 4)
 
 	// The stats document uses the API's snake_case keys, like every
 	// other endpoint.
@@ -283,17 +251,6 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		Shared: stats.Shared, DiskErrors: stats.DiskErrors}
 	if got != want {
 		t.Fatalf("Stats() = %+v, /v1/stats = %+v", want, got)
-	}
-
-	var list struct {
-		Sweeps []Status `json:"sweeps"`
-	}
-	getJSON(t, ts, "/v1/sweeps", &list)
-	if len(list.Sweeps) != 1 || list.Sweeps[0].ID != st.ID {
-		t.Fatalf("sweep list = %+v", list)
-	}
-	if ids := srv.SweepIDs(); len(ids) != 1 || ids[0] != st.ID {
-		t.Fatalf("SweepIDs = %v", ids)
 	}
 
 	var health struct {
@@ -337,8 +294,17 @@ func TestDrainRefusesAndWaits(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	st := submit(t, ts, `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
+	// The stream's header arrives before its one point resolves.
+	resp := postStream(t, ts, `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
 		"warmup": 100, "instructions": 200}`)
+	held := make(chan streamed, 1)
+	go func() {
+		s, err := readStream(t, resp)
+		if err != nil {
+			t.Error(err)
+		}
+		held <- s
+	}()
 	<-started // the sweep is inside the simulator
 
 	drained := make(chan error, 1)
@@ -402,13 +368,13 @@ func TestDrainRefusesAndWaits(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if got := waitDone(t, ts, st.ID); got.State != "done" {
-		t.Fatalf("sweep abandoned by drain: %+v", got)
+	if s := <-held; !s.last().Done || len(s.points()) != 1 {
+		t.Fatalf("sweep abandoned by drain: %+v", s)
 	}
 }
 
-// TestFailedSweep surfaces simulator failures as state "failed" and a
-// 500 on the result endpoint.
+// TestFailedSweep surfaces simulator failures as an error event that
+// ends the stream, with no done event, and counts the sweep failed.
 func TestFailedSweep(t *testing.T) {
 	srv := New(Config{
 		Parallel: 1,
@@ -419,87 +385,16 @@ func TestFailedSweep(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	st := submit(t, ts, `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
+	s := sweepSpec(t, ts, `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
 		"warmup": 100, "instructions": 200}`)
-	got := waitDone(t, ts, st.ID)
-	if got.State != "failed" || !strings.Contains(got.Error, "injected failure") {
-		t.Fatalf("status = %+v", got)
+	if len(s) != 1 || !strings.Contains(s.last().Error, "injected failure") {
+		t.Fatalf("failed sweep streamed %+v, want one error event", s)
 	}
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
+	body := scrape(t, ts)
+	if v := sampleValue(t, body, `distiq_sweeps_total{state="failed"}`); v != 1 {
+		t.Errorf(`distiq_sweeps_total{state="failed"} = %v, want 1`, v)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError ||
-		!strings.Contains(string(body), "sweep_failed") {
-		t.Fatalf("failed sweep fetch: status %d, body %s", resp.StatusCode, body)
-	}
-}
-
-// TestHistoryEviction: beyond MaxHistory finished sweeps the oldest
-// finished ones by admission are evicted (404), while a sweep still
-// running is kept however old; once it finishes it is the oldest
-// finished sweep and goes first.
-func TestHistoryEviction(t *testing.T) {
-	gate := make(chan struct{})
-	srv := New(Config{
-		Parallel:   2,
-		MaxHistory: 2,
-		Simulate: func(j engine.Job) (engine.Result, error) {
-			if j.Bench == "gcc" {
-				<-gate
-			}
-			return engine.Result{}, nil
-		},
-	})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	held := submit(t, ts, `{"benchmarks": ["gcc"], "schemes": [{"scheme": "MB_distr"}],
-		"warmup": 100, "instructions": 200}`)
-	spec := `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
-		"warmup": 100, "instructions": 200}`
-	var ids []string
-	for i := 0; i < 5; i++ {
-		st := submit(t, ts, spec)
-		waitDone(t, ts, st.ID)
-		ids = append(ids, st.ID)
-	}
-
-	if got, want := srv.SweepIDs(), []string{held.ID, ids[3], ids[4]}; !slices.Equal(got, want) {
-		t.Fatalf("retained sweeps = %v, want the running %s and the newest 2 of %v", got, held.ID, ids)
-	}
-	for _, id := range ids[:3] {
-		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/status")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("evicted sweep %s: status %d, want 404", id, resp.StatusCode)
-		}
-	}
-	for _, id := range ids[3:] {
-		if _, ct := fetch(t, ts, id, "csv"); ct == "" {
-			t.Errorf("retained sweep %s lost its results", id)
-		}
-	}
-	var st Status
-	getJSON(t, ts, "/v1/sweeps/"+held.ID+"/status", &st)
-	if st.State != string(stateQueued) && st.State != string(stateRunning) {
-		t.Fatalf("held sweep state %q, want it unfinished", st.State)
-	}
-
-	close(gate)
-	deadline := time.Now().Add(30 * time.Second)
-	for slices.Contains(srv.SweepIDs(), held.ID) {
-		if time.Now().After(deadline) {
-			t.Fatalf("finished held sweep %s not evicted after 30s", held.ID)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := srv.SweepIDs(); !slices.Equal(got, ids[3:]) {
-		t.Fatalf("retained sweeps = %v, want %v", got, ids[3:])
+	if v := sampleValue(t, body, `distiq_sweeps_total{state="done"}`); v != 0 {
+		t.Errorf(`distiq_sweeps_total{state="done"} = %v, want 0`, v)
 	}
 }

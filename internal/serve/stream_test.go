@@ -2,11 +2,10 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -16,24 +15,16 @@ import (
 
 	"distiq/internal/client"
 	"distiq/internal/engine"
+	"distiq/internal/scenario"
 )
 
 // streamClient bounds a stream exchange, so a server that never sends
 // the response header fails the test instead of hanging it.
 var streamClient = &http.Client{Timeout: 30 * time.Second}
 
-// streamLines opens a sweep's NDJSON stream and forwards decoded events
-// on the returned channel (closed at EOF).
-func streamLines(t *testing.T, ts *httptest.Server, id string) (<-chan client.StreamEvent, *http.Response) {
-	t.Helper()
-	resp, err := streamClient.Get(ts.URL + "/v1/sweeps/" + id + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return streamEvents(t, resp), resp
-}
-
-// postStream submits spec asking for the NDJSON stream as the answer.
+// postStream submits spec as client.Remote does, with an Accept header
+// naming the NDJSON stream, and returns once the response header
+// arrives.
 func postStream(t *testing.T, ts *httptest.Server, spec string) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps", strings.NewReader(spec))
@@ -76,41 +67,11 @@ func streamEvents(t *testing.T, resp *http.Response) <-chan client.StreamEvent {
 	return ch
 }
 
-// streamOpener starts a sweep of spec and opens its stream, returning
-// the sweep id: openByGet submits and then attaches with GET
-// …/stream, openBySubmit reads the stream a submission answers with.
-type streamOpener func(t *testing.T, ts *httptest.Server, spec string) (string, <-chan client.StreamEvent, *http.Response)
-
-func openByGet(t *testing.T, ts *httptest.Server, spec string) (string, <-chan client.StreamEvent, *http.Response) {
-	st := submit(t, ts, spec)
-	ch, resp := streamLines(t, ts, st.ID)
-	return st.ID, ch, resp
-}
-
-func openBySubmit(t *testing.T, ts *httptest.Server, spec string) (string, <-chan client.StreamEvent, *http.Response) {
-	resp := postStream(t, ts, spec)
-	id, ok := strings.CutPrefix(resp.Header.Get("Location"), "/v1/sweeps/")
-	if !ok || id == "" {
-		t.Fatalf("streamed submission: Location = %q", resp.Header.Get("Location"))
-	}
-	return id, streamEvents(t, resp), resp
-}
-
-// TestStreamDeliversInGridOrderWhileRunning gates the simulator, opens
-// the stream mid-sweep, and asserts per-point events arrive in strict
-// grid order with valid sources, terminated by the done event — then
-// replays the finished sweep's stream instantly.
-func TestStreamDeliversInGridOrderWhileRunning(t *testing.T) {
-	streamInGridOrder(t, openByGet)
-}
-
-// TestSubmitStreamDeliversInGridOrderWhileRunning: the same through the
-// stream a submission answers with.
+// TestSubmitStreamDeliversInGridOrderWhileRunning gates the simulator,
+// opens the stream a submission answers with mid-sweep, and asserts
+// per-point events arrive in strict grid order with valid sources,
+// terminated by the done event.
 func TestSubmitStreamDeliversInGridOrderWhileRunning(t *testing.T) {
-	streamInGridOrder(t, openBySubmit)
-}
-
-func streamInGridOrder(t *testing.T, open streamOpener) {
 	const points = 4 // testSpec's grid
 	gate := make(chan struct{})
 	srv := New(Config{
@@ -128,8 +89,9 @@ func streamInGridOrder(t *testing.T, open streamOpener) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	id, ch, resp := open(t, ts, testSpec)
+	resp := postStream(t, ts, testSpec)
 	defer resp.Body.Close()
+	ch := streamEvents(t, resp)
 
 	// Nothing can stream before the first point resolves.
 	select {
@@ -168,40 +130,14 @@ func streamInGridOrder(t *testing.T, open streamOpener) {
 	if !last.Done || last.Points != points {
 		t.Fatalf("terminal event = %+v", last)
 	}
-
-	// A finished sweep replays its whole stream immediately.
-	replay, resp2 := streamLines(t, ts, id)
-	defer resp2.Body.Close()
-	n := 0
-	for ev := range replay {
-		if !ev.Done {
-			if ev.Index != n {
-				t.Fatalf("replay event %d has index %d", n, ev.Index)
-			}
-			n++
-		}
-	}
-	if n != points {
-		t.Fatalf("replay delivered %d points, want %d", n, points)
-	}
 }
 
-// TestStreamFlushesBeforeWaiting gates each job on its own channel:
-// point 0 must reach the client while point 1 is still blocked, since
-// the stream flushes whatever it holds before it waits, and once the
-// sweep has finished its replay arrives whole.
-func TestStreamFlushesBeforeWaiting(t *testing.T) {
-	streamFlushesBeforeWaiting(t, openByGet)
-}
-
-// TestSubmitStreamFlushesBeforeWaiting: the same through the stream a
-// submission answers with, whose response header must arrive while
-// point 0 is still blocked.
+// TestSubmitStreamFlushesBeforeWaiting gates each job on its own
+// channel: the stream a submission answers with must deliver its
+// response header while point 0 is still blocked, and point 0 while
+// point 1 is, since the stream flushes whatever it holds before it
+// waits.
 func TestSubmitStreamFlushesBeforeWaiting(t *testing.T) {
-	streamFlushesBeforeWaiting(t, openBySubmit)
-}
-
-func streamFlushesBeforeWaiting(t *testing.T, open streamOpener) {
 	gates := map[string]chan struct{}{"swim": make(chan struct{}), "gcc": make(chan struct{})}
 	srv := New(Config{
 		Parallel: 2,
@@ -226,9 +162,10 @@ func streamFlushesBeforeWaiting(t *testing.T, open streamOpener) {
 		}
 	}()
 
-	id, ch, resp := open(t, ts, `{"benchmarks": ["swim", "gcc"], "schemes": [{"scheme": "MB_distr"}],
+	resp := postStream(t, ts, `{"benchmarks": ["swim", "gcc"], "schemes": [{"scheme": "MB_distr"}],
 		"warmup": 100, "instructions": 200}`)
 	defer resp.Body.Close()
+	ch := streamEvents(t, resp)
 
 	close(gates["swim"])
 	select {
@@ -253,16 +190,6 @@ func streamFlushesBeforeWaiting(t *testing.T, open streamOpener) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("after point 0: events %v, want %v", got, want)
 	}
-
-	replay, resp2 := streamLines(t, ts, id)
-	defer resp2.Body.Close()
-	got = got[:0]
-	for ev := range replay {
-		got = append(got, eventTag(ev))
-	}
-	if want := []string{"0:swim", "1:gcc", "done"}; !slices.Equal(got, want) {
-		t.Fatalf("replay events %v, want %v", got, want)
-	}
 }
 
 // eventTag names a stream event: index and benchmark, or done.
@@ -273,92 +200,84 @@ func eventTag(ev client.StreamEvent) string {
 	return fmt.Sprintf("%d:%s", ev.Index, ev.Benchmark)
 }
 
-// TestStreamUnknownSweep404s.
+// TestStreamUnknownSweep404s: the server keeps no sweep once its stream
+// ends, so there is none to re-attach to or fetch: every per-sweep GET
+// path answers 404, for a sweep that just ran as for one that never did.
 func TestStreamUnknownSweep404s(t *testing.T) {
-	srv := New(Config{Parallel: 1})
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(New(Config{Parallel: 1}))
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/sweeps/sw-999999/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp.StatusCode)
+	sweepDone(t, ts, stubSpec, 1)
+	for _, path := range []string{"/v1/sweeps/sw-000001/stream", "/v1/sweeps/sw-999999/stream",
+		"/v1/sweeps/sw-000001", "/v1/sweeps/sw-000001/status", "/v1/sweeps/sw-000001/manifest"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
-// TestStreamFailedSweepTerminatesWithError: the stream of a failed sweep
-// ends with an error event at the first unresolved point.
+// TestStreamFailedSweepTerminatesWithError: the stream of a sweep with
+// a failed point delivers the points before it and ends with an error
+// event at the failed point, with no done event.
 func TestStreamFailedSweepTerminatesWithError(t *testing.T) {
 	srv := New(Config{
 		Parallel: 1,
 		Simulate: func(j engine.Job) (engine.Result, error) {
-			return engine.Result{}, fmt.Errorf("injected stream failure")
+			if j.Bench == "gcc" {
+				return engine.Result{}, fmt.Errorf("injected stream failure")
+			}
+			return engine.Result{}, nil
 		},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	const spec = `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
-		"warmup": 100, "instructions": 200}`
-	st := submit(t, ts, spec)
-	waitDone(t, ts, st.ID)
-	ch, resp := streamLines(t, ts, st.ID)
-	defer resp.Body.Close()
-	_, sch, sresp := openBySubmit(t, ts, spec)
-	defer sresp.Body.Close()
-	for _, ch := range []<-chan client.StreamEvent{ch, sch} {
-		var events []client.StreamEvent
-		for ev := range ch {
-			events = append(events, ev)
-		}
-		if len(events) != 1 {
-			t.Fatalf("failed sweep streamed %d events: %+v", len(events), events)
-		}
-		if events[0].Error == "" || !strings.Contains(events[0].Error, "injected stream failure") {
-			t.Fatalf("terminal event = %+v", events[0])
-		}
+	s := sweepSpec(t, ts, `{"benchmarks": ["swim", "gcc"], "schemes": [{"scheme": "MB_distr"}],
+		"warmup": 100, "instructions": 200}`)
+	if len(s) != 2 || s[0].Index != 0 || s[0].Result == nil {
+		t.Fatalf("failed sweep streamed %d events: %+v", len(s), s)
+	}
+	if last := s.last(); last.Index != 1 || !strings.Contains(last.Error, "injected stream failure") {
+		t.Fatalf("terminal event = %+v", last)
 	}
 }
 
-// TestSubmitStreamMatchesGetStream: the body a streamed submission
-// answers with is byte for byte the stream GET …/stream replays for the
-// same sweep, and the submission leaves the sweep registered.
-func TestSubmitStreamMatchesGetStream(t *testing.T) {
-	srv := New(Config{Parallel: 2, Store: engine.NewStore(t.TempDir())})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+// TestStreamEndFollowsSweepError: the event at the end of the stream is
+// the done event, with the manifest, only for a sweep that ended well;
+// a sweep that failed after its last point (its manifest could not be
+// built) ends with an error event past that point.
+func TestStreamEndFollowsSweepError(t *testing.T) {
+	grid, err := mustSpec(t, stubSpec).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &engine.Manifest{Name: "m", Points: 1}
+	sw := &sweep{grid: grid, total: 1, results: make([]engine.Result, 1),
+		sources: []engine.Source{engine.SourceMemory}, ready: []bool{true}, over: true, manifest: m}
+	if ev := sw.event(1); !ev.Done || ev.Points != 1 || ev.Manifest != m || ev.Error != "" {
+		t.Fatalf("end of a sweep that ended well = %+v, want done with the manifest", ev)
+	}
+	sw.err, sw.manifest = errors.New("manifest: broken"), nil
+	if ev := sw.event(0); ev.Result == nil {
+		t.Fatalf("resolved point of a failed sweep = %+v", ev)
+	}
+	if ev := sw.event(1); ev.Done || ev.Index != 1 || ev.Error != "manifest: broken" {
+		t.Fatalf("end of a failed sweep = %+v, want its error", ev)
+	}
+}
 
-	resp := postStream(t, ts, testSpec)
-	posted, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+// mustSpec parses spec.
+func mustSpec(t *testing.T, spec string) *scenario.Spec {
+	t.Helper()
+	s, err := scenario.ParseSpec([]byte(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
-		t.Fatalf("streamed submission: status %d, content type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	id, _ := strings.CutPrefix(resp.Header.Get("Location"), "/v1/sweeps/")
-	if st := waitDone(t, ts, id); st.State != "done" || st.Simulated != 4 {
-		t.Fatalf("sweep %q after its stream: %+v", id, st)
-	}
-	gresp, err := streamClient.Get(ts.URL + "/v1/sweeps/" + id + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(gresp.Body)
-	gresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(posted, got) {
-		t.Fatalf("GET stream differs from the submission's:\n%s\nvs\n%s", got, posted)
-	}
-	if n := bytes.Count(posted, []byte("\n")); n != 5 {
-		t.Fatalf("submission streamed %d lines, want 4 points and done", n)
-	}
-	fetch(t, ts, id, "csv") // the result endpoint serves the sweep too
+	return s
 }
 
 // TestSubmitStreamCancelled: a client that goes away mid-stream frees
@@ -400,7 +319,6 @@ func TestSubmitStreamCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	id, _ := strings.CutPrefix(resp.Header.Get("Location"), "/v1/sweeps/")
 	var ev client.StreamEvent
 	line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
 	if err != nil || ev.UnmarshalJSON(line) != nil || ev.Index != 0 || ev.Result == nil {
@@ -412,53 +330,28 @@ func TestSubmitStreamCancelled(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the submission's handler outlived its cancelled client")
 	}
-	var st Status
-	if getJSON(t, ts, "/v1/sweeps/"+id+"/status", &st); st.State == "done" {
-		t.Fatalf("sweep finished before its gated points were released: %+v", st)
+	var stats struct {
+		Simulated int64 `json:"simulated"`
+	}
+	if getJSON(t, ts, "/v1/stats", &stats); stats.Simulated >= 4 {
+		t.Fatalf("sweep finished before its gated points were released: %+v", stats)
 	}
 	close(release)
-	if st := waitDone(t, ts, id); st.State != "done" || st.Simulated != 4 {
+	// Drain waits for the abandoned sweep, which must run to its end.
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Requested != 4 || st.Simulated != 4 {
 		t.Fatalf("sweep after its client left: %+v", st)
+	}
+	if v := sampleValue(t, scrape(t, ts), `distiq_sweeps_total{state="done"}`); v != 1 {
+		t.Fatalf(`distiq_sweeps_total{state="done"} = %v, want 1`, v)
 	}
 
 	warm := httptest.NewServer(New(Config{Parallel: 2, Store: engine.NewStore(dir)}))
 	defer warm.Close()
-	wid, wch, wresp := openBySubmit(t, warm, testSpec)
-	defer wresp.Body.Close()
-	n := 0
-	for ev := range wch {
-		if !ev.Done {
-			n++
-		}
-	}
-	if st := waitDone(t, warm, wid); n != 4 || st.Simulated != 0 || st.DiskHits != 4 {
-		t.Fatalf("warm rerun streamed %d points with %+v, want 4 disk hits and 0 simulated", n, st)
-	}
-}
-
-// TestAcceptsNDJSON: a submission streams when any media range of its
-// Accept header names application/x-ndjson, whatever its case,
-// parameters or neighbours.
-func TestAcceptsNDJSON(t *testing.T) {
-	for _, tc := range []struct {
-		accept []string
-		want   bool
-	}{
-		{nil, false},
-		{[]string{"application/json"}, false},
-		{[]string{"*/*"}, false},
-		{[]string{"application/x-ndjson-seq"}, false},
-		{[]string{"application/x-ndjson"}, true},
-		{[]string{"Application/X-NDJSON"}, true},
-		{[]string{"application/json, application/x-ndjson;q=0.9"}, true},
-		{[]string{"text/plain", " application/x-ndjson "}, true},
-	} {
-		r := httptest.NewRequest(http.MethodPost, "/v1/sweeps", nil)
-		for _, v := range tc.accept {
-			r.Header.Add("Accept", v)
-		}
-		if got := acceptsNDJSON(r); got != tc.want {
-			t.Errorf("Accept %q: streams = %v, want %v", tc.accept, got, tc.want)
-		}
+	s := sweepDone(t, warm, testSpec, 4)
+	if c := s.counts(); c.Simulated != 0 || c.DiskHits != 4 {
+		t.Fatalf("warm rerun resolved %+v, want 4 disk hits and 0 simulated", c)
 	}
 }
