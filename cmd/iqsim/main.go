@@ -48,13 +48,12 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		list     = fs.Bool("list", false, "list benchmarks and exit")
 		traceN   = fs.Int64("trace", 0, "print a pipeline trace for the first N cycles after warmup")
 		showcfg  = fs.Bool("table1", false, "print the processor configuration and exit")
-		parallel = fs.Int("parallel", 1, "engine worker-pool size (one job needs no more)")
 		cacheDir = fs.String("cache-dir", "", "persistent result store directory; a rerun with the same job is served from the store (ignored with -trace)")
 	)
 	if err := cliutil.ParseFlags(fs, argv); err != nil {
 		return err
 	}
-	if err := cliutil.ValidateEngineFlags(*parallel, *cacheDir); err != nil {
+	if err := cliutil.ValidateCacheDir(*cacheDir); err != nil {
 		return err
 	}
 	if *list {
@@ -82,7 +81,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		// Ctrl-C interrupts a long run cleanly (exit 130).
 		ctx, stop := cliutil.SignalContext()
 		defer stop()
-		opts := []distiq.ClientOption{distiq.WithParallel(*parallel)}
+		var opts []distiq.ClientOption
 		if *cacheDir != "" {
 			opts = append(opts, distiq.WithStore(distiq.NewFSStore(*cacheDir)))
 		}

@@ -58,6 +58,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-bench", "nope", "-trace", "10"},
 		// -cache-dir DIR names the one store; -store is gone.
 		{"-store", "mem"},
+		// One job needs one worker, so there is no pool to size.
+		{"-parallel", "2"},
 	} {
 		var out, errw bytes.Buffer
 		err := run(argv, &out, &errw)

@@ -81,7 +81,7 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 		return distiq.EngineStats{}, err
 	}
 	// The study and scenario emitters accept the same format names.
-	if _, ok := scenario.ContentType(*format); !ok {
+	if !scenario.IsFormat(*format) {
 		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-format %q: want csv, json or md", *format))
 	}
 	if strings.Contains(*server, ",") {

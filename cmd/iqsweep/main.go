@@ -110,7 +110,7 @@ func run(argv []string, stdout, stderr io.Writer) (distiq.EngineStats, error) {
 	if err := cliutil.ValidateEngineFlags(*parallel, *cacheDir); err != nil {
 		return distiq.EngineStats{}, err
 	}
-	if _, ok := scenario.ContentType(*format); !ok {
+	if !scenario.IsFormat(*format) {
 		return distiq.EngineStats{}, cliutil.BadInput(fmt.Errorf("-format %q: want csv, json or md", *format))
 	}
 	if strings.Contains(*server, ",") {

@@ -9,7 +9,11 @@
 // grid order as they resolve, whatever the parallelism or substrate, so
 // a consumer can render progress live and still assemble byte-identical
 // CSV/JSON/markdown documents via Stream.ResultSet — the same emitters
-// every other front end uses.
+// every other front end uses. Local's Sweep is the one implementation of
+// ordered delivery, first-failure handling and sweep manifests: distiqd
+// (internal/serve) runs every submission as a Local sweep on its own
+// engine and writes that stream to the wire, where Remote reads it back,
+// so both substrates deliver the same points, errors and manifests.
 //
 // Both implementations honor context cancellation: a cancelled sweep
 // stops scheduling new points promptly (in-flight simulations finish and
@@ -161,9 +165,36 @@ func (s *Stream) finish() { close(s.ch) }
 
 // Next advances to the next in-order result, blocking until it is
 // available. It returns false when the stream is exhausted or failed;
-// check Err to distinguish.
-func (s *Stream) Next() bool {
-	it, ok := <-s.ch
+// check Err to distinguish. A further Next on a failed stream blocks
+// until the sweep's producer is done (a Local sweep's in-flight points
+// have finished and persisted), then returns false.
+func (s *Stream) Next() bool { return s.NextContext(context.Background(), nil) }
+
+// NextContext advances like Next, with two differences: it calls idle,
+// when non-nil, just before it would block, and it returns false once
+// ctx is done, leaving the stream where it was (Err stays nil; a later
+// Next picks up the next result). An HTTP writer flushes in idle, so a
+// consumer sees every written result before the stream waits.
+func (s *Stream) NextContext(ctx context.Context, idle func()) bool {
+	select {
+	case it, ok := <-s.ch:
+		return s.take(it, ok)
+	default:
+	}
+	if idle != nil {
+		idle()
+	}
+	select {
+	case it, ok := <-s.ch:
+		return s.take(it, ok)
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// take advances the stream over one received element; ok is false once
+// the producer has closed the stream.
+func (s *Stream) take(it item, ok bool) bool {
 	if !ok {
 		return false
 	}
@@ -200,10 +231,8 @@ func (s *Stream) Manifest() *engine.Manifest { return s.manifest }
 // ResultSet drains the stream and assembles the scenario result set,
 // whose CSV/JSON/markdown emitters are shared by every front end — so
 // Local and Remote sweeps of the same grid emit byte-identical
-// documents. Its Stats field carries the batch-scoped resolution
-// counters observed by the stream (Simulated == 0 on a warm rerun),
-// matching Grid.RunOn's contract. It must be called instead
-// of (not after) Next.
+// documents. Counts then reports how its points were resolved. It must
+// be called instead of (not after) Next.
 func (s *Stream) ResultSet() (*scenario.ResultSet, error) {
 	if s.consumed > 0 {
 		return nil, fmt.Errorf("client: ResultSet called on a partially consumed stream (%d updates already read)", s.consumed)
@@ -215,12 +244,15 @@ func (s *Stream) ResultSet() (*scenario.ResultSet, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	return &scenario.ResultSet{Grid: s.grid, Results: results, Stats: s.counts.Stats()}, nil
+	return &scenario.ResultSet{Grid: s.grid, Results: results}, nil
 }
+
+// pointErrPrefix opens every error that names a failed sweep point.
+const pointErrPrefix = "client: sweep point "
 
 // pointErr wraps a point failure with its grid coordinates, preserving
 // the cause for errors.Is (context.Canceled in particular).
 func pointErr(g *scenario.Grid, i int, err error) error {
 	p := g.Points[i]
-	return fmt.Errorf("client: sweep point %d (%s under %s): %w", i, p.Bench, p.Config.Name, err)
+	return fmt.Errorf(pointErrPrefix+"%d (%s under %s): %w", i, p.Bench, p.Config.Name, err)
 }

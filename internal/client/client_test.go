@@ -82,25 +82,24 @@ func TestLocalSweepStreamsInGridOrder(t *testing.T) {
 	}
 }
 
-// TestLocalResultSetMatchesGridRunOn: the Client layer's collected
-// documents are byte-identical to running the grid directly on an engine
-// with Grid.RunOn — the Client is a layer over the same engine, not a
-// fork.
-func TestLocalResultSetMatchesGridRunOn(t *testing.T) {
+// TestLocalResultSetMatchesEngine: the Client layer's collected
+// documents are byte-identical to resolving the grid's jobs directly on
+// an engine — the Client is a layer over the same engine, not a fork.
+func TestLocalResultSetMatchesEngine(t *testing.T) {
 	grid := testGrid(t)
 	st := client.NewLocal(client.WithParallel(4)).Sweep(context.Background(), grid)
 	rs, err := st.ResultSet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := grid.RunOn(engine.New(engine.Config{Workers: 1}))
+	results, err := engine.New(engine.Config{Workers: 1}).ResultAll(grid.Jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := emitAll(t, rs), emitAll(t, direct)
+	got, want := emitAll(t, rs), emitAll(t, &scenario.ResultSet{Grid: grid, Results: results})
 	for format := range want {
 		if got[format] != want[format] {
-			t.Errorf("%s drifted between Client and Grid.RunOn:\n--- client ---\n%s--- RunOn ---\n%s",
+			t.Errorf("%s drifted between Client and engine:\n--- client ---\n%s--- engine ---\n%s",
 				format, got[format], want[format])
 		}
 	}

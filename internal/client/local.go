@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"fmt"
 
 	"distiq/internal/engine"
 	"distiq/internal/scenario"
@@ -58,61 +59,56 @@ func (c *Local) RunAll(ctx context.Context, jobs []Job) ([]engine.Result, error)
 // of parallelism. On the first failed point (in grid order) the stream
 // terminates with that point's error and the sweep's remaining points
 // are cancelled (in-flight ones finish and persist); under caller
-// cancellation that error unwraps to context.Canceled. Abandoning a
-// stream without cancelling ctx lets the sweep run to completion in the
-// background (delivery is buffered, so nothing blocks or is lost —
-// cancel ctx to stop the work itself).
+// cancellation that error unwraps to context.Canceled. A sweep whose
+// points all resolve ends with its manifest, or fails with the error
+// that kept it from being built. Abandoning a stream without cancelling
+// ctx lets the sweep run to completion in the background (delivery is
+// buffered, so nothing blocks or is lost — cancel ctx to stop the work
+// itself). distiqd serves every submission through this method.
 func (c *Local) Sweep(ctx context.Context, grid *scenario.Grid) *Stream {
 	st := newStream(grid)
 	// A child context lets a mid-sweep failure stop the doomed
 	// remainder of the grid without touching the caller's ctx.
 	ctx, cancelRest := context.WithCancel(ctx)
 	go func() {
+		defer st.finish()
 		defer cancelRest()
-		n := grid.Size()
-		type slot struct {
-			r   engine.Result
-			err error
-			src engine.Source
-		}
-		slots := make([]slot, n)
+		jobs := grid.Jobs()
+		n := len(jobs)
+		results := make([]engine.Result, n)
+		errs := make([]error, n)
+		srcs := make([]engine.Source, n)
 		done := make([]bool, n)
 		next := 0
 		failed := false
 		// Emits are serialized by the engine, so the reorder state needs
 		// no locking; delivery to the stream's buffered channel never
 		// blocks the worker that produced the result.
-		grid.RunStream(ctx, c.eng, func(i int, r engine.Result, err error, src engine.Source) {
+		c.eng.ResultStream(ctx, jobs, func(i int, r engine.Result, err error, src engine.Source) {
 			if failed {
 				return
 			}
-			slots[i] = slot{r, err, src}
-			done[i] = true
+			results[i], errs[i], srcs[i], done[i] = r, err, src, true
 			for next < n && done[next] {
-				s := slots[next]
-				if s.err != nil {
+				if errs[next] != nil {
 					failed = true
 					cancelRest()
-					st.fail(pointErr(grid, next, s.err))
+					st.fail(pointErr(grid, next, errs[next]))
 					return
 				}
-				st.send(Update{Index: next, Point: grid.Points[next], Result: s.r, Source: s.src})
+				st.send(Update{Index: next, Point: grid.Points[next], Result: results[next], Source: srcs[next]})
 				next++
 			}
 		})
-		if !failed && next == n {
-			results := make([]engine.Result, n)
-			for i := range results {
-				results[i] = slots[i].r
-			}
-			// Grids expanded from specs are always content-addressable;
-			// a grid that is not (hand-built with Custom schemes) simply
-			// has no manifest.
-			if m, err := c.eng.Manifest(grid.Spec.Name, grid.Jobs(), results); err == nil {
-				st.setManifest(m)
-			}
+		if failed {
+			return
 		}
-		st.finish()
+		m, err := c.eng.Manifest(grid.Spec.Name, jobs, results)
+		if err != nil {
+			st.fail(fmt.Errorf("client: sweep manifest: %w", err))
+			return
+		}
+		st.setManifest(m)
 	}()
 	return st
 }

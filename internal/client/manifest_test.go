@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"distiq/internal/client"
@@ -172,5 +174,33 @@ func TestGoldenManifestAllBackends(t *testing.T) {
 				t.Fatalf("warm manifest through %s drifted from golden", name)
 			}
 		})
+	}
+}
+
+// TestLocalSweepManifestFailure: a sweep whose points all resolve but
+// whose manifest cannot be built (a result the store codec cannot
+// encode) delivers every point, then fails with the manifest error, and
+// has no manifest.
+func TestLocalSweepManifestFailure(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 2, Simulate: func(j engine.Job) (engine.Result, error) {
+		var r engine.Result
+		r.IQEnergy = math.Inf(1)
+		return r, nil
+	}})
+	grid := testGrid(t)
+	st := client.NewLocalOn(eng).Sweep(context.Background(), grid)
+	n := 0
+	for st.Next() {
+		n++
+	}
+	if n != grid.Size() {
+		t.Fatalf("stream delivered %d of %d points", n, grid.Size())
+	}
+	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "client: sweep manifest: ") ||
+		!strings.Contains(err.Error(), "unsupported value") {
+		t.Fatalf("stream err = %v, want the manifest's encode error", err)
+	}
+	if m := st.Manifest(); m != nil {
+		t.Fatalf("failed sweep has manifest %s", m.Root)
 	}
 }

@@ -183,6 +183,11 @@ func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) er
 		}
 		switch {
 		case ev.Error != "":
+			// A Local sweep's error names its point; any other message
+			// (an unencodable result's, an older server's) gets the index.
+			if strings.HasPrefix(ev.Error, pointErrPrefix) {
+				return errors.New(ev.Error)
+			}
 			return fmt.Errorf("client: sweep failed at point %d: %s", ev.Index, ev.Error)
 		case ev.Done:
 			if next != grid.Size() {

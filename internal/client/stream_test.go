@@ -69,3 +69,68 @@ func TestRemoteStreamLineTooLong(t *testing.T) {
 		t.Fatalf("stream err = %v, want the stream sweep error wrapping bufio.ErrTooLong", err)
 	}
 }
+
+// TestRemoteStreamErrorEvent: a Remote sweep fails with an error
+// event's message as it is when it names its point, as a Local sweep's
+// error does, and prefixes the event's index to one that does not.
+func TestRemoteStreamErrorEvent(t *testing.T) {
+	grid := testGrid(t)
+	for _, tc := range []struct{ event, want string }{
+		{"client: sweep point 1 (swim under MB_distr): engine: boom", "client: sweep point 1 (swim under MB_distr): engine: boom"},
+		{"engine: swim under MB_distr: boom", "client: sweep failed at point 1: engine: swim under MB_distr: boom"},
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+			enc := json.NewEncoder(w)
+			enc.Encode(client.StreamEvent{Index: 0, Result: &engine.Result{}})
+			enc.Encode(client.StreamEvent{Index: 1, Error: tc.event})
+		})
+		ts := httptest.NewServer(mux)
+		st := client.NewRemote(ts.URL).Sweep(context.Background(), grid)
+		for st.Next() {
+		}
+		ts.Close()
+		if err := st.Err(); err == nil || err.Error() != tc.want {
+			t.Errorf("error event %q: stream err = %v, want %q", tc.event, err, tc.want)
+		}
+	}
+}
+
+// TestStreamNextContextCancelled: with nothing ready, NextContext calls
+// its idle hook once and, its context done, returns false without
+// failing the stream; the next Next still gets the next update.
+func TestStreamNextContextCancelled(t *testing.T) {
+	gate := make(chan struct{})
+	eng := engine.New(engine.Config{Workers: 1, Simulate: func(j engine.Job) (engine.Result, error) {
+		<-gate
+		return engine.Result{}, nil
+	}})
+	grid := testGrid(t)
+	st := client.NewLocalOn(eng).Sweep(context.Background(), grid)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	idle := 0
+	if st.NextContext(ctx, func() { idle++ }) {
+		t.Fatal("NextContext advanced with nothing ready")
+	}
+	if idle != 1 {
+		t.Fatalf("idle hook ran %d times, want 1", idle)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatalf("a done context failed the stream: %v", err)
+	}
+	close(gate)
+	if !st.Next() {
+		t.Fatalf("Next after a cancelled NextContext: %v", st.Err())
+	}
+	if u := st.Update(); u.Index != 0 {
+		t.Fatalf("Next got point %d, want 0", u.Index)
+	}
+	n := 1
+	for st.NextContext(context.Background(), nil) {
+		n++
+	}
+	if err := st.Err(); err != nil || n != grid.Size() {
+		t.Fatalf("stream delivered %d of %d points (%v)", n, grid.Size(), err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"distiq/internal/engine"
@@ -13,12 +14,10 @@ import (
 // benchmark columns of every emitted row.
 var metricColumns = []string{"ipc", "iq_energy_pj", "cycles"}
 
-// ResultSet pairs a grid with its results (in point order) and the
-// engine counters of the run that produced them.
+// ResultSet pairs a grid with its results, in point order.
 type ResultSet struct {
 	Grid    *Grid
 	Results []engine.Result
-	Stats   engine.Stats
 }
 
 // Header returns the column names of the tabular emitters: the grid's
@@ -73,7 +72,8 @@ func (rs *ResultSet) Markdown() string {
 // name and one object per row keyed by column name (metrics as numbers,
 // axis values as strings). Run-varying engine counters are deliberately
 // excluded — a warm-cache rerun must emit byte-identical documents;
-// read Stats (or the CLI's stderr summary) for resolution counts.
+// read the stream's Counts (or the CLI's stderr summary) for resolution
+// counts.
 func (rs *ResultSet) JSON() ([]byte, error) {
 	type doc struct {
 		Name string           `json:"name,omitempty"`
@@ -99,18 +99,9 @@ func (rs *ResultSet) JSON() ([]byte, error) {
 // of "md").
 var Formats = []string{"csv", "json", "md"}
 
-// ContentType returns the MIME type of an Emit format, or false for an
-// unknown format name.
-func ContentType(format string) (string, bool) {
-	switch format {
-	case "csv":
-		return "text/csv; charset=utf-8", true
-	case "json":
-		return "application/json", true
-	case "md", "markdown":
-		return "text/markdown; charset=utf-8", true
-	}
-	return "", false
+// IsFormat reports whether Emit accepts the format name.
+func IsFormat(name string) bool {
+	return name == "markdown" || slices.Contains(Formats, name)
 }
 
 // Emit writes the result set to w in the named format. Every front end

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
@@ -263,23 +262,3 @@ func (g *Grid) Jobs() []engine.Job {
 // Size returns the number of grid points (simulation jobs before
 // deduplication).
 func (g *Grid) Size() int { return len(g.Points) }
-
-// RunStream runs the grid's jobs on an existing engine, delivering each
-// point's result through emit as it resolves — in completion order, not
-// grid order; i is the point's index in g.Points. Emit invocations are
-// serialized. Cancellation follows the engine's contract: once ctx is
-// cancelled, unscheduled points emit promptly with ctx.Err() and
-// engine.SourceCanceled while in-flight points finish and persist. The
-// Client layer and the distiqd streaming endpoint are built on this.
-func (g *Grid) RunStream(ctx context.Context, e *engine.Engine, emit func(i int, r engine.Result, err error, src engine.Source)) {
-	e.ResultStream(ctx, g.Jobs(), emit)
-}
-
-// RunOn runs the grid on an existing engine, sharing its caches.
-func (g *Grid) RunOn(e *engine.Engine) (*ResultSet, error) {
-	results, err := e.ResultAll(g.Jobs())
-	if err != nil {
-		return nil, err
-	}
-	return &ResultSet{Grid: g, Results: results, Stats: e.Stats()}, nil
-}

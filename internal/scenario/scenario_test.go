@@ -178,6 +178,17 @@ func stubEngine(workers int) *engine.Engine {
 	})
 }
 
+// resolve runs the grid's jobs on e and pairs their results with the
+// grid, in point order, as a sweep's stream assembles them.
+func resolve(t *testing.T, g *Grid, e *engine.Engine) *ResultSet {
+	t.Helper()
+	results, err := e.ResultAll(g.Jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ResultSet{Grid: g, Results: results}
+}
+
 func testGrid(t *testing.T) *Grid {
 	t.Helper()
 	s := New("emit").
@@ -195,10 +206,7 @@ func testGrid(t *testing.T) *Grid {
 
 func TestEmitters(t *testing.T) {
 	g := testGrid(t)
-	rs, err := g.RunOn(stubEngine(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := resolve(t, g, stubEngine(4))
 	csv := rs.CSV()
 	lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
 	if lines[0] != "scheme,queues,entries,chains,rob,benchmark,ipc,iq_energy_pj,cycles" {
@@ -264,19 +272,14 @@ func TestLengthSemantics(t *testing.T) {
 // count, and identical points dedup to one simulation.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	g := testGrid(t)
-	serial, err := g.RunOn(stubEngine(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := g.RunOn(stubEngine(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := resolve(t, g, stubEngine(1))
+	wide := stubEngine(8)
+	parallel := resolve(t, g, wide)
 	if serial.CSV() != parallel.CSV() {
 		t.Fatal("grid CSV differs between serial and parallel runs")
 	}
-	if parallel.Stats.Simulated != int64(g.Size()) {
-		t.Fatalf("stub engine simulated %d, want %d", parallel.Stats.Simulated, g.Size())
+	if st := wide.Stats(); st.Simulated != int64(g.Size()) {
+		t.Fatalf("stub engine simulated %d, want %d", st.Simulated, g.Size())
 	}
 }
 
@@ -308,14 +311,11 @@ func ExampleSpec() {
 }
 
 // TestEmitWriterParity pins the io.Writer emitter — the single code path
-// cmd/iqsweep and the distiqd service share — to the string emitters,
-// including the JSON trailing newline and the format/MIME taxonomy.
+// every front end shares — to the string emitters, including the JSON
+// trailing newline and the format names.
 func TestEmitWriterParity(t *testing.T) {
 	g := testGrid(t)
-	rs, err := g.RunOn(stubEngine(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := resolve(t, g, stubEngine(4))
 
 	js, err := rs.JSON()
 	if err != nil {
@@ -343,14 +343,14 @@ func TestEmitWriterParity(t *testing.T) {
 	}
 
 	for _, format := range Formats {
-		if _, ok := ContentType(format); !ok {
-			t.Errorf("Formats entry %q has no content type", format)
+		if !IsFormat(format) {
+			t.Errorf("Formats entry %q is not a format", format)
 		}
 	}
-	if ct, ok := ContentType("md"); !ok || !strings.HasPrefix(ct, "text/markdown") {
-		t.Errorf("ContentType(md) = %q, %v", ct, ok)
+	if !IsFormat("markdown") {
+		t.Error("IsFormat rejected the markdown alias")
 	}
-	if _, ok := ContentType("yaml"); ok {
-		t.Error("ContentType accepted yaml")
+	if IsFormat("yaml") {
+		t.Error("IsFormat accepted yaml")
 	}
 }

@@ -25,11 +25,14 @@
 // and every response carries an X-Request-Id header (honored from the
 // request or generated) that also tags the server's structured logs.
 // Specs are expanded and validated before admission (invalid grids never
-// occupy a queue slot). The server holds a sweep only while it runs, on
-// the shared engine's worker pool; a sweep whose client leaves still
-// runs to completion and persists, so resubmitting its spec simulates
-// nothing. Drain provides graceful shutdown: new submissions are refused
-// while every in-flight sweep runs to completion.
+// occupy a queue slot). An admitted sweep runs as a client.Local sweep on
+// the shared engine, and the submission's body is that sweep's stream,
+// written as it is: the service keeps no ordering, failure or manifest
+// logic of its own, so a Remote sweep delivers what a Local one would.
+// The server holds a sweep only while it runs; a sweep whose client
+// leaves still runs to completion and persists, so resubmitting its spec
+// simulates nothing. Drain provides graceful shutdown: new submissions
+// are refused while every in-flight sweep runs to completion.
 package serve
 
 import (
@@ -83,36 +86,16 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// sweep is one admitted grid and its progress, held while it runs and
-// while its submission streams. The resolution counts are per-sweep (fed
-// by the engine's per-point streaming hook), so a warm resubmission
-// reports 0 simulated even while other sweeps simulate. Per-point
-// results are kept in grid order as they resolve, so the stream can
-// deliver each point the moment the in-order prefix reaches it; cond (on
-// mu) is broadcast at every point completion and at the sweep's end.
+// sweep is one admitted grid while it runs: the stream of the Local
+// sweep that resolves it, the submitting request's ID, threaded through
+// every lifecycle log line so a sweep's records correlate with the
+// submission, its start time, and the instructions of the points its
+// stream has delivered, for distiq_sweep_insts_per_second.
 type sweep struct {
-	grid *scenario.Grid
-	// reqID is the submitting request's ID, threaded through every
-	// lifecycle log line so a sweep's records correlate with the
-	// submission.
+	st    *client.Stream
 	reqID string
-	total int
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// Per-sweep resolution counts by source.
-	counts client.Counts
-	// Per-point outcomes, indexed by grid position; ready[i] flips once
-	// results[i]/sources[i] are valid, and they never change after.
-	results []engine.Result
-	sources []engine.Source
-	ready   []bool
-	// over marks the sweep's end: err is its error, nil when it is
-	// counted done, and manifest then its tamper-evident Merkle
-	// manifest.
-	over     bool
-	err      error
-	manifest *engine.Manifest
+	start time.Time
+	insts uint64
 }
 
 // Server is the HTTP experiment service: one shared engine, a bounded
@@ -120,6 +103,7 @@ type sweep struct {
 // introspection. It implements http.Handler.
 type Server struct {
 	eng       *engine.Engine
+	local     *client.Local // sweeps on eng
 	store     engine.ResultStore
 	maxQueued int
 	log       *slog.Logger
@@ -166,6 +150,7 @@ func New(cfg Config) *Server {
 		obs:       reg,
 		start:     time.Now(),
 	}
+	s.local = client.NewLocalOn(s.eng)
 	s.instrument()
 	mux := http.NewServeMux()
 	s.route(mux, "POST /v1/sweeps", s.handleSubmit)
@@ -228,8 +213,8 @@ func writeSpecError(w http.ResponseWriter, err error) {
 }
 
 // handleSubmit parses, validates and expands a spec, admits it onto the
-// bounded queue, starts it on the shared engine and answers with the
-// sweep's stream.
+// bounded queue, starts it as a Local sweep on the shared engine and
+// answers with the sweep's stream.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
@@ -272,190 +257,113 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	n := grid.Size()
-	sw := &sweep{
-		grid:    grid,
-		reqID:   RequestID(r.Context()),
-		total:   n,
-		results: make([]engine.Result, n),
-		sources: make([]engine.Source, n),
-		ready:   make([]bool, n),
-	}
-	sw.cond = sync.NewCond(&sw.mu)
+	sw := &sweep{reqID: RequestID(r.Context()), start: time.Now()}
 	s.sweepsAccepted.Inc()
 	s.log.Info("sweep accepted",
-		"name", spec.Name, "points", n, "request_id", sw.reqID)
-	go s.runSweep(sw)
-	streamSweep(w, r, sw)
+		"name", spec.Name, "points", grid.Size(), "request_id", sw.reqID)
+	sw.st = s.local.Sweep(context.Background(), grid)
+	s.streamSweep(w, r, sw)
 }
 
-// runSweep executes one admitted grid on the shared engine through the
-// per-point streaming primitive: every resolved point lands in the
-// sweep's in-order result slots (waking its stream) and feeds the
-// per-sweep resolution counters.
-func (s *Server) runSweep(sw *sweep) {
-	defer s.wg.Done()
-	started := time.Now()
-	errs := make([]error, sw.total)
-	sw.grid.RunStream(context.Background(), s.eng, func(i int, r engine.Result, err error, src engine.Source) {
-		sw.mu.Lock()
-		sw.counts.Add(src)
-		if err != nil {
-			errs[i] = err
-		} else {
-			sw.results[i], sw.sources[i], sw.ready[i] = r, src, true
-		}
-		sw.cond.Broadcast()
-		sw.mu.Unlock()
-	})
-	var err error
-	for _, e := range errs {
-		if e != nil {
-			err = e
-			break
-		}
-	}
-
-	elapsed := time.Since(started)
-	name := sw.grid.Spec.Name
-	var manifest *engine.Manifest
-	var insts uint64
-	if err == nil {
-		for _, r := range sw.results {
-			insts += r.Insts
-		}
-		// The manifest name is the spec name (as the Local client uses),
-		// so a Remote sweep's manifest is identical to a Local sweep of
-		// the same grid. Spec-expanded grids are always addressable; a
-		// build failure is a server bug, which fails the sweep.
-		manifest, err = s.eng.Manifest(name, sw.grid.Jobs(), sw.results)
-	}
-
-	// Count the sweep before publishing its end: a client the terminal
-	// event reaches may scrape the metrics or resubmit next.
-	ips := float64(insts) / elapsed.Seconds()
-	if err != nil {
-		s.sweepsFailed.Inc()
-	} else {
-		s.instsPerSec.Set(ips)
-		s.sweepsDone.Inc()
-	}
-	s.mu.Lock()
-	s.active--
-	s.mu.Unlock()
-
-	sw.mu.Lock()
-	sw.over, sw.err, sw.manifest = true, err, manifest
-	counts := sw.counts
-	sw.cond.Broadcast()
-	sw.mu.Unlock()
-
-	if err != nil {
-		s.log.Error("sweep failed",
-			"name", name, "error", err.Error(),
-			"duration_s", elapsed.Seconds(), "request_id", sw.reqID)
-	} else {
-		s.log.Info("sweep done",
-			"name", name,
-			"simulated", counts.Simulated, "memory", counts.MemoryHits,
-			"disk", counts.DiskHits, "shared", counts.Shared,
-			"duration_s", elapsed.Seconds(),
-			"insts_per_second", ips,
-			"merkle_root", manifest.Root,
-			"request_id", sw.reqID)
-	}
-}
-
-// blocks reports whether a stream must wait on the sweep for point i,
-// or for i == total for its end: neither has arrived, the sweep has not
-// failed and the stream's client is still there. The caller holds
-// sw.mu.
-func (sw *sweep) blocks(ctx context.Context, i int) bool {
-	if sw.err != nil || ctx.Err() != nil {
-		return false
-	}
-	if i < sw.total {
-		return !sw.ready[i]
-	}
-	return !sw.over
-}
-
-// event returns the stream's event at position i once the stream need
-// not wait for it: point i's result, the sweep's error at its first
-// position without one, or, for i == total, the done event of a sweep
-// counted done. The caller holds sw.mu.
-func (sw *sweep) event(i int) client.StreamEvent {
-	switch {
-	case i < sw.total && sw.ready[i]:
-		return client.StreamEvent{
-			Index:     i,
-			Benchmark: sw.grid.Points[i].Bench,
-			Source:    sw.sources[i],
-			Result:    &sw.results[i],
-		}
-	case sw.err != nil:
-		return client.StreamEvent{Index: i, Error: sw.err.Error()}
-	}
-	return client.StreamEvent{Done: true, Points: sw.total, Manifest: sw.manifest}
-}
-
-// streamSweep writes a sweep's per-point results as NDJSON
-// (client.StreamEvent per line) in grid order, answering 200. Points
-// already resolved go out back to back, and the stream is flushed only
-// when it would otherwise wait on the sweep: a consumer sees each point
-// as soon as the in-order prefix reaches it and renders progress live.
-// The stream terminates with the done event, carrying the manifest, on
-// success, or with an error event at the first point without a result
-// (past the last point when only the manifest failed); a cancelled
-// request returns promptly while the sweep runs on.
-func streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) {
-	ctx := r.Context()
-	// Wake the cond waiters below when the client goes away, so an
-	// abandoned stream never outlives its request.
-	stop := context.AfterFunc(ctx, func() {
-		sw.mu.Lock()
-		sw.cond.Broadcast()
-		sw.mu.Unlock()
-	})
-	defer stop()
-
+// streamSweep writes a sweep's stream as NDJSON (client.StreamEvent per
+// line), answering 200. Points already resolved go out back to back, and
+// the response is flushed only when the stream would otherwise wait: a
+// consumer sees each point as soon as the in-order prefix reaches it and
+// renders progress live. The last line is the done event, carrying the
+// manifest, or an error event at the first point the stream did not
+// deliver: the stream's error, or the encode error of a point the wire
+// cannot carry. The sweep is counted done or failed before that line
+// goes out, since a client it reaches may scrape the metrics or
+// resubmit next. A client that leaves frees the handler promptly while
+// the sweep runs on.
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var line []byte
-	// Position sw.total is the sweep's end, a moment after its last
-	// point, so the done event can carry the manifest; the server
-	// flushes the last write with the end of the response.
-	for i := 0; i <= sw.total; i++ {
-		// Wait until the stream need not wait for position i. Before the
-		// first wait, push out what is written so far (on the first point,
-		// the response header) outside the lock, so a slow client never
-		// holds up the sweep.
-		sw.mu.Lock()
-		if sw.blocks(ctx, i) {
-			sw.mu.Unlock()
-			if flusher != nil {
-				flusher.Flush()
-			}
-			sw.mu.Lock()
-			for sw.blocks(ctx, i) {
-				sw.cond.Wait()
-			}
-		}
-		ev := sw.event(i)
-		sw.mu.Unlock()
-		if ctx.Err() != nil {
-			return
-		}
-		var err error
-		if line, err = ev.AppendLine(line[:0]); err != nil {
-			return
-		}
-		if _, err := w.Write(line); err != nil || ev.Result == nil {
-			return // the client went away, or the stream is over
+	rc := http.NewResponseController(w)
+	flush := func() { rc.Flush() } //nolint:errcheck // a broken connection fails the next write
+	ctx, st := r.Context(), sw.st
+	var (
+		line []byte
+		next int   // the index of the stream's next point
+		fail error // the encode error of point next
+		werr error // the client went away
+	)
+	for fail == nil && werr == nil && st.NextContext(ctx, flush) {
+		u := st.Update()
+		sw.insts += u.Result.Insts
+		ev := client.StreamEvent{Index: u.Index, Benchmark: u.Point.Bench, Source: u.Source, Result: &u.Result}
+		if line, fail = ev.AppendLine(line[:0]); fail == nil {
+			_, werr = w.Write(line)
+			next++
 		}
 	}
+	if werr != nil || ctx.Err() != nil {
+		go s.end(sw, fail) // the client went away; the sweep runs on
+		return
+	}
+	ev := client.StreamEvent{Done: true, Points: st.Grid().Size()}
+	if err := s.end(sw, fail); err != nil {
+		ev = client.StreamEvent{Index: next, Error: err.Error()}
+	} else {
+		ev.Manifest = st.Manifest()
+	}
+	if line, err := ev.AppendLine(line[:0]); err == nil {
+		w.Write(line) //nolint:errcheck // the stream is over either way
+	}
+}
+
+// end ends a sweep: it drains what is left of a stream that has not
+// failed, counts the sweep, logs its end and releases it, a failed
+// sweep in the background. fail, when non-nil, is the encode error of a
+// point, which fails the sweep whatever its stream says. end returns
+// the sweep's error.
+func (s *Server) end(sw *sweep, fail error) error {
+	st := sw.st
+	for fail == nil && st.Err() == nil && st.Next() {
+		sw.insts += st.Update().Result.Insts
+	}
+	err := fail
+	if err == nil {
+		err = st.Err()
+	}
+	elapsed := time.Since(sw.start)
+	name := st.Grid().Spec.Name
+	if err != nil {
+		s.sweepsFailed.Inc()
+		s.log.Error("sweep failed",
+			"name", name, "error", err.Error(),
+			"duration_s", elapsed.Seconds(), "request_id", sw.reqID)
+		go s.release(st)
+		return err
+	}
+	ips := float64(sw.insts) / elapsed.Seconds()
+	s.instsPerSec.Set(ips)
+	s.sweepsDone.Inc()
+	c := st.Counts()
+	s.log.Info("sweep done",
+		"name", name,
+		"simulated", c.Simulated, "memory", c.MemoryHits,
+		"disk", c.DiskHits, "shared", c.Shared,
+		"duration_s", elapsed.Seconds(),
+		"insts_per_second", ips,
+		"merkle_root", st.Manifest().Root,
+		"request_id", sw.reqID)
+	s.release(st)
+	return nil
+}
+
+// release waits until a sweep's stream has closed, which a failed
+// sweep's does once its in-flight points have finished and persisted,
+// then frees the sweep's queue slot and releases it for Drain.
+func (s *Server) release(st *client.Stream) {
+	for st.Next() {
+	}
+	st.Next() // on a failed stream, returns once the stream closes
+	s.mu.Lock()
+	s.active--
+	s.mu.Unlock()
+	s.wg.Done()
 }
 
 // machineDoc is the stable JSON rendering of the Table 1 machine. It is

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -246,27 +247,149 @@ func TestStreamFailedSweepTerminatesWithError(t *testing.T) {
 	}
 }
 
-// TestStreamEndFollowsSweepError: the event at the end of the stream is
-// the done event, with the manifest, only for a sweep that ended well;
-// a sweep that failed after its last point (its manifest could not be
-// built) ends with an error event past that point.
-func TestStreamEndFollowsSweepError(t *testing.T) {
-	grid, err := mustSpec(t, stubSpec).Expand()
-	if err != nil {
+// gatedSpec is a two-point sweep: tests fail or spoil point 0 (swim)
+// while point 1 (gcc) waits on a gate in the simulator.
+const gatedSpec = `{"benchmarks": ["swim", "gcc"], "schemes": [{"scheme": "MB_distr"}],
+	"warmup": 100, "instructions": 200}`
+
+// streamUntilEnd submits spec and reads its stream to the end, failing
+// the test if the stream is still open after 10 s: with a later point
+// held on a gate, that shows the stream ended without waiting for it.
+func streamUntilEnd(t *testing.T, ts *httptest.Server, spec string) []client.StreamEvent {
+	t.Helper()
+	resp := postStream(t, ts, spec)
+	defer resp.Body.Close()
+	ch := streamEvents(t, resp)
+	var events []client.StreamEvent
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				return events
+			}
+			events = append(events, ev)
+		case <-timeout:
+			t.Fatalf("stream still open while a later point was held, after %+v", events)
+		}
+	}
+}
+
+// TestStreamFailedPointEndsWithoutWaiting: a failed point's error event
+// ends the stream as soon as the in-order prefix reaches it, while a
+// later point is still simulating, and the sweep is counted failed
+// before the event goes out.
+func TestStreamFailedPointEndsWithoutWaiting(t *testing.T) {
+	gate := make(chan struct{})
+	srv := New(Config{
+		Parallel: 2,
+		Simulate: func(j engine.Job) (engine.Result, error) {
+			if j.Bench == "swim" {
+				return engine.Result{}, errors.New("injected point failure")
+			}
+			<-gate
+			return engine.Result{}, nil
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer close(gate)
+
+	events := streamUntilEnd(t, ts, gatedSpec)
+	want := "client: sweep point 0 (swim under MB_distr): "
+	if len(events) != 1 || events[0].Index != 0 || !strings.HasPrefix(events[0].Error, want) ||
+		!strings.Contains(events[0].Error, "injected point failure") {
+		t.Fatalf("stream = %+v, want one error event at point 0", events)
+	}
+	if v := sampleValue(t, scrape(t, ts), `distiq_sweeps_total{state="failed"}`); v != 1 {
+		t.Fatalf(`distiq_sweeps_total{state="failed"} = %v, want 1`, v)
+	}
+}
+
+// TestStreamFailedSweepDrainWaits: Drain waits for the points a failed
+// sweep had in flight when its error event went out, so a server that
+// exits after Drain keeps their store writes.
+func TestStreamFailedSweepDrainWaits(t *testing.T) {
+	dir := t.TempDir()
+	started, gate := make(chan struct{}), make(chan struct{})
+	srv := New(Config{
+		Parallel: 2,
+		Store:    engine.NewStore(dir),
+		Simulate: func(j engine.Job) (engine.Result, error) {
+			if j.Bench == "swim" {
+				<-started // point 1 is in the simulator
+				return engine.Result{}, errors.New("injected point failure")
+			}
+			close(started)
+			<-gate
+			return engine.Result{}, nil
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	if events := streamUntilEnd(t, ts, gatedSpec); len(events) != 1 || events[0].Error == "" {
+		t.Fatalf("stream = %+v, want one error event at point 0", events)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(context.Background()) }()
+	select {
+	case err := <-drained:
+		close(gate)
+		t.Fatalf("Drain returned (%v) while point 1 was still simulating", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain still waiting after point 1 finished")
+	}
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := &engine.Manifest{Name: "m", Points: 1}
-	sw := &sweep{grid: grid, total: 1, results: make([]engine.Result, 1),
-		sources: []engine.Source{engine.SourceMemory}, ready: []bool{true}, over: true, manifest: m}
-	if ev := sw.event(1); !ev.Done || ev.Points != 1 || ev.Manifest != m || ev.Error != "" {
-		t.Fatalf("end of a sweep that ended well = %+v, want done with the manifest", ev)
+
+	warm := httptest.NewServer(New(Config{Parallel: 1, Store: engine.NewStore(dir)}))
+	defer warm.Close()
+	s := sweepDone(t, warm, `{"benchmarks": ["gcc"], "schemes": [{"scheme": "MB_distr"}],
+		"warmup": 100, "instructions": 200}`, 1)
+	if c := s.counts(); c.DiskHits != 1 {
+		t.Fatalf("point 1 after Drain resolved %+v, want a disk hit", c)
 	}
-	sw.err, sw.manifest = errors.New("manifest: broken"), nil
-	if ev := sw.event(0); ev.Result == nil {
-		t.Fatalf("resolved point of a failed sweep = %+v", ev)
+}
+
+// TestStreamUnencodablePoint: a point whose result the wire cannot carry
+// (a non-finite float) ends the stream with an error event at its index
+// naming the encode error, without waiting for a later point, and the
+// sweep is counted failed.
+func TestStreamUnencodablePoint(t *testing.T) {
+	gate := make(chan struct{})
+	srv := New(Config{
+		Parallel: 2,
+		Simulate: func(j engine.Job) (engine.Result, error) {
+			var r engine.Result
+			if j.Bench == "swim" {
+				r.IQEnergy = math.Inf(1)
+				return r, nil
+			}
+			<-gate
+			return r, nil
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer close(gate)
+
+	events := streamUntilEnd(t, ts, gatedSpec)
+	if len(events) != 1 || events[0].Index != 0 || events[0].Result != nil ||
+		!strings.HasPrefix(events[0].Error, "client: encode stream event: ") {
+		t.Fatalf("stream = %+v, want one error event at point 0 naming the encode error", events)
 	}
-	if ev := sw.event(1); ev.Done || ev.Index != 1 || ev.Error != "manifest: broken" {
-		t.Fatalf("end of a failed sweep = %+v, want its error", ev)
+	if v := sampleValue(t, scrape(t, ts), `distiq_sweeps_total{state="failed"}`); v != 1 {
+		t.Fatalf(`distiq_sweeps_total{state="failed"} = %v, want 1`, v)
 	}
 }
 

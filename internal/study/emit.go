@@ -34,10 +34,6 @@ type Result struct {
 	Results []engine.Result
 }
 
-// Formats lists the emitter names Emit accepts ("markdown" is an alias
-// of "md"), matching the scenario emit funnel.
-var Formats = []string{"csv", "json", "md"}
-
 // CSV renders the study table as comma-separated values with a header
 // row.
 func (r *Result) CSV() string {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"distiq/internal/client"
+	"distiq/internal/scenario"
 	"distiq/internal/serve"
 )
 
@@ -81,7 +82,7 @@ func TestGoldenAblationTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, format := range Formats {
+			for _, format := range scenario.Formats {
 				var buf bytes.Buffer
 				if err := res.Emit(&buf, format); err != nil {
 					t.Fatal(err)
@@ -110,7 +111,7 @@ func TestAblationWarmRerun(t *testing.T) {
 	if warm.Counts.Simulated != 0 {
 		t.Fatalf("warm rerun simulated %d points, want 0", warm.Counts.Simulated)
 	}
-	for _, format := range Formats {
+	for _, format := range scenario.Formats {
 		var a, b bytes.Buffer
 		if err := cold.Emit(&a, format); err != nil {
 			t.Fatal(err)
@@ -199,7 +200,7 @@ func TestEmitFormats(t *testing.T) {
 	if err := res.Emit(&bytes.Buffer{}, "xml"); err == nil || !strings.Contains(err.Error(), "unknown format") {
 		t.Fatalf("unknown format not rejected: %v", err)
 	}
-	for _, f := range Formats {
+	for _, f := range scenario.Formats {
 		if err := res.Emit(&bytes.Buffer{}, f); err != nil {
 			t.Fatalf("emit %s: %v", f, err)
 		}
