@@ -128,13 +128,12 @@
 // The per-job hot path is engineered to be allocation-free in steady
 // state: the cycle loop pools instruction objects, threads completion
 // events through an intrusive list, and sorts issue candidates in
-// place. Benchmark traces are generated once per process and replayed
-// from a shared bounded trace cache (internal/trace.Cache); replay is
-// bit-exact, so results, figure bytes and store fingerprints are
-// unchanged by caching. perfbench (perfbench/README.md) is the
-// repository's benchmark: it times both layers, end to end and layer by
-// layer, with repeated runs. See docs/ARCHITECTURE.md for the full
-// picture.
+// place. Each simulation walks its benchmark's static program with a
+// generator of its own, as fast as replaying a recorded stream would,
+// so no simulation leaves trace state behind. perfbench
+// (perfbench/README.md) is the repository's benchmark: it times both
+// layers, end to end and layer by layer, with repeated runs. See
+// docs/ARCHITECTURE.md for the full picture.
 package distiq
 
 import (

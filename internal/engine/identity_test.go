@@ -56,11 +56,10 @@ func oracleJobs(bench string) []Job {
 	return jobs
 }
 
-// uncachedEntry is the store entry of simulating job without the engine
-// or the trace cache.
+// uncachedEntry is the store entry of simulating job without the engine.
 func uncachedEntry(t *testing.T, job Job) []byte {
 	t.Helper()
-	r, err := SimulateUncached(job)
+	r, err := Simulate(job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ type Job struct {
 	// disambiguation); nil is the paper's Table 1 machine.
 	Machine *Machine
 	// Seed is the replication axis: a non-zero value perturbs the
-	// benchmark model's RNG seed so the job replays a statistically
+	// benchmark model's RNG seed so the job simulates a statistically
 	// independent instruction stream of the same workload. Zero is the
 	// canonical stream, and leaves the job's identity — canonical string
 	// and fingerprint — exactly as it was before the axis existed, so
@@ -73,9 +73,7 @@ type Job struct {
 const seedMix = 0x9e3779b97f4a7c15
 
 // model resolves the job's benchmark model with the replication seed
-// applied. Seed zero returns the canonical model unchanged; the trace
-// cache keys streams on the full model, seed included, so perturbed
-// models get distinct shared-trace streams for free.
+// applied. Seed zero returns the canonical model unchanged.
 func (j Job) model() (trace.Model, error) {
 	m, err := trace.ByName(j.Bench)
 	if err != nil {
@@ -250,47 +248,26 @@ func (j Job) fingerprint() ([sha256.Size]byte, bool) {
 	return sha256.Sum256(c), true
 }
 
-// sharedTraces caches each benchmark's generated dynamic instruction
-// stream so the jobs of a grid replay one shared immutable trace instead
-// of regenerating it per job. Replay is bit-exact (the stream is a pure
-// function of the model), so results, figure bytes and distiq-v2
-// fingerprints are unchanged by caching; SimulateUncached bypasses it.
-var sharedTraces = trace.NewCache(trace.DefaultCacheCap)
-
-// TraceCacheStats reports the shared trace cache's counters (residency,
-// hits, evictions); perfbench reads them to count generated streams.
-func TraceCacheStats() trace.CacheStats { return sharedTraces.Stats() }
+// TraceCacheStats returns zero counters: no engine path keeps a trace
+// cache any more.
+//
+// Deprecated: TraceCacheStats exists only because the benchmark harness
+// still reads it; it goes away when the benchmark is next redefined.
+func TraceCacheStats() trace.CacheStats { return trace.CacheStats{} }
 
 // Simulate runs one job to completion on the calling goroutine: it drives
 // the pipeline over the benchmark's synthetic model under the job's
 // configuration and assembles the performance and energy result. The
-// benchmark's dynamic trace is replayed from the shared trace cache, and
-// the pipeline's cache, BTB and instruction arrays go on to the next
-// simulation (Pipeline.Release).
+// job fetches from a generator of its own, which walks the benchmark's
+// static program as fast as replaying a recorded stream would, so no
+// simulation leaves trace state behind; the pipeline's cache, BTB and
+// instruction arrays go on to the next simulation (Pipeline.Release).
 func Simulate(j Job) (Result, error) {
-	return simulate(j, true)
-}
-
-// SimulateUncached is Simulate with the shared trace cache bypassed: the
-// benchmark's stream is regenerated for this run. Results are identical
-// to Simulate's; it exists for memory-constrained callers and for tests
-// pinning that identity.
-func SimulateUncached(j Job) (Result, error) {
-	return simulate(j, false)
-}
-
-func simulate(j Job, cached bool) (Result, error) {
 	model, err := j.model()
 	if err != nil {
 		return Result{}, err
 	}
-	var gen pipeline.Fetcher
-	if cached {
-		gen = sharedTraces.Reader(model)
-	} else {
-		gen = trace.NewGenerator(model)
-	}
-	p, err := pipeline.New(j.PipelineConfig(), gen)
+	p, err := pipeline.New(j.PipelineConfig(), trace.NewGenerator(model))
 	if err != nil {
 		return Result{}, err
 	}
@@ -307,6 +284,13 @@ func simulate(j Job, cached bool) (Result, error) {
 	p.Release()
 	return res, nil
 }
+
+// SimulateUncached returns Simulate(j).
+//
+// Deprecated: SimulateUncached exists only because the benchmark harness
+// still calls it; use Simulate. It goes away when the benchmark is next
+// redefined.
+func SimulateUncached(j Job) (Result, error) { return Simulate(j) }
 
 // energy is the issue-logic energy breakdown of one domain's scheme.
 func energy(s core.Scheme) power.Breakdown {

@@ -275,3 +275,18 @@ func FuzzMachineFingerprint(f *testing.F) {
 		}
 	})
 }
+
+// TestSimulateRejectsMemLatencyPastRing: a memory latency at which a
+// load missing every cache level would complete beyond the pipeline's
+// completion ring is an error from Simulate, not a panic on the worker.
+// On the Table 1 machine such a load takes 1 + 2 + 10 cycles plus the
+// memory latency, and the ring holds 1,024.
+func TestSimulateRejectsMemLatencyPastRing(t *testing.T) {
+	for _, lat := range []int{2000, 1011} {
+		j := Job{Bench: "mcf", Config: core.Baseline64(), Opt: Options{Warmup: 100, Instructions: 2000},
+			Machine: &Machine{MemLatency: lat}}
+		if _, err := Simulate(j); err == nil {
+			t.Errorf("Simulate accepted a %d-cycle memory latency", lat)
+		}
+	}
+}

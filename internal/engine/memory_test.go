@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,5 +155,36 @@ func TestMemoryBoundedRace(t *testing.T) {
 	}
 	if st.Simulated != int64(len(jobs)) {
 		t.Errorf("Simulated = %d, want %d", st.Simulated, len(jobs))
+	}
+}
+
+// liveHeap returns the bytes of live heap once two collections have run
+// (the second frees what the first moved to sync.Pool victim caches).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSimulateRetainsNoTrace: simulations keep no trace state once they
+// return, since each job fetches from a generator of its own. 600 gcc
+// jobs on fresh seeds leave almost no live heap behind. A trace.Cache
+// would record one 8,192-instruction chunk per job, more than
+// trace.DefaultCacheCap holds in all, so a path that kept one would fill
+// it with these jobs' streams whatever earlier tests had left in it.
+func TestSimulateRetainsNoTrace(t *testing.T) {
+	const jobs, limit = 600, 1 << 20
+	before := liveHeap()
+	for i := 0; i < jobs; i++ {
+		j := Job{Bench: "gcc", Config: core.Baseline64(), Opt: Options{Instructions: 500}, Seed: 1<<40 + uint64(i)}
+		if _, err := Simulate(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := liveHeap(); after > before+limit {
+		t.Errorf("%d simulations left %.2f MB more live heap, want under %.2f MB",
+			jobs, float64(after-before)/(1<<20), float64(limit)/(1<<20))
 	}
 }

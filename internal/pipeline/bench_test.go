@@ -33,8 +33,9 @@ func BenchmarkStepSteadyState(b *testing.B) {
 
 // TestStepSteadyStateAllocFree pins the tentpole invariant: once warm, the
 // cycle loop performs zero heap allocations per committed instruction on
-// every scheme code path (hotPathConfigs), fetching from a live generator
-// and replaying a trace-cache stream, the path every engine job takes.
+// every scheme code path (hotPathConfigs), fetching from a live
+// generator, the path every engine job takes, and replaying a stream of
+// the trace cache the benchmark harness still uses.
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -101,7 +101,36 @@ func (c Config) Validate() error {
 			return fmt.Errorf("pipeline: %v latency %d, must be at least 1", isa.Class(class), lat)
 		}
 	}
+	if c.Hier.Mem.ChunkBytes < 1 {
+		return fmt.Errorf("pipeline: memory chunk of %d bytes, must be at least 1", c.Hier.Mem.ChunkBytes)
+	}
+	// Completions are scheduled on a ring of eventRing cycles.
+	if d := c.maxCompletion(); d >= eventRing {
+		return fmt.Errorf("pipeline: a result may complete %d cycles after issue "+
+			"(a load missing every cache level), must be under %d", d, eventRing)
+	}
 	return c.IQ.Validate()
+}
+
+// maxCompletion returns the longest an issued instruction can take to
+// complete: the largest class latency or, for a load, its latency plus
+// an access that misses the L1D and the L2 and fills an L2 line from
+// memory (TryIssue). Each term is clamped to [0, 2^20], so the sum
+// bounds every access path, cannot overflow, and is exact for any
+// latency under a million cycles.
+func (c Config) maxCompletion() int {
+	clamp := func(lat int) int { return min(max(lat, 0), 1<<20) }
+	h := &c.Hier
+	miss := clamp(h.L1D.Latency) + clamp(h.L2.Latency) + clamp(h.Mem.FillLatency(h.L2.LineSize))
+	d := 0
+	for class, lat := range c.Latencies {
+		lat = clamp(lat)
+		if isa.Class(class) == isa.Load {
+			lat += miss
+		}
+		d = max(d, lat)
+	}
+	return d
 }
 
 // Stats aggregates the performance counters of one run.

@@ -5,6 +5,7 @@ import (
 
 	"distiq/internal/core"
 	"distiq/internal/isa"
+	"distiq/internal/trace"
 )
 
 // farFetcher emits instructions whose PCs stride across cache lines far
@@ -167,6 +168,28 @@ func TestEventRingGuard(t *testing.T) {
 		}
 	}()
 	p.schedule(&isa.Inst{}, p.cycle+eventRing+1)
+}
+
+// TestLargestMemLatencySimulates: on the Table 1 machine, the largest
+// memory latency at which a load missing every cache level still
+// completes inside the event ring is accepted by Validate and simulates
+// mcf, whose loads miss to memory, to the end: the bound Validate
+// enforces is not tighter than the ring.
+func TestLargestMemLatencySimulates(t *testing.T) {
+	c := DefaultConfig(core.Baseline64())
+	c.Hier.Mem.FirstChunk = eventRing - 1 - (c.Latencies[isa.Load] + c.Hier.L1D.Latency + c.Hier.L2.Latency)
+	if err := c.Validate(); err != nil {
+		t.Fatalf("memory latency %d: %v", c.Hier.Mem.FirstChunk, err)
+	}
+	p, err := New(c, trace.NewGenerator(trace.MustByName("mcf")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Warmup(100)
+	p.Run(2000)
+	if st := p.Stats(); st.Committed < 2000 {
+		t.Fatalf("memory latency %d: committed %d of 2000 instructions", c.Hier.Mem.FirstChunk, st.Committed)
+	}
 }
 
 func TestPerfectDisambiguationHelps(t *testing.T) {

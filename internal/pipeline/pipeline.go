@@ -20,8 +20,9 @@ type Fetcher interface {
 	Next(in *isa.Inst)
 }
 
-// eventRing must exceed the longest possible completion distance (load
-// missing everywhere: 1 + 2 + 10 + 102 cycles, plus slack).
+// eventRing bounds the completion distance (load missing everywhere: 1 +
+// 2 + 10 + 100 cycles on the Table 1 machine); Config.Validate rejects a
+// machine whose longest completion reaches it.
 const eventRing = 1024
 
 // Pipeline is one simulated core.

@@ -75,6 +75,8 @@ func TestAPIErrors(t *testing.T) {
 		{"no-schemes", `{"benchmarks": ["swim"]}`},
 		{"rob-not-power-of-two", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "rob": [100]}`},
 		{"zero-instructions", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "instructions": 0}`},
+		{"mem-latency-past-ring", `{"benchmarks": ["mcf"], "schemes": [{"scheme": "IQ_64_64"}], "mem_latency": [2000],
+			"warmup": 100, "instructions": 2000}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,6 +22,12 @@ import (
 // fresh Generator's, field for field (TestReaderMatchesGenerator), so
 // simulation results — and therefore figure bytes and distiq-v2 job
 // fingerprints — are unchanged by caching.
+//
+// No simulation path replays a Cache any more: a Generator walks the
+// static program as fast as a reader replays its draws, so every engine
+// job fetches from a generator of its own and keeps no stream alive
+// after it ends. The Cache stays only for the benchmark harness's
+// layer cases.
 
 // tape is the compact encoding of a recorded prefix. The stream is a walk
 // of the model's immutable static program whose only inputs are its
@@ -69,6 +75,9 @@ const growChunk = 8192
 // Any number of Readers may replay it concurrently; the first reader to
 // run off the recorded end extends it (bounded by the recording cap), and
 // readers past the cap fork a private generator clone.
+//
+// Deprecated: Stream exists only because the benchmark harness still
+// uses it; it goes away when the benchmark is next redefined.
 type Stream struct {
 	model Model
 	cap   int
@@ -155,6 +164,9 @@ func (s *Stream) EnsureRecorded(n int) {
 // pipeline's Fetcher interface and is not safe for concurrent use (use
 // one Reader per pipeline); distinct Readers of one Stream are safe
 // concurrently.
+//
+// Deprecated: StreamReader exists only because the benchmark harness
+// still uses it; it goes away when the benchmark is next redefined.
 type StreamReader struct {
 	walk
 	s   *Stream
@@ -200,9 +212,16 @@ func (r *StreamReader) offset(_, _ uint64) uint64 {
 // it may individually grow to the full capacity before the next lookup
 // trims the total, and evicted streams stay resident while active readers
 // replay them.
+//
+// Deprecated: DefaultCacheCap exists only because the benchmark
+// harness still uses it; it goes away when the benchmark is next
+// redefined.
 const DefaultCacheCap = 4 << 20
 
 // CacheStats is a snapshot of a Cache's behaviour counters.
+//
+// Deprecated: CacheStats exists only because the benchmark harness still
+// reads it; it goes away when the benchmark is next redefined.
 type CacheStats struct {
 	// Hits and Misses count Stream lookups that found, respectively
 	// created, a stream.
@@ -221,6 +240,10 @@ type CacheStats struct {
 // Cache materializes model streams on demand and bounds their total
 // recorded size. All methods are safe for concurrent use. The zero value
 // is not usable; use NewCache.
+//
+// Deprecated: Cache exists only because the benchmark harness still
+// uses it; it goes away when the benchmark is next redefined. Simulations
+// fetch from a Generator of their own.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -240,6 +263,9 @@ type cacheEntry struct {
 // bound may still grow to it). maxInsts <= 0 selects DefaultCacheCap.
 // Each stream's own recording cap is the cache capacity; a single run
 // longer than that replays the recorded prefix and generates the rest.
+//
+// Deprecated: NewCache exists only because the benchmark harness still
+// calls it; it goes away when the benchmark is next redefined.
 func NewCache(maxInsts int) *Cache {
 	if maxInsts <= 0 {
 		maxInsts = DefaultCacheCap
