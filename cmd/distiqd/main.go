@@ -27,7 +27,7 @@
 //	iqsweep -spec grid.json -server http://localhost:8090 -format md
 //	curl -s localhost:8090/v1/machine                   # Table 1 introspection
 //	curl -s localhost:8090/v1/benchmarks
-//	curl -s localhost:8090/v1/stats                     # engine-wide counters
+//	curl -s localhost:8090/metrics                      # engine counters, build identity
 //
 // Malformed or invalid specs answer 400 before anything simulates;
 // submissions while -max-queued sweeps are already unfinished answer
@@ -35,12 +35,12 @@
 // leaves runs to completion and persists. On SIGINT/SIGTERM the
 // listener closes and every in-flight sweep drains before exit.
 //
-// Observability: GET /metrics serves the Prometheus exposition,
-// /healthz is the readiness probe (503 once draining), /livez the
-// liveness probe, and /v1/version the build identity. Every request is
-// logged structurally (-log-format text|json, -log-level
-// debug|info|warn|error) with an X-Request-Id that is honored from the
-// caller or generated and echoed back.
+// Observability: GET /metrics serves the Prometheus exposition, the
+// engine-wide counters and the build identity included, /healthz is the
+// readiness probe (503 once draining) and /livez the liveness probe.
+// Every request is logged structurally (-log-format text|json,
+// -log-level debug|info|warn|error) with an X-Request-Id that is
+// honored from the caller or generated and echoed back.
 package main
 
 import (
@@ -79,8 +79,8 @@ func main() {
 		httpSrv.Shutdown(sctx) //nolint:errcheck // drain below bounds the wait
 	}()
 
-	// The one startup line mirrors GET /v1/version, so logs and the API
-	// agree on which build answered.
+	// The one startup line carries distiq_build_info's labels, so logs
+	// and /metrics agree on which build answered.
 	version, goVersion := serve.VersionInfo()
 	logger.Info("listening",
 		"addr", addr,

@@ -75,3 +75,20 @@ func TestRunRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsOversizedQueues: a queue shape past the schemes' bound
+// exits 2 before anything simulates. resolveConfig is checked first,
+// since without the bound run would build every queue the shape asks
+// for.
+func TestRunRejectsOversizedQueues(t *testing.T) {
+	for _, fpq := range []string{"4097x1", "64x65", "4294967296x4294967296"} {
+		if _, err := resolveConfig("IssueFIFO", "8x8", fpq, 0, false); err == nil {
+			t.Fatalf("-fpq %s: configuration validates", fpq)
+		}
+		var out, errw bytes.Buffer
+		err := run([]string{"-config", "IssueFIFO", "-fpq", fpq}, &out, &errw)
+		if cliutil.ExitCode(err) != 2 || out.Len() != 0 {
+			t.Errorf("-fpq %s: exit code %d, stdout %q, want 2 and nothing (%v)", fpq, cliutil.ExitCode(err), out.String(), err)
+		}
+	}
+}

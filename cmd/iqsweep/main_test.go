@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -262,6 +263,41 @@ func TestRunErrorsAreBadInput(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(cacheDir); len(entries) != 0 {
 		t.Errorf("rejected runs stored %d entries (read err %v)", len(entries), err)
+	}
+}
+
+// TestRunRejectsOversizedSpec: a spec whose machine or grid exceeds
+// the simulator's bounds exits 2 before anything simulates. Each spec
+// is first checked to fail expansion in process: run would otherwise
+// simulate a 2^30-entry ROB, allocating about 128 GB.
+func TestRunRejectsOversizedSpec(t *testing.T) {
+	seq := func(n int) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprint(i + 1)
+		}
+		return "[" + strings.Join(vals, ",") + "]"
+	}
+	for name, src := range map[string]string{
+		"rob": `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "rob": [1073741824]}`,
+		"grid": fmt.Sprintf(`{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
+			"l1d_latency": %s, "l2_latency": %s}`, seq(256), seq(257)),
+	} {
+		spec, err := distiq.ParseScenarioSpec([]byte(src))
+		if err == nil {
+			_, err = spec.Expand()
+		}
+		if err == nil {
+			t.Fatalf("%s: spec expands", name)
+		}
+		path := filepath.Join(t.TempDir(), "grid.json")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errw bytes.Buffer
+		if _, err := run([]string{"-spec", path, "-quiet"}, &out, &errw); cliutil.ExitCode(err) != 2 {
+			t.Errorf("%s: exit code %d, want 2 (%v)", name, cliutil.ExitCode(err), err)
+		}
 	}
 }
 

@@ -55,8 +55,9 @@
 //	res, err := cl.Sweep(ctx, grid).ResultSet()
 //	fmt.Print(res.CSV())
 //
-// Swapping the substrate is one constructor — the rest of the program is
-// unchanged:
+// Swapping the substrate of a sweep is one constructor — the rest of the
+// program is unchanged (a RemoteClient has only Sweep; one job is a
+// one-point grid):
 //
 //	var cl distiq.Client = distiq.NewRemoteClient("http://localhost:8090")
 //
@@ -150,18 +151,18 @@ import (
 )
 
 // Client layer types: the unified, context-aware experiment API. A
-// Client resolves single jobs (Run) and scenario grids (Sweep, streaming
-// per-point results in deterministic grid order); LocalClient executes
-// in process on the concurrent engine, RemoteClient speaks to a distiqd
-// service — same interface, same bytes out.
+// Client resolves scenario grids (Sweep, streaming per-point results in
+// deterministic grid order); LocalClient executes in process on the
+// concurrent engine and also resolves single jobs (Run), RemoteClient
+// speaks to a distiqd service — same interface, same bytes out.
 type (
 	// Client is the one experiment interface over every execution
 	// substrate.
 	Client = client.Client
 	// LocalClient runs jobs on the in-process concurrent engine.
 	LocalClient = client.Local
-	// RemoteClient runs jobs on a distiqd service over its streaming
-	// NDJSON endpoint.
+	// RemoteClient sweeps grids on a distiqd service over its
+	// streaming NDJSON endpoint.
 	RemoteClient = client.Remote
 	// Job identifies one unit of experiment work (benchmark,
 	// configuration, sizing, optional machine override).

@@ -1,11 +1,15 @@
 package distiq_test
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"distiq"
 )
 
 // mdLink matches inline markdown links/images: [text](target).
@@ -46,6 +50,44 @@ func TestDocsRelativeLinks(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(base, target)); err != nil {
 				t.Errorf("%s: broken relative link %q", file, m[1])
 			}
+		}
+	}
+}
+
+// apiRoute matches a route heading of docs/API.md: ### `METHOD /path`.
+var apiRoute = regexp.MustCompile("(?m)^### `([A-Z]+) (/[^`]*)`")
+
+// TestDocsRoutes keeps docs/API.md in step with the service: every route
+// it documents answers on a live server, so a route cannot be removed
+// or renamed while its section stays. The one POST route refuses the
+// empty spec with 400.
+func TestDocsRoutes(t *testing.T) {
+	doc, err := os.ReadFile("docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := apiRoute.FindAllStringSubmatch(string(doc), -1)
+	if len(routes) == 0 {
+		t.Fatal("no ### `METHOD /path` route headings in docs/API.md")
+	}
+	ts := httptest.NewServer(distiq.NewServer(distiq.ServerConfig{Parallel: 1}))
+	defer ts.Close()
+	for _, m := range routes {
+		method, path := m[1], m[2]
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		switch code := resp.StatusCode; {
+		case code == http.StatusNotFound || code == http.StatusMethodNotAllowed:
+			t.Errorf("%s %s: documented, but the server answers %d", method, path, code)
+		case method == http.MethodPost && code != http.StatusBadRequest:
+			t.Errorf("%s %s with an empty body: status %d, want 400", method, path, code)
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"distiq"
 )
 
-// The Client API: one context-aware interface over local and remote
-// execution. A LocalClient runs on the in-process engine; swapping in
-// NewRemoteClient pointed at a distiqd changes nothing else.
+// A LocalClient resolves one job on the in-process engine. Grids go
+// through Sweep, the one method of the Client interface, which a
+// RemoteClient pointed at a distiqd serves the same way.
 func ExampleNewLocalClient() {
 	cl := distiq.NewLocalClient(distiq.WithParallel(2))
 	res, err := cl.Run(context.Background(), distiq.Job{

@@ -2,9 +2,9 @@
 // issue logic and the conventional IQ_64_64 baseline, and compare
 // performance and issue-logic energy — the paper's headline trade-off.
 //
-// Jobs run through the Client API: one context-aware interface whose
-// local implementation shards work across the concurrent engine (and
-// whose remote implementation speaks to a distiqd service — see
+// Jobs run on a LocalClient, the in-process implementation of the
+// Client API, which shards work across the concurrent engine (its
+// remote counterpart sweeps grids on a distiqd service — see
 // examples/remotesweep).
 package main
 

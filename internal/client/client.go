@@ -4,10 +4,11 @@
 // distiqd service (Remote) — so harnesses, CLIs and library users pick
 // a substrate by constructor, not by API shape.
 //
-// A Client resolves single jobs (Run) and whole scenario grids (Sweep).
-// Sweep returns a Stream delivering per-point results in deterministic
-// grid order as they resolve, whatever the parallelism or substrate, so
-// a consumer can render progress live and still assemble byte-identical
+// A Client resolves scenario grids (Sweep); a single job is a one-point
+// grid, which Local also resolves directly (Run). Sweep returns a Stream
+// delivering per-point results in deterministic grid order as they
+// resolve, whatever the parallelism or substrate, so a consumer can
+// render progress live and still assemble byte-identical
 // CSV/JSON/markdown documents via Stream.ResultSet — the same emitters
 // every other front end uses. Local's Sweep is the one implementation of
 // ordered delivery, first-failure handling and sweep manifests: distiqd
@@ -38,11 +39,9 @@ type Job = engine.Job
 
 // Client is the one experiment interface over every execution substrate.
 // Implementations: Local (in-process engine) and Remote (distiqd over
-// HTTP). Both are safe for concurrent use.
+// HTTP). Both are safe for concurrent use. One job is a one-point grid;
+// Local also resolves jobs directly (Local.Run, Local.RunAll).
 type Client interface {
-	// Run resolves one job, blocking until its result is available or
-	// ctx is cancelled.
-	Run(ctx context.Context, job Job) (engine.Result, error)
 	// Sweep starts resolving every point of a scenario grid and returns
 	// a stream of per-point results in deterministic grid order. Sweep
 	// itself does not block; consume the stream with Next/Update or

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"distiq/internal/client"
-	"distiq/internal/core"
 	"distiq/internal/engine"
 	"distiq/internal/scenario"
 	"distiq/internal/serve"
@@ -312,58 +311,6 @@ func TestLocalVsRemoteParity(t *testing.T) {
 	}
 	if rc.Total() != int64(grid.Size()) {
 		t.Errorf("remote counts cover %d of %d points", rc.Total(), grid.Size())
-	}
-}
-
-// TestRemoteRunMatchesLocal: a single job through Remote.Run equals the
-// local result, via the SpecForJob reverse mapping.
-func TestRemoteRunMatchesLocal(t *testing.T) {
-	srv := serve.New(serve.Config{Parallel: 2})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	job := client.Job{
-		Bench:   "swim",
-		Config:  core.MBDistr(),
-		Opt:     engine.Options{Warmup: 500, Instructions: 1500},
-		Machine: &engine.Machine{ROBSize: 128},
-	}
-	want, err := client.NewLocal(client.WithParallel(1)).Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := client.NewRemote(ts.URL).Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Insts != want.Insts || got.Cycles != want.Cycles || got.IQEnergy != want.IQEnergy {
-		t.Fatalf("remote result %+v differs from local %+v", got.Run, want.Run)
-	}
-}
-
-// TestSpecForJobRejectsInexpressibleJobs: custom schemes and machine
-// overrides no spec axis reaches are refused loudly, never silently
-// approximated.
-func TestSpecForJobRejectsInexpressibleJobs(t *testing.T) {
-	parametric := client.Job{
-		Bench:  "gcc",
-		Config: core.MixBUFFCfg(8, 8, 10, 16, 4),
-		Opt:    engine.Options{Warmup: 100, Instructions: 200},
-	}
-	if _, err := client.SpecForJob(parametric); err != nil {
-		t.Fatalf("parametric job should be expressible: %v", err)
-	}
-
-	custom := parametric
-	custom.Config.FP.Custom = func(core.DomainConfig, core.Options) (core.Scheme, error) { return nil, nil }
-	if _, err := client.SpecForJob(custom); err == nil {
-		t.Fatal("custom scheme job was accepted")
-	}
-
-	odd := parametric
-	odd.Machine = &engine.Machine{DispatchWidth: 2} // no axis sets dispatch alone
-	if _, err := client.SpecForJob(odd); err == nil {
-		t.Fatal("dispatch-only machine override was accepted")
 	}
 }
 

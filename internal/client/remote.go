@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"distiq/internal/cliutil"
-	"distiq/internal/core"
-	"distiq/internal/engine"
 	"distiq/internal/scenario"
 )
 
@@ -77,9 +75,6 @@ func NewHTTPClient() *http.Client {
 	}
 }
 
-// Base returns the service base URL.
-func (c *Remote) Base() string { return c.base }
-
 // Healthy probes the service's /healthz readiness endpoint, bounding
 // the probe to two seconds. Anything but a prompt 200 — refused
 // connection, timeout, a draining 503 — reads as unhealthy, so a caller
@@ -98,31 +93,6 @@ func (c *Remote) Healthy(ctx context.Context) bool {
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// Run resolves one job by submitting it as a single-point sweep. The job
-// must be expressible as a scenario spec (named or parametric scheme, no
-// Custom factories) — SpecForJob documents the mapping.
-func (c *Remote) Run(ctx context.Context, job Job) (engine.Result, error) {
-	spec, err := SpecForJob(job)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	grid, err := spec.Expand()
-	if err != nil {
-		return engine.Result{}, err
-	}
-	st := c.Sweep(ctx, grid)
-	if !st.Next() {
-		if st.Err() != nil {
-			return engine.Result{}, st.Err()
-		}
-		return engine.Result{}, errors.New("client: remote stream delivered no result")
-	}
-	res := st.Update().Result
-	for st.Next() {
-	}
-	return res, st.Err()
 }
 
 // Sweep submits the grid's spec and streams per-point results from the
@@ -228,112 +198,6 @@ func (c *Remote) errorFrom(op string, resp *http.Response) error {
 		err = cliutil.BadInput(err)
 	}
 	return err
-}
-
-// schemeKindName maps a parametric scheme kind to its spec spelling.
-func schemeKindName(k core.Kind) string {
-	switch k {
-	case core.KindIssueFIFO:
-		return "IssueFIFO"
-	case core.KindLatFIFO:
-		return "LatFIFO"
-	case core.KindMixBUFF:
-		return "MixBUFF"
-	}
-	return ""
-}
-
-// SpecForJob renders one engine job as an equivalent single-point
-// scenario spec — the form a Remote client can submit. Named
-// configurations map to a named scheme axis, parametric ones to their
-// scheme kind plus queue shape; machine overrides map to single-value
-// machine axes. The candidate spec is verified by expansion: it is
-// returned only if its one point's structural identity (Job.Key) matches
-// the input exactly, so a remote run simulates precisely the requested
-// job or fails loudly. Jobs with Custom scheme factories are never
-// expressible.
-func SpecForJob(j Job) (*scenario.Spec, error) {
-	if j.Config.Int.Custom != nil || j.Config.FP.Custom != nil {
-		return nil, fmt.Errorf("client: %s under %s: custom schemes cannot run remotely", j.Bench, j.Config.Name)
-	}
-	axes := []scenario.SchemeAxis{{Scheme: j.Config.Name}}
-	if kind := schemeKindName(j.Config.FP.Kind); kind != "" {
-		ax := scenario.SchemeAxis{
-			Scheme:  kind,
-			IntQ:    fmt.Sprintf("%dx%d", j.Config.Int.Queues, j.Config.Int.Entries),
-			Queues:  []int{j.Config.FP.Queues},
-			Entries: []int{j.Config.FP.Entries},
-			Distr:   j.Config.DistributedFU,
-		}
-		if kind == "MixBUFF" {
-			ax.Chains = []int{j.Config.FP.Chains}
-		}
-		axes = append(axes, ax)
-	}
-	for _, ax := range axes {
-		spec := scenario.New("").
-			WithBenchmarks(j.Bench).
-			WithScheme(ax).
-			WithLengths(j.Opt.Warmup, j.Opt.Instructions)
-		if j.Seed != 0 {
-			spec.WithSeeds(j.Seed)
-		}
-		applyMachineAxes(spec, j.Machine)
-		grid, err := spec.Expand()
-		if err != nil || grid.Size() != 1 {
-			continue
-		}
-		if grid.Points[0].Job(spec.Opt()).Key() == j.Key() {
-			return spec, nil
-		}
-	}
-	return nil, fmt.Errorf("client: %s under %s is not expressible as a scenario spec", j.Bench, j.Config.Name)
-}
-
-// applyMachineAxes maps a machine override's non-zero fields onto
-// single-value spec axes. Fields no axis can express (e.g. a dispatch
-// width differing from fetch) survive to the Key comparison in
-// SpecForJob, which then rejects the spec.
-func applyMachineAxes(spec *scenario.Spec, m *engine.Machine) {
-	if m == nil {
-		return
-	}
-	if m.ROBSize != 0 {
-		spec.WithROB(m.ROBSize)
-	}
-	if m.FetchWidth != 0 {
-		spec.WithFetchWidth(m.FetchWidth)
-	}
-	if m.IssueWidthInt != 0 {
-		spec.WithIssueWidth(m.IssueWidthInt)
-	}
-	if m.CommitWidth != 0 {
-		spec.WithCommitWidth(m.CommitWidth)
-	}
-	if m.IntALUs != 0 {
-		spec.WithIntALUs(m.IntALUs)
-	}
-	if m.IntMuls != 0 {
-		spec.WithIntMuls(m.IntMuls)
-	}
-	if m.FPAdders != 0 {
-		spec.WithFPAdders(m.FPAdders)
-	}
-	if m.FPMuls != 0 {
-		spec.WithFPMuls(m.FPMuls)
-	}
-	if m.L1DLatency != 0 {
-		spec.WithL1DLatency(m.L1DLatency)
-	}
-	if m.L2Latency != 0 {
-		spec.WithL2Latency(m.L2Latency)
-	}
-	if m.MemLatency != 0 {
-		spec.WithMemLatency(m.MemLatency)
-	}
-	if m.PerfectDisambiguation {
-		spec.WithPerfectDisambiguation(true)
-	}
 }
 
 // compile-time interface check.

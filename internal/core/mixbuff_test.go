@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 
 	"distiq/internal/isa"
@@ -326,6 +327,29 @@ func TestConfigNamesAndValidation(t *testing.T) {
 		FP: DomainConfig{Kind: KindCAM, Queues: 1, Entries: 4}}
 	if bad.Validate() == nil {
 		t.Error("multi-queue CAM validated")
+	}
+}
+
+// TestValidateRejectsOversizedDomain: the schemes allocate a domain's
+// entries up front, so Validate bounds the queues, the entries per
+// queue and their product, each factor before the product is taken.
+func TestValidateRejectsOversizedDomain(t *testing.T) {
+	half := 1 << (strconv.IntSize / 2)
+	for _, c := range []struct {
+		queues, entries int
+		ok              bool
+	}{
+		{1, 4096, true},
+		{64, 64, true},
+		{1, 4097, false},
+		{4097, 1, false},
+		{64, 65, false},
+		{half, half, false}, // the product overflows to 0
+	} {
+		d := DomainConfig{Kind: KindIssueFIFO, Queues: c.queues, Entries: c.entries}
+		if err := d.Validate(); (err == nil) != c.ok {
+			t.Errorf("%dx%d: Validate() = %v, want ok %v", c.queues, c.entries, err, c.ok)
+		}
 	}
 }
 

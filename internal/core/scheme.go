@@ -142,10 +142,19 @@ type DomainConfig struct {
 // Total returns the total entry count of the domain.
 func (d DomainConfig) Total() int { return d.Queues * d.Entries }
 
+// maxEntries bounds a domain's queues, entries per queue and total
+// entries, which the schemes allocate up front; the largest domain
+// evaluated here holds 256.
+const maxEntries = 4096
+
 // Validate checks the configuration.
 func (d DomainConfig) Validate() error {
 	if d.Queues <= 0 || d.Entries <= 0 {
 		return fmt.Errorf("core: need positive queues/entries, got %dx%d", d.Queues, d.Entries)
+	}
+	// Both factors are bounded before the product can overflow.
+	if d.Queues > maxEntries || d.Entries > maxEntries || d.Total() > maxEntries {
+		return fmt.Errorf("core: %dx%d queue entries, must be at most %d in all", d.Queues, d.Entries, maxEntries)
 	}
 	if (d.Kind == KindCAM || d.Kind == KindAdaptiveCAM) && d.Queues != 1 && d.Custom == nil {
 		return fmt.Errorf("core: CAM domain uses a single queue, got %d", d.Queues)

@@ -6,7 +6,7 @@ import (
 
 // instrument registers the engine's observability surface on reg. The
 // resolution counters are function-backed reads of Stats(), so a scrape
-// of /metrics and a read of /v1/stats can never disagree; the queue and
+// of /metrics and a Stats() call can never disagree; the queue and
 // occupancy gauges read the live atomics the hot path already maintains.
 func (e *Engine) instrument(reg *obs.Registry) {
 	stat := func(pick func(Stats) int64) func() float64 {

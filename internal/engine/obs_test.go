@@ -42,8 +42,8 @@ func sampleValue(t *testing.T, exposition, series string) float64 {
 }
 
 // TestEngineMetricsMatchStats pins the acceptance criterion that the
-// engine's /metrics counters are definitionally identical to /v1/stats:
-// both read the same Stats snapshot.
+// engine's /metrics counters are definitionally identical to Stats():
+// they read its snapshot.
 func TestEngineMetricsMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	var calls atomic.Int64

@@ -77,6 +77,14 @@ func DefaultConfig(iq core.Config) Config {
 	}
 }
 
+// Validate bounds the sizes New allocates by, far above every machine
+// evaluated here (ROB 256, Table 1's 8/4/4/4 units), so that a machine
+// from outside cannot make one simulation allocate without limit.
+const (
+	maxWindow = 4096 // ROB and fetch-queue entries
+	maxUnits  = 64   // functional units of one kind
+)
+
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
 	if c.FetchWidth <= 0 || c.DispatchWidth <= 0 || c.CommitWidth <= 0 {
@@ -85,11 +93,19 @@ func (c Config) Validate() error {
 	if c.IssueWidthInt <= 0 || c.IssueWidthFP <= 0 {
 		return fmt.Errorf("pipeline: non-positive issue width")
 	}
-	if c.FetchQueue <= 0 {
-		return fmt.Errorf("pipeline: fetch queue size")
+	if c.FetchQueue <= 0 || c.FetchQueue > maxWindow {
+		return fmt.Errorf("pipeline: fetch queue of %d entries, must be in [1,%d]", c.FetchQueue, maxWindow)
 	}
 	if c.ROBSize <= 0 || c.ROBSize&(c.ROBSize-1) != 0 {
 		return fmt.Errorf("pipeline: ROB size must be a power of two")
+	}
+	if c.ROBSize > maxWindow {
+		return fmt.Errorf("pipeline: ROB of %d entries, must be at most %d", c.ROBSize, maxWindow)
+	}
+	for k, n := range c.FUCounts {
+		if n < 1 || n > maxUnits {
+			return fmt.Errorf("pipeline: %d %v units, must be in [1,%d]", n, isa.FUKind(k), maxUnits)
+		}
 	}
 	if c.DecodeDepth < 1 {
 		return fmt.Errorf("pipeline: decode depth must be at least 1")

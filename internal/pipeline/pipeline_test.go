@@ -206,6 +206,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOversizedMachine: New sizes its arrays by the ROB,
+// the fetch queue and the unit counts, so Validate bounds each (and is
+// the only call here: New would allocate what an unbounded one asks).
+func TestValidateRejectsOversizedMachine(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"rob at bound", func(c *Config) { c.ROBSize = 4096 }, true},
+		{"rob", func(c *Config) { c.ROBSize = 8192 }, false},
+		{"rob 2^30", func(c *Config) { c.ROBSize = 1 << 30 }, false},
+		{"fetch queue at bound", func(c *Config) { c.FetchQueue = 4096 }, true},
+		{"fetch queue", func(c *Config) { c.FetchQueue = 4097 }, false},
+		{"units at bound", func(c *Config) { c.FUCounts[isa.FPMulUnit] = 64 }, true},
+		{"units", func(c *Config) { c.FUCounts[isa.IntALUUnit] = 65 }, false},
+		{"no units", func(c *Config) { c.FUCounts[isa.IntMulUnit] = 0 }, false},
+	} {
+		cfg := DefaultConfig(core.Baseline64())
+		c.set(&cfg)
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestLatencyBelowOneRejected(t *testing.T) {
 	// A result must become usable after its issue cycle, at the
 	// writeback that broadcasts its tag.

@@ -42,7 +42,8 @@ type SchemeAxis struct {
 	// Chains bounds dependence chains per FP queue (MixBUFF only;
 	// 0 = unbounded).
 	Chains []int `json:"chains,omitempty"`
-	// Distr distributes functional units across queues.
+	// Distr distributes functional units across queues (parametric
+	// schemes only: a named configuration fixes its own wiring).
 	Distr bool `json:"distr,omitempty"`
 }
 
@@ -282,14 +283,22 @@ func (s *Spec) benchList() ([]string, error) {
 	return out, nil
 }
 
+// maxGridPoints bounds the points one spec expands into. Expand builds
+// every point before anything runs, so Validate counts them from the
+// axis lengths first; the bound sits far above every grid this
+// repository sweeps.
+const maxGridPoints = 65536
+
 // Validate checks the spec's axes without expanding them: schemes and
-// benchmarks must exist, every machine-axis value must be positive and no
-// axis may repeat a value (duplicate grid rows would collide in output).
+// benchmarks must exist, every machine-axis value must be positive, no
+// axis may repeat a value (duplicate grid rows would collide in output)
+// and the grid may hold at most maxGridPoints points.
 func (s *Spec) Validate() error {
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("scenario: spec has no schemes axis")
 	}
-	if _, err := s.benchList(); err != nil {
+	benches, err := s.benchList()
+	if err != nil {
 		return err
 	}
 	for i, ax := range s.Schemes {
@@ -320,12 +329,36 @@ func (s *Spec) Validate() error {
 	if s.Instructions != nil && *s.Instructions == 0 {
 		return fmt.Errorf("scenario: instructions must be positive (a zero-length run measures nothing)")
 	}
+	if s.size(len(benches)) > maxGridPoints {
+		return fmt.Errorf("scenario: spec expands to more than %d points", maxGridPoints)
+	}
 	return nil
+}
+
+// size counts the points Expand builds over benches benchmarks from the
+// lengths of validated axes (a named scheme has no shape, and only
+// MixBUFF more than one chains value), an empty axis counting once. The
+// count saturates at maxGridPoints+1, so no product can overflow.
+func (s *Spec) size(benches int) int {
+	mul := func(n, k int) int {
+		if k = max(k, 1); n > maxGridPoints/k {
+			return maxGridPoints + 1
+		}
+		return n * k
+	}
+	n := 0
+	for _, ax := range s.Schemes {
+		n = min(n+mul(mul(mul(1, len(ax.Queues)), len(ax.Entries)), len(ax.Chains)), maxGridPoints+1)
+	}
+	for _, ax := range machineAxes {
+		n = mul(n, len(ax.vals(s)))
+	}
+	return mul(mul(mul(n, benches), len(s.PerfectDisambiguation)), len(s.Seeds))
 }
 
 func validateSchemeAxis(ax SchemeAxis) error {
 	if _, named := namedConfigs[ax.Scheme]; named {
-		if len(ax.Queues) > 0 || len(ax.Entries) > 0 || len(ax.Chains) > 0 || ax.IntQ != "" {
+		if len(ax.Queues) > 0 || len(ax.Entries) > 0 || len(ax.Chains) > 0 || ax.IntQ != "" || ax.Distr {
 			return fmt.Errorf("named configuration %q takes no queue shape", ax.Scheme)
 		}
 		return nil

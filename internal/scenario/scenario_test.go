@@ -23,6 +23,7 @@ func TestParseSpecStrict(t *testing.T) {
 		{"duplicate rob", `{"schemes": [{"scheme": "MB_distr"}], "rob": [128, 128]}`, "repeats"},
 		{"duplicate pdis", `{"schemes": [{"scheme": "MB_distr"}], "perfect_disambiguation": [true, true]}`, "repeats"},
 		{"shape on named", `{"schemes": [{"scheme": "MB_distr", "queues": [8]}]}`, "no queue shape"},
+		{"distr on named", `{"schemes": [{"scheme": "IQ_64_64", "distr": true}]}`, "no queue shape"},
 		{"chains on fifo", `{"schemes": [{"scheme": "IssueFIFO", "chains": [4]}]}`, "only to MixBUFF"},
 		{"bad intq", `{"schemes": [{"scheme": "MixBUFF", "intq": "8by8"}]}`, "queue shape"},
 		{"trailing data", `{"schemes": [{"scheme": "MB_distr"}]} {"x": 1}`, "trailing"},
@@ -92,6 +93,57 @@ func TestExpandRejectsInvalidMachine(t *testing.T) {
 	s2.FetchWidth = []int{-2}
 	if _, err := s2.Expand(); err == nil {
 		t.Fatal("negative width accepted")
+	}
+}
+
+// axis renders the JSON array 1..n.
+func axis(n int) string {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprint(i + 1)
+	}
+	return "[" + strings.Join(vals, ",") + "]"
+}
+
+// TestOversizedSpecRejected: a spec cannot make Expand build, or a
+// worker allocate, without bound. The grid-size cases go through
+// ParseSpec only, since an Expand that let them through would build
+// every point.
+func TestOversizedSpecRejected(t *testing.T) {
+	at := fmt.Sprintf(`{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "l1d_latency": %s, "l2_latency": %s`, axis(256), axis(256))
+	if _, err := ParseSpec([]byte(at + "}")); err != nil {
+		t.Fatalf("a grid of exactly %d points was rejected: %v", maxGridPoints, err)
+	}
+	every := `{"schemes": [{"scheme": "MB_distr"}]`
+	for _, ax := range machineAxes {
+		every += fmt.Sprintf(",%q: %s", ax.name, axis(1000))
+	}
+	for name, src := range map[string]string{
+		"one seed too many": at + `, "seeds": [0, 1]}`,
+		"three latency axes": fmt.Sprintf(`{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
+			"l1d_latency": %s, "l2_latency": %s, "mem_latency": %s}`, axis(1000), axis(1000), axis(1000)),
+		// 26 × 1000^11 points overflow an unsaturated product.
+		"every machine axis": every + "}",
+		"parametric shapes":  fmt.Sprintf(`{"benchmarks": ["swim"], "schemes": [{"scheme": "MixBUFF", "queues": %s, "entries": %s, "chains": [0, 1]}]}`, axis(256), axis(256)),
+	} {
+		if _, err := ParseSpec([]byte(src)); err == nil || !strings.Contains(err.Error(), "more than 65536 points") {
+			t.Errorf("%s: err = %v, want the grid-size bound", name, err)
+		}
+	}
+
+	for _, c := range []struct {
+		spec    *Spec
+		wantErr string
+	}{
+		{New("").WithNamed("MB_distr").WithROB(1 << 30), "ROB of 1073741824 entries"},
+		{New("").WithNamed("MB_distr").WithIntALUs(65), "65 IntALU units"},
+		{New("").WithScheme(SchemeAxis{Scheme: "MixBUFF", Queues: []int{4097}}), "4097x16 queue entries"},
+		{New("").WithScheme(SchemeAxis{Scheme: "IssueFIFO", Queues: []int{64}, Entries: []int{65}}), "64x65 queue entries"},
+		{New("").WithScheme(SchemeAxis{Scheme: "LatFIFO", IntQ: "1x4097"}), "1x4097 queue entries"},
+	} {
+		if _, err := c.spec.WithBenchmarks("swim").Expand(); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("err = %v, want substring %q", err, c.wantErr)
+		}
 	}
 }
 

@@ -77,6 +77,12 @@ func TestAPIErrors(t *testing.T) {
 		{"zero-instructions", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "instructions": 0}`},
 		{"mem-latency-past-ring", `{"benchmarks": ["mcf"], "schemes": [{"scheme": "IQ_64_64"}], "mem_latency": [2000],
 			"warmup": 100, "instructions": 2000}`},
+		// Specs that would make Expand or a worker allocate without
+		// bound. The grid is only just over its bound, so a server
+		// without one expands it cheaply.
+		{"oversized-rob", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "rob": [1073741824]}`},
+		{"oversized-grid", fmt.Sprintf(`{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}],
+			"l1d_latency": %s, "l2_latency": %s}`, seq(256), seq(257))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,6 +93,15 @@ func TestAPIErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// seq renders the JSON array 1..n.
+func seq(n int) string {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprint(i + 1)
+	}
+	return "[" + strings.Join(vals, ",") + "]"
 }
 
 // postSpec submits spec, with the Accept header when accept is set.

@@ -196,8 +196,8 @@ func (s *Server) instrument() {
 }
 
 // VersionInfo reports the module version (as recorded by the build) and
-// the Go toolchain version — the fields served at /v1/version and logged
-// once at distiqd startup.
+// the Go toolchain version — the labels of distiq_build_info, also
+// logged once at distiqd startup.
 func VersionInfo() (version, goVersion string) {
 	version = "(devel)"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
@@ -211,27 +211,6 @@ func VersionInfo() (version, goVersion string) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.obs.WritePrometheus(w) //nolint:errcheck // the response is already committed
-}
-
-// versionDoc is the JSON body of GET /v1/version.
-type versionDoc struct {
-	Version       string  `json:"version"`
-	GoVersion     string  `json:"go_version"`
-	StartTime     string  `json:"start_time"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-// handleVersion serves build and process identity: module version, Go
-// version, start time and uptime — the same fields distiqd logs once at
-// startup.
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	version, goVersion := VersionInfo()
-	writeJSON(w, http.StatusOK, versionDoc{
-		Version:       version,
-		GoVersion:     goVersion,
-		StartTime:     s.start.UTC().Format(time.RFC3339),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-	})
 }
 
 // handleLive is the liveness probe: it answers 200 for as long as the

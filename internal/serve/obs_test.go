@@ -64,7 +64,7 @@ func sampleValue(t *testing.T, body, series string) float64 {
 
 // TestMetricsAfterSweep is the acceptance scrape: right after a cold
 // sweep's stream ends with its done event, the exposition parses, the
-// engine counters agree with /v1/stats, the HTTP duration histograms
+// engine counters agree with Server.Stats, the HTTP duration histograms
 // have non-zero buckets and the gauges are coherent.
 func TestMetricsAfterSweep(t *testing.T) {
 	srv := New(Config{Parallel: 2})
@@ -72,22 +72,16 @@ func TestMetricsAfterSweep(t *testing.T) {
 	defer ts.Close()
 
 	sweepDone(t, ts, testSpec, 4)
-
-	var stats struct {
-		Requested int64 `json:"requested"`
-		Simulated int64 `json:"simulated"`
-	}
-	getJSON(t, ts, "/v1/stats", &stats)
-
+	stats := srv.Stats()
 	body := scrape(t, ts)
 
-	// Engine counters are read from the same Stats snapshot /v1/stats
-	// serves, so the two views must agree exactly.
+	// Engine counters are read from the Stats snapshot, so the two views
+	// must agree exactly.
 	if v := sampleValue(t, body, `distiq_engine_requests_total`); v != float64(stats.Requested) {
-		t.Errorf("distiq_engine_requests_total = %v, /v1/stats requested = %d", v, stats.Requested)
+		t.Errorf("distiq_engine_requests_total = %v, Stats().Requested = %d", v, stats.Requested)
 	}
 	if v := sampleValue(t, body, `distiq_engine_jobs_total{source="simulated"}`); v != float64(stats.Simulated) {
-		t.Errorf(`distiq_engine_jobs_total{source="simulated"} = %v, /v1/stats simulated = %d`, v, stats.Simulated)
+		t.Errorf(`distiq_engine_jobs_total{source="simulated"} = %v, Stats().Simulated = %d`, v, stats.Simulated)
 	}
 
 	// Every one of the four points ran the simulator once, and each run
@@ -176,33 +170,6 @@ func TestMetricsNamesMatchDocs(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestVersionEndpoint pins the /v1/version document shape.
-func TestVersionEndpoint(t *testing.T) {
-	srv := New(Config{Parallel: 1})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	var doc struct {
-		Version       string  `json:"version"`
-		GoVersion     string  `json:"go_version"`
-		StartTime     string  `json:"start_time"`
-		UptimeSeconds float64 `json:"uptime_seconds"`
-	}
-	getJSON(t, ts, "/v1/version", &doc)
-	if doc.Version == "" {
-		t.Error("empty version")
-	}
-	if !strings.HasPrefix(doc.GoVersion, "go") {
-		t.Errorf("go_version = %q", doc.GoVersion)
-	}
-	if _, err := time.Parse(time.RFC3339, doc.StartTime); err != nil {
-		t.Errorf("start_time %q: %v", doc.StartTime, err)
-	}
-	if doc.UptimeSeconds < 0 {
-		t.Errorf("uptime_seconds = %v", doc.UptimeSeconds)
 	}
 }
 

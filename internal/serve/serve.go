@@ -15,8 +15,6 @@
 //	                      draining, each before anything streams
 //	GET  /v1/machine      the paper's Table 1 machine
 //	GET  /v1/benchmarks   workload names per suite
-//	GET  /v1/stats        engine-wide resolution counters
-//	GET  /v1/version      build and process identity
 //	GET  /metrics         Prometheus text exposition
 //	GET  /healthz         readiness (503 while draining)
 //	GET  /livez           liveness
@@ -156,8 +154,6 @@ func New(cfg Config) *Server {
 	s.route(mux, "POST /v1/sweeps", s.handleSubmit)
 	s.route(mux, "GET /v1/machine", s.handleMachine)
 	s.route(mux, "GET /v1/benchmarks", s.handleBenchmarks)
-	s.route(mux, "GET /v1/stats", s.handleStats)
-	s.route(mux, "GET /v1/version", s.handleVersion)
 	s.route(mux, "GET /metrics", s.handleMetrics)
 	s.route(mux, "GET /healthz", s.handleHealth)
 	s.route(mux, "GET /livez", s.handleLive)
@@ -368,7 +364,8 @@ func (s *Server) release(st *client.Stream) {
 
 // machineDoc is the stable JSON rendering of the Table 1 machine. It is
 // assembled field-by-field (pipeline.Config embeds scheme constructors
-// that do not marshal) and mirrors the names scenario axes use.
+// that do not marshal); docs/API.md says which fields the scenario axes
+// set.
 type machineDoc struct {
 	FetchWidth      int  `json:"fetch_width"`
 	DispatchWidth   int  `json:"dispatch_width"`
@@ -421,32 +418,6 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 		Int []string `json:"int"`
 		FP  []string `json:"fp"`
 	}{trace.Benchmarks(trace.SuiteInt), trace.Benchmarks(trace.SuiteFP)})
-}
-
-// statsDoc renders engine.Stats with the API's snake_case keys (the raw
-// struct has no JSON tags and would leak Go identifiers).
-type statsDoc struct {
-	Requested  int64 `json:"requested"`
-	Simulated  int64 `json:"simulated"`
-	MemoryHits int64 `json:"memory_hits"`
-	DiskHits   int64 `json:"disk_hits"`
-	Shared     int64 `json:"shared"`
-	Canceled   int64 `json:"canceled"`
-	DiskErrors int64 `json:"disk_errors"`
-}
-
-// handleStats serves the engine-wide resolution counters.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.Stats()
-	writeJSON(w, http.StatusOK, statsDoc{
-		Requested:  st.Requested,
-		Simulated:  st.Simulated,
-		MemoryHits: st.MemoryHits,
-		DiskHits:   st.DiskHits,
-		Shared:     st.Shared,
-		Canceled:   st.Canceled,
-		DiskErrors: st.DiskErrors,
-	})
 }
 
 // healthDoc is the readiness body: ok flips false (with HTTP 503) once

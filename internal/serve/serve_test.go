@@ -207,8 +207,9 @@ func TestSubmitWithoutAcceptStreams(t *testing.T) {
 	}
 }
 
-// TestIntrospectionEndpoints pins /v1/machine, /v1/benchmarks, /v1/stats
-// and /healthz.
+// TestIntrospectionEndpoints pins /v1/machine, /v1/benchmarks and
+// /healthz, and that the engine counters and the build identity have no
+// JSON routes of their own: /metrics serves both.
 func TestIntrospectionEndpoints(t *testing.T) {
 	srv := New(Config{Parallel: 2})
 	ts := httptest.NewServer(srv)
@@ -230,27 +231,18 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	}
 
 	sweepDone(t, ts, testSpec, 4)
-
-	// The stats document uses the API's snake_case keys, like every
-	// other endpoint.
-	var stats struct {
-		Requested  int64 `json:"requested"`
-		Simulated  int64 `json:"simulated"`
-		MemoryHits int64 `json:"memory_hits"`
-		DiskHits   int64 `json:"disk_hits"`
-		Shared     int64 `json:"shared"`
-		DiskErrors int64 `json:"disk_errors"`
+	if st := srv.Stats(); st.Requested != 4 || st.Simulated != 4 {
+		t.Fatalf("engine stats = %+v", st)
 	}
-	getJSON(t, ts, "/v1/stats", &stats)
-	if stats.Requested != 4 || stats.Simulated != 4 {
-		t.Fatalf("engine stats = %+v", stats)
-	}
-	want := srv.Stats()
-	got := engine.Stats{Requested: stats.Requested, Simulated: stats.Simulated,
-		MemoryHits: stats.MemoryHits, DiskHits: stats.DiskHits,
-		Shared: stats.Shared, DiskErrors: stats.DiskErrors}
-	if got != want {
-		t.Fatalf("Stats() = %+v, /v1/stats = %+v", want, got)
+	for _, path := range []string{"/v1/stats", "/v1/version"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status = %d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	var health struct {

@@ -453,11 +453,8 @@ func TestSubmitStreamCancelled(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the submission's handler outlived its cancelled client")
 	}
-	var stats struct {
-		Simulated int64 `json:"simulated"`
-	}
-	if getJSON(t, ts, "/v1/stats", &stats); stats.Simulated >= 4 {
-		t.Fatalf("sweep finished before its gated points were released: %+v", stats)
+	if st := srv.Stats(); st.Simulated >= 4 {
+		t.Fatalf("sweep finished before its gated points were released: %+v", st)
 	}
 	close(release)
 	// Drain waits for the abandoned sweep, which must run to its end.

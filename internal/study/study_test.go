@@ -23,6 +23,7 @@ func TestParseSpecStrict(t *testing.T) {
 		{"baseline name collision", `{"mode":"ablation","variants":[{"name":"baseline","rob":128}]}`, `name "baseline" repeats`},
 		{"bad variant machine", `{"mode":"ablation","variants":[{"name":"v","rob":100}]}`, `variant "v"`},
 		{"bad variant scheme", `{"mode":"ablation","variants":[{"name":"v","scheme":"Nope"}]}`, `unknown scheme`},
+		{"distr on named scheme", `{"mode":"ablation","variants":[{"name":"v","scheme":"IQ_64_64","distr":true}]}`, "no queue shape"},
 		{"seeds and replicates", `{"mode":"replication","replicates":3,"seeds":[1,2],"variants":[{"name":"v","rob":128}]}`, "mutually exclusive"},
 		{"one replicate", `{"mode":"replication","replicates":1,"variants":[{"name":"v","rob":128}]}`, "at least 2"},
 		{"one seed", `{"mode":"replication","seeds":[7],"variants":[{"name":"v","rob":128}]}`, "at least 2 seeds"},
