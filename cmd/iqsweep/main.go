@@ -46,7 +46,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -205,7 +204,7 @@ func writeManifest(path string, stream *distiq.SweepStream) error {
 	if m == nil {
 		return fmt.Errorf("sweep produced no manifest")
 	}
-	data, err := json.MarshalIndent(m, "", " ")
+	data, err := m.JSON()
 	if err != nil {
 		return err
 	}

@@ -301,6 +301,26 @@ func TestRunRejectsOversizedSpec(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRepeatedScheme: a spec whose schemes axis names one
+// configuration twice, here through an alias, exits 2 naming both
+// entries instead of printing two identical rows.
+func TestRunRejectsRepeatedScheme(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.json")
+	src := `{"benchmarks": ["swim"], "schemes": [{"scheme": "IQ_64_64"}, {"scheme": "baseline"}],
+		"warmup": 100, "instructions": 200}`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	_, err := run([]string{"-spec", path, "-quiet"}, &out, &errw)
+	if cliutil.ExitCode(err) != 2 || !strings.Contains(err.Error(), "schemes[0] and schemes[1] both resolve to IQ_64_64") {
+		t.Fatalf("err = %v (exit %d), want exit 2 naming both entries", err, cliutil.ExitCode(err))
+	}
+	if out.Len() != 0 {
+		t.Errorf("wrote %q to stdout", out.String())
+	}
+}
+
 // TestRemovedGridFlagsAreFlagErrors: the grid flags that predate -spec,
 // and -store, are gone, so passing one beside a spec is a flag error
 // (exit 2), not a value silently dropped.

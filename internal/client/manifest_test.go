@@ -60,8 +60,9 @@ func TestManifestParityLocalRemote(t *testing.T) {
 	}
 }
 
-// TestGoldenManifest pins the manifest JSON shape and the exact Merkle
-// root of the canonical 4-point grid. A diff here means either the
+// TestGoldenManifest pins the manifest file's bytes (Manifest.JSON, what
+// iqsweep -manifest writes) and the exact Merkle root of the canonical
+// 4-point grid. A diff here means either the
 // simulator's results changed (bump the store version!) or the manifest
 // layout changed (a breaking format change for saved manifests) — both
 // must be deliberate; rewrite with -update-golden.
@@ -74,7 +75,7 @@ func TestGoldenManifest(t *testing.T) {
 	if m == nil {
 		t.Fatal("sweep has no manifest")
 	}
-	got, err := json.MarshalIndent(m, "", " ")
+	got, err := m.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestGoldenManifestAllBackends(t *testing.T) {
 			if m == nil {
 				t.Fatal("sweep has no manifest")
 			}
-			got, err := json.MarshalIndent(m, "", " ")
+			got, err := m.JSON()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +171,7 @@ func TestGoldenManifestAllBackends(t *testing.T) {
 			if wm == nil {
 				t.Fatal("warm sweep has no manifest")
 			}
-			if wj, _ := json.MarshalIndent(wm, "", " "); !bytes.Equal(append(wj, '\n'), want) {
+			if wj, _ := wm.JSON(); !bytes.Equal(append(wj, '\n'), want) {
 				t.Fatalf("warm manifest through %s drifted from golden", name)
 			}
 		})

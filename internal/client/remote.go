@@ -112,10 +112,11 @@ func (c *Remote) Sweep(ctx context.Context, grid *scenario.Grid) *Stream {
 	return st
 }
 
-// stream drives one sweep exchange: it posts the spec, reads the NDJSON
-// stream the service answers with and pushes in-order updates onto st.
+// stream drives one sweep exchange: it posts the spec as compact JSON,
+// reads the NDJSON stream the service answers with and pushes in-order
+// updates onto st.
 func (c *Remote) stream(ctx context.Context, grid *scenario.Grid, st *Stream) error {
-	data, err := grid.Spec.JSON()
+	data, err := json.Marshal(grid.Spec)
 	if err != nil {
 		return fmt.Errorf("client: encode spec: %w", err)
 	}

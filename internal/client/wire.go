@@ -1,7 +1,6 @@
 package client
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -23,7 +22,9 @@ import (
 // The result object is the engine's Result JSON — the same encoding the
 // persistent store uses — so a decoded stream reconstructs results
 // exactly and documents emitted from them are byte-identical to a local
-// run's.
+// run's. The manifest object is the engine's Manifest JSON. Both are
+// written and read by their types' own codecs, so no part of a line goes
+// through reflection.
 type StreamEvent struct {
 	// Index is the point's position in the grid (present on per-point
 	// and error events; 0 on the done event, which carries no point).
@@ -48,8 +49,9 @@ type StreamEvent struct {
 }
 
 // AppendLine appends ev's NDJSON line to b: the bytes json.Encoder
-// writes for ev, newline included, built without reflection but for the
-// done event's manifest. On error b comes back as it was.
+// writes for ev, newline included, built without reflection (the result
+// and the manifest by their own codecs). On error b comes back as it
+// was.
 func (ev *StreamEvent) AppendLine(b []byte) ([]byte, error) {
 	start := len(b)
 	b = append(b, `{"index":`...)
@@ -81,21 +83,17 @@ func (ev *StreamEvent) AppendLine(b []byte) ([]byte, error) {
 		b = strconv.AppendInt(b, int64(ev.Points), 10)
 	}
 	if ev.Manifest != nil {
-		m, err := json.Marshal(ev.Manifest)
-		if err != nil {
-			return b[:start], fmt.Errorf("client: encode stream event: %w", err)
-		}
 		b = append(b, `,"manifest":`...)
-		b = append(b, m...)
+		b = ev.Manifest.AppendJSON(b)
 	}
 	return append(b, '}', '\n'), nil
 }
 
-// UnmarshalJSON decodes one event line without reflection but for the
-// done event's manifest, so a reader need not have encoding/json scan
-// the line first. It decodes every line it accepts as encoding/json
-// would; unknown or repeated keys and a null where a number, string or
-// boolean belongs are errors. An error leaves ev as it is.
+// UnmarshalJSON decodes one event line without reflection, so a reader
+// need not have encoding/json scan the line first. It decodes every line
+// it accepts as encoding/json would; unknown or repeated keys and a null
+// where a number, string or boolean belongs are errors. An error leaves
+// ev as it is.
 func (ev *StreamEvent) UnmarshalJSON(line []byte) error {
 	d := jsonwire.NewDecoder(line)
 	var out StreamEvent
@@ -126,9 +124,7 @@ func (ev *StreamEvent) UnmarshalJSON(line []byte) error {
 			bit = 1 << 7
 			if !d.Null() {
 				out.Manifest = new(engine.Manifest)
-				if raw := d.Object(); raw != nil && json.Unmarshal(raw, out.Manifest) != nil {
-					d.Fail("invalid manifest")
-				}
+				out.Manifest.DecodeJSON(&d)
 			}
 		default:
 			d.Fail("unknown stream event key")

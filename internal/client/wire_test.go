@@ -12,31 +12,35 @@ import (
 	"distiq/internal/engine"
 )
 
-// plainResult and plainEvent are engine.Result and client.StreamEvent
-// without their methods, so encoding/json encodes and decodes them by
-// reflection: the reference the event codec must match.
-type plainResult engine.Result
+// plainResult, plainManifest and plainEvent are engine.Result,
+// engine.Manifest and client.StreamEvent without their methods, so
+// encoding/json encodes and decodes them by reflection: the reference
+// the event codec must match.
+type (
+	plainResult   engine.Result
+	plainManifest engine.Manifest
+)
 
 type plainEvent struct {
-	Index     int              `json:"index"`
-	Benchmark string           `json:"benchmark,omitempty"`
-	Source    engine.Source    `json:"source,omitempty"`
-	Result    *plainResult     `json:"result,omitempty"`
-	Error     string           `json:"error,omitempty"`
-	Done      bool             `json:"done,omitempty"`
-	Points    int              `json:"points,omitempty"`
-	Manifest  *engine.Manifest `json:"manifest,omitempty"`
+	Index     int            `json:"index"`
+	Benchmark string         `json:"benchmark,omitempty"`
+	Source    engine.Source  `json:"source,omitempty"`
+	Result    *plainResult   `json:"result,omitempty"`
+	Error     string         `json:"error,omitempty"`
+	Done      bool           `json:"done,omitempty"`
+	Points    int            `json:"points,omitempty"`
+	Manifest  *plainManifest `json:"manifest,omitempty"`
 }
 
 func toPlain(ev client.StreamEvent) plainEvent {
 	return plainEvent{ev.Index, ev.Benchmark, ev.Source, (*plainResult)(ev.Result),
-		ev.Error, ev.Done, ev.Points, ev.Manifest}
+		ev.Error, ev.Done, ev.Points, (*plainManifest)(ev.Manifest)}
 }
 
 func (p plainEvent) event() client.StreamEvent {
 	return client.StreamEvent{Index: p.Index, Benchmark: p.Benchmark, Source: p.Source,
 		Result: (*engine.Result)(p.Result), Error: p.Error, Done: p.Done, Points: p.Points,
-		Manifest: p.Manifest}
+		Manifest: (*engine.Manifest)(p.Manifest)}
 }
 
 // encoderLine is the line json.Encoder writes for ev by reflection.

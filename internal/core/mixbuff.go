@@ -118,6 +118,12 @@ type mixBUFF struct {
 	ev     power.Events
 	occ    int
 
+	// idle[c] holds the queues whose chain c holds no instruction and
+	// roomy the queues with a free entry, so allocChain finds the lowest
+	// free chain a word of queues at a time.
+	idle  []bitset
+	roomy bitset
+
 	candidates []*isa.Inst
 }
 
@@ -134,9 +140,21 @@ func newMixBUFF(cfg DomainConfig, opt Options) *mixBUFF {
 		chainN:     chainN,
 		queues:     make([]mixQueue, cfg.Queues),
 		heads:      newHeadWatch(cfg.Queues * chainN),
+		idle:       make([]bitset, chainN),
+		roomy:      newBitset(cfg.Queues),
 		candidates: make([]*isa.Inst, 0, cfg.Queues),
 	}
+	// One array backs every chain's set of idle queues.
+	words := len(m.roomy)
+	idle := make(bitset, chainN*words)
+	for c := range m.idle {
+		m.idle[c] = idle[c*words : (c+1)*words : (c+1)*words]
+	}
 	for i := range m.queues {
+		m.roomy.set(i)
+		for c := range m.idle {
+			m.idle[c].set(i)
+		}
 		q := &m.queues[i]
 		q.entries = make([]*isa.Inst, cfg.Entries)
 		q.next = make([]int, cfg.Entries)
@@ -227,19 +245,25 @@ func (m *mixBUFF) appendTarget(e mixChainMapEntry) (int, int) {
 
 // allocChain returns the lowest free chain identifier in chain-major order
 // (chain 0 of queue 0, chain 0 of queue 1, ..., chain 1 of queue 0, ...),
-// the paper's busy-chain balancing rule.
+// the paper's busy-chain balancing rule: the first chain idle in a queue
+// with a free entry, found in the lowest such queue. With every queue
+// full it refuses at once.
 func (m *mixBUFF) allocChain(env Env) (int, int) {
-	for c := 0; c < m.chainN; c++ {
-		for q := range m.queues {
-			ch := &m.queues[q].chains[c]
-			if ch.head >= 0 || len(m.queues[q].free) == 0 {
-				continue
+	if m.roomy.empty() {
+		return -1, -1
+	}
+	for c, idle := range m.idle {
+		for wi, w := range m.roomy {
+			if w &= idle[wi]; w != 0 {
+				q := wi<<6 + bits.TrailingZeros64(w)
+				// A fresh chain's first instruction is "considered
+				// for the first time" at the next selection
+				// opportunity.
+				ch := &m.queues[q].chains[c]
+				ch.readyAt = env.Cycle()
+				ch.readySince = env.Cycle() + 1
+				return q, c
 			}
-			// A fresh chain's first instruction is "considered for
-			// the first time" at the next selection opportunity.
-			ch.readyAt = env.Cycle()
-			ch.readySince = env.Cycle() + 1
-			return q, c
 		}
 	}
 	return -1, -1
@@ -251,8 +275,12 @@ func (m *mixBUFF) place(env Env, qi, c int, in *isa.Inst) {
 	q := &m.queues[qi]
 	fresh := q.chains[c].head < 0
 	q.push(c, in)
+	if len(q.free) == 0 {
+		m.roomy.clear(qi)
+	}
 	if fresh {
 		q.busy.set(c)
+		m.idle[c].clear(qi)
 		q.selUntil = 0
 		m.heads.watch(env, qi*m.chainN+c, in)
 	}
@@ -365,6 +393,7 @@ func (m *mixBUFF) remove(env Env, in *isa.Inst) {
 	q := &m.queues[in.QueueID]
 	q.pop(in.ChainID)
 	q.selUntil = 0
+	m.roomy.set(in.QueueID)
 	m.occ--
 
 	ch := &q.chains[in.ChainID]
@@ -374,6 +403,7 @@ func (m *mixBUFF) remove(env Env, in *isa.Inst) {
 	if ch.head < 0 {
 		ch.gen++
 		q.busy.clear(in.ChainID)
+		m.idle[in.ChainID].set(in.QueueID)
 		m.heads.ready.clear(slot)
 	} else {
 		m.heads.watch(env, slot, q.entries[ch.head])

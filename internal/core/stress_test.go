@@ -243,7 +243,8 @@ func checkHeads(t *testing.T, env Env, s Scheme) {
 }
 
 // checkMixBUFF is checkHeads for MixBUFF: every chain head's readiness,
-// the busy-chain bits and the cached selections.
+// the busy-chain, idle-queue and free-entry bits and the cached
+// selections.
 func checkMixBUFF(t *testing.T, env Env, m *mixBUFF, check func(*headWatch, int, *isa.Inst)) {
 	t.Helper()
 	now := env.Cycle()
@@ -256,8 +257,8 @@ func checkMixBUFF(t *testing.T, env Env, m *mixBUFF, check func(*headWatch, int,
 			if ch.head >= 0 {
 				head = q.entries[ch.head]
 			}
-			if q.busy.has(c) != (head != nil) {
-				t.Fatalf("cycle %d: queue %d chain %d busy bit wrong", now, qi, c)
+			if q.busy.has(c) != (head != nil) || m.idle[c].has(qi) != (head == nil) {
+				t.Fatalf("cycle %d: queue %d chain %d busy or idle bit wrong", now, qi, c)
 			}
 			check(&m.heads, qi*m.chainN+c, head)
 			if head == nil {
@@ -272,6 +273,9 @@ func checkMixBUFF(t *testing.T, env Env, m *mixBUFF, check func(*headWatch, int,
 				sel, bestCode = c, code
 			}
 		}
+		if m.roomy.has(qi) != (len(q.free) > 0) {
+			t.Fatalf("cycle %d: queue %d free-entry bit wrong", now, qi)
+		}
 		if q.held() > 0 && now < q.selUntil && sel != q.sel {
 			t.Fatalf("cycle %d: queue %d cached selection chain %d (until %d), scan selects %d",
 				now, qi, q.sel, q.selUntil, sel)
@@ -284,9 +288,10 @@ func checkMixBUFF(t *testing.T, env Env, m *mixBUFF, check func(*headWatch, int,
 // instruction eventually issues exactly once, occupancy bookkeeping stays
 // consistent, and the scheme never exceeds its capacity. Polling is the
 // oracle of every scheme's broadcast-tracked state, and for the CAM
-// organizations of the wakeup energy. The 70-queue IssueFIFO and the
-// 80-chain MixBUFF need more than one bitset word; the FIFO issues one
-// instruction per cycle so that its queues past the first word fill.
+// organizations of the wakeup energy. The 70-queue IssueFIFO and
+// MixBUFF and the 80-chain MixBUFF need more than one bitset word; the
+// 70-queue ones issue one instruction per cycle so that their queues
+// past the first word fill.
 func TestSchemeStress(t *testing.T) {
 	cases := map[string]struct {
 		cfg   DomainConfig
@@ -301,6 +306,7 @@ func TestSchemeStress(t *testing.T) {
 		"MixBUFF":        {DomainConfig{Kind: KindMixBUFF, Queues: 4, Entries: 8, Chains: 4}, 4},
 		"MixBUFF-unb":    {DomainConfig{Kind: KindMixBUFF, Queues: 4, Entries: 8}, 4},
 		"MixBUFF-2x80":   {DomainConfig{Kind: KindMixBUFF, Queues: 2, Entries: 80}, 4},
+		"MixBUFF-70x2":   {DomainConfig{Kind: KindMixBUFF, Queues: 70, Entries: 2}, 1},
 		"MixBUFF-flat": {DomainConfig{Kind: KindMixBUFF, Queues: 4, Entries: 8, Chains: 4,
 			FlatSelectPriority: true}, 4},
 	}

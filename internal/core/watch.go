@@ -19,6 +19,16 @@ func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 
+// empty reports whether the set has no member.
+func (b bitset) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // waitLists threads waiting source operands onto one doubly linked list
 // per result tag, so a broadcast visits only the operands waiting for it.
 // Node 2*s+k is source k (0: Src1, 1: Src2) of slot s.

@@ -193,3 +193,131 @@ func decodeStats(d *jsonwire.Decoder, s *pipeline.Stats) {
 		seen |= bit
 	}
 }
+
+// AppendJSON appends m's JSON encoding to b: the bytes encoding/json
+// writes for a Manifest by reflection, built without it. Fields come in
+// declaration order, an empty name is left out and nil leaves are null.
+func (m *Manifest) AppendJSON(b []byte) []byte {
+	b = append(b, `{"version":`...)
+	b = jsonwire.AppendString(b, m.Version)
+	if m.Name != "" {
+		b = append(b, `,"name":`...)
+		b = jsonwire.AppendString(b, m.Name)
+	}
+	b = append(b, `,"points":`...)
+	b = strconv.AppendInt(b, int64(m.Points), 10)
+	b = append(b, `,"algo":`...)
+	b = jsonwire.AppendString(b, m.Algo)
+	b = append(b, `,"root":`...)
+	b = jsonwire.AppendString(b, m.Root)
+	b = append(b, `,"leaves":`...)
+	if m.Leaves == nil {
+		b = append(b, "null"...)
+		return append(b, '}')
+	}
+	b = append(b, '[')
+	for i, l := range m.Leaves {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"index":`...)
+		b = strconv.AppendInt(b, int64(l.Index), 10)
+		b = append(b, `,"benchmark":`...)
+		b = jsonwire.AppendString(b, l.Benchmark)
+		b = append(b, `,"config":`...)
+		b = jsonwire.AppendString(b, l.Config)
+		b = append(b, `,"fingerprint":`...)
+		b = jsonwire.AppendString(b, l.Fingerprint)
+		b = append(b, `,"hash":`...)
+		b = jsonwire.AppendString(b, l.Hash)
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
+}
+
+// UnmarshalJSON decodes a Manifest without reflection. It accepts what
+// AppendJSON writes, with any white space, and decodes every input it
+// accepts as encoding/json would; unknown or repeated keys and a null
+// where a number, string or leaf belongs are errors. null leaves m as it
+// is, following encoding/json's convention; an error leaves m as it is.
+func (m *Manifest) UnmarshalJSON(data []byte) error {
+	d := jsonwire.NewDecoder(data)
+	if d.Null() {
+		return d.End()
+	}
+	var out Manifest
+	out.DecodeJSON(&d)
+	if err := d.End(); err != nil {
+		return fmt.Errorf("engine: decode manifest: %w", err)
+	}
+	*m = out
+	return nil
+}
+
+// DecodeJSON reads a Manifest object from d into m, for decoders of the
+// documents that carry one; d holds the first error.
+func (m *Manifest) DecodeJSON(d *jsonwire.Decoder) {
+	var seen uint8
+	d.Delim('{')
+	for i := 0; d.More('}', i); i++ {
+		var bit uint8
+		switch string(d.Key()) {
+		case "version":
+			bit, m.Version = 1<<0, d.String()
+		case "name":
+			bit, m.Name = 1<<1, d.String()
+		case "points":
+			bit, m.Points = 1<<2, d.Int()
+		case "algo":
+			bit, m.Algo = 1<<3, d.String()
+		case "root":
+			bit, m.Root = 1<<4, d.String()
+		case "leaves":
+			bit, m.Leaves = 1<<5, decodeLeaves(d)
+		default:
+			d.Fail("unknown manifest key")
+		}
+		if seen&bit != 0 {
+			d.Fail("repeated manifest key")
+		}
+		seen |= bit
+	}
+}
+
+// decodeLeaves reads an array of manifest leaves, null as nil and [] as
+// an empty slice, as encoding/json does.
+func decodeLeaves(d *jsonwire.Decoder) []ManifestLeaf {
+	if d.Null() {
+		return nil
+	}
+	leaves := []ManifestLeaf{}
+	d.Delim('[')
+	for i := 0; d.More(']', i); i++ {
+		var l ManifestLeaf
+		var seen uint8
+		d.Delim('{')
+		for k := 0; d.More('}', k); k++ {
+			var bit uint8
+			switch string(d.Key()) {
+			case "index":
+				bit, l.Index = 1<<0, d.Int()
+			case "benchmark":
+				bit, l.Benchmark = 1<<1, d.String()
+			case "config":
+				bit, l.Config = 1<<2, d.String()
+			case "fingerprint":
+				bit, l.Fingerprint = 1<<3, d.String()
+			case "hash":
+				bit, l.Hash = 1<<4, d.String()
+			default:
+				d.Fail("unknown manifest leaf key")
+			}
+			if seen&bit != 0 {
+				d.Fail("repeated manifest leaf key")
+			}
+			seen |= bit
+		}
+		leaves = append(leaves, l)
+	}
+	return leaves
+}

@@ -375,3 +375,109 @@ func BenchmarkResultJSON(b *testing.B) {
 		}
 	})
 }
+
+// plainManifest is Manifest without its methods, so encoding/json
+// encodes and decodes it by reflection: the reference the manifest codec
+// must match.
+type plainManifest Manifest
+
+func (g *resultGen) int() int {
+	return int(g.uint64())
+}
+
+func (g *resultGen) manifest() Manifest {
+	m := Manifest{Version: g.str(), Name: g.str(), Points: g.int(), Algo: g.str(), Root: g.str()}
+	switch c := g.byte(); c % 4 {
+	case 0:
+	case 1:
+		m.Leaves = []ManifestLeaf{}
+	default:
+		for n := c%8 + 1; n > 0; n-- {
+			m.Leaves = append(m.Leaves, ManifestLeaf{Index: g.int(), Benchmark: g.str(),
+				Config: g.str(), Fingerprint: g.str(), Hash: g.str()})
+		}
+	}
+	return m
+}
+
+// checkManifestCodec asserts that AppendJSON and JSON write what
+// reflection writes for m, compact and indented, and that decoding that
+// gives what encoding/json decodes from it, which is m itself unless a
+// string was invalid UTF-8.
+func checkManifestCodec(t *testing.T, m Manifest, lossy bool) {
+	t.Helper()
+	got := m.AppendJSON(nil)
+	want, err := json.Marshal(plainManifest(m))
+	if err != nil {
+		t.Fatalf("reflection: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendJSON differs from encoding/json:\n got %s\nwant %s", got, want)
+	}
+	file, err := m.JSON()
+	if err != nil {
+		t.Fatalf("JSON: %v", err)
+	}
+	if want, _ := json.MarshalIndent(plainManifest(m), "", " "); !bytes.Equal(file, want) {
+		t.Fatalf("JSON differs from json.MarshalIndent:\n got %s\nwant %s", file, want)
+	}
+	var back Manifest
+	if err := back.UnmarshalJSON(got); err != nil {
+		t.Fatalf("decoding %s: %v", got, err)
+	}
+	var ref plainManifest
+	if err := json.Unmarshal(want, &ref); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, Manifest(ref)) {
+		t.Fatalf("decoded %+v, encoding/json decoded %+v", back, Manifest(ref))
+	}
+	if !lossy && !reflect.DeepEqual(back, m) {
+		t.Fatalf("round trip gave %+v, want %+v", back, m)
+	}
+}
+
+// checkManifestDecoder asserts that whatever the decoder accepts,
+// encoding/json accepts too and decodes to the same value.
+func checkManifestDecoder(t *testing.T, data []byte) {
+	t.Helper()
+	var got Manifest
+	if err := got.UnmarshalJSON(data); err != nil {
+		return
+	}
+	var ref plainManifest
+	if err := json.Unmarshal(data, &ref); err != nil {
+		t.Fatalf("decoder accepted %q, which encoding/json rejects: %v", data, err)
+	}
+	if !reflect.DeepEqual(got, Manifest(ref)) {
+		t.Fatalf("decoded %q as %+v, encoding/json as %+v", data, got, Manifest(ref))
+	}
+}
+
+// FuzzManifestJSON checks the manifest's AppendJSON against reflection
+// and its decoder against encoding/json: on a Manifest built from the
+// input, and on the input itself as a document.
+func FuzzManifestJSON(f *testing.F) {
+	real, err := BuildManifest("sweep", manifestJobs(3), manifestResults(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	indented, _ := json.MarshalIndent(plainManifest(*real), "", " ")
+	for _, s := range [][]byte{
+		real.AppendJSON(nil), indented, []byte("null"), []byte(" null "), []byte("{}"),
+		[]byte(`{"leaves":null}`), []byte(`{"leaves":[]}`), []byte(`{"leaves":[{}]}`), []byte(`{"leaves":[null]}`),
+		[]byte(`{"version":"a","version":"b"}`), []byte(`{"leaves":[{"index":1,"index":2}]}`),
+		[]byte(`{"bogus":1}`), []byte(`{"leaves":[{"bogus":1}]}`), []byte(`{"Version":"v"}`),
+		[]byte(`{"points":1e2}`), []byte(`{"points":-0}`), []byte(`{"points":null}`), []byte(`{"name":"é<\ud800"}`),
+		[]byte(`{"leaves":{}}`), []byte(`{} {}`), []byte(`{"root":"r",}`), []byte(""),
+		[]byte("seed corpus manifest 0123456789abcdef"),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &resultGen{b: data}
+		m := g.manifest()
+		checkManifestCodec(t, m, g.lossy)
+		checkManifestDecoder(t, data)
+	})
+}

@@ -297,7 +297,7 @@ func (e *Engine) Result(job Job) (Result, error) {
 // computation) returns ctx.Err() promptly; a job already simulating runs
 // to completion and its result is cached and persisted as usual.
 func (e *Engine) ResultCtx(ctx context.Context, job Job) (Result, error) {
-	r, err, _ := e.resolve(ctx, job, nil)
+	r, err, _ := e.resolve(ctx, job, job.Key(), nil)
 	return r, err
 }
 
@@ -308,32 +308,61 @@ func (e *Engine) cancel(job Job, err error) (Result, error, Source) {
 	return Result{}, err, SourceCanceled
 }
 
+// memoryHit resolves a job from its own key's result in memory, making
+// that entry the most recently used, and accounts the request as a
+// memory hit with its progress. It reports false, having accounted
+// nothing, when the key is not in memory or ctx is done. resolve tries
+// it first, and ResultStream calls it on the caller's goroutine, so a
+// batch's warm jobs never wait.
+func (e *Engine) memoryHit(ctx context.Context, job Job, key string) (Result, bool) {
+	if ctx.Err() != nil {
+		return Result{}, false
+	}
+	e.mu.Lock()
+	m, ok := e.memory[key]
+	var r Result
+	if ok {
+		m.unlink()
+		e.pushFront(m)
+		r = m.res
+	}
+	e.mu.Unlock()
+	if !ok {
+		return Result{}, false
+	}
+	e.bump(func(s *Stats) { s.Requested++; s.MemoryHits++ })
+	e.total.Add(1)
+	e.finish(job, SourceMemory)
+	return r, true
+}
+
 // resolve is ResultCtx plus the resolution source, so batch callers can
-// account per-batch how each of their jobs was satisfied. queued, when
-// non-nil, is called once, as soon as the job's route is known (cached,
-// cancelled, waiting on an in-flight run, or holding or queued for a
-// worker slot); ResultStream waits for it before submitting the next job,
-// and slots are granted in queue order, so a call's jobs claim worker
-// slots in input order.
+// account per-batch how each of their jobs was satisfied; key is the
+// job's key. queued, when non-nil, is called once, as soon as the job's
+// route is known (cached, cancelled, waiting on an in-flight run, or
+// holding or queued for a worker slot); ResultStream waits for it before
+// submitting the next job, and slots are granted in queue order, so a
+// call's jobs claim worker slots in input order.
 //
-// The job's own key is looked up first. Only when it misses does the job
-// pay for its simulation identity, and then it reuses or waits on the run
-// of any job with that identity, adapting the result to itself and
-// keeping the adapted result under its own key once it is persisted.
-func (e *Engine) resolve(ctx context.Context, job Job, queued func()) (Result, error, Source) {
+// The job's own key is looked up first (memoryHit). Only when it misses
+// does the job pay for its simulation identity, and then it reuses or
+// waits on the run of any job with that identity, adapting the result to
+// itself and keeping the adapted result under its own key once it is
+// persisted.
+func (e *Engine) resolve(ctx context.Context, job Job, key string, queued func()) (Result, error, Source) {
 	signal := func() {
 		if queued != nil {
 			queued()
 			queued = nil
 		}
 	}
+	if r, ok := e.memoryHit(ctx, job, key); ok {
+		signal()
+		return r, nil, SourceMemory
+	}
 	e.bump(func(s *Stats) { s.Requested++ })
 	e.total.Add(1)
-	key := job.Key()
-	var (
-		id             [sha256.Size]byte
-		fpIdle, haveID bool
-	)
+	id, fpIdle := e.identity(job, key)
 
 retry:
 	if err := ctx.Err(); err != nil {
@@ -343,18 +372,12 @@ retry:
 	e.mu.Lock()
 	from := key
 	r, c, found := e.lookup(key)
-	if !found && haveID {
+	if !found {
 		if from, found = e.sims[id]; found {
 			// A key in neither memory nor flight is a miss, never a
 			// zero result.
 			r, c, found = e.lookup(from)
 		}
-	}
-	if !found && !haveID {
-		e.mu.Unlock()
-		id, fpIdle = e.identity(job, key)
-		haveID = true
-		goto retry
 	}
 	if found {
 		e.mu.Unlock()
@@ -646,10 +669,16 @@ func (e *Engine) ResultAllCtx(ctx context.Context, jobs []Job) ([]Result, error)
 // completion order, not input order; i is the job's input index. Emit
 // invocations are serialized, so callers may update shared state without
 // locking. ResultStream returns once every job has been emitted.
-// Jobs queue for worker slots in input order, so a consumer reassembling
-// input order receives its first result as early as the pool allows.
-// Duplicate jobs in the call resolve through single-flight
-// deduplication, exactly as concurrent identical submissions do.
+//
+// A job whose own key is in memory resolves and is emitted on the
+// caller's goroutine, before the next job is looked at, so a batch of
+// memory hits is delivered whole before ResultStream returns, with no
+// goroutine, channel or closure per job. Every other job resolves on a
+// goroutine of its own. Those jobs queue for worker slots in input
+// order, so a consumer reassembling input order receives its first
+// result as early as the pool allows. Duplicate jobs in the call resolve
+// through single-flight deduplication, exactly as concurrent identical
+// submissions do.
 //
 // Cancellation semantics match ResultAllCtx: after ctx is cancelled,
 // unscheduled jobs emit promptly with ctx.Err() and SourceCanceled while
@@ -659,11 +688,20 @@ func (e *Engine) ResultStream(ctx context.Context, jobs []Job, emit func(i int, 
 	var wg sync.WaitGroup
 	var emitMu sync.Mutex
 	for i := range jobs {
+		key := jobs[i].Key()
+		if r, ok := e.memoryHit(ctx, jobs[i], key); ok {
+			if emit != nil {
+				emitMu.Lock()
+				emit(i, r, nil, SourceMemory)
+				emitMu.Unlock()
+			}
+			continue
+		}
 		wg.Add(1)
 		queued := make(chan struct{})
 		go func() {
 			defer wg.Done()
-			r, err, src := e.resolve(ctx, jobs[i], func() { close(queued) })
+			r, err, src := e.resolve(ctx, jobs[i], key, func() { close(queued) })
 			if emit != nil {
 				emitMu.Lock()
 				emit(i, r, err, src)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -321,5 +322,93 @@ func TestResultStreamClaimsSlotsInInputOrder(t *testing.T) {
 		if got != i {
 			t.Fatalf("simulation order %v, want input order", order)
 		}
+	}
+}
+
+// TestResultStreamMemoryHitsInline: a batch's jobs whose own keys are in
+// memory resolve on the caller's goroutine, serialized with the emits of
+// the jobs that wait on goroutines of their own, with the accounting and
+// progress of any memory hit. A batch of memory hits allocates no more
+// than its jobs' keys and the call's wait group and emit lock: no
+// goroutine, channel or closure per job. Run
+// under -race in CI (the cancellation gate), where an inline emit racing
+// a goroutine's would be reported.
+func TestResultStreamMemoryHitsInline(t *testing.T) {
+	// Progress events are counted, and Done checked to rise by one each
+	// time, without allocating.
+	var calls sync.Map
+	events, lastDone, monotonic := 0, 0, true
+	e := New(Config{
+		Workers:  2,
+		Simulate: countingSim(&calls, 0),
+		Progress: func(p Progress) {
+			monotonic = monotonic && p.Done == lastDone+1
+			lastDone = p.Done
+			events++
+		},
+	})
+	jobs := make([]Job, 16)
+	for i := range jobs {
+		jobs[i] = quickJob("swim", core.MBDistr())
+		jobs[i].Opt.Instructions += uint64(i)
+	}
+	warm := jobs[:8]
+	if _, err := e.ResultAll(warm); err != nil {
+		t.Fatal(err)
+	}
+
+	// Interleave the warm jobs with cold ones; emit keeps unguarded state.
+	var mixed []Job
+	for i := range warm {
+		mixed = append(mixed, warm[i], jobs[8+i])
+	}
+	before := e.Stats()
+	events = 0
+	srcs := make([]Source, len(mixed))
+	emitted := 0
+	e.ResultStream(context.Background(), mixed, func(i int, r Result, err error, src Source) {
+		if err != nil || r.Insts != mixed[i].Opt.Instructions {
+			t.Errorf("job %d: result %d insts, err %v", i, r.Insts, err)
+		}
+		srcs[i] = src
+		emitted++
+	})
+	if emitted != len(mixed) {
+		t.Fatalf("emitted %d of %d jobs", emitted, len(mixed))
+	}
+	for i, src := range srcs {
+		if want := []Source{SourceMemory, SourceSimulated}[i%2]; src != want {
+			t.Errorf("job %d source %s, want %s", i, src, want)
+		}
+	}
+	st := e.Stats()
+	if st.Requested-before.Requested != int64(len(mixed)) || st.MemoryHits-before.MemoryHits != int64(len(warm)) ||
+		st.Simulated-before.Simulated != int64(len(warm)) {
+		t.Errorf("stats %+v after %+v, want %d requests: %d memory hits, %d simulated", st, before, len(mixed), len(warm), len(warm))
+	}
+	if events != len(mixed) || !monotonic {
+		t.Fatalf("%d progress events (Done monotonic: %v), want %d", events, monotonic, len(mixed))
+	}
+
+	// An all-hit batch: delivered before ResultStream returns, allocating
+	// only its keys beside the call's own two.
+	got := make([]Source, len(jobs))
+	emit := func(i int, _ Result, _ error, src Source) { got[i] = src }
+	keys := testing.AllocsPerRun(50, func() {
+		for i := range jobs {
+			keySink = jobs[i].Key()
+		}
+	})
+	allocs := testing.AllocsPerRun(50, func() {
+		clear(got)
+		e.ResultStream(context.Background(), jobs, emit)
+	})
+	for i, src := range got {
+		if src != SourceMemory {
+			t.Fatalf("warm job %d source %q, want %s", i, src, SourceMemory)
+		}
+	}
+	if allocs > keys+2 {
+		t.Errorf("a batch of %d memory hits allocates %.0f times, its keys %.0f", len(jobs), allocs, keys)
 	}
 }

@@ -235,7 +235,7 @@ func TestEquivalentJobsOwnerAbandoned(t *testing.T) {
 	}
 	twinOut := make(chan outcome, 1)
 	go func() {
-		r, err, src := e.resolve(context.Background(), twin, func() { close(routed) })
+		r, err, src := e.resolve(context.Background(), twin, twin.Key(), func() { close(routed) })
 		twinOut <- outcome{r, err, src}
 	}()
 	<-routed // the twin waits on the owner's run

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -258,6 +259,16 @@ func (m *Manifest) VerifyIn(store ResultStore) error {
 	return nil
 }
 
+// JSON renders the manifest as the file LoadManifest reads: AppendJSON's
+// bytes, indented one space per level as json.MarshalIndent indents them.
+func (m *Manifest) JSON() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, m.AppendJSON(nil), "", " "); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // LoadManifest reads and validates a manifest JSON file.
 func LoadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
@@ -265,7 +276,7 @@ func LoadManifest(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("engine: read manifest: %w", err)
 	}
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := m.UnmarshalJSON(data); err != nil {
 		return nil, fmt.Errorf("engine: parse manifest %s: %w", path, err)
 	}
 	if err := m.Check(); err != nil {

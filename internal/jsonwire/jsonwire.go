@@ -1,9 +1,9 @@
 // Package jsonwire writes and reads JSON byte for byte as encoding/json
 // does, without reflection, for the few types encoded on every request:
 // engine.Result (the stream's result object), the store entry that
-// carries it and client.StreamEvent (the NDJSON line). The rare inputs
-// its fast paths do not cover, a string that needs escaping or
-// unescaping and a value a caller hands on whole, go through
+// carries it, engine.Manifest (the done event's manifest) and
+// client.StreamEvent (the NDJSON line). The rare inputs its fast paths
+// do not cover, a string that needs escaping or unescaping, go through
 // encoding/json itself.
 package jsonwire
 
@@ -350,35 +350,4 @@ func (d *Decoder) FloatMap() map[string]float64 {
 		return nil
 	}
 	return m
-}
-
-// Object skips one object and returns its bytes. It checks only how
-// the object nests, not its contents: hand the bytes to encoding/json,
-// which does.
-func (d *Decoder) Object() []byte {
-	if d.peek() != '{' {
-		d.Fail("expected {")
-		return nil
-	}
-	depth := 0
-	for i := d.pos; i < len(d.data); i++ {
-		switch d.data[i] {
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth--; depth == 0 {
-				start := d.pos
-				d.pos = i + 1
-				return d.data[start:d.pos]
-			}
-		case '"':
-			for i++; i < len(d.data) && d.data[i] != '"'; i++ {
-				if d.data[i] == '\\' {
-					i++
-				}
-			}
-		}
-	}
-	d.Fail("unterminated object")
-	return nil
 }

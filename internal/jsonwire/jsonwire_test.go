@@ -50,7 +50,7 @@ func TestDecoderRejects(t *testing.T) {
 			case 't', 'f':
 				d.Bool()
 			case '{':
-				d.Object()
+				d.FloatMap()
 			default:
 				d.Float64()
 			}

@@ -75,23 +75,26 @@ type Grid struct {
 	Points []Point
 }
 
-// schemePoint is one fully resolved issue-queue configuration.
+// schemePoint is one fully resolved issue-queue configuration; axis is
+// the index of the schemes-axis entry it came from.
 type schemePoint struct {
 	cfg             core.Config
 	scheme          string
 	queues, entries int
 	chains          int
+	axis            int
 }
 
 // expandSchemes resolves every scheme axis into concrete configurations.
 func expandSchemes(axes []SchemeAxis) ([]schemePoint, error) {
 	var out []schemePoint
-	for _, ax := range axes {
+	for i, ax := range axes {
 		if mk, named := namedConfigs[ax.Scheme]; named {
 			cfg := mk()
 			out = append(out, schemePoint{
 				cfg: cfg, scheme: cfg.Name,
 				queues: cfg.FP.Queues, entries: cfg.FP.Entries, chains: cfg.FP.Chains,
+				axis: i,
 			})
 			continue
 		}
@@ -132,7 +135,7 @@ func expandSchemes(axes []SchemeAxis) ([]schemePoint, error) {
 					}
 					out = append(out, schemePoint{
 						cfg: cfg, scheme: ax.Scheme,
-						queues: q, entries: e, chains: ch,
+						queues: q, entries: e, chains: ch, axis: i,
 					})
 				}
 			}
@@ -141,9 +144,40 @@ func expandSchemes(axes []SchemeAxis) ([]schemePoint, error) {
 	return out, nil
 }
 
+// refuseRepeats refuses two scheme points from different schemes-axis
+// entries that resolve to one configuration, a configuration name and
+// its chains (MixBUFF names leave the chains out): their grid rows
+// would be identical. One entry cannot repeat itself, since Validate
+// refuses a repeated shape value.
+func refuseRepeats(axes int, points []schemePoint) error {
+	if axes < 2 {
+		return nil
+	}
+	type config struct {
+		name   string
+		chains int
+	}
+	first := make(map[config]int, len(points))
+	for _, sp := range points {
+		c := config{sp.cfg.Name, sp.chains}
+		j, seen := first[c]
+		if !seen {
+			first[c] = sp.axis
+			continue
+		}
+		name := c.name
+		if sp.scheme == "MixBUFF" {
+			name += fmt.Sprintf(" (chains %d)", c.chains)
+		}
+		return fmt.Errorf("scenario: schemes[%d] and schemes[%d] both resolve to %s", j, sp.axis, name)
+	}
+	return nil
+}
+
 // Expand validates the spec and crosses its axes into a Grid. Every
 // distinct machine of the grid is validated against the pipeline's
-// invariants (e.g. power-of-two ROB sizes) before any simulation runs.
+// invariants (e.g. power-of-two ROB sizes) before any simulation runs,
+// and no two schemes-axis entries may resolve to one configuration.
 func (s *Spec) Expand() (*Grid, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -154,6 +188,9 @@ func (s *Spec) Expand() (*Grid, error) {
 	}
 	schemes, err := expandSchemes(s.Schemes)
 	if err != nil {
+		return nil, err
+	}
+	if err := refuseRepeats(len(s.Schemes), schemes); err != nil {
 		return nil, err
 	}
 

@@ -283,16 +283,16 @@ func (s *Spec) benchList() ([]string, error) {
 	return out, nil
 }
 
-// maxGridPoints bounds the points one spec expands into. Expand builds
+// MaxGridPoints bounds the points one spec expands into. Expand builds
 // every point before anything runs, so Validate counts them from the
 // axis lengths first; the bound sits far above every grid this
 // repository sweeps.
-const maxGridPoints = 65536
+const MaxGridPoints = 65536
 
 // Validate checks the spec's axes without expanding them: schemes and
 // benchmarks must exist, every machine-axis value must be positive, no
 // axis may repeat a value (duplicate grid rows would collide in output)
-// and the grid may hold at most maxGridPoints points.
+// and the grid may hold at most MaxGridPoints points.
 func (s *Spec) Validate() error {
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("scenario: spec has no schemes axis")
@@ -329,8 +329,8 @@ func (s *Spec) Validate() error {
 	if s.Instructions != nil && *s.Instructions == 0 {
 		return fmt.Errorf("scenario: instructions must be positive (a zero-length run measures nothing)")
 	}
-	if s.size(len(benches)) > maxGridPoints {
-		return fmt.Errorf("scenario: spec expands to more than %d points", maxGridPoints)
+	if s.size(len(benches)) > MaxGridPoints {
+		return fmt.Errorf("scenario: spec expands to more than %d points", MaxGridPoints)
 	}
 	return nil
 }
@@ -338,17 +338,17 @@ func (s *Spec) Validate() error {
 // size counts the points Expand builds over benches benchmarks from the
 // lengths of validated axes (a named scheme has no shape, and only
 // MixBUFF more than one chains value), an empty axis counting once. The
-// count saturates at maxGridPoints+1, so no product can overflow.
+// count saturates at MaxGridPoints+1, so no product can overflow.
 func (s *Spec) size(benches int) int {
 	mul := func(n, k int) int {
-		if k = max(k, 1); n > maxGridPoints/k {
-			return maxGridPoints + 1
+		if k = max(k, 1); n > MaxGridPoints/k {
+			return MaxGridPoints + 1
 		}
 		return n * k
 	}
 	n := 0
 	for _, ax := range s.Schemes {
-		n = min(n+mul(mul(mul(1, len(ax.Queues)), len(ax.Entries)), len(ax.Chains)), maxGridPoints+1)
+		n = min(n+mul(mul(mul(1, len(ax.Queues)), len(ax.Entries)), len(ax.Chains)), MaxGridPoints+1)
 	}
 	for _, ax := range machineAxes {
 		n = mul(n, len(ax.vals(s)))

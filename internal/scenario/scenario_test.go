@@ -112,7 +112,7 @@ func axis(n int) string {
 func TestOversizedSpecRejected(t *testing.T) {
 	at := fmt.Sprintf(`{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "l1d_latency": %s, "l2_latency": %s`, axis(256), axis(256))
 	if _, err := ParseSpec([]byte(at + "}")); err != nil {
-		t.Fatalf("a grid of exactly %d points was rejected: %v", maxGridPoints, err)
+		t.Fatalf("a grid of exactly %d points was rejected: %v", MaxGridPoints, err)
 	}
 	every := `{"schemes": [{"scheme": "MB_distr"}]`
 	for _, ax := range machineAxes {
@@ -143,6 +143,52 @@ func TestOversizedSpecRejected(t *testing.T) {
 	} {
 		if _, err := c.spec.WithBenchmarks("swim").Expand(); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("err = %v, want substring %q", err, c.wantErr)
+		}
+	}
+}
+
+// TestRepeatedSchemesRejected: two schemes-axis entries that resolve to
+// one configuration would print identical rows, so Expand refuses them
+// and names both; entries that differ in any part of the configuration
+// stay valid.
+func TestRepeatedSchemesRejected(t *testing.T) {
+	mb := func(q, e []int, chains ...int) SchemeAxis {
+		return SchemeAxis{Scheme: "MixBUFF", Queues: q, Entries: e, Chains: chains}
+	}
+	for name, c := range map[string]struct {
+		axes []SchemeAxis
+		want string
+	}{
+		"alias":   {[]SchemeAxis{{Scheme: "IQ_64_64"}, {Scheme: "baseline"}}, "schemes[0] and schemes[1] both resolve to IQ_64_64"},
+		"literal": {[]SchemeAxis{{Scheme: "MB_distr"}, {Scheme: "IF_distr"}, {Scheme: "MB_distr"}}, "schemes[0] and schemes[2] both resolve to MB_distr"},
+		"unbounded alias": {[]SchemeAxis{{Scheme: "IF_distr"}, {Scheme: "unbounded"}, {Scheme: "IQ_unbounded"}},
+			"schemes[1] and schemes[2] both resolve to IQ_unbounded"},
+		"overlapping shapes": {[]SchemeAxis{mb([]int{4, 8}, []int{8, 16}, 0, 2), mb([]int{8}, []int{16}, 2)},
+			"schemes[0] and schemes[1] both resolve to MixBUFF_8x8_8x16 (chains 2)"},
+		"default shape": {[]SchemeAxis{{Scheme: "IssueFIFO", IntQ: "8x8", Queues: []int{8}, Entries: []int{16}, Chains: []int{0}},
+			{Scheme: "IssueFIFO"}}, "schemes[0] and schemes[1] both resolve to IssueFIFO_8x8_8x16"},
+		"spelled intq": {[]SchemeAxis{{Scheme: "LatFIFO", Distr: true}, {Scheme: "LatFIFO", IntQ: "08x8", Distr: true}},
+			"schemes[0] and schemes[1] both resolve to LatFIFO_8x8_8x16_distr"},
+		"distinct": {[]SchemeAxis{
+			{Scheme: "IssueFIFO"}, {Scheme: "LatFIFO"}, {Scheme: "IssueFIFO", Distr: true},
+			{Scheme: "IssueFIFO", IntQ: "4x16"}, mb(nil, nil), mb(nil, nil, 16), mb(nil, nil, 8),
+			{Scheme: "MixBUFF", Queues: []int{8}, Entries: []int{16}, Chains: []int{8}, Distr: true},
+			{Scheme: "MB_distr"}, {Scheme: "IF_distr"}, {Scheme: "IQ_64_64"}, {Scheme: "IQ_unbounded"},
+		}, ""},
+	} {
+		spec := New("").WithBenchmarks("swim")
+		for _, ax := range c.axes {
+			spec.WithScheme(ax)
+		}
+		_, err := spec.Expand()
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != "scenario: "+c.want {
+			t.Errorf("%s: err = %v, want %q", name, err, c.want)
 		}
 	}
 }

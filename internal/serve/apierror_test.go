@@ -71,6 +71,7 @@ func TestAPIErrors(t *testing.T) {
 		{"trailing-data", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}]} extra`},
 		{"unknown-axis", `{"schemes": [{"scheme": "MB_distr"}], "robz": [128]}`},
 		{"unknown-scheme", `{"schemes": [{"scheme": "QuantumQueue"}]}`},
+		{"repeated-scheme", `{"benchmarks": ["swim"], "schemes": [{"scheme": "IQ_64_64"}, {"scheme": "baseline"}]}`},
 		{"unknown-benchmark", `{"benchmarks": ["nonesuch"], "schemes": [{"scheme": "MB_distr"}]}`},
 		{"no-schemes", `{"benchmarks": ["swim"]}`},
 		{"rob-not-power-of-two", `{"benchmarks": ["swim"], "schemes": [{"scheme": "MB_distr"}], "rob": [100]}`},

@@ -265,13 +265,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // line), answering 200. Points already resolved go out back to back, and
 // the response is flushed only when the stream would otherwise wait: a
 // consumer sees each point as soon as the in-order prefix reaches it and
-// renders progress live. The last line is the done event, carrying the
-// manifest, or an error event at the first point the stream did not
-// deliver: the stream's error, or the encode error of a point the wire
-// cannot carry. The sweep is counted done or failed before that line
-// goes out, since a client it reaches may scrape the metrics or
-// resubmit next. A client that leaves frees the handler promptly while
-// the sweep runs on.
+// renders progress live. The engine resolves a memory hit as soon as the
+// sweep hands it the point, without a goroutine per point, so a warm
+// sweep is normally produced whole during the one wait after the header
+// and its lines, done event included, leave together when the handler
+// returns. The last line is the done event, carrying the manifest, or an
+// error event at the first point the stream did not deliver: the
+// stream's error, or the encode error of a point the wire cannot carry.
+// The sweep is counted done or failed before that line goes out, since a
+// client it reaches may scrape the metrics or resubmit next. A client
+// that leaves frees the handler promptly while the sweep runs on.
 func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, sw *sweep) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")

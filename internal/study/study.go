@@ -350,6 +350,11 @@ func (s *Spec) plan() (names []string, grids []*scenario.Grid, err error) {
 	if s.Replicates < 0 || (s.Replicates != 0 && s.Replicates < 2) {
 		return nil, nil, fmt.Errorf("study: replicates must be at least 2")
 	}
+	// Each replicate is a grid point of every variant, so a count past
+	// the grid bound is refused before seedList sizes anything by it.
+	if s.Replicates > scenario.MaxGridPoints {
+		return nil, nil, fmt.Errorf("study: %d replicates exceed the %d points a grid may hold", s.Replicates, scenario.MaxGridPoints)
+	}
 	base := s.baseline()
 	seen := map[string]bool{base.Name: true}
 	for i, v := range s.Variants {

@@ -27,6 +27,10 @@ func TestParseSpecStrict(t *testing.T) {
 		{"seeds and replicates", `{"mode":"replication","replicates":3,"seeds":[1,2],"variants":[{"name":"v","rob":128}]}`, "mutually exclusive"},
 		{"one replicate", `{"mode":"replication","replicates":1,"variants":[{"name":"v","rob":128}]}`, "at least 2"},
 		{"one seed", `{"mode":"replication","seeds":[7],"variants":[{"name":"v","rob":128}]}`, "at least 2 seeds"},
+		// One replicate past the grid bound is refused by count, before
+		// a seed list is sized by it.
+		{"replicates past the grid bound", `{"mode":"replication","replicates":65537,"benchmarks":["swim"],"variants":[{"name":"v","rob":128}]}`,
+			"65537 replicates exceed the 65536 points a grid may hold"},
 		// The retired frontier mode and its space/budget/batch fields are
 		// rejected like any other unknown mode or field.
 		{"frontier no space", `{"mode":"frontier"}`, `unknown mode "frontier"`},
