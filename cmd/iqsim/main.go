@@ -114,7 +114,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "\nissue-logic energy: %.1f nJ (%.2f pJ/instr)\n",
 		res.IQEnergy/1000, res.IQEnergy/float64(st.Committed))
 	fmt.Fprintln(stdout, "breakdown:")
-	fmt.Fprint(stdout, res.Breakdown)
+	fmt.Fprint(stdout, res.Breakdown())
 	return nil
 }
 
@@ -180,11 +180,7 @@ func runTraced(w io.Writer, bench string, cfg distiq.Config, warmup, n uint64, t
 	res.Insts = st.Committed
 	res.Cycles = st.Cycles
 	intS, fpS := p.Scheme(isa.IntDomain), p.Scheme(isa.FPDomain)
-	res.IntBreakdown = power.NewCalc(intS.Geometry()).Energy(intS.Events())
-	res.FPBreakdown = power.NewCalc(fpS.Geometry()).Energy(fpS.Events())
-	res.Breakdown = power.Breakdown{}
-	res.Breakdown.Add(res.IntBreakdown)
-	res.Breakdown.Add(res.FPBreakdown)
-	res.IQEnergy = res.Breakdown.Total()
+	res.SetEnergy(power.NewCalc(intS.Geometry()).Energy(intS.Events()),
+		power.NewCalc(fpS.Geometry()).Energy(fpS.Events()))
 	return res, nil
 }

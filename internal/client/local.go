@@ -84,7 +84,7 @@ func (c *Local) Sweep(ctx context.Context, grid *scenario.Grid) *Stream {
 		// Emits are serialized by the engine, so the reorder state needs
 		// no locking; delivery to the stream's buffered channel never
 		// blocks the worker that produced the result.
-		c.eng.ResultStream(ctx, jobs, func(i int, r engine.Result, err error, src engine.Source) {
+		keys := c.eng.ResultStream(ctx, jobs, func(i int, r engine.Result, err error, src engine.Source) {
 			if failed {
 				return
 			}
@@ -103,7 +103,7 @@ func (c *Local) Sweep(ctx context.Context, grid *scenario.Grid) *Stream {
 		if failed {
 			return
 		}
-		m, err := c.eng.Manifest(grid.Spec.Name, jobs, results)
+		m, err := c.eng.Manifest(grid.Spec.Name, jobs, keys, results)
 		if err != nil {
 			st.fail(fmt.Errorf("client: sweep manifest: %w", err))
 			return

@@ -14,6 +14,7 @@ import (
 
 	"distiq/internal/client"
 	"distiq/internal/engine"
+	"distiq/internal/scenario"
 	"distiq/internal/serve"
 )
 
@@ -203,5 +204,42 @@ func TestLocalSweepManifestFailure(t *testing.T) {
 	}
 	if m := st.Manifest(); m != nil {
 		t.Fatalf("failed sweep has manifest %s", m.Root)
+	}
+}
+
+// TestWarmSweepManifestRendersNoKey: a warm Local sweep, streamed whole
+// with its manifest, renders no job key. The engine resolves each point
+// by its digest, and the manifest takes the digests the sweep resolved
+// and the leaves the engine kept, so a warm point allocates at most
+// warmPointAllocs times: its job's machine override, its leaf's two hex
+// strings and its share of the Merkle tree's inner nodes. Rendering the
+// key once to resolve a point and once more for its manifest leaf, as a
+// sweep once did, costs two more. The cost per point is the difference
+// between a 4-point and an 8-point sweep, so the sweep's fixed cost
+// cancels.
+func TestWarmSweepManifestRendersNoKey(t *testing.T) {
+	const warmPointAllocs = 6
+	cl := client.NewLocal(client.WithParallel(2))
+	allocs := func(robs ...int) float64 {
+		grid, err := scenario.New("warm").WithBenchmarks("swim").WithNamed("MB_distr").
+			WithROB(robs...).WithPerfectDisambiguation(false, true).WithLengths(1000, 2000).Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep := func() {
+			st := cl.Sweep(context.Background(), grid)
+			for st.Next() {
+			}
+			if err := st.Err(); err != nil || st.Manifest() == nil {
+				t.Fatalf("sweep failed: %v", err)
+			}
+		}
+		sweep() // cold
+		return testing.AllocsPerRun(20, sweep)
+	}
+	small, large := allocs(128, 256), allocs(64, 128, 256, 512)
+	if per := (large - small) / 4; per > warmPointAllocs {
+		t.Errorf("a warm point allocates %.2f times (%.0f for 4 points, %.0f for 8), want at most %d",
+			per, small, large, warmPointAllocs)
 	}
 }

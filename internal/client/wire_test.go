@@ -10,16 +10,38 @@ import (
 
 	"distiq/internal/client"
 	"distiq/internal/engine"
+	"distiq/internal/metrics"
+	"distiq/internal/pipeline"
+	"distiq/internal/power"
 )
 
-// plainResult, plainManifest and plainEvent are engine.Result,
-// engine.Manifest and client.StreamEvent without their methods, so
+// plainResult, plainManifest and plainEvent mirror engine.Result,
+// engine.Manifest and client.StreamEvent without their methods, the
+// result's breakdowns as maps from component label to energy, so
 // encoding/json encodes and decodes them by reflection: the reference
 // the event codec must match.
-type (
-	plainResult   engine.Result
-	plainManifest engine.Manifest
-)
+type plainResult struct {
+	metrics.Run
+	Stats                                pipeline.Stats
+	IntBreakdown, FPBreakdown, Breakdown map[string]float64
+}
+
+type plainManifest engine.Manifest
+
+// plainMap returns bd as the map its JSON object encodes: nil when bd
+// charges nothing.
+func plainMap(bd power.Breakdown) map[string]float64 {
+	if bd.Empty() {
+		return nil
+	}
+	m := map[string]float64{}
+	for c := range power.NumComponents {
+		if bd.Charged(c) {
+			m[c.String()] = bd.Get(c)
+		}
+	}
+	return m
+}
 
 type plainEvent struct {
 	Index     int            `json:"index"`
@@ -33,14 +55,13 @@ type plainEvent struct {
 }
 
 func toPlain(ev client.StreamEvent) plainEvent {
-	return plainEvent{ev.Index, ev.Benchmark, ev.Source, (*plainResult)(ev.Result),
-		ev.Error, ev.Done, ev.Points, (*plainManifest)(ev.Manifest)}
-}
-
-func (p plainEvent) event() client.StreamEvent {
-	return client.StreamEvent{Index: p.Index, Benchmark: p.Benchmark, Source: p.Source,
-		Result: (*engine.Result)(p.Result), Error: p.Error, Done: p.Done, Points: p.Points,
-		Manifest: (*engine.Manifest)(p.Manifest)}
+	var r *plainResult
+	if ev.Result != nil {
+		r = &plainResult{ev.Result.Run, ev.Result.Stats, plainMap(ev.Result.IntBreakdown),
+			plainMap(ev.Result.FPBreakdown), plainMap(ev.Result.Breakdown())}
+	}
+	return plainEvent{ev.Index, ev.Benchmark, ev.Source, r, ev.Error, ev.Done, ev.Points,
+		(*plainManifest)(ev.Manifest)}
 }
 
 // encoderLine is the line json.Encoder writes for ev by reflection.
@@ -84,8 +105,8 @@ func checkEventDecoder(t *testing.T, data []byte, must bool) {
 	if err := json.Unmarshal(data, &ref); err != nil {
 		t.Fatalf("decoder accepted %q, which encoding/json rejects: %v", data, err)
 	}
-	if !reflect.DeepEqual(got, ref.event()) {
-		t.Fatalf("decoded %q as %+v, encoding/json as %+v", data, got, ref.event())
+	if !reflect.DeepEqual(toPlain(got), ref) {
+		t.Fatalf("decoded %q as %+v, encoding/json as %+v", data, toPlain(got), ref)
 	}
 }
 
@@ -117,6 +138,19 @@ func (g *eventGen) float() float64 {
 	return []float64{0, math.Copysign(0, -1), 1e-6, 9.99e-7, 1e21, 9.99e20, 5e-324, 1.5}[int(g.byte())%8]
 }
 
+// breakdown charges the components two bytes select with energies from
+// float.
+func (g *eventGen) breakdown() power.Breakdown {
+	var bd power.Breakdown
+	set := uint16(g.byte())<<8 | uint16(g.byte())
+	for c := range power.NumComponents {
+		if set&(1<<c) != 0 {
+			bd.Set(c, g.float())
+		}
+	}
+	return bd
+}
+
 func (g *eventGen) event() client.StreamEvent {
 	ev := client.StreamEvent{Index: g.num(), Benchmark: g.str(), Source: engine.Source(g.str()),
 		Error: g.str(), Done: g.byte()%2 == 1, Points: g.num()}
@@ -125,8 +159,7 @@ func (g *eventGen) event() client.StreamEvent {
 		r.Benchmark, r.Config, r.Insts, r.IQEnergy = g.str(), g.str(), math.MaxUint64, g.float()
 		r.Stats.ByClass[g.byte()%uint8(len(r.Stats.ByClass))] = uint64(g.num())
 		if c%3 == 2 {
-			r.IntBreakdown = map[string]float64{}
-			r.Breakdown = map[string]float64{g.str(): g.float(), g.str(): g.float()}
+			r.IntBreakdown, r.FPBreakdown = g.breakdown(), g.breakdown()
 		}
 		ev.Result = r
 	}
@@ -135,6 +168,35 @@ func (g *eventGen) event() client.StreamEvent {
 			Leaves: []engine.ManifestLeaf{{Index: g.num(), Benchmark: g.str(), Hash: g.str()}}}
 	}
 	return ev
+}
+
+// breakdownLines are event lines whose results carry breakdowns: every
+// component, a component present at zero beside absent ones, buff2 and
+// the four crossbar components, and lines the decoder refuses: a label
+// outside the power model's set and a summed breakdown left out.
+func breakdownLines() [][]byte {
+	var all, zero, mux power.Breakdown
+	for c := range power.NumComponents {
+		all.Set(c, 0.5+float64(c))
+	}
+	zero.Set(power.Wakeup, 0)
+	zero.Set(power.Buff2, 1.5)
+	for _, c := range []power.Component{power.MuxIntALU, power.MuxIntMUL, power.MuxFPALU, power.MuxFPMUL} {
+		mux.Set(c, 1e-7)
+	}
+	var lines [][]byte
+	for _, bd := range [][2]power.Breakdown{{all, {}}, {zero, mux}, {{}, zero}, {mux, all}} {
+		r := &engine.Result{}
+		r.SetEnergy(bd[0], bd[1])
+		line, err := (&client.StreamEvent{Index: 1, Benchmark: "swim", Source: engine.SourceMemory, Result: r}).AppendLine(nil)
+		if err != nil {
+			panic(err)
+		}
+		lines = append(lines, line)
+	}
+	return append(lines,
+		[]byte(`{"index":0,"result":{"IntBreakdown":{"alloc":1},"Breakdown":{"alloc":1}}}`),
+		[]byte(`{"index":0,"result":{"FPBreakdown":{"wakeup":0}}}`))
 }
 
 // FuzzStreamEvent checks AppendLine against json.Encoder and
@@ -151,6 +213,9 @@ func FuzzStreamEvent(f *testing.F) {
 		`{"error":"\ud800"}`, `{"index":0}{}`, `[]`, "",
 	} {
 		f.Add([]byte(s))
+	}
+	for _, s := range breakdownLines() {
+		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkEventCodec(t, (&eventGen{b: data}).event())

@@ -6,18 +6,30 @@ import (
 	"distiq/internal/core"
 )
 
-// keySink keeps BenchmarkJobKey's calls from being optimized away.
-var keySink string
+// keySink and digestSink keep BenchmarkJobKey's calls from being
+// optimized away.
+var (
+	keySink    string
+	digestSink Digest
+)
 
-// BenchmarkJobKey times the memoization key of a paper machine job
-// (MB_distr on swim at a replication seed), the string every engine
-// request and every manifest leaf computes.
+// BenchmarkJobKey times the identity of a paper machine job (MB_distr on
+// swim at a replication seed): its key string, and its digest, which
+// every engine request computes.
 func BenchmarkJobKey(b *testing.B) {
 	j := Job{Bench: "swim", Config: core.MBDistr(), Opt: Options{Warmup: 20_000, Instructions: 100_000}, Seed: 7}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		keySink = j.Key()
-	}
+	b.Run("Key", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keySink = j.Key()
+		}
+	})
+	b.Run("digest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			digestSink = j.digest()
+		}
+	})
 }
 
 // BenchmarkSimulate times one short MB_distr simulation of swim, the

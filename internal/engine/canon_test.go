@@ -107,10 +107,17 @@ func checkOracle(t *testing.T, j Job) {
 	if got != want || gotOK != wantOK {
 		t.Fatalf("Fingerprint of %q = %s, %t; want %s, %t", fmtKey(j), got, gotOK, want, wantOK)
 	}
+	if got, want := j.digest(), Digest(sha256.Sum256([]byte(fmtKey(j)))); got != want {
+		t.Fatalf("digest of %q = %x, want %x", fmtKey(j), got, want)
+	}
 	id, idle, ok := j.simIdentity()
 	wid, widle, wok := fmtSimIdentity(j)
-	if id != wid || idle != widle || ok != wok {
-		t.Fatalf("simIdentity:\n got %q, %t, %t\nwant %q, %t, %t", id, idle, ok, wid, widle, wok)
+	var wsum Digest
+	if wok {
+		wsum = sha256.Sum256([]byte(wid))
+	}
+	if id != wsum || idle != widle || ok != wok {
+		t.Fatalf("simIdentity:\n got %x, %t, %t\nwant SHA-256 of %q, %t, %t", id, idle, ok, wid, widle, wok)
 	}
 	if got, want := j.machineCanon(), fmtMachCanon(j.PipelineConfig()); got != want {
 		t.Fatalf("machineCanon:\n got %q\nwant %q", got, want)

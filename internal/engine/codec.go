@@ -2,17 +2,22 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"distiq/internal/jsonwire"
 	"distiq/internal/pipeline"
+	"distiq/internal/power"
 )
 
 // AppendJSON appends r's JSON encoding to b: the bytes encoding/json
-// writes for a Result by reflection, built without it. Fields come in
-// declaration order with metrics.Run flattened, breakdown keys sorted, a
-// nil breakdown as null and floats in encoding/json's form. A non-finite
-// float is an error, as it is in encoding/json.
+// writes by reflection for a Result whose breakdowns are maps from
+// component label to energy, built without either. Fields come in
+// declaration order with metrics.Run flattened, then the summed
+// breakdown as "Breakdown"; a breakdown lists its charged components in
+// label order, and one that charges none is null. Floats are in
+// encoding/json's form, and a non-finite float is an error, as it is in
+// encoding/json.
 func (r Result) AppendJSON(b []byte) ([]byte, error) {
 	start := len(b)
 	b = append(b, `{"Benchmark":`...)
@@ -61,16 +66,43 @@ func (r Result) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, `,"LoadForwards":`...)
 	b = strconv.AppendUint(b, s.LoadForwards, 10)
 	b = append(b, `},"IntBreakdown":`...)
-	if b, err = jsonwire.AppendFloatMap(b, r.IntBreakdown); err != nil {
+	if b, err = appendBreakdown(b, r.IntBreakdown); err != nil {
 		return b[:start], err
 	}
 	b = append(b, `,"FPBreakdown":`...)
-	if b, err = jsonwire.AppendFloatMap(b, r.FPBreakdown); err != nil {
+	if b, err = appendBreakdown(b, r.FPBreakdown); err != nil {
 		return b[:start], err
 	}
 	b = append(b, `,"Breakdown":`...)
-	if b, err = jsonwire.AppendFloatMap(b, r.Breakdown); err != nil {
+	if b, err = appendBreakdown(b, r.Breakdown()); err != nil {
 		return b[:start], err
+	}
+	return append(b, '}'), nil
+}
+
+// appendBreakdown appends bd as encoding/json writes the map from each
+// charged component's label to its energy: keys sorted, which is
+// component order, and null for a breakdown that charges nothing. The
+// labels need no escaping.
+func appendBreakdown(b []byte, bd power.Breakdown) ([]byte, error) {
+	if bd.Empty() {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '{')
+	sep := false
+	for c := range power.NumComponents {
+		if !bd.Charged(c) {
+			continue
+		}
+		if sep {
+			b = append(b, ',')
+		}
+		sep = true
+		b = append(append(append(b, '"'), c.String()...), `":`...)
+		var err error
+		if b, err = jsonwire.AppendFloat(b, bd.Get(c)); err != nil {
+			return b, err
+		}
 	}
 	return append(b, '}'), nil
 }
@@ -86,8 +118,11 @@ func (r Result) MarshalJSON() ([]byte, error) {
 // AppendJSON writes, with any white space, and decodes every input it
 // accepts as encoding/json would; unknown or repeated fields, a null
 // where a number, string or object belongs and a ByClass of the wrong
-// length are errors. null leaves r as it is, following encoding/json's
-// convention; an error leaves r as it is.
+// length are errors, and so are a breakdown naming a component outside
+// the power model's set, an empty breakdown object, which no power model
+// writes, and a "Breakdown" that is not the sum of the two domains'.
+// null leaves r as it is, following encoding/json's convention; an error
+// leaves r as it is.
 func (r *Result) UnmarshalJSON(data []byte) error {
 	d := jsonwire.NewDecoder(data)
 	if d.Null() {
@@ -106,6 +141,7 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 // documents that carry one; d holds the first error.
 func (r *Result) DecodeJSON(d *jsonwire.Decoder) {
 	var seen uint16
+	var sum power.Breakdown
 	d.Delim('{')
 	for i := 0; d.More('}', i); i++ {
 		var bit uint16
@@ -124,11 +160,11 @@ func (r *Result) DecodeJSON(d *jsonwire.Decoder) {
 			bit = 1 << 5
 			decodeStats(d, &r.Stats)
 		case "IntBreakdown":
-			bit, r.IntBreakdown = 1<<6, d.FloatMap()
+			bit, r.IntBreakdown = 1<<6, decodeBreakdown(d)
 		case "FPBreakdown":
-			bit, r.FPBreakdown = 1<<7, d.FloatMap()
+			bit, r.FPBreakdown = 1<<7, decodeBreakdown(d)
 		case "Breakdown":
-			bit, r.Breakdown = 1<<8, d.FloatMap()
+			bit, sum = 1<<8, decodeBreakdown(d)
 		default:
 			d.Fail("unknown result field")
 		}
@@ -137,6 +173,42 @@ func (r *Result) DecodeJSON(d *jsonwire.Decoder) {
 		}
 		seen |= bit
 	}
+	if !sameBreakdown(sum, r.Breakdown()) {
+		d.Fail("breakdown is not the sum of the domains")
+	}
+}
+
+// decodeBreakdown reads an object of component energies, or null as a
+// breakdown that charges nothing. A repeated component takes its last
+// value, as a map does.
+func decodeBreakdown(d *jsonwire.Decoder) power.Breakdown {
+	var bd power.Breakdown
+	if d.Null() {
+		return bd
+	}
+	d.Delim('{')
+	for i := 0; d.More('}', i); i++ {
+		c, ok := power.ComponentNamed(d.Key())
+		if !ok {
+			d.Fail("unknown breakdown component")
+		}
+		bd.Set(c, d.Float64())
+	}
+	if bd.Empty() {
+		d.Fail("empty breakdown")
+	}
+	return bd
+}
+
+// sameBreakdown reports whether a and b charge the same components with
+// bit-identical energies, so that they encode to the same bytes.
+func sameBreakdown(a, b power.Breakdown) bool {
+	for c := range power.NumComponents {
+		if a.Charged(c) != b.Charged(c) || math.Float64bits(a.Get(c)) != math.Float64bits(b.Get(c)) {
+			return false
+		}
+	}
+	return true
 }
 
 // decodeStats reads a pipeline.Stats object into s.

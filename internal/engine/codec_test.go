@@ -9,17 +9,57 @@ import (
 	"unicode/utf8"
 
 	"distiq/internal/core"
+	"distiq/internal/isa"
 	"distiq/internal/metrics"
+	"distiq/internal/pipeline"
+	"distiq/internal/power"
 )
 
-// plainResult is Result without its methods, so encoding/json encodes
-// and decodes it by reflection: the reference AppendJSON and
-// UnmarshalJSON must match byte for byte and value for value.
-type plainResult Result
+// plainResult mirrors Result with its breakdowns as maps from
+// component label to energy, the summed one stored, and no methods, so
+// encoding/json encodes and decodes it by reflection: the reference
+// AppendJSON and UnmarshalJSON must match byte for byte and value for
+// value.
+type plainResult struct {
+	metrics.Run
+	Stats                                pipeline.Stats
+	IntBreakdown, FPBreakdown, Breakdown map[string]float64
+}
 
-// resultGen builds Results from fuzz bytes. Strings, floats and maps
-// come from tables of the cases encoding/json treats specially, or
-// from the raw bytes.
+// plainMap returns bd as the map its JSON object encodes: nil when bd
+// charges nothing.
+func plainMap(bd power.Breakdown) map[string]float64 {
+	if bd.Empty() {
+		return nil
+	}
+	m := map[string]float64{}
+	for c := range power.NumComponents {
+		if bd.Charged(c) {
+			m[c.String()] = bd.Get(c)
+		}
+	}
+	return m
+}
+
+// plain returns r's mirror.
+func plain(r Result) plainResult {
+	return plainResult{r.Run, r.Stats, plainMap(r.IntBreakdown), plainMap(r.FPBreakdown), plainMap(r.Breakdown())}
+}
+
+// plainEntry mirrors the store entry around a plainResult.
+type plainEntry struct {
+	Version      int         `json:"version"`
+	Benchmark    string      `json:"benchmark"`
+	Config       string      `json:"config"`
+	Machine      string      `json:"machine"`
+	Warmup       uint64      `json:"warmup"`
+	Instructions uint64      `json:"instructions"`
+	Result       plainResult `json:"result"`
+}
+
+// resultGen builds Results from fuzz bytes. Strings, floats and
+// breakdowns come from tables of the cases encoding/json and the power
+// models produce, or from the raw bytes.
 type resultGen struct {
 	b []byte
 	// lossy is set once a string holds invalid UTF-8, which no JSON
@@ -93,22 +133,57 @@ func (g *resultGen) str() string {
 	return s
 }
 
-func (g *resultGen) floatMap() map[string]float64 {
-	switch c := g.byte(); c % 4 {
-	case 0:
-		return nil
-	case 1:
-		return map[string]float64{}
+// codecBreakdowns are the breakdowns a seed names by index: none
+// charged, each of the power.NumComponents components alone, every
+// component, the four crossbar components, the zero-event breakdowns of
+// the three storage styles (components present at zero, as adapt's idle
+// FP breakdown is), and PreSched's CAM with second-level buff2 traffic.
+var codecBreakdowns = func() []power.Breakdown {
+	out := []power.Breakdown{{}}
+	var all, mux power.Breakdown
+	for c := range power.NumComponents {
+		var one power.Breakdown
+		one.Set(c, codecFloats[int(c)%len(codecFloats)])
+		out = append(out, one)
+		all.Set(c, 1+float64(c)/8)
 	}
-	m := map[string]float64{}
-	for n := g.byte() % 20; n > 0; n-- {
-		m[g.str()] = g.float()
+	for _, c := range []power.Component{power.MuxIntALU, power.MuxIntMUL, power.MuxFPALU, power.MuxFPMUL} {
+		mux.Set(c, 1e-7*float64(c+1))
 	}
-	return m
+	out = append(out, all, mux)
+	fanout := [isa.NumFUKinds]int{1, 1, 1, 1}
+	for _, style := range []power.Style{power.StyleCAM, power.StyleFIFO, power.StyleBuff} {
+		g := power.Geometry{Style: style, Queues: 8, Entries: 16, Chains: 8, FUFanout: fanout}
+		out = append(out, power.NewCalc(g).Energy(&power.Events{}))
+	}
+	presched := power.Geometry{Style: power.StyleCAM, Queues: 1, Entries: 16, SecondLevel: 112, FUFanout: fanout}
+	ev := &power.Events{WakeupBroadcasts: 3, IQWrites: 5, IQReads: 5, FIFOWrites: 7, FIFOReads: 7}
+	ev.MuxIssues[isa.FPMulUnit] = 2
+	return append(out, power.NewCalc(presched).Energy(ev))
+}()
+
+// breakdown draws one of codecBreakdowns, or any set of components with
+// energies from float.
+func (g *resultGen) breakdown() power.Breakdown {
+	c := g.byte()
+	if int(c) < len(codecBreakdowns) {
+		return codecBreakdowns[c]
+	}
+	var bd power.Breakdown
+	set := uint16(c)<<8 | uint16(g.byte())
+	for comp := range power.NumComponents {
+		if set&(1<<comp) != 0 {
+			bd.Set(comp, g.float())
+		}
+	}
+	return bd
 }
 
+// result draws a Result, its breakdowns first, so that a seed's first
+// two bytes index codecBreakdowns.
 func (g *resultGen) result() Result {
 	var r Result
+	r.IntBreakdown, r.FPBreakdown = g.breakdown(), g.breakdown()
 	r.Benchmark, r.Config = g.str(), g.str()
 	r.Insts, r.Cycles, r.IQEnergy = g.uint64(), g.uint64(), g.float()
 	s := &r.Stats
@@ -120,22 +195,22 @@ func (g *resultGen) result() Result {
 	for i := range s.ByClass {
 		s.ByClass[i] = g.uint64()
 	}
-	r.IntBreakdown, r.FPBreakdown, r.Breakdown = g.floatMap(), g.floatMap(), g.floatMap()
 	return r
 }
 
 // checkResultCodec asserts the codec properties on r: AppendJSON writes
-// what reflection writes, and decoding that gives what encoding/json
+// what reflection writes, or fails where it fails (on a summed
+// component that overflows), and decoding that gives what encoding/json
 // decodes from it, which is r itself unless a string was invalid UTF-8.
 func checkResultCodec(t *testing.T, r Result, lossy bool) {
 	t.Helper()
 	got, err := r.AppendJSON(nil)
-	if err != nil {
-		t.Fatalf("AppendJSON: %v", err)
+	want, werr := json.Marshal(plain(r))
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("AppendJSON error %v, reflection's %v", err, werr)
 	}
-	want, err := json.Marshal(plainResult(r))
 	if err != nil {
-		t.Fatalf("reflection: %v", err)
+		return
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("AppendJSON differs from encoding/json:\n got %s\nwant %s", got, want)
@@ -148,8 +223,8 @@ func checkResultCodec(t *testing.T, r Result, lossy bool) {
 	if err := json.Unmarshal(want, &ref); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, Result(ref)) {
-		t.Fatalf("decoded %+v, encoding/json decoded %+v", back, Result(ref))
+	if !reflect.DeepEqual(plain(back), ref) {
+		t.Fatalf("decoded %+v, encoding/json decoded %+v", plain(back), ref)
 	}
 	if !lossy && !reflect.DeepEqual(back, r) {
 		t.Fatalf("round trip gave %+v, want %+v", back, r)
@@ -168,9 +243,46 @@ func checkResultDecoder(t *testing.T, data []byte) {
 	if err := json.Unmarshal(data, &ref); err != nil {
 		t.Fatalf("decoder accepted %q, which encoding/json rejects: %v", data, err)
 	}
-	if !reflect.DeepEqual(got, Result(ref)) {
-		t.Fatalf("decoded %q as %+v, encoding/json as %+v", data, got, Result(ref))
+	if !reflect.DeepEqual(plain(got), ref) {
+		t.Fatalf("decoded %q as %+v, encoding/json as %+v", data, plain(got), ref)
 	}
+}
+
+// breakdownSeeds are fuzz inputs that, read by resultGen, draw each
+// codecBreakdowns entry k as the integer breakdown beside entry k+1 as
+// the FP one, so every entry appears in both domains, and the result
+// documents that carry those pairs.
+func breakdownSeeds() (gen, docs [][]byte) {
+	for k := range codecBreakdowns {
+		data := []byte{byte(k), byte((k + 1) % len(codecBreakdowns))}
+		gen = append(gen, data)
+		r := (&resultGen{b: data}).result()
+		if doc, err := r.AppendJSON(nil); err == nil {
+			docs = append(docs, doc)
+		}
+	}
+	return gen, docs
+}
+
+// breakdownDocs are result documents on the breakdown decoder's edges:
+// a component present at zero against an absent one, buff2 and the
+// crossbar components out of key order, escaped labels, a repeated
+// label, labels outside the power model's set, an empty object and a
+// "Breakdown" that is not the sum of the domains.
+var breakdownDocs = []string{
+	`{"IntBreakdown":{"wakeup":0},"Breakdown":{"wakeup":0}}`,
+	`{"IntBreakdown":null,"FPBreakdown":null,"Breakdown":null}`,
+	`{"IntBreakdown":{"wakeup":-0},"Breakdown":{"wakeup":0}}`,
+	`{"FPBreakdown":{"buff2":1,"MuxFPMUL":2,"MuxIntALU":3,"MuxFPALU":4,"MuxIntMUL":5},"Breakdown":{"MuxFPALU":4,"MuxFPMUL":2,"MuxIntALU":3,"MuxIntMUL":5,"buff2":1}}`,
+	`{"IntBreakdown":{"wakeup":1},"Breakdown":{"wakeup":1}}`,
+	`{"IntBreakdown":{"reg":1,"reg":2},"Breakdown":{"reg":2}}`,
+	`{"IntBreakdown":{"wakeup":1},"FPBreakdown":{"wakeup":2},"Breakdown":{"wakeup":3}}`,
+	`{"IntBreakdown":{"alloc":1},"Breakdown":{"alloc":1}}`,
+	`{"IntBreakdown":{"Wakeup":1},"Breakdown":{"Wakeup":1}}`,
+	`{"IntBreakdown":{},"Breakdown":{}}`,
+	`{"IntBreakdown":{"wakeup":1}}`,
+	`{"IntBreakdown":{"wakeup":1},"Breakdown":{"wakeup":1,"reg":0}}`,
+	`{"IntBreakdown":{"wakeup":1},"Breakdown":{"wakeup":1.0000000000000002}}`,
 }
 
 // FuzzResultJSON checks AppendJSON against reflection and the decoder
@@ -179,7 +291,7 @@ func checkResultDecoder(t *testing.T, data []byte) {
 func FuzzResultJSON(f *testing.F) {
 	seed := (&resultGen{b: []byte("seed corpus result 0123456789abcdef")}).result()
 	enc, _ := seed.AppendJSON(nil)
-	indented, _ := json.MarshalIndent(plainResult(seed), "", " ")
+	indented, _ := json.MarshalIndent(plain(seed), "", " ")
 	for _, s := range [][]byte{
 		enc, indented, []byte("null"), []byte(" null "), []byte("{}"),
 		[]byte(`{"Benchmark":"ab","Insts":18446744073709551615,"IQEnergy":-0,"Breakdown":{"x":1e-7,"x":2}}`),
@@ -191,6 +303,13 @@ func FuzzResultJSON(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	gen, docs := breakdownSeeds()
+	for _, s := range append(gen, docs...) {
+		f.Add(s)
+	}
+	for _, s := range breakdownDocs {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &resultGen{b: data}
 		r := g.result()
@@ -200,31 +319,60 @@ func FuzzResultJSON(f *testing.F) {
 }
 
 // FuzzEntryBytes checks entryBytes against json.MarshalIndent of the
-// store entry it renders, for any benchmark and configuration name, any
-// lengths, the Table 1 machine or an override, and a Result built from
-// the input.
+// mirrored store entry it renders, for any benchmark and configuration
+// name, any lengths, the Table 1 machine or an override, and a Result
+// built from the input; the entry decodes back to the job's result. The
+// same entry with foreign, a label outside the power model's set, in
+// its breakdowns reads as a miss, as a torn entry does.
 func FuzzEntryBytes(f *testing.F) {
 	for i, s := range codecStrings {
 		f.Add(s, codecStrings[(i+3)%len(codecStrings)], uint64(1000), uint64(4000), i%2 == 0,
-			[]byte("seed corpus result 0123456789abcdef"[i:]))
+			[]byte("seed corpus result 0123456789abcdef"[i:]), "")
 	}
-	f.Add("swim", "MB_distr", uint64(0), uint64(math.MaxUint64), false, []byte{})
-	f.Fuzz(func(t *testing.T, bench, config string, warmup, insts uint64, override bool, data []byte) {
+	f.Add("swim", "MB_distr", uint64(0), uint64(math.MaxUint64), false, []byte{}, "alloc")
+	gen, _ := breakdownSeeds()
+	for i, data := range gen {
+		f.Add("swim", "MB_distr", uint64(1000), uint64(4000), i%2 == 1, data,
+			[]string{"alloc", "Wakeup", "buff3", "wakeup", "\xff"}[i%5])
+	}
+	f.Fuzz(func(t *testing.T, bench, config string, warmup, insts uint64, override bool, data []byte, foreign string) {
 		job := Job{Bench: bench, Config: core.Config{Name: config}, Opt: Options{Warmup: warmup, Instructions: insts}}
 		if override {
 			job.Machine = &Machine{ROBSize: 128, PerfectDisambiguation: true}
 		}
-		r := (&resultGen{b: data}).result()
+		g := &resultGen{b: data}
+		r := g.result()
+		ent := plainEntry{storeVersion, bench, config, job.machineCanon(), warmup, insts, plain(r)}
 		got, err := entryBytes(job, r)
-		if err != nil {
-			t.Fatalf("entryBytes: %v", err)
+		want, werr := json.MarshalIndent(ent, "", " ")
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("entryBytes error %v, MarshalIndent's %v", err, werr)
 		}
-		want, err := json.MarshalIndent(entry{storeVersion, bench, config, job.machineCanon(), warmup, insts, r}, "", " ")
 		if err != nil {
-			t.Fatalf("MarshalIndent: %v", err)
+			return
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("entryBytes differs from json.MarshalIndent:\n got %s\nwant %s", got, want)
+		}
+		back, ok := decodeEntry(got, job)
+		if exact := utf8.ValidString(bench) && utf8.ValidString(config) && !g.lossy; exact && (!ok || !reflect.DeepEqual(back, r)) {
+			t.Fatalf("entry does not decode to its result: %v, %+v", ok, back)
+		}
+		if _, known := power.ComponentNamed([]byte(foreign)); known {
+			return
+		}
+		for _, m := range []*map[string]float64{&ent.Result.IntBreakdown, &ent.Result.Breakdown} {
+			if *m == nil {
+				*m = map[string]float64{}
+			}
+			(*m)[foreign] = 1
+		}
+		bad, err := json.MarshalIndent(ent, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := decodeEntry(bad, job); ok {
+			t.Fatalf("an entry charging %q decoded:\n%s", foreign, bad)
 		}
 	})
 }
@@ -245,17 +393,8 @@ func TestResultJSONSimulated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			type plainEntry struct {
-				Version      int         `json:"version"`
-				Benchmark    string      `json:"benchmark"`
-				Config       string      `json:"config"`
-				Machine      string      `json:"machine"`
-				Warmup       uint64      `json:"warmup"`
-				Instructions uint64      `json:"instructions"`
-				Result       plainResult `json:"result"`
-			}
 			want, err := json.MarshalIndent(plainEntry{storeVersion, bench, cfg.Name, job.machineCanon(),
-				job.Opt.Warmup, job.Opt.Instructions, plainResult(r)}, "", " ")
+				job.Opt.Warmup, job.Opt.Instructions, plain(r)}, "", " ")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,17 +413,16 @@ func TestResultJSONSimulated(t *testing.T) {
 // encoder, as it is by reflection.
 func TestResultJSONNonFinite(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, r := range []Result{
-			{Run: metrics.Run{IQEnergy: f}},
-			{Breakdown: map[string]float64{"wakeup": f}},
-		} {
+		var charged Result
+		charged.IntBreakdown.Set(power.Wakeup, f)
+		for _, r := range []Result{{Run: metrics.Run{IQEnergy: f}}, charged} {
 			if _, err := r.AppendJSON(nil); err == nil {
 				t.Errorf("AppendJSON of %v: no error", f)
 			}
 			if _, err := json.Marshal(r); err == nil {
 				t.Errorf("json.Marshal of %v: no error", f)
 			}
-			if _, err := json.Marshal(plainResult(r)); err == nil {
+			if _, err := json.Marshal(plain(r)); err == nil {
 				t.Errorf("reflection of %v: no error", f)
 			}
 		}
@@ -294,7 +432,8 @@ func TestResultJSONNonFinite(t *testing.T) {
 // TestResultUnmarshalNullKeeps: null leaves the target as it is, and so
 // does a failed decode.
 func TestResultUnmarshalNullKeeps(t *testing.T) {
-	r := Result{Breakdown: map[string]float64{"reg": 1}}
+	var r Result
+	r.IntBreakdown.Set(power.Reg, 1)
 	r.Insts = 7
 	for _, data := range []string{"null", `{"Insts":1,"Bogus":2}`} {
 		got := r
@@ -357,7 +496,7 @@ func BenchmarkResultJSON(b *testing.B) {
 	b.Run("reflect-encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = json.Marshal(plainResult(r))
+			_, _ = json.Marshal(plain(r))
 		}
 	})
 	b.Run("UnmarshalJSON", func(b *testing.B) {

@@ -85,31 +85,30 @@ type Stats struct {
 }
 
 // memoryCap bounds the engine's memory: past it, resolving a new job
-// drops the least recently used result. At about 1.2 KB per entry the
-// memory holds at most about 1.2 MiB, and a long-lived engine stops
-// growing with every distinct point it serves.
+// drops the least recently used result. At about 820 B per entry, result,
+// digests and map slots included (TestMemoryFootprint), the memory holds
+// at most about 0.8 MiB, and a long-lived engine stops growing with every
+// distinct point it serves.
 const memoryCap = 1024
 
 // memEntry is one job's resolved result in the engine's memory, with
 // the job's manifest leaf once a manifest has named it (Engine.Manifest).
-// The map holds pointers, so filling the leaf in place never stores the
-// filler's copy of the key: a map assignment replaces a string key.
-// prev and next link the entries in recency order (Engine.lru); key and
-// id name the map and identity-index entries an eviction drops.
+// The map holds pointers, so a leaf is filled in place. prev and next
+// link the entries in recency order (Engine.lru); key and id name the
+// map and identity-index entries an eviction drops.
 type memEntry struct {
 	res        Result
 	leaf       leafMemo
-	key        string
-	id         [sha256.Size]byte
+	key, id    Digest
 	prev, next *memEntry
 }
 
-// leafMemo is a job's store fingerprint and the manifest leaf hash of
-// its result, kept once ok. Neither changes while the result is in
-// memory, so a repeat point's leaf costs a map lookup.
+// leafMemo is the manifest leaf hash of a job's result, kept once ok; the
+// job's store fingerprint is its digest. The leaf does not change while
+// the result is in memory, so a repeat point's leaf costs a map lookup.
 type leafMemo struct {
-	fp, leaf [sha256.Size]byte
-	ok       bool
+	leaf [sha256.Size]byte
+	ok   bool
 }
 
 // call is one in-flight computation shared by all requesters of a
@@ -147,16 +146,16 @@ type Engine struct {
 	slots    slotQueue
 
 	mu       sync.Mutex
-	memory   map[string]*memEntry
-	inflight map[string]*call
+	memory   map[Digest]*memEntry
+	inflight map[Digest]*call
 	// lru is the sentinel of memory's recency list: lru.next is the most
 	// recently used entry and lru.prev the next to be dropped.
 	lru memEntry
-	// sims maps a hashed simulation identity to the key of the job whose
-	// run holds it, in flight or in memory, so jobs the simulator cannot
-	// tell apart share that run. It holds keys only, and an entry lives
-	// exactly as long as the memory or in-flight entry it names.
-	sims map[[sha256.Size]byte]string
+	// sims maps a hashed simulation identity to the digest of the job
+	// whose run holds it, in flight or in memory, so jobs the simulator
+	// cannot tell apart share that run. An entry lives exactly as long as
+	// the memory or in-flight entry it names.
+	sims map[Digest]Digest
 
 	progMu   sync.Mutex
 	resolved atomic.Int64
@@ -195,9 +194,9 @@ func New(cfg Config) *Engine {
 		progress: cfg.Progress,
 		workers:  workers,
 		slots:    slotQueue{free: workers},
-		memory:   make(map[string]*memEntry),
-		inflight: make(map[string]*call),
-		sims:     make(map[[sha256.Size]byte]string),
+		memory:   make(map[Digest]*memEntry),
+		inflight: make(map[Digest]*call),
+		sims:     make(map[Digest]Digest),
 		store:    cfg.Store,
 	}
 	e.lru.prev, e.lru.next = &e.lru, &e.lru
@@ -297,7 +296,7 @@ func (e *Engine) Result(job Job) (Result, error) {
 // computation) returns ctx.Err() promptly; a job already simulating runs
 // to completion and its result is cached and persisted as usual.
 func (e *Engine) ResultCtx(ctx context.Context, job Job) (Result, error) {
-	r, err, _ := e.resolve(ctx, job, job.Key(), nil)
+	r, err, _ := e.resolve(ctx, job, job.digest(), nil)
 	return r, err
 }
 
@@ -308,13 +307,13 @@ func (e *Engine) cancel(job Job, err error) (Result, error, Source) {
 	return Result{}, err, SourceCanceled
 }
 
-// memoryHit resolves a job from its own key's result in memory, making
-// that entry the most recently used, and accounts the request as a
-// memory hit with its progress. It reports false, having accounted
-// nothing, when the key is not in memory or ctx is done. resolve tries
-// it first, and ResultStream calls it on the caller's goroutine, so a
-// batch's warm jobs never wait.
-func (e *Engine) memoryHit(ctx context.Context, job Job, key string) (Result, bool) {
+// memoryHit resolves a job from its own result in memory, found by its
+// digest, key, making that entry the most recently used, and accounts
+// the request as a memory hit with its progress. It reports false,
+// having accounted nothing, when the key is not in memory or ctx is
+// done. resolve tries it first, and ResultStream calls it on the
+// caller's goroutine, so a batch's warm jobs never wait.
+func (e *Engine) memoryHit(ctx context.Context, job Job, key Digest) (Result, bool) {
 	if ctx.Err() != nil {
 		return Result{}, false
 	}
@@ -338,7 +337,7 @@ func (e *Engine) memoryHit(ctx context.Context, job Job, key string) (Result, bo
 
 // resolve is ResultCtx plus the resolution source, so batch callers can
 // account per-batch how each of their jobs was satisfied; key is the
-// job's key. queued, when non-nil, is called once, as soon as the job's
+// job's digest. queued, when non-nil, is called once, as soon as the job's
 // route is known (cached, cancelled, waiting on an in-flight run, or
 // holding or queued for a worker slot); ResultStream waits for it before
 // submitting the next job, and slots are granted in queue order, so a
@@ -349,7 +348,7 @@ func (e *Engine) memoryHit(ctx context.Context, job Job, key string) (Result, bo
 // waits on the run of any job with that identity, adapting the result to
 // itself and keeping the adapted result under its own key once it is
 // persisted.
-func (e *Engine) resolve(ctx context.Context, job Job, key string, queued func()) (Result, error, Source) {
+func (e *Engine) resolve(ctx context.Context, job Job, key Digest, queued func()) (Result, error, Source) {
 	signal := func() {
 		if queued != nil {
 			queued()
@@ -449,7 +448,7 @@ retry:
 
 // lookup finds key's result in memory, making it the most recently
 // used, or its computation in flight. The caller holds e.mu.
-func (e *Engine) lookup(key string) (Result, *call, bool) {
+func (e *Engine) lookup(key Digest) (Result, *call, bool) {
 	if m, ok := e.memory[key]; ok {
 		m.unlink()
 		e.pushFront(m)
@@ -465,7 +464,7 @@ func (e *Engine) lookup(key string) (Result, *call, bool) {
 // that key is in flight again (an adapted result can be kept while the
 // job's own run is under way). id is the job's simulation identity. The
 // caller holds e.mu.
-func (e *Engine) remember(key string, id [sha256.Size]byte, r Result) {
+func (e *Engine) remember(key, id Digest, r Result) {
 	if old, ok := e.memory[key]; ok {
 		old.unlink()
 	}
@@ -494,17 +493,16 @@ func (m *memEntry) unlink() {
 	m.prev.next, m.next.prev = m.next, m.prev
 }
 
-// identity hashes the job's simulation identity, or its key when that is
-// all that identifies it (see Job.simIdentity and Config.Simulate).
-func (e *Engine) identity(job Job, key string) (id [sha256.Size]byte, fpIdle bool) {
-	s, ok := "", false
+// identity returns the job's hashed simulation identity, or its digest,
+// key, when that is all that identifies it (see Job.simIdentity and
+// Config.Simulate).
+func (e *Engine) identity(job Job, key Digest) (id Digest, fpIdle bool) {
 	if !e.injected {
-		s, fpIdle, ok = job.simIdentity()
+		if id, fpIdle, ok := job.simIdentity(); ok {
+			return id, fpIdle
+		}
 	}
-	if !ok {
-		s = key
-	}
-	return sha256.Sum256([]byte(s)), fpIdle
+	return key, false
 }
 
 // wrap reports a computation's error under the requesting job.
@@ -550,7 +548,7 @@ func (e *Engine) release() {
 // cancelled before computing. The call is marked abandoned, so waiters
 // sharing it retry resolution under their own contexts instead of
 // inheriting the owner's cancellation.
-func (e *Engine) abandon(job Job, key string, id [sha256.Size]byte, c *call, err error) (Result, error, Source) {
+func (e *Engine) abandon(job Job, key, id Digest, c *call, err error) (Result, error, Source) {
 	c.err = err
 	c.abandoned = true
 	e.mu.Lock()
@@ -668,7 +666,8 @@ func (e *Engine) ResultAllCtx(ctx context.Context, jobs []Job) ([]Result, error)
 // worker pool), delivering each result through emit as it resolves — in
 // completion order, not input order; i is the job's input index. Emit
 // invocations are serialized, so callers may update shared state without
-// locking. ResultStream returns once every job has been emitted.
+// locking. ResultStream returns once every job has been emitted, with
+// the jobs' digests in input order, which Manifest takes.
 //
 // A job whose own key is in memory resolves and is emitted on the
 // caller's goroutine, before the next job is looked at, so a batch of
@@ -684,11 +683,13 @@ func (e *Engine) ResultAllCtx(ctx context.Context, jobs []Job) ([]Result, error)
 // unscheduled jobs emit promptly with ctx.Err() and SourceCanceled while
 // in-flight jobs finish and persist, so the store stays consistent and a
 // warm rerun completes only the remainder.
-func (e *Engine) ResultStream(ctx context.Context, jobs []Job, emit func(i int, r Result, err error, src Source)) {
+func (e *Engine) ResultStream(ctx context.Context, jobs []Job, emit func(i int, r Result, err error, src Source)) []Digest {
+	keys := make([]Digest, len(jobs))
 	var wg sync.WaitGroup
 	var emitMu sync.Mutex
 	for i := range jobs {
-		key := jobs[i].Key()
+		key := jobs[i].digest()
+		keys[i] = key
 		if r, ok := e.memoryHit(ctx, jobs[i], key); ok {
 			if emit != nil {
 				emitMu.Lock()
@@ -711,6 +712,7 @@ func (e *Engine) ResultStream(ctx context.Context, jobs []Job, emit func(i int, 
 		<-queued
 	}
 	wg.Wait()
+	return keys
 }
 
 // BatchGroups always returns 0.

@@ -329,8 +329,8 @@ func TestResultStreamClaimsSlotsInInputOrder(t *testing.T) {
 // memory resolve on the caller's goroutine, serialized with the emits of
 // the jobs that wait on goroutines of their own, with the accounting and
 // progress of any memory hit. A batch of memory hits allocates no more
-// than its jobs' keys and the call's wait group and emit lock: no
-// goroutine, channel or closure per job. Run
+// than the digests it returns and the call's wait group and emit lock:
+// no key string, goroutine, channel or closure per job. Run
 // under -race in CI (the cancellation gate), where an inline emit racing
 // a goroutine's would be reported.
 func TestResultStreamMemoryHitsInline(t *testing.T) {
@@ -391,14 +391,10 @@ func TestResultStreamMemoryHitsInline(t *testing.T) {
 	}
 
 	// An all-hit batch: delivered before ResultStream returns, allocating
-	// only its keys beside the call's own two.
+	// only the digests it returns beside the call's wait group and emit
+	// lock. No job renders a key string.
 	got := make([]Source, len(jobs))
 	emit := func(i int, _ Result, _ error, src Source) { got[i] = src }
-	keys := testing.AllocsPerRun(50, func() {
-		for i := range jobs {
-			keySink = jobs[i].Key()
-		}
-	})
 	allocs := testing.AllocsPerRun(50, func() {
 		clear(got)
 		e.ResultStream(context.Background(), jobs, emit)
@@ -408,7 +404,7 @@ func TestResultStreamMemoryHitsInline(t *testing.T) {
 			t.Fatalf("warm job %d source %q, want %s", i, src, SourceMemory)
 		}
 	}
-	if allocs > keys+2 {
-		t.Errorf("a batch of %d memory hits allocates %.0f times, its keys %.0f", len(jobs), allocs, keys)
+	if allocs > 3 {
+		t.Errorf("a batch of %d memory hits allocates %.0f times, want at most 3", len(jobs), allocs)
 	}
 }

@@ -235,7 +235,7 @@ func TestEquivalentJobsOwnerAbandoned(t *testing.T) {
 	}
 	twinOut := make(chan outcome, 1)
 	go func() {
-		r, err, src := e.resolve(context.Background(), twin, twin.Key(), func() { close(routed) })
+		r, err, src := e.resolve(context.Background(), twin, twin.digest(), func() { close(routed) })
 		twinOut <- outcome{r, err, src}
 	}()
 	<-routed // the twin waits on the owner's run
@@ -347,7 +347,7 @@ func TestEquivalentJobAfterDonorEvicted(t *testing.T) {
 	if _, err := e.ResultAll(tinyJobs(memoryCap)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.memory[donor.Key()]; ok {
+	if _, ok := e.memory[donor.digest()]; ok {
 		t.Fatal("the donor survived memoryCap newer jobs")
 	}
 	checkIndex(t, e)
@@ -355,9 +355,9 @@ func TestEquivalentJobAfterDonorEvicted(t *testing.T) {
 	for i, job := range []Job{twin, third} {
 		if i == 1 {
 			// Point the index at the evicted donor again.
-			id, _ := e.identity(job, job.Key())
+			id, _ := e.identity(job, job.digest())
 			e.mu.Lock()
-			e.sims[id] = donor.Key()
+			e.sims[id] = donor.digest()
 			e.mu.Unlock()
 		}
 		before := e.Stats()
@@ -495,7 +495,7 @@ func TestAdaptedResultRewritesTornEntry(t *testing.T) {
 	if _, ok := store.Get(fp, jobs[1]); !ok {
 		t.Fatal("the empty entry was not rewritten")
 	}
-	m, err := e.Manifest("torn", jobs, results)
+	m, err := e.Manifest("torn", jobs, digests(jobs), results)
 	if err != nil {
 		t.Fatal(err)
 	}

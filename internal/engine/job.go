@@ -43,9 +43,19 @@ type Options struct {
 type Result struct {
 	metrics.Run
 	Stats pipeline.Stats
-	// IntBreakdown and FPBreakdown are the labeled issue-logic energy
-	// breakdowns per domain; Breakdown is their sum.
-	IntBreakdown, FPBreakdown, Breakdown power.Breakdown
+	// IntBreakdown and FPBreakdown are the issue-logic energy breakdowns
+	// per domain; Breakdown returns their sum.
+	IntBreakdown, FPBreakdown power.Breakdown
+}
+
+// Breakdown returns the summed issue-logic energy breakdown of the two
+// domains: every component either domain charges, the integer domain's
+// energy first.
+func (r Result) Breakdown() power.Breakdown {
+	var sum power.Breakdown
+	sum.Add(r.IntBreakdown)
+	sum.Add(r.FPBreakdown)
+	return sum
 }
 
 // Job identifies one unit of experiment work.
@@ -121,13 +131,19 @@ func appendInts(b []byte, sep byte, vs []int) []byte {
 	return b
 }
 
+// persistable reports whether the job has a canonical identity, and with
+// it a store fingerprint: a configuration that embeds a Custom scheme
+// factory has none, since a string cannot capture its behaviour.
+func (j *Job) persistable() bool {
+	return j.Config.Int.Custom == nil && j.Config.FP.Custom == nil
+}
+
 // appendCanonical appends the job's full structural identity, or
-// reports false when the configuration embeds a Custom scheme factory,
-// whose behaviour a string cannot capture. The machine segment is
+// reports false when the job is not persistable. The machine segment is
 // rendered from the *applied* pipeline configuration, so overrides that
 // restate Table 1 defaults hash identically to no override.
 func (j *Job) appendCanonical(b []byte) ([]byte, bool) {
-	if j.Config.Int.Custom != nil || j.Config.FP.Custom != nil {
+	if !j.persistable() {
 		return b, false
 	}
 	return j.appendCanon(b, j.Config.Name, false), true
@@ -171,21 +187,21 @@ func (j *Job) appendSeed(b []byte) []byte {
 // instruction, without the FP issue-queue organization too, which such a
 // program never reaches (fpIdle). The paper's organizations differ only
 // on the FP side, so on integer codes IF_distr and MB_distr are one
-// machine. ok is false for a job whose key is its only identity: a
-// Custom scheme, an unknown benchmark or an invalid configuration, whose
-// error names the configuration.
-func (j Job) simIdentity() (id string, fpIdle, ok bool) {
-	if j.Config.Int.Custom != nil || j.Config.FP.Custom != nil {
-		return "", false, false
+// machine. The identity comes hashed. ok is false for a job whose key is
+// its only identity: a Custom scheme, an unknown benchmark or an invalid
+// configuration, whose error names the configuration.
+func (j Job) simIdentity() (id Digest, fpIdle, ok bool) {
+	if !j.persistable() {
+		return id, false, false
 	}
 	m, err := j.model()
 	if err != nil || j.PipelineConfig().Validate() != nil {
-		return "", false, false
+		return id, false, false
 	}
 	fpIdle = !m.HasFPOps()
-	// The prefix keeps identities apart from job keys.
+	// The prefix keeps identities apart from job digests.
 	var buf [canonCap]byte
-	return string(j.appendCanon(append(buf[:0], "sim|"...), "", fpIdle)), fpIdle, true
+	return sha256.Sum256(j.appendCanon(append(buf[:0], "sim|"...), "", fpIdle)), fpIdle, true
 }
 
 // table1Mach is the machine segment of every job without a Machine
@@ -210,42 +226,51 @@ func (j *Job) appendMachine(b []byte) []byte {
 	return appendMach(b, &c)
 }
 
-// Key returns the in-process memoization key. Jobs with Custom schemes
-// fall back to name-based identity (the caller must name distinct custom
-// configurations distinctly, as sim.Session always required).
+// Key returns the job's identity as a string: its canonical identity,
+// or for a job with a Custom scheme a name-based one (the caller must
+// name distinct custom configurations distinctly, as sim.Session always
+// required). The engine keys its memory by the key's digest instead.
 func (j Job) Key() string {
 	var buf [canonCap]byte
-	if c, ok := j.appendCanonical(buf[:0]); ok {
-		return string(c)
+	return string(j.appendKey(buf[:0]))
+}
+
+// appendKey appends Key's bytes.
+func (j *Job) appendKey(b []byte) []byte {
+	if c, ok := j.appendCanonical(b); ok {
+		return c
 	}
-	b := append(buf[:0], "custom|"...)
+	b = append(b, "custom|"...)
 	b = append(append(b, j.Bench...), '|')
 	b = append(b, j.Config.Name...)
 	b = strconv.AppendUint(append(b, "|w"...), j.Opt.Warmup, 10)
 	b = strconv.AppendUint(append(b, "|n"...), j.Opt.Instructions, 10)
 	b = j.appendMachine(append(b, "|mach:"...))
-	return string(j.appendSeed(b))
+	return j.appendSeed(b)
+}
+
+// Digest is a job's 32-byte identity, the SHA-256 of its key: for a
+// persistable job these are the bytes of its store fingerprint. The
+// engine keys its memory, its in-flight runs and its identity index by
+// digests, so resolving a job renders no key string.
+type Digest [sha256.Size]byte
+
+// digest returns the job's Digest, hashing its key from a stack buffer.
+func (j *Job) digest() Digest {
+	var buf [canonCap]byte
+	return sha256.Sum256(j.appendKey(buf[:0]))
 }
 
 // Fingerprint returns the content address used by the persistent store: a
-// hex SHA-256 of the job's canonical identity. It reports false for jobs
-// that cannot be safely persisted (Custom scheme configurations).
+// hex SHA-256 of the job's canonical identity, which is its digest. It
+// reports false for jobs that cannot be safely persisted (Custom scheme
+// configurations).
 func (j Job) Fingerprint() (string, bool) {
-	sum, ok := j.fingerprint()
-	if !ok {
+	if !j.persistable() {
 		return "", false
 	}
+	sum := j.digest()
 	return hex.EncodeToString(sum[:]), true
-}
-
-// fingerprint is Fingerprint's SHA-256 before hex encoding.
-func (j Job) fingerprint() ([sha256.Size]byte, bool) {
-	var buf [canonCap]byte
-	c, ok := j.appendCanonical(buf[:0])
-	if !ok {
-		return [sha256.Size]byte{}, false
-	}
-	return sha256.Sum256(c), true
 }
 
 // TraceCacheStats returns zero counters: no engine path keeps a trace
@@ -280,7 +305,7 @@ func Simulate(j Job) (Result, error) {
 	res.Config = j.Config.Name
 	res.Insts = st.Committed
 	res.Cycles = st.Cycles
-	res.setEnergy(energy(p.Scheme(isa.IntDomain)), energy(p.Scheme(isa.FPDomain)))
+	res.SetEnergy(energy(p.Scheme(isa.IntDomain)), energy(p.Scheme(isa.FPDomain)))
 	p.Release()
 	return res, nil
 }
@@ -297,21 +322,17 @@ func energy(s core.Scheme) power.Breakdown {
 	return power.NewCalc(s.Geometry()).Energy(s.Events())
 }
 
-// setEnergy stores the per-domain breakdowns and derives their sum and
-// the issue-logic energy total from them.
-func (r *Result) setEnergy(intBD, fpBD power.Breakdown) {
+// SetEnergy stores the per-domain breakdowns and derives the
+// issue-logic energy total from their sum.
+func (r *Result) SetEnergy(intBD, fpBD power.Breakdown) {
 	r.IntBreakdown, r.FPBreakdown = intBD, fpBD
-	r.Breakdown = power.Breakdown{}
-	r.Breakdown.Add(intBD)
-	r.Breakdown.Add(fpBD)
-	r.IQEnergy = r.Breakdown.Total()
+	r.IQEnergy = r.Breakdown().Total()
 }
 
 // adapt turns the result of a run with the job's simulation identity
 // into the job's own, byte for byte: it takes the job's configuration
 // name and, when the run ignored the FP side (fpIdle), the breakdown the
-// job's own FP organization yields with zero events. r's maps are shared
-// with other requesters and are not modified.
+// job's own FP organization yields with zero events.
 func (j Job) adapt(r Result, fpIdle bool) (Result, error) {
 	r.Config = j.Config.Name
 	if !fpIdle {
@@ -331,6 +352,6 @@ func (j Job) adapt(r Result, fpIdle bool) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	r.setEnergy(r.IntBreakdown, energy(fp))
+	r.SetEnergy(r.IntBreakdown, energy(fp))
 	return r, nil
 }

@@ -55,19 +55,18 @@ type Manifest struct {
 	Leaves []ManifestLeaf `json:"leaves"`
 }
 
-// computeLeaf returns a job's store fingerprint and the manifest leaf
-// hash of its result, encoding the result's canonical store entry. Jobs
-// with Custom schemes have no canonical encoding, so no leaf.
-func computeLeaf(job Job, r Result) (fp, leaf [sha256.Size]byte, err error) {
-	fp, ok := job.fingerprint()
-	if !ok {
-		return fp, leaf, fmt.Errorf("job %s/%s has no content address (custom scheme)", job.Bench, job.Config.Name)
+// computeLeaf returns the manifest leaf hash of a job's result, encoding
+// the result's canonical store entry. Jobs with Custom schemes have no
+// content address, so no leaf.
+func computeLeaf(job Job, r Result) (leaf [sha256.Size]byte, err error) {
+	if !job.persistable() {
+		return leaf, fmt.Errorf("job %s/%s has no content address (custom scheme)", job.Bench, job.Config.Name)
 	}
 	data, err := entryBytes(job, r)
 	if err != nil {
-		return fp, leaf, fmt.Errorf("encode manifest leaf: %w", err)
+		return leaf, fmt.Errorf("encode manifest leaf: %w", err)
 	}
-	return fp, leafSum(data), nil
+	return leafSum(data), nil
 }
 
 // leafSum hashes raw canonical entry bytes into a leaf hash.
@@ -117,22 +116,23 @@ func merkleRoot(level [][]byte) string {
 // leaves the engine keeps.
 func BuildManifest(name string, jobs []Job, results []Result) (*Manifest, error) {
 	return buildManifest(name, jobs, results, func(i int) (fp, leaf [sha256.Size]byte, err error) {
-		return computeLeaf(jobs[i], results[i])
+		leaf, err = computeLeaf(jobs[i], results[i])
+		return jobs[i].digest(), leaf, err
 	})
 }
 
 // Manifest is BuildManifest over results this engine has just delivered
-// for jobs, in grid order. A job's fingerprint and leaf hash are
-// computed the first time a manifest names it and kept in its memory
-// entry, so a point the engine has seen before costs a map lookup. A job
-// with no memory entry (such as a result adapted from an equivalent
-// job's run and never persisted) has its leaf computed and not kept.
-// The manifest equals BuildManifest's as long as results are the
-// engine's own for jobs.
-func (e *Engine) Manifest(name string, jobs []Job, results []Result) (*Manifest, error) {
-	keys := make([]string, len(jobs))
-	for i, job := range jobs {
-		keys[i] = job.Key()
+// for jobs, in grid order; keys are the jobs' digests, as ResultStream
+// returns them, and a persistable job's digest is its fingerprint. A
+// job's leaf hash is computed the first time a manifest names it and
+// kept in its memory entry, so a point the engine has seen before costs
+// a map lookup. A job with no memory entry (such as a result adapted
+// from an equivalent job's run and never persisted) has its leaf
+// computed and not kept. The manifest equals BuildManifest's as long as
+// results are the engine's own for jobs.
+func (e *Engine) Manifest(name string, jobs []Job, keys []Digest, results []Result) (*Manifest, error) {
+	if len(keys) != len(jobs) {
+		return nil, fmt.Errorf("engine: manifest: %d jobs but %d keys", len(jobs), len(keys))
 	}
 	memo := make([]leafMemo, len(jobs))
 	e.mu.Lock()
@@ -145,13 +145,13 @@ func (e *Engine) Manifest(name string, jobs []Job, results []Result) (*Manifest,
 	var fresh []int
 	m, err := buildManifest(name, jobs, results, func(i int) (fp, leaf [sha256.Size]byte, err error) {
 		if !memo[i].ok {
-			if fp, leaf, err = computeLeaf(jobs[i], results[i]); err != nil {
+			if leaf, err = computeLeaf(jobs[i], results[i]); err != nil {
 				return fp, leaf, err
 			}
-			memo[i] = leafMemo{fp: fp, leaf: leaf, ok: true}
+			memo[i] = leafMemo{leaf: leaf, ok: true}
 			fresh = append(fresh, i)
 		}
-		return memo[i].fp, memo[i].leaf, nil
+		return keys[i], memo[i].leaf, nil
 	})
 	if err != nil {
 		return nil, err

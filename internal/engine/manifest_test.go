@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -227,7 +228,7 @@ func TestLeafHashMatchesStoredBytes(t *testing.T) {
 	if err := st.Put(fp, job, res); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	_, leaf, err := computeLeaf(job, res)
+	leaf, err := computeLeaf(job, res)
 	if err != nil {
 		t.Fatalf("computeLeaf: %v", err)
 	}
@@ -249,15 +250,28 @@ func manifestsEqual(t *testing.T, what string, got, want *Manifest) {
 	}
 }
 
-// engineManifest builds jobs' manifest on e from results e delivers, and
-// fails t unless it equals BuildManifest over the same results.
+// digests returns jobs' digests, as ResultStream returns them.
+func digests(jobs []Job) []Digest {
+	keys := make([]Digest, len(jobs))
+	for i := range jobs {
+		keys[i] = jobs[i].digest()
+	}
+	return keys
+}
+
+// engineManifest builds jobs' manifest on e from the results and digests
+// e's ResultStream delivers, as a sweep does, and fails t unless it
+// equals BuildManifest over the same results.
 func engineManifest(t *testing.T, what string, e *Engine, jobs []Job) *Manifest {
 	t.Helper()
-	results, err := e.ResultAll(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Manifest("sweep", jobs, results)
+	results := make([]Result, len(jobs))
+	keys := e.ResultStream(context.Background(), jobs, func(i int, r Result, err error, _ Source) {
+		if err != nil {
+			t.Error(err)
+		}
+		results[i] = r
+	})
+	got, err := e.Manifest("sweep", jobs, keys, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +305,7 @@ func TestEngineManifestMatchesBuildManifest(t *testing.T) {
 		t.Fatalf("cold stats %+v, want 5 simulations and gcc's MB_distr from IF_distr's run", st)
 	}
 	for _, job := range jobs {
-		if !e.memory[job.Key()].leaf.ok {
+		if !e.memory[job.digest()].leaf.ok {
 			t.Fatalf("%s under %s: leaf not kept after the first manifest", job.Bench, job.Config.Name)
 		}
 	}
@@ -308,7 +322,7 @@ func TestEngineManifestMatchesBuildManifest(t *testing.T) {
 	engineManifest(t, "past the cap", bounded, sweep)
 	var evicted []Job
 	for _, job := range sweep {
-		if _, ok := bounded.memory[job.Key()]; !ok {
+		if _, ok := bounded.memory[job.digest()]; !ok {
 			evicted = append(evicted, job)
 		}
 	}
@@ -320,7 +334,7 @@ func TestEngineManifestMatchesBuildManifest(t *testing.T) {
 		t.Fatalf("evicted stats %+v, want 6 disk hits and no new simulation", st)
 	}
 	for _, job := range evicted {
-		if !bounded.memory[job.Key()].leaf.ok {
+		if !bounded.memory[job.digest()].leaf.ok {
 			t.Fatalf("%d-instruction job: leaf not kept after it came back", job.Opt.Instructions)
 		}
 	}
@@ -344,7 +358,7 @@ func TestEngineManifestMatchesBuildManifest(t *testing.T) {
 		}
 		results[i] = r
 	}
-	got, err := fresh.Manifest("sweep", jobs, results)
+	got, err := fresh.Manifest("sweep", jobs, digests(jobs), results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +387,13 @@ func TestEngineManifestMatchesBuildManifest(t *testing.T) {
 	custom.Int.Custom = func(core.DomainConfig, core.Options) (core.Scheme, error) { return nil, nil }
 	bad := append([]Job{}, jobs[:2]...)
 	bad[1].Config = custom
-	if _, err := e.Manifest("x", bad, manifestResults(2)); err == nil {
+	if _, err := e.Manifest("x", bad, digests(bad), manifestResults(2)); err == nil {
 		t.Error("custom-scheme job accepted into an engine manifest")
 	}
-	if _, err := e.Manifest("x", jobs[:2], manifestResults(3)); err == nil {
+	if _, err := e.Manifest("x", jobs[:2], digests(jobs[:2]), manifestResults(3)); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	if _, err := e.Manifest("x", jobs[:2], digests(jobs[:1]), manifestResults(2)); err == nil {
+		t.Error("key count mismatch accepted")
 	}
 }

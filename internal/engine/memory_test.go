@@ -31,7 +31,7 @@ func checkIndex(t *testing.T, e *Engine) {
 	}
 	for _, key := range e.sims {
 		if _, ok := e.memory[key]; !ok {
-			t.Errorf("the identity index names %q, which is not in memory", key)
+			t.Errorf("the identity index names %x, which is not in memory", key)
 		}
 	}
 }
@@ -130,7 +130,7 @@ func TestMemoryBoundedRace(t *testing.T) {
 						t.Errorf("job %d got the result of a %d-instruction job", sub[i].Opt.Instructions, r.Insts)
 					}
 				}
-				got, err := e.Manifest("sweep", sub, results)
+				got, err := e.Manifest("sweep", sub, digests(sub), results)
 				if err != nil {
 					t.Error(err)
 					return
@@ -187,4 +187,51 @@ func TestSimulateRetainsNoTrace(t *testing.T) {
 		t.Errorf("%d simulations left %.2f MB more live heap, want under %.2f MB",
 			jobs, float64(after-before)/(1<<20), float64(limit)/(1<<20))
 	}
+}
+
+// TestMemoryFootprint: a full memory of distinct, real results retains
+// at most footprintLimit bytes of live heap per entry. The results are
+// short simulations (10 + 50 instructions) of two SPECFP and two SPECINT
+// benchmarks under the five organizations of the benchmark's fp-solo
+// workload, over as many seeds as memoryCap needs; on the integer codes
+// IF_distr and MB_distr share a run and keep an entry each. The jobs
+// resolve one at a time on the test's goroutine, so no goroutine the
+// engine starts and the runtime keeps for reuse counts as the memory's,
+// and three collections run before each reading, so the arrays released
+// pipelines leave in sync.Pool caches are gone.
+func TestMemoryFootprint(t *testing.T) {
+	const footprintLimit = 1000
+	configs := []core.Config{core.Baseline64(), core.AdaptiveBaseline64(), core.IFDistr(),
+		core.LatFIFOCfg(8, 8, 8, 16), core.MBDistr()}
+	var jobs []Job
+	for seed := uint64(1); len(jobs) < memoryCap; seed++ {
+		for _, bench := range []string{"swim", "gcc", "art", "mcf"} {
+			for _, cfg := range configs {
+				jobs = append(jobs, Job{Bench: bench, Config: cfg, Opt: Options{Warmup: 10, Instructions: 50}, Seed: seed})
+			}
+		}
+	}
+	jobs = jobs[:memoryCap]
+	gc := func() uint64 {
+		runtime.GC()
+		return liveHeap()
+	}
+	before := gc()
+	e := New(Config{Workers: 2})
+	for _, job := range jobs {
+		if _, err := e.Result(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := gc()
+	if n := len(e.memory); n != memoryCap {
+		t.Fatalf("%d results in memory, want %d", n, memoryCap)
+	}
+	per := float64(after-before) / memoryCap
+	t.Logf("%d results retain %.2f MiB, %.0f B each", memoryCap, float64(after-before)/(1<<20), per)
+	if per > footprintLimit {
+		t.Errorf("a memory entry retains %.0f B, want at most %d", per, footprintLimit)
+	}
+	runtime.KeepAlive(jobs)
+	runtime.KeepAlive(e)
 }

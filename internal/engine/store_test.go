@@ -67,9 +67,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	r.Stats.Committed = 4000
 	r.Stats.Cycles = 1717
 	r.Stats.ByClass[0] = 42
-	r.IntBreakdown = power.Breakdown{"fifo": 1.25, "select": 2.5}
-	r.FPBreakdown = power.Breakdown{"fifo": 3.0625}
-	r.Breakdown = power.Breakdown{"fifo": 4.3125, "select": 2.5}
+	r.IntBreakdown.Set(power.FIFO, 1.25)
+	r.IntBreakdown.Set(power.Select, 2.5)
+	r.FPBreakdown.Set(power.FIFO, 3.0625)
 
 	if err := s.Put(fp, job, r); err != nil {
 		t.Fatal(err)

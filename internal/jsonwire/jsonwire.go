@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 )
 
@@ -52,33 +51,6 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 		}
 	}
 	return b, nil
-}
-
-// AppendFloatMap appends m as a JSON object with its keys sorted, or
-// null for a nil map, as encoding/json writes a map[string]float64.
-func AppendFloatMap(b []byte, m map[string]float64) ([]byte, error) {
-	if m == nil {
-		return append(b, "null"...), nil
-	}
-	var buf [16]string
-	keys := buf[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = AppendString(b, k)
-		b = append(b, ':')
-		var err error
-		if b, err = AppendFloat(b, m[k]); err != nil {
-			return b, err
-		}
-	}
-	return append(b, '}'), nil
 }
 
 // Decoder reads one JSON value token by token from a byte slice. It
@@ -333,21 +305,4 @@ func (d *Decoder) literal(lit string) bool {
 	}
 	d.pos += len(lit)
 	return true
-}
-
-// FloatMap reads an object of numbers, or null as a nil map.
-func (d *Decoder) FloatMap() map[string]float64 {
-	if d.Null() {
-		return nil
-	}
-	m := make(map[string]float64)
-	d.Delim('{')
-	for i := 0; d.More('}', i); i++ {
-		k := d.Key()
-		m[string(k)] = d.Float64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return m
 }

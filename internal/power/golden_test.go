@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -62,17 +61,14 @@ func renderEvents(ev *power.Events) string {
 	return b.String()
 }
 
-// renderBreakdown lists the labeled energies in sorted key order with a
+// renderBreakdown lists the charged components in label order with a
 // fixed precision, plus the total.
 func renderBreakdown(bd power.Breakdown) string {
-	keys := make([]string, 0, len(bd))
-	for k := range bd {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "  %-18s %.4f\n", k, bd[k])
+	for c := range power.NumComponents {
+		if bd.Charged(c) {
+			fmt.Fprintf(&b, "  %-18s %.4f\n", c, bd.Get(c))
+		}
 	}
 	fmt.Fprintf(&b, "  %-18s %.4f\n", "total", bd.Total())
 	return b.String()

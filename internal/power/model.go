@@ -2,7 +2,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"distiq/internal/isa"
@@ -85,80 +84,138 @@ func fifoAccess(b int) float64 {
 	return eCellWrite*float64(b) + eWordline*float64(b)/2 + eRAMBase/2
 }
 
-// Breakdown maps a component label to energy in picojoules. Labels match
-// the paper's Figures 9-11: wakeup, buff, select, fifo, Qrename,
-// regs_ready, chains, reg, MuxIntALU, MuxIntMUL, MuxFPALU, MuxFPMUL.
-type Breakdown map[string]float64
+// Component names one issue-logic energy component of Figures 9-11.
+// Components are numbered in byte order of their names, the order in
+// which Total sums them and a breakdown's JSON object lists them.
+type Component uint8
 
-// Total returns the summed energy of all components. Components are
-// summed in sorted key order so the result is bit-identical across runs
-// (Go map iteration order is randomized, and floating-point addition is
-// not associative).
-func (b Breakdown) Total() float64 {
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
+// The components a power model charges. PreSched's second-level buffer
+// (buff2) extends the paper's set.
+const (
+	MuxFPALU Component = iota
+	MuxFPMUL
+	MuxIntALU
+	MuxIntMUL
+	Qrename
+	Buff
+	Buff2
+	Chains
+	FIFO
+	Reg
+	RegsReady
+	Select
+	Wakeup
+	// NumComponents is the number of components.
+	NumComponents
+)
+
+// componentNames label the components as the paper's figures do.
+var componentNames = [NumComponents]string{
+	MuxFPALU: "MuxFPALU", MuxFPMUL: "MuxFPMUL", MuxIntALU: "MuxIntALU", MuxIntMUL: "MuxIntMUL",
+	Qrename: "Qrename", Buff: "buff", Buff2: "buff2", Chains: "chains", FIFO: "fifo",
+	Reg: "reg", RegsReady: "regs_ready", Select: "select", Wakeup: "wakeup",
+}
+
+// String returns the component's label.
+func (c Component) String() string { return componentNames[c] }
+
+// ComponentNamed returns the component labeled name, or false when no
+// component has that label.
+func ComponentNamed(name []byte) (Component, bool) {
+	for c, n := range componentNames {
+		if n == string(name) {
+			return Component(c), true
+		}
 	}
-	sort.Strings(keys)
+	return 0, false
+}
+
+// Breakdown is the issue-logic energy of one scheme instance, in
+// picojoules per component, with the set of components the power model
+// charged: a charged component may hold zero energy, and an uncharged
+// one always does. The zero Breakdown charges nothing. A Breakdown is a
+// plain value, so assigning one copies it.
+type Breakdown struct {
+	pJ      [NumComponents]float64
+	charged uint16
+}
+
+// Set charges component c with v picojoules.
+func (b *Breakdown) Set(c Component, v float64) {
+	b.pJ[c] = v
+	b.charged |= 1 << c
+}
+
+// Get returns component c's energy, 0 when c is not charged.
+func (b Breakdown) Get(c Component) float64 { return b.pJ[c] }
+
+// Charged reports whether the power model charged component c.
+func (b Breakdown) Charged(c Component) bool { return b.charged&(1<<c) != 0 }
+
+// Empty reports whether no component is charged.
+func (b Breakdown) Empty() bool { return b.charged == 0 }
+
+// Total returns the summed energy of all components, in component order,
+// so the sum is bit-identical across runs (floating-point addition is
+// not associative). An uncharged component adds +0, which leaves every
+// partial sum as it is.
+func (b Breakdown) Total() float64 {
 	t := 0.0
-	for _, k := range keys {
-		t += b[k]
+	for _, v := range b.pJ {
+		t += v
 	}
 	return t
 }
 
-// Add accumulates o into b.
-func (b Breakdown) Add(o Breakdown) {
-	for k, v := range o {
-		b[k] += v
-	}
-}
-
-// Scale multiplies every component by f and returns b.
-func (b Breakdown) Scale(f float64) Breakdown {
-	for k := range b {
-		b[k] *= f
-	}
-	return b
-}
-
-// String renders the breakdown sorted by decreasing energy, components
-// of equal energy by name.
-func (b Breakdown) String() string {
-	type kv struct {
-		k string
-		v float64
-	}
-	var items []kv
-	for k, v := range b {
-		items = append(items, kv{k, v})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].v != items[j].v {
-			return items[i].v > items[j].v
+// Add accumulates o into b: every component o charges is charged in b
+// with the two energies summed.
+func (b *Breakdown) Add(o Breakdown) {
+	for c := range NumComponents {
+		if o.Charged(c) {
+			b.pJ[c] += o.pJ[c]
 		}
-		return items[i].k < items[j].k
-	})
+	}
+	b.charged |= o.charged
+}
+
+// String renders the charged components sorted by decreasing energy,
+// components of equal energy by name, then the total.
+func (b Breakdown) String() string {
+	var order [NumComponents]Component
+	n := 0
+	for c := range NumComponents {
+		if !b.Charged(c) {
+			continue
+		}
+		// Insert c after every listed component of greater or equal
+		// energy; components come in name order, so ties keep it.
+		i := n
+		for ; i > 0 && b.pJ[order[i-1]] < b.pJ[c]; i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = c
+		n++
+	}
 	total := b.Total()
 	var sb strings.Builder
-	for _, it := range items {
+	for _, c := range order[:n] {
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * it.v / total
+			pct = 100 * b.pJ[c] / total
 		}
-		fmt.Fprintf(&sb, "  %-10s %14.1f pJ  %5.1f%%\n", it.k, it.v, pct)
+		fmt.Fprintf(&sb, "  %-10s %14.1f pJ  %5.1f%%\n", c, b.pJ[c], pct)
 	}
 	fmt.Fprintf(&sb, "  %-10s %14.1f pJ\n", "total", total)
 	return sb.String()
 }
 
-// muxLabels names the crossbar components per functional-unit kind,
+// muxComponents name the crossbar components per functional-unit kind,
 // matching the paper's figures.
-var muxLabels = [isa.NumFUKinds]string{
-	isa.IntALUUnit: "MuxIntALU",
-	isa.IntMulUnit: "MuxIntMUL",
-	isa.FPAddUnit:  "MuxFPALU",
-	isa.FPMulUnit:  "MuxFPMUL",
+var muxComponents = [isa.NumFUKinds]Component{
+	isa.IntALUUnit: MuxIntALU,
+	isa.IntMulUnit: MuxIntMUL,
+	isa.FPAddUnit:  MuxFPALU,
+	isa.FPMulUnit:  MuxFPMUL,
 }
 
 // Calc converts Events into energy for one scheme instance.
@@ -186,7 +243,7 @@ func (c *Calc) Geometry() Geometry { return c.geom }
 // Energy converts the event counts into a labeled breakdown.
 func (c *Calc) Energy(ev *Events) Breakdown {
 	g := c.geom
-	bd := Breakdown{}
+	var bd Breakdown
 	totalEntries := g.Queues * g.Entries
 
 	switch g.Style {
@@ -198,12 +255,12 @@ func (c *Calc) Energy(ev *Events) Breakdown {
 		if g.Banks > 1 {
 			span = totalEntries / g.Banks * ((g.Banks + 1) / 2)
 		}
-		bd["wakeup"] = float64(ev.WakeupCAMCells)*eCAMCell*float64(g.TagBits) +
-			float64(ev.WakeupBroadcasts)*eTagDrive*float64(span)*float64(g.TagBits)
-		bd["buff"] = float64(ev.IQWrites)*ramWrite(totalEntries, g.PayloadBits) +
-			float64(ev.IQReads)*ramRead(totalEntries, g.PayloadBits)
-		bd["select"] = float64(ev.SelectEntries)*eSelectCell +
-			float64(ev.SelectOps)*eSelectBase
+		bd.Set(Wakeup, float64(ev.WakeupCAMCells)*eCAMCell*float64(g.TagBits)+
+			float64(ev.WakeupBroadcasts)*eTagDrive*float64(span)*float64(g.TagBits))
+		bd.Set(Buff, float64(ev.IQWrites)*ramWrite(totalEntries, g.PayloadBits)+
+			float64(ev.IQReads)*ramRead(totalEntries, g.PayloadBits))
+		bd.Set(Select, float64(ev.SelectEntries)*eSelectCell+
+			float64(ev.SelectOps)*eSelectBase)
 		// A two-level organization (PreSched) fronts the CAM with a
 		// wakeup-free second-level buffer whose traffic arrives in the
 		// FIFO counters; pure CAM schemes never touch them.
@@ -212,28 +269,28 @@ func (c *Calc) Energy(ev *Events) Breakdown {
 			if l2 <= 0 {
 				l2 = totalEntries
 			}
-			bd["buff2"] = float64(ev.FIFOWrites)*ramWrite(l2, g.PayloadBits) +
-				float64(ev.FIFOReads)*ramRead(l2, g.PayloadBits)
+			bd.Set(Buff2, float64(ev.FIFOWrites)*ramWrite(l2, g.PayloadBits)+
+				float64(ev.FIFOReads)*ramRead(l2, g.PayloadBits))
 		}
 
 	case StyleFIFO:
-		bd["Qrename"] = float64(ev.QRenameReads)*ramRead(isa.NumLogicalRegs*2, qrenameBits(g)) +
-			float64(ev.QRenameWrites)*ramWrite(isa.NumLogicalRegs*2, qrenameBits(g))
-		bd["fifo"] = float64(ev.FIFOWrites+ev.FIFOReads) * fifoAccess(g.PayloadBits)
-		bd["regs_ready"] = float64(ev.RegsReadyReads) *
-			(eBitTable*float64(isa.NumPhysicalRegs) + eBitBase)
+		bd.Set(Qrename, float64(ev.QRenameReads)*ramRead(isa.NumLogicalRegs*2, qrenameBits(g))+
+			float64(ev.QRenameWrites)*ramWrite(isa.NumLogicalRegs*2, qrenameBits(g)))
+		bd.Set(FIFO, float64(ev.FIFOWrites+ev.FIFOReads)*fifoAccess(g.PayloadBits))
+		bd.Set(RegsReady, float64(ev.RegsReadyReads)*
+			(eBitTable*float64(isa.NumPhysicalRegs)+eBitBase))
 
 	case StyleBuff:
-		bd["Qrename"] = float64(ev.QRenameReads)*ramRead(isa.NumLogicalRegs*2, qrenameBits(g)) +
-			float64(ev.QRenameWrites)*ramWrite(isa.NumLogicalRegs*2, qrenameBits(g))
+		bd.Set(Qrename, float64(ev.QRenameReads)*ramRead(isa.NumLogicalRegs*2, qrenameBits(g))+
+			float64(ev.QRenameWrites)*ramWrite(isa.NumLogicalRegs*2, qrenameBits(g)))
 		// The buffer is a true RAM (random insert/remove), so it pays
 		// decoder energy, unlike a FIFO.
-		bd["buff"] = float64(ev.BuffWrites)*ramWrite(g.Entries, g.PayloadBits) +
-			float64(ev.BuffReads)*ramRead(g.Entries, g.PayloadBits)
-		bd["regs_ready"] = float64(ev.RegsReadyReads) *
-			(eBitTable*float64(isa.NumPhysicalRegs) + eBitBase)
-		bd["select"] = float64(ev.SelectEntries)*eSelectCell +
-			float64(ev.SelectOps)*eSelectBase
+		bd.Set(Buff, float64(ev.BuffWrites)*ramWrite(g.Entries, g.PayloadBits)+
+			float64(ev.BuffReads)*ramRead(g.Entries, g.PayloadBits))
+		bd.Set(RegsReady, float64(ev.RegsReadyReads)*
+			(eBitTable*float64(isa.NumPhysicalRegs)+eBitBase))
+		bd.Set(Select, float64(ev.SelectEntries)*eSelectCell+
+			float64(ev.SelectOps)*eSelectBase)
 		// Chain latency table: whole-table read+write each cycle the
 		// queue is active; each entry holds a saturating counter wide
 		// enough for the largest latency (5 bits) plus the 2-bit code
@@ -243,9 +300,9 @@ func (c *Calc) Energy(ev *Events) Breakdown {
 		if chains <= 0 {
 			chains = g.Entries
 		}
-		bd["chains"] = float64(ev.ChainReads+ev.ChainWrites) *
-			(eCellRead*float64(chains)*float64(chainBits) + eRAMBase/2)
-		bd["reg"] = float64(ev.SelRegWrites) * eLatch
+		bd.Set(Chains, float64(ev.ChainReads+ev.ChainWrites)*
+			(eCellRead*float64(chains)*float64(chainBits)+eRAMBase/2))
+		bd.Set(Reg, float64(ev.SelRegWrites)*eLatch)
 	}
 
 	// Issue crossbar: energy per issue scales with the number of entry
@@ -255,7 +312,7 @@ func (c *Calc) Energy(ev *Events) Breakdown {
 			continue
 		}
 		perIssue := eMuxPerSrc * float64(g.Entries) * float64(g.FUFanout[k])
-		bd[muxLabels[k]] = float64(ev.MuxIssues[k]) * perIssue
+		bd.Set(muxComponents[k], float64(ev.MuxIssues[k])*perIssue)
 	}
 	return bd
 }

@@ -66,10 +66,10 @@ func TestWakeupDominatesCAMBaseline(t *testing.T) {
 	ev.MuxIssues[isa.IntALUUnit] = 700
 	ev.MuxIssues[isa.IntMulUnit] = 100
 	bd := c.Energy(ev)
-	if bd["wakeup"] <= bd["buff"] || bd["wakeup"] <= bd["select"] {
+	if bd.Get(Wakeup) <= bd.Get(Buff) || bd.Get(Wakeup) <= bd.Get(Select) {
 		t.Fatalf("wakeup not dominant: %v", bd)
 	}
-	frac := bd["wakeup"] / bd.Total()
+	frac := bd.Get(Wakeup) / bd.Total()
 	if frac < 0.4 || frac > 0.9 {
 		t.Fatalf("wakeup fraction %.2f outside Figure 9 ballpark", frac)
 	}
@@ -105,8 +105,8 @@ func TestMuxEnergyScalesWithFanout(t *testing.T) {
 	g2.FUFanout[isa.IntALUUnit] = 1
 	ev := &Events{}
 	ev.MuxIssues[isa.IntALUUnit] = 100
-	e1 := NewCalc(g1).Energy(ev)["MuxIntALU"]
-	e2 := NewCalc(g2).Energy(ev)["MuxIntALU"]
+	e1 := NewCalc(g1).Energy(ev).Get(MuxIntALU)
+	e2 := NewCalc(g2).Energy(ev).Get(MuxIntALU)
 	if e1 <= e2*7 {
 		t.Fatalf("8-way fanout %.1f not ~8x 1-way %.1f", e1, e2)
 	}
@@ -122,9 +122,9 @@ func TestBuffBreakdownHasPaperComponents(t *testing.T) {
 	}
 	ev.MuxIssues[isa.FPAddUnit] = 4
 	bd := c.Energy(ev)
-	for _, label := range []string{"Qrename", "buff", "regs_ready", "select", "chains", "reg", "MuxFPALU"} {
-		if bd[label] <= 0 {
-			t.Errorf("component %s missing from MixBUFF breakdown: %v", label, bd)
+	for _, c := range []Component{Qrename, Buff, RegsReady, Select, Chains, Reg, MuxFPALU} {
+		if bd.Get(c) <= 0 {
+			t.Errorf("component %s missing from MixBUFF breakdown: %v", c, bd)
 		}
 	}
 }
@@ -137,23 +137,53 @@ func TestZeroEventsZeroEnergy(t *testing.T) {
 	}
 }
 
+// breakdownOf returns a breakdown charging each component with the
+// energy that follows it.
+func breakdownOf(kv ...any) Breakdown {
+	var b Breakdown
+	for i := 0; i < len(kv); i += 2 {
+		b.Set(kv[i].(Component), kv[i+1].(float64))
+	}
+	return b
+}
+
 func TestBreakdownHelpers(t *testing.T) {
-	a := Breakdown{"x": 1, "y": 2}
-	b := Breakdown{"y": 3, "z": 4}
+	a := breakdownOf(FIFO, 1.0, Select, 2.0)
+	b := breakdownOf(Select, 3.0, Wakeup, 4.0, Reg, 0.0)
 	a.Add(b)
-	if a["x"] != 1 || a["y"] != 5 || a["z"] != 4 {
+	if a.Get(FIFO) != 1 || a.Get(Select) != 5 || a.Get(Wakeup) != 4 {
 		t.Fatalf("Add wrong: %v", a)
+	}
+	if !a.Charged(Reg) || a.Charged(Chains) || a.Get(Chains) != 0 {
+		t.Fatalf("Add charged the wrong components: %v", a)
 	}
 	if a.Total() != 10 {
 		t.Fatalf("Total = %v", a.Total())
 	}
-	a.Scale(2)
-	if a.Total() != 20 {
-		t.Fatalf("Scale wrong: %v", a)
+	if (Breakdown{}).Total() != 0 || !(Breakdown{}).Empty() || a.Empty() {
+		t.Fatal("Empty wrong")
 	}
 	s := a.String()
-	if !strings.Contains(s, "total") || !strings.Contains(s, "y") {
+	if !strings.Contains(s, "total") || !strings.Contains(s, "select") || !strings.Contains(s, "reg ") {
 		t.Fatalf("String output missing content:\n%s", s)
+	}
+}
+
+// TestComponentNames: components are numbered in byte order of their
+// labels, and every label names its component.
+func TestComponentNames(t *testing.T) {
+	for c := range NumComponents {
+		if c > 0 && componentNames[c-1] >= componentNames[c] {
+			t.Errorf("%s is numbered after %s", c, c-1)
+		}
+		if got, ok := ComponentNamed([]byte(c.String())); !ok || got != c {
+			t.Errorf("ComponentNamed(%q) = %v, %v", c, got, ok)
+		}
+	}
+	for _, name := range []string{"", "alloc", "Wakeup", "wakeup ", "buff3"} {
+		if c, ok := ComponentNamed([]byte(name)); ok {
+			t.Errorf("ComponentNamed(%q) = %v, want none", name, c)
+		}
 	}
 }
 
@@ -161,7 +191,7 @@ func TestBreakdownHelpers(t *testing.T) {
 // components tie in energy, as an idle domain's zero-energy components
 // do: every rendering is identical and lists the ties in name order.
 func TestBreakdownStringOrdersTiesByName(t *testing.T) {
-	b := Breakdown{"wakeup": 5, "select": 0, "fifo": 0, "alloc": 0, "regs": 5, "mux": 0, "chain": 7}
+	b := breakdownOf(Wakeup, 5.0, Select, 0.0, FIFO, 0.0, Buff, 0.0, RegsReady, 5.0, MuxFPALU, 0.0, Chains, 7.0)
 	want := b.String()
 	for i := 0; i < 50; i++ {
 		if got := b.String(); got != want {
@@ -172,7 +202,7 @@ func TestBreakdownStringOrdersTiesByName(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(want), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	order := "chain regs wakeup alloc fifo mux select total"
+	order := "chains regs_ready wakeup MuxFPALU buff fifo select total"
 	if got := strings.Join(names, " "); got != order {
 		t.Fatalf("components listed as %q, want %q", got, order)
 	}
@@ -182,8 +212,8 @@ func TestBankingReducesWakeupDrive(t *testing.T) {
 	ev := &Events{WakeupBroadcasts: 1000}
 	unbanked := camGeom()
 	unbanked.Banks = 1
-	eb := NewCalc(camGeom()).Energy(ev)["wakeup"]
-	eu := NewCalc(unbanked).Energy(ev)["wakeup"]
+	eb := NewCalc(camGeom()).Energy(ev).Get(Wakeup)
+	eu := NewCalc(unbanked).Energy(ev).Get(Wakeup)
 	if eb >= eu {
 		t.Fatalf("banked drive %.1f not below unbanked %.1f", eb, eu)
 	}
@@ -238,8 +268,8 @@ func TestCAMEnergyPerEventScales(t *testing.T) {
 	small := camGeom()
 	big := camGeom()
 	big.Entries = 128
-	eSmall := NewCalc(small).Energy(ev)["wakeup"]
-	eBig := NewCalc(big).Energy(ev)["wakeup"]
+	eSmall := NewCalc(small).Energy(ev).Get(Wakeup)
+	eBig := NewCalc(big).Energy(ev).Get(Wakeup)
 	if eBig <= eSmall {
 		t.Fatalf("wakeup energy did not grow with queue size: %v vs %v", eSmall, eBig)
 	}

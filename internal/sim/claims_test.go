@@ -5,6 +5,7 @@ import (
 
 	"distiq/internal/core"
 	"distiq/internal/metrics"
+	"distiq/internal/power"
 	"distiq/internal/trace"
 )
 
@@ -106,8 +107,8 @@ func TestPaperClaims(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wakeup += r.Breakdown["wakeup"]
-			total += r.Breakdown.Total()
+			wakeup += r.Breakdown().Get(power.Wakeup)
+			total += r.IQEnergy
 		}
 		if frac := wakeup / total; frac < 0.40 {
 			t.Errorf("wakeup fraction %.2f below expectation", frac)

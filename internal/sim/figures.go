@@ -5,6 +5,7 @@ import (
 
 	"distiq/internal/core"
 	"distiq/internal/metrics"
+	"distiq/internal/power"
 	"distiq/internal/trace"
 )
 
@@ -145,11 +146,11 @@ func (s *Session) ipcFigure(title string, suite trace.Suite) (Table, error) {
 	return t, nil
 }
 
-// breakdownOrder fixes the component order of Figures 9-11 (the paper's
-// legend order, bottom to top).
-var breakdownOrder = []string{
-	"wakeup", "buff", "fifo", "Qrename", "regs_ready", "select", "chains", "reg",
-	"MuxIntALU", "MuxIntMUL", "MuxFPALU", "MuxFPMUL",
+// breakdownOrder fixes the row order of Figures 9-11 (the paper's legend
+// order, bottom to top).
+var breakdownOrder = []power.Component{
+	power.Wakeup, power.Buff, power.FIFO, power.Qrename, power.RegsReady, power.Select,
+	power.Chains, power.Reg, power.MuxIntALU, power.MuxIntMUL, power.MuxFPALU, power.MuxFPMUL,
 }
 
 // breakdownFigure builds Figures 9-11: the percentage contribution of each
@@ -161,7 +162,10 @@ func (s *Session) breakdownFigure(title string, cfg core.Config) (Table, error) 
 	if err := s.Prefetch(trace.AllBenchmarks(), cfg); err != nil {
 		return Table{}, err
 	}
-	totals := map[string][2]float64{}
+	// totals sums each suite's breakdowns; sums adds every component of
+	// every benchmark in component order, so each suite's total is the
+	// same from run to run.
+	var totals [2]power.Breakdown
 	var sums [2]float64
 	for si, suite := range []trace.Suite{trace.SuiteInt, trace.SuiteFP} {
 		for _, b := range trace.Benchmarks(suite) {
@@ -169,26 +173,24 @@ func (s *Session) breakdownFigure(title string, cfg core.Config) (Table, error) 
 			if err != nil {
 				return Table{}, err
 			}
-			for comp, v := range r.Breakdown {
-				e := totals[comp]
-				e[si] += v
-				totals[comp] = e
-				sums[si] += v
+			bd := r.Breakdown()
+			totals[si].Add(bd)
+			for c := range power.NumComponents {
+				sums[si] += bd.Get(c)
 			}
 		}
 	}
 	for _, comp := range breakdownOrder {
-		e, ok := totals[comp]
-		if !ok {
+		if !totals[0].Charged(comp) && !totals[1].Charged(comp) {
 			continue
 		}
 		var row [2]float64
 		for si := range row {
 			if sums[si] > 0 {
-				row[si] = 100 * e[si] / sums[si]
+				row[si] = 100 * totals[si].Get(comp) / sums[si]
 			}
 		}
-		t.AddRow(comp, row[0], row[1])
+		t.AddRow(comp.String(), row[0], row[1])
 	}
 	return t, nil
 }

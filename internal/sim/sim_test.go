@@ -26,7 +26,7 @@ func TestRunProducesSaneResult(t *testing.T) {
 	if r.IQEnergy <= 0 {
 		t.Fatal("no issue-queue energy recorded")
 	}
-	if len(r.Breakdown) == 0 || len(r.IntBreakdown) == 0 {
+	if r.Breakdown().Empty() || r.IntBreakdown.Empty() {
 		t.Fatal("empty breakdowns")
 	}
 }
@@ -275,10 +275,8 @@ func TestSimulationDeterminism(t *testing.T) {
 	if a.Cycles != b.Cycles || a.Insts != b.Insts || a.IQEnergy != b.IQEnergy {
 		t.Fatalf("nondeterministic runs: %+v vs %+v", a.Run, b.Run)
 	}
-	for k, v := range a.Breakdown {
-		if b.Breakdown[k] != v {
-			t.Fatalf("component %s differs: %v vs %v", k, v, b.Breakdown[k])
-		}
+	if a.IntBreakdown != b.IntBreakdown || a.FPBreakdown != b.FPBreakdown {
+		t.Fatalf("breakdowns differ:\n%v\nvs\n%v", a.Breakdown(), b.Breakdown())
 	}
 }
 
